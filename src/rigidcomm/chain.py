@@ -2,10 +2,18 @@
 
 The chain begins with the generating set of the normalizer of the
 regular elementary abelian subgroup spanned by the full-interval
-commutators, and repeatedly applies :func:`rigidcomm.saturated.normalizing_step`.
-In a 2-group every proper subgroup is properly contained in its
-normalizer, so the log2 orders climb strictly until the full group is
-reached, after which the chain is a fixpoint.
+commutators, and repeatedly takes normalizers, each term being the set
+that :func:`rigidcomm.saturated.normalizing_step` would return for the
+one before.  In a 2-group every proper subgroup is properly contained in
+its normalizer, so the log2 orders climb strictly until the full group
+is reached, after which the chain is a fixpoint.
+
+The driver does not rescan every candidate at every step.  It remembers,
+for each candidate that failed, one witness: a commutator [c, m] with a
+member m that lies outside the term.  The terms only grow, so m stays a
+member, and c keeps failing until the witness itself joins the chain.
+Each step therefore rescans only the candidates whose witness was added
+by the step before.
 """
 
 from __future__ import annotations
@@ -15,15 +23,22 @@ import time
 from dataclasses import dataclass, field
 from typing import Iterable
 
+import numpy as np
+
+from .permutations import ScaleGuardError
 from .rigid import RigidCommutator, mask_order_key
-from .saturated import SaturatedSet, normalizing_step
+from .saturated import SaturatedSet, _witness
 from . import partitions
 
+CHAIN_MAX_RANK = 20  # the witness array holds 2^n int64 slots: 8 MiB at rank 20
+
 __all__ = [
+    "CHAIN_MAX_RANK",
     "ChainStep",
     "ChainReport",
     "translation_set",
     "translation_normalizer_set",
+    "check_chain_rank",
     "run_chain",
     "verify_theoretical",
 ]
@@ -56,8 +71,9 @@ class ChainStep:
 
     ``level_dims`` counts members per base, levels 1..n ascending.
     ``index_log2`` is log2 of the index over the previous term; for step
-    0 it is reported against the translation span.  ``seconds`` is a
-    wall-clock diagnostic and takes no part in comparisons or JSON.
+    0 it is reported against the translation span.  ``seconds`` and
+    ``rescanned`` (candidates re-examined in the step) are diagnostics
+    and take no part in comparisons or JSON.
     """
 
     i: int
@@ -66,6 +82,7 @@ class ChainStep:
     level_dims: tuple[int, ...]
     new_members: tuple[RigidCommutator, ...]
     seconds: float = field(default=0.0, compare=False)
+    rescanned: int = field(default=0, compare=False)
 
 
 @dataclass(frozen=True)
@@ -133,61 +150,120 @@ def _sorted_members(n: int, masks: Iterable[int]) -> tuple[RigidCommutator, ...]
     return tuple(RigidCommutator(m, n) for m in sorted(masks, key=mask_order_key))
 
 
+class _IncrementalChain:
+    """Chain terms from ``start`` on, rescanning only woken candidates.
+
+    ``witness[c]`` is 0 for members and otherwise a commutator [c, m],
+    m a member, outside the current term; ``pending`` lists the
+    candidates to scan at the next step.  The cache is sound only while
+    every term is saturated, contains the translations t_1..t_n, and
+    contains the term before it.  A start with the first two properties
+    keeps all three: the normalizer of a saturated set containing the
+    translations is again saturated, and contains the set itself.
+    """
+
+    def __init__(self, start: SaturatedSet) -> None:
+        size = 1 << start.n
+        self.masks = set(start.masks)
+        self.witness = np.zeros(size, dtype=np.int64)
+        self._added = np.zeros(size, dtype=bool)
+        member = np.zeros(size, dtype=bool)
+        member[0] = True
+        member[list(self.masks)] = True
+        self.pending = np.flatnonzero(~member)
+
+    def step(self) -> list[int]:
+        """Grow the term to its normalizer; return the masks that joined."""
+        scanned = self.pending
+        # fromiter keeps no list of Python ints, which at rank 16 would
+        # cost several MB of peak memory on the first step
+        found = np.fromiter(
+            (_witness(c, self.masks) for c in map(int, scanned)), np.int64, len(scanned)
+        )
+        self.witness[scanned] = found
+        added = scanned[found == 0]
+        self.masks.update(added.tolist())
+        self._added[added] = True
+        self.pending = np.flatnonzero(self._added[self.witness])
+        self._added[added] = False
+        return added.tolist()
+
+
+def check_chain_rank(n: int, max_rank: int = CHAIN_MAX_RANK) -> None:
+    """Refuse a chain whose per-candidate state would pass the rank cap."""
+    if n > max_rank:
+        raise ScaleGuardError(
+            f"chain at rank {n} exceeds the cap {max_rank}; pass max_rank= to override"
+        )
+
+
 def run_chain(
     n: int,
     max_steps: int | None = None,
     *,
     stop_at_full: bool = True,
-    jobs: int = 1,
+    max_rank: int = CHAIN_MAX_RANK,
 ) -> ChainReport:
     """Run the normalizer chain at rank n.
 
     Step 0 is the translation-normalizer baseline, its index reported
-    against the translation span (n(n-1)/2).  Subsequent steps apply the
-    normalizing step until the full group or the step budget (default
-    2^n) is reached.  With ``stop_at_full`` False, fixpoint steps after
-    the full group are appended as zero-index rows without recomputation,
-    since the full group is its own normalizer.
+    against the translation span (n(n-1)/2).  Subsequent steps take
+    normalizers until the full group or the step budget (default 2^n) is
+    reached.  With ``stop_at_full`` False, fixpoint steps after the full
+    group are appended as zero-index rows without recomputation, since
+    the full group is its own normalizer.
+
+    Each step rescans only the candidates whose cached witness joined the
+    chain in the step before; the baseline is saturated and contains the
+    translations, which is what keeps that cache sound.  The cache takes
+    2^n slots, so ranks above ``max_rank`` raise
+    :class:`~rigidcomm.permutations.ScaleGuardError` before any work.
     """
     if n < 1:
         raise ValueError("rank must be at least 1")
     if max_steps is not None and max_steps < 0:
         raise ValueError("step budget cannot be negative")
+    check_chain_rank(n, max_rank)
     budget = (1 << n) if max_steps is None else max_steps
     full_log2 = (1 << n) - 1
     t0 = time.perf_counter()
-    current = translation_normalizer_set(n)
+    start = translation_normalizer_set(n)
     baseline = ChainStep(
         i=0,
-        log2_order=current.log2_order,
+        log2_order=start.log2_order,
         index_log2=n * (n - 1) // 2,
-        level_dims=current.level_dims(),
+        level_dims=start.level_dims(),
         new_members=_sorted_members(
-            n, current.masks - frozenset((1 << i) - 1 for i in range(1, n + 1))
+            n, start.masks - frozenset((1 << i) - 1 for i in range(1, n + 1))
         ),
         seconds=time.perf_counter() - t0,
     )
     steps = [baseline]
+    chain = _IncrementalChain(start)
+    dims = list(baseline.level_dims)
     i = 0
     terminated_at = 0
-    reached_full = current.log2_order == full_log2
+    reached_full = start.log2_order == full_log2
     while i < budget and not reached_full:
         t0 = time.perf_counter()
-        nxt = normalizing_step(current, jobs=jobs)
+        rescanned = len(chain.pending)
+        added = chain.step()
+        for m in added:
+            dims[m.bit_length() - 1] += 1
         i += 1
         steps.append(
             ChainStep(
                 i=i,
-                log2_order=nxt.log2_order,
-                index_log2=nxt.log2_order - current.log2_order,
-                level_dims=nxt.level_dims(),
-                new_members=_sorted_members(n, nxt.masks - current.masks),
+                log2_order=len(chain.masks),
+                index_log2=len(added),
+                level_dims=tuple(dims),
+                new_members=_sorted_members(n, added),
                 seconds=time.perf_counter() - t0,
+                rescanned=rescanned,
             )
         )
-        current = nxt
         terminated_at = i
-        reached_full = current.log2_order == full_log2
+        reached_full = len(chain.masks) == full_log2
     if reached_full and not stop_at_full:
         # past the full group the chain is constant; report without recomputing
         while i < budget:
@@ -197,7 +273,7 @@ def run_chain(
                     i=i,
                     log2_order=full_log2,
                     index_log2=0,
-                    level_dims=current.level_dims(),
+                    level_dims=tuple(dims),
                     new_members=(),
                     seconds=0.0,
                 )

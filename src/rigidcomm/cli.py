@@ -9,7 +9,6 @@ mismatch, 2 usage or input error, 3 scale guard trip.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from . import chain as chainmod
@@ -27,13 +26,6 @@ from .rigid import (
 __all__ = ["main", "build_parser"]
 
 
-def _jobs_default() -> int:
-    try:
-        return max(1, int(os.environ.get("RIGIDCOMM_JOBS", "1")))
-    except ValueError:
-        return 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="rigidcomm", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
@@ -43,15 +35,14 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--n-range", help="inclusive rank range like 3..15 (matrix of indices)")
     c.add_argument("--steps", type=int, help="step budget (default: run to the full group; 14 for --n-range)")
     c.add_argument("--format", choices=("csv", "json", "md"), default="md")
-    c.add_argument("--jobs", type=int, default=None, help="parallel scan shards (default $RIGIDCOMM_JOBS or 1)")
-    c.add_argument("--timings", action="store_true", help="print per-step seconds to stderr")
+    c.add_argument("--timings", action="store_true",
+                   help="print per-step seconds and rescanned candidates to stderr")
     c.add_argument("--out", help="write to this file instead of stdout")
 
     v = sub.add_parser("verify", help="run the self-check suite at a given rank")
     v.add_argument("--n", type=int, required=True)
     v.add_argument("--sym-brute", action="store_true",
                    help="also compare chain terms against exhaustive symmetric-group normalizers (rank <= 3)")
-    v.add_argument("--jobs", type=int, default=None)
 
     e = sub.add_parser("eval", help="evaluate a commutator expression")
     e.add_argument("expr", help='e.g. "[[6,5,4,3],[2,1]]" or "6^{2,1}"')
@@ -110,10 +101,11 @@ def _chain_csv(report: chainmod.ChainReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _matrix_rows(n_lo: int, n_hi: int, steps: int, jobs: int):
+def _matrix_rows(n_lo: int, n_hi: int, steps: int):
+    chainmod.check_chain_rank(n_hi)  # refuse before computing the low rows
     rows = []
     for n in range(n_lo, n_hi + 1):
-        report = chainmod.run_chain(n, max_steps=steps, jobs=jobs)
+        report = chainmod.run_chain(n, max_steps=steps)
         rows.append((n, report.index_sequence(steps)))
     return rows
 
@@ -158,7 +150,6 @@ def _euler_csv(table: partitions.PartitionTable) -> str:
 # ── subcommands ──────────────────────────────────────────────────────────────
 
 def _cmd_chain(args) -> int:
-    jobs = args.jobs if args.jobs is not None else _jobs_default()
     if (args.n is None) == (args.n_range is None):
         print("chain: exactly one of --n / --n-range is required", file=sys.stderr)
         return 2
@@ -170,7 +161,7 @@ def _cmd_chain(args) -> int:
             print(f"chain: bad --n-range {args.n_range!r}, expected like 3..15", file=sys.stderr)
             return 2
         steps = args.steps if args.steps is not None else 14
-        rows = _matrix_rows(lo, hi, steps, jobs)
+        rows = _matrix_rows(lo, hi, steps)
         if args.format == "csv":
             text = _matrix_csv(rows, steps)
         elif args.format == "md":
@@ -183,10 +174,10 @@ def _cmd_chain(args) -> int:
             ) + "\n"
         _emit(text, args.out)
         return 0
-    report = chainmod.run_chain(args.n, max_steps=args.steps, jobs=jobs)
+    report = chainmod.run_chain(args.n, max_steps=args.steps)
     if args.timings:
         for s in report.steps:
-            print(f"step {s.i}: {s.seconds:.4f}s", file=sys.stderr)
+            print(f"step {s.i}: {s.seconds:.4f}s, {s.rescanned} rescanned", file=sys.stderr)
     if args.format == "csv":
         text = _chain_csv(report)
     elif args.format == "md":
@@ -204,7 +195,7 @@ def _fail(name: str, detail: str) -> int:
 
 def _cmd_verify(args) -> int:
     n = args.n
-    jobs = args.jobs if args.jobs is not None else _jobs_default()
+    chainmod.check_chain_rank(n)  # refuse before the oracle checks run
 
     # expand agrees with the mask product on all pairs (exhaustive, capped at 8)
     m = min(n, 8)
@@ -220,7 +211,7 @@ def _cmd_verify(args) -> int:
     print(f"ok: oracle-equivalence (exhaustive pairs, rank {m})")
 
     # chain terms match the closed-form prediction
-    report = chainmod.run_chain(n, jobs=jobs)
+    report = chainmod.run_chain(n)
     for i, good in chainmod.verify_theoretical(report):
         if not good:
             return _fail("chain-vs-closed-form", f"step {i} differs at rank {n}")
@@ -239,16 +230,13 @@ def _cmd_verify(args) -> int:
                 file=sys.stderr,
             )
             return 3
-        current = chainmod.translation_normalizer_set(n)
         for i in range(report.terminated_at + 1):
             masks = report.member_masks_at(i)
             elements = perm.generate_group(
                 [perm.expand(RigidCommutator(x, n)) for x in masks]
             )
             brute = perm.brute_normalizer_in_sym(elements, n)
-            stepped = saturated.normalizing_step(
-                saturated.SaturatedSet(n, masks), jobs=jobs
-            )
+            stepped = saturated.normalizing_step(saturated.SaturatedSet(n, masks))
             spanned = perm.generate_group(
                 [perm.expand(RigidCommutator(x, n)) for x in stepped.masks]
             )

@@ -14,10 +14,9 @@ Internally everything runs on raw bitmasks; the public surface speaks
 from __future__ import annotations
 
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import AbstractSet, Iterable, Iterator
 
 import numpy as np
 
@@ -236,20 +235,20 @@ def saturate(members: Iterable[RigidCommutator], n: int | None = None) -> Satura
 
 # ── normalizer machinery ─────────────────────────────────────────────────────
 
-def _normalizes(c: int, masks: frozenset[int]) -> bool:
+def _witness(c: int, masks: AbstractSet[int]) -> int:
+    """First commutator [c, m] with a member m that is nonzero and not a member.
+
+    Returns 0 when there is none, that is when c normalizes the span of
+    ``masks``.
+    """
     for m in masks:
         r = commutator_mask(c, m)
         if r and r not in masks:
-            return False
-    return True
+            return r
+    return 0
 
 
-def _scan_range(args) -> list[int]:
-    lo, hi, masks = args
-    return [c for c in range(lo, hi) if _normalizes(c, masks)]
-
-
-def normalizing_step(M: SaturatedSet, *, jobs: int = 1) -> SaturatedSet:
+def normalizing_step(M: SaturatedSet) -> SaturatedSet:
     """All rigid commutators whose commutator with every member stays inside.
 
     This is one step of the normalizer chain: when the result contains
@@ -259,15 +258,7 @@ def normalizing_step(M: SaturatedSet, *, jobs: int = 1) -> SaturatedSet:
     claimed; closure is then verified and recorded in ``is_closed``.
     """
     n = M.n
-    total = 1 << n
-    if jobs > 1:
-        chunk = max(1, (total - 1) // jobs + 1)
-        spans = [(lo, min(lo + chunk, total), M.masks) for lo in range(1, total, chunk)]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            parts = pool.map(_scan_range, spans)
-        cand = frozenset(c for part in parts for c in part)
-    else:
-        cand = frozenset(c for c in range(1, total) if _normalizes(c, M.masks))
+    cand = frozenset(c for c in range(1, 1 << n) if not _witness(c, M.masks))
     if all(t in cand for t in _translation_masks(n)):
         return SaturatedSet._make(n, cand, True)
     return SaturatedSet._make(n, cand, _closure_defect(cand) is None)
@@ -284,7 +275,7 @@ def normalizer_in(B: SaturatedSet, A: SaturatedSet) -> SaturatedSet:
         raise ValueError("A must be a subset of B (same rank, members contained)")
     if not A.contains_translations:
         raise ValueError("A must contain all full-interval commutators t_1..t_n")
-    cand = frozenset(b for b in B.masks if _normalizes(b, A.masks))
+    cand = frozenset(b for b in B.masks if not _witness(b, A.masks))
     return SaturatedSet._make(B.n, cand, True)
 
 

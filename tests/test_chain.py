@@ -7,19 +7,26 @@ then frozen here; any regression in the step logic moves at least one
 of them.
 """
 
+import hashlib
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rigidcomm import (
     ChainReport,
+    ChainStep,
     RigidCommutator,
+    ScaleGuardError,
     full_rigid_set,
+    normalizing_step,
     run_chain,
+    saturate,
     translation_normalizer_set,
     translation_set,
     verify_theoretical,
 )
+from rigidcomm.chain import CHAIN_MAX_RANK, _IncrementalChain
 
 # rank 6: 21 growth steps then the fixpoint, log2 sizes and index jumps
 N6_LOG2_SIZES = [
@@ -27,6 +34,17 @@ N6_LOG2_SIZES = [
     51, 53, 55, 56, 57, 58, 59, 60, 61, 62, 63,
 ]
 N6_INDICES = [15, 1, 2, 4, 7, 2, 4, 4, 1, 1, 2, 2, 2, 2, 1, 1, 1, 1, 1, 1, 1, 1]
+
+# steps from the translation normalizer to the full group, ranks 5..11
+FULL_CHAIN_LENGTHS = {5: 10, 6: 21, 7: 43, 8: 88, 9: 176, 10: 350, 11: 699}
+
+# sha256 of run_chain(n).to_json(), confirmed against the engine that
+# rescanned every candidate at every step
+FULL_CHAIN_SHA256 = {
+    9: "1d9417667355048f5e844e2def9e87f75135b0aa23e796b44578538bc2c7d5f1",
+    10: "74cd23cf415500a340045345e5b4cfd4e536d1d7ce04858bd35ba075f46910cd",
+    11: "f6529620f94b12784e8798c1dde70b59f8ec75559e502c9510e3c20dd06fcc26",
+}
 
 
 def test_translation_sets():
@@ -149,10 +167,6 @@ def test_verify_theoretical_all_hold():
         assert all(ok for _, ok in verdicts)
 
 
-def test_parallel_chain_matches_serial():
-    assert run_chain(6, 4, jobs=2).to_json_dict() == run_chain(6, 4).to_json_dict()
-
-
 def test_report_json_shape():
     report = run_chain(3)
     d = report.to_json_dict()
@@ -165,6 +179,78 @@ def test_report_json_shape():
     # byte-for-byte deterministic
     assert report.to_json() == run_chain(3).to_json()
     assert json.loads(report.to_json()) == d
+
+
+def test_full_chain_lengths_frozen():
+    for n, length in FULL_CHAIN_LENGTHS.items():
+        report = run_chain(n)
+        assert report.reached_full, n
+        assert report.terminated_at == length, n
+        assert report.steps[-1].log2_order == (1 << n) - 1
+
+
+@pytest.mark.parametrize("n", sorted(FULL_CHAIN_SHA256))
+def test_full_chain_json_digest_frozen(n):
+    digest = hashlib.sha256(run_chain(n).to_json().encode()).hexdigest()
+    assert digest == FULL_CHAIN_SHA256[n]
+
+
+def _naive_chain(n: int) -> ChainReport:
+    """The chain as a plain fold of the one-shot normalizing step."""
+    current = translation_normalizer_set(n)
+    translations = translation_set(n).masks
+    steps = [ChainStep(0, current.log2_order, n * (n - 1) // 2, current.level_dims(),
+                       tuple(c for c in current.members if c.mask not in translations))]
+    while current.log2_order < (1 << n) - 1:
+        nxt = normalizing_step(current)
+        steps.append(ChainStep(len(steps), nxt.log2_order, nxt.log2_order - current.log2_order,
+                               nxt.level_dims(),
+                               tuple(c for c in nxt.members if c.mask not in current.masks)))
+        current = nxt
+    return ChainReport(n, tuple(steps), len(steps) - 1, True)
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_full_chain_matches_naive_fold(n):
+    assert run_chain(n).to_json() == _naive_chain(n).to_json()
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(3, 7), data=st.data())
+def test_incremental_step_matches_normalizing_step(n, data):
+    # the witness cache needs a saturated start containing the translations
+    extra = data.draw(st.lists(st.integers(1, (1 << n) - 1), min_size=1, max_size=3))
+    start = saturate([RigidCommutator(m, n) for m in (*translation_set(n).masks, *extra)], n)
+    chain = _IncrementalChain(start)
+    current = start
+    for _ in range(data.draw(st.integers(1, 6))):
+        added = chain.step()
+        nxt = normalizing_step(current)
+        assert chain.masks == nxt.masks
+        assert set(added) == nxt.masks - current.masks
+        current = nxt
+
+
+def test_rescanned_counts_candidates_reexamined():
+    report = run_chain(6)
+    assert report.steps[0].rescanned == 0
+    # the first step examines every non-member of the baseline
+    assert report.steps[1].rescanned == (1 << 6) - 1 - report.steps[0].log2_order
+    # later steps only those a new member woke, never more than remain outside
+    for prev, s in zip(report.steps[1:], report.steps[2:]):
+        assert 0 < s.rescanned <= (1 << 6) - 1 - prev.log2_order
+    assert report == run_chain(6)  # a diagnostic, not part of equality
+
+
+def test_chain_scale_guard_refuses_before_work():
+    assert CHAIN_MAX_RANK == 20
+    with pytest.raises(ScaleGuardError):
+        run_chain(30)
+    with pytest.raises(ScaleGuardError):
+        run_chain(40, 1)
+    with pytest.raises(ScaleGuardError):
+        run_chain(5, max_rank=4)
+    assert run_chain(4, max_rank=4).reached_full
 
 
 def test_report_rejects_bad_budget():

@@ -123,11 +123,26 @@ def test_chain_argument_errors(capsys):
     capsys.readouterr()
 
 
-def test_chain_jobs_flag_matches_serial(capsys):
-    main(["chain", "--n", "5", "--jobs", "2"])
-    parallel = capsys.readouterr().out
-    main(["chain", "--n", "5"])
-    assert capsys.readouterr().out == parallel
+def test_chain_timings_leave_stdout_unchanged(capsys):
+    for fmt in ("md", "json"):
+        assert main(["chain", "--n", "5", "--format", fmt]) == 0
+        plain = capsys.readouterr()
+        assert main(["chain", "--n", "5", "--format", fmt, "--timings"]) == 0
+        timed = capsys.readouterr()
+        assert timed.out == plain.out
+        assert plain.err == ""
+        assert "step 1: " in timed.err and " rescanned" in timed.err
+    assert all("rescanned" not in step for step in json.loads(timed.out)["steps"])
+
+
+def test_chain_and_verify_scale_guard(capsys):
+    # the guard trips before any chain work, so these return at once
+    assert main(["chain", "--n", "40"]) == 3
+    assert main(["chain", "--n-range", "3..40"]) == 3
+    assert main(["verify", "--n", "40"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("scale guard") == 3
 
 
 # ── eval ─────────────────────────────────────────────────────────────────────

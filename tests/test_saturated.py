@@ -163,11 +163,6 @@ def test_normalizing_step_monotone():
     assert m.issubset(stepped)
 
 
-def test_normalizing_step_parallel_matches_serial():
-    m = normalizing_step(translation_normalizer_set(5))
-    assert normalizing_step(m, jobs=2) == normalizing_step(m)
-
-
 def test_normalizing_step_without_translations_flags():
     # seed that misses the translations: the guarantee lapses and the
     # result says so
