@@ -284,6 +284,7 @@ def _read(path: str) -> str:
 def _cmd_closure(args) -> int:
     try:
         n, seed = saturated.members_from_json(_read(args.set))
+        saturated.check_closure_rank(n)  # before the seed or the ambient grows
         A = saturated.saturate(seed, n)
         if args.within:
             B = saturated.SaturatedSet.from_json(_read(args.within))

@@ -19,7 +19,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .rigid import RigidCommutator
+from .rigid import MAX_RANK, RigidCommutator
 
 EXPAND_MAX_RANK = 12    # 2^12-point arrays; raise explicitly to go beyond
 BRUTE_MAX_RANK = 3      # exhaustive Sym(2^n) scans stop at 8 points
@@ -384,4 +384,9 @@ def perm_from_json(text: str) -> TreePermutation:
     d = json.loads(text)
     if not isinstance(d, dict) or "n" not in d or "images" not in d:
         raise ValueError('expected {"n": ..., "images": [...]}')
-    return TreePermutation(d["images"], int(d["n"]))
+    n, images = d["n"], d["images"]
+    if isinstance(n, bool) or not isinstance(n, int) or not 0 <= n <= MAX_RANK:
+        raise ValueError(f"rank must be an integer in 0..{MAX_RANK}, got {n!r}")
+    if not isinstance(images, list) or not all(type(v) is int for v in images):
+        raise ValueError('"images" must be a list of integers')
+    return TreePermutation(images, n)

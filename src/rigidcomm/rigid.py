@@ -17,6 +17,8 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
+
 MAX_RANK = 63  # element k occupies bit k-1 of a machine-word-sized int
 
 __all__ = [
@@ -25,6 +27,8 @@ __all__ = [
     "PuncturedForm",
     "commutator",
     "commutator_mask",
+    "mask_bases",
+    "commutator_masks",
     "star",
     "reduce_left_normed",
     "to_punctured",
@@ -40,7 +44,7 @@ __all__ = [
 
 
 def _check_rank(n: int) -> None:
-    if not isinstance(n, int) or not 1 <= n <= MAX_RANK:
+    if isinstance(n, bool) or not isinstance(n, int) or not 1 <= n <= MAX_RANK:
         raise ValueError(f"rank must be an integer in 1..{MAX_RANK}, got {n!r}")
 
 
@@ -71,7 +75,7 @@ class RigidCommutator:
         """Build from explicit indices, e.g. ``from_elements([6, 5, 4, 3])``."""
         mask = 0
         for k in elements:
-            if not isinstance(k, int) or k < 1:
+            if isinstance(k, bool) or not isinstance(k, int) or k < 1:
                 raise ValueError(f"indices must be positive integers, got {k!r}")
             mask |= 1 << (k - 1)
         if n is None:
@@ -126,6 +130,40 @@ def commutator_mask(x: int, y: int) -> int:
     if (x >> (b - 1)) & 1:
         return 0
     return (1 << (b - 1)) | (x & y) | (x & ~((1 << b) - 1))
+
+
+_POWERS = np.left_shift(np.int64(1), np.arange(MAX_RANK, dtype=np.int64))
+_POWERS.flags.writeable = False
+
+
+def mask_bases(masks: np.ndarray) -> np.ndarray:
+    """Bases (bit lengths) of an array of nonnegative int64 masks; 0 for 0."""
+    return np.searchsorted(_POWERS, masks, side="right").astype(np.int64)
+
+
+def commutator_masks(
+    x: np.ndarray, x_base: np.ndarray, y: np.ndarray, y_base: np.ndarray
+) -> np.ndarray:
+    """:func:`commutator_mask` elementwise over broadcast int64 mask arrays.
+
+    ``x_base`` and ``y_base`` are the bases of ``x`` and ``y`` as given by
+    :func:`mask_bases`, passed in so that callers compute them once per
+    set.  A column ``x[:, None]`` against a row ``y[None, :]`` gives the
+    whole product table in one pass.
+
+    A larger base means a larger mask, so the smaller-based factor is the
+    smaller mask and its top bit is the smaller top bit.  Equal bases
+    need no test of their own: the larger mask then has that bit set.
+    The identity has base 0 and no top bit, so its products come out 0.
+    """
+    x_top = np.where(x_base > 0, np.left_shift(np.int64(1), x_base - 1), 0)
+    y_top = np.where(y_base > 0, np.left_shift(np.int64(1), y_base - 1), 0)
+    lo = np.minimum(x, y)
+    hi = np.maximum(x, y)
+    top = np.minimum(x_top, y_top)
+    # the smaller base, the shared bits, and the larger mask above that base
+    prod = (hi & (lo | -(top << 1))) | top
+    return np.where((hi & top) == 0, prod, 0)
 
 
 def commutator(x: RigidCommutator, y: RigidCommutator) -> RigidCommutator:

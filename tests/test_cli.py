@@ -248,7 +248,49 @@ def test_closure_missing_file(capsys):
     capsys.readouterr()
 
 
+def test_closure_scale_guard(tmp_path, capsys):
+    # the guard trips before the seed is saturated or the ambient is built
+    seed = tmp_path / "seed.json"
+    seed.write_text('{"n": 40, "members": []}')
+    assert main(["closure", str(seed)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "scale guard" in captured.err
+
+
+@pytest.mark.parametrize("text", [
+    '{"n": true, "members": []}',
+    '{"n": 2.7, "members": []}',
+    '{"n": null, "members": []}',
+    '{"n": 3, "members": "0x3"}',
+    '{"n": 3, "members": 7}',
+])
+def test_closure_rejects_malformed_json(tmp_path, capsys, text):
+    seed = tmp_path / "seed.json"
+    seed.write_text(text)
+    assert main(["closure", str(seed)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("closure: ")
+
+
 # ── factorize ────────────────────────────────────────────────────────────────
+
+@pytest.mark.parametrize("text", [
+    '{"n": true, "images": [2, 1]}',
+    '{"n": 1.0, "images": [2, 1]}',
+    '{"n": null, "images": [2, 1]}',
+    '{"n": 1, "images": "21"}',
+    '{"n": 1, "images": [null, 1]}',
+])
+def test_factorize_rejects_malformed_json(tmp_path, capsys, text):
+    path = tmp_path / "g.json"
+    path.write_text(text)
+    assert main(["factorize", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("factorize: ")
+
 
 def test_factorize_product(tmp_path, capsys):
     g = compose(expand(C([3, 2, 1], 3)), expand(C([3, 2], 3)))

@@ -113,8 +113,20 @@ def test_inverse_and_commutator():
 def test_json_round_trip():
     p = expand(C([3, 2], 3))
     assert perm_from_json(perm_to_json(p)) == p
-    with pytest.raises(ValueError):
-        perm_from_json('{"images": [1]}')
+    for text in (
+        '{"images": [1]}',
+        '{"n": true, "images": [2, 1]}',
+        '{"n": 1.0, "images": [2, 1]}',
+        '{"n": null, "images": [2, 1]}',
+        '{"n": -1, "images": [2, 1]}',
+        '{"n": 100000000000, "images": [2, 1]}',
+        '{"n": 1, "images": "21"}',
+        '{"n": 1, "images": [null, 1]}',
+        '{"n": 1, "images": [2.5, 1]}',
+        '{"n": 1, "images": [true, 2]}',
+    ):
+        with pytest.raises(ValueError):
+            perm_from_json(text)
 
 
 # ── expand as a homomorphic oracle ───────────────────────────────────────────

@@ -25,10 +25,12 @@ from rigidcomm import (
     normalizer_in,
     normalizing_step,
     perm_commutator,
+    run_chain,
     saturate,
     translation_normalizer_set,
     translation_set,
 )
+from rigidcomm import saturated
 from rigidcomm.permutations import ScaleGuardError
 from rigidcomm.rigid import commutator_mask
 
@@ -264,6 +266,115 @@ def test_normal_closure_requires_containment():
         normal_closure(full_rigid_set(3), translation_normalizer_set(3))
 
 
+def _normal_closure_loop(A, B):
+    """Reference: the closure by two scalar products per (member, ambient) pair."""
+    masks = set(A.masks)
+    frontier = list(masks)
+    while frontier:
+        nxt = []
+        for c in frontier:
+            for b in B.masks:
+                for r in (commutator_mask(c, b), commutator_mask(b, c)):
+                    if r and r not in masks:
+                        masks.add(r)
+                        nxt.append(r)
+        frontier = nxt
+    return frozenset(masks)
+
+
+def _closure_defect_loop(masks):
+    """Reference: the first pair, in set order, whose product leaves the set."""
+    for x in masks:
+        for y in masks:
+            c = commutator_mask(x, y)
+            if c and c not in masks:
+                return (x, y)
+    return None
+
+
+def _ambient(n, term):
+    """The full set when term is None, else chain term number term modulo the chain length."""
+    if term is None:
+        return full_rigid_set(n)
+    report = run_chain(n)
+    return SaturatedSet(n, report.member_masks_at(term % (report.terminated_at + 1)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(3, 8),
+    st.one_of(st.none(), st.integers(0, 1000)),
+    st.lists(st.integers(0, 1 << 20), max_size=4),
+)
+def test_normal_closure_matches_reference_loop(n, term, picks):
+    B = _ambient(n, term)
+    pool = sorted(B.masks)
+    A = saturate([RigidCommutator(pool[k % len(pool)], n) for k in picks], n)
+    assert A.issubset(B)
+    assert normal_closure(A, B).masks == _normal_closure_loop(A, B)
+
+
+def test_normal_closure_blocks_split_rows_and_columns(monkeypatch):
+    # blocks of 7 products split each frontier row over many column blocks
+    rng = random.Random(5)
+    n = 6
+    cases = []
+    for term in (None, 3, 9):
+        B = _ambient(n, term)
+        pool = sorted(B.masks)
+        A = saturate([RigidCommutator(rng.choice(pool), n) for _ in range(2)], n)
+        cases.append((A, B))
+    cases.append((full_rigid_set(n), full_rigid_set(n)))
+    expected = [_normal_closure_loop(A, B) for A, B in cases]
+    for block in (1, 7, 64):
+        monkeypatch.setattr(saturated, "_PAIR_BLOCK", block)
+        assert [normal_closure(A, B).masks for A, B in cases] == expected
+
+
+def test_normal_closure_rejects_an_ambient_that_is_not_closed():
+    # {[3,1],[2]} commutes into [3,2], which the ambient lacks
+    n = 3
+    B = SaturatedSet._make(n, frozenset({C([3, 1], n).mask, C([2], n).mask}), False)
+    A = SaturatedSet(n, [C([2], n)])
+    with pytest.raises(ValueError, match="not closed"):
+        normal_closure(A, B)
+
+
+def test_normal_closure_scale_guard():
+    # the cap is checked before any product, so these return at once
+    r = full_rigid_set(5)
+    with pytest.raises(ScaleGuardError):
+        normal_closure(r, r, max_rank=4)
+    assert normal_closure(r, r, max_rank=5) == r
+    above = saturated.CLOSURE_MAX_RANK + 1
+    with pytest.raises(ScaleGuardError):
+        saturated.check_closure_rank(above)
+    saturated.check_closure_rank(above, max_rank=above)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 7), st.data())
+def test_closure_defect_matches_reference_loop(n, data):
+    masks = frozenset(data.draw(st.lists(st.integers(1, (1 << n) - 1), max_size=24)))
+    if data.draw(st.booleans()):
+        masks = saturate([RigidCommutator(m, n) for m in masks], n).masks
+    defect = saturated._closure_defect(masks)
+    assert (defect is None) == (_closure_defect_loop(masks) is None)
+    if defect is not None:
+        x, y = defect
+        assert x in masks and y in masks
+        assert commutator_mask(x, y) not in masks | {0}
+
+
+def test_unclosed_set_error_names_one_offending_pair():
+    with pytest.raises(ValueError) as err:
+        SaturatedSet(3, [C([3, 1], 3), C([2], 3)])
+    assert str(err.value) in {
+        "set is not closed under commutation: [3,1] with [2] gives [3,2]",
+        "set is not closed under commutation: [2] with [3,1] gives [3,2]",
+    }
+
+
 # ── serialization ────────────────────────────────────────────────────────────
 
 def test_json_round_trip():
@@ -279,10 +390,21 @@ def test_json_accepts_hex_masks():
 
 
 def test_json_rejects_garbage():
-    with pytest.raises(ValueError):
-        members_from_json('{"n": 3}')
-    with pytest.raises(ValueError):
-        members_from_json('{"n": 3, "members": [3.5]}')
+    for text in (
+        '{"n": 3}',
+        '{"n": 3, "members": [3.5]}',
+        '{"n": true, "members": []}',
+        '{"n": 2.7, "members": []}',
+        '{"n": null, "members": []}',
+        '{"n": "3", "members": []}',
+        '{"n": 0, "members": []}',
+        '{"n": 64, "members": []}',
+        '{"n": 3, "members": "0x3"}',
+        '{"n": 3, "members": {"0x3": 1}}',
+        '{"n": 3, "members": [[true]]}',
+    ):
+        with pytest.raises(ValueError):
+            members_from_json(text)
 
 
 def test_json_member_order_is_canonical():
