@@ -198,20 +198,15 @@ def check_chain_rank(n: int, max_rank: int = CHAIN_MAX_RANK) -> None:
 
 
 def run_chain(
-    n: int,
-    max_steps: int | None = None,
-    *,
-    stop_at_full: bool = True,
-    max_rank: int = CHAIN_MAX_RANK,
+    n: int, max_steps: int | None = None, *, max_rank: int = CHAIN_MAX_RANK
 ) -> ChainReport:
     """Run the normalizer chain at rank n.
 
     Step 0 is the translation-normalizer baseline, its index reported
     against the translation span (n(n-1)/2).  Subsequent steps take
     normalizers until the full group or the step budget (default 2^n) is
-    reached.  With ``stop_at_full`` False, fixpoint steps after the full
-    group are appended as zero-index rows without recomputation, since
-    the full group is its own normalizer.
+    reached.  Past the full group the chain is constant, and
+    :meth:`ChainReport.index_sequence` pads it with zero indices.
 
     Each step rescans only the candidates whose cached witness joined the
     chain in the step before; the baseline is saturated and contains the
@@ -242,7 +237,6 @@ def run_chain(
     chain = _IncrementalChain(start)
     dims = list(baseline.level_dims)
     i = 0
-    terminated_at = 0
     reached_full = start.log2_order == full_log2
     while i < budget and not reached_full:
         t0 = time.perf_counter()
@@ -262,24 +256,8 @@ def run_chain(
                 rescanned=rescanned,
             )
         )
-        terminated_at = i
         reached_full = len(chain.masks) == full_log2
-    if reached_full and not stop_at_full:
-        # past the full group the chain is constant; report without recomputing
-        while i < budget:
-            i += 1
-            steps.append(
-                ChainStep(
-                    i=i,
-                    log2_order=full_log2,
-                    index_log2=0,
-                    level_dims=tuple(dims),
-                    new_members=(),
-                    seconds=0.0,
-                )
-            )
-        terminated_at = i
-    return ChainReport(n, tuple(steps), terminated_at, reached_full)
+    return ChainReport(n, tuple(steps), i, reached_full)
 
 
 def verify_theoretical(report: ChainReport) -> list[tuple[int, bool]]:

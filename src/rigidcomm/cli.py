@@ -160,8 +160,15 @@ def _cmd_chain(args) -> int:
         except ValueError:
             print(f"chain: bad --n-range {args.n_range!r}, expected like 3..15", file=sys.stderr)
             return 2
+        if lo > hi:
+            print(f"chain: empty --n-range {args.n_range!r}", file=sys.stderr)
+            return 2
         steps = args.steps if args.steps is not None else 14
-        rows = _matrix_rows(lo, hi, steps)
+        try:
+            rows = _matrix_rows(lo, hi, steps)
+        except ValueError as exc:
+            print(f"chain: {exc}", file=sys.stderr)
+            return 2
         if args.format == "csv":
             text = _matrix_csv(rows, steps)
         elif args.format == "md":
@@ -174,7 +181,11 @@ def _cmd_chain(args) -> int:
             ) + "\n"
         _emit(text, args.out)
         return 0
-    report = chainmod.run_chain(args.n, max_steps=args.steps)
+    try:
+        report = chainmod.run_chain(args.n, max_steps=args.steps)
+    except ValueError as exc:
+        print(f"chain: {exc}", file=sys.stderr)
+        return 2
     if args.timings:
         for s in report.steps:
             print(f"step {s.i}: {s.seconds:.4f}s, {s.rescanned} rescanned", file=sys.stderr)
@@ -195,6 +206,9 @@ def _fail(name: str, detail: str) -> int:
 
 def _cmd_verify(args) -> int:
     n = args.n
+    if n < 1:
+        print("verify: rank must be at least 1", file=sys.stderr)
+        return 2
     chainmod.check_chain_rank(n)  # refuse before the oracle checks run
 
     # expand agrees with the mask product on all pairs (exhaustive, capped at 8)

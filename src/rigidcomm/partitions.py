@@ -12,16 +12,29 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .permutations import ScaleGuardError
 from .rigid import RigidCommutator, punctured_commutator
 from .saturated import SaturatedSet
 
+# the cache of partitions up to this total peaked at 56 MB RSS (27 MB above
+# the import) in 0.09 s on a 2-vCPU host; euler_table(80) reached 185 MB
+PARTITION_MAX_TOTAL = 64
+
 __all__ = [
+    "PARTITION_MAX_TOTAL",
     "PartitionTable",
     "distinct_partitions",
     "euler_table",
     "punctured_family",
     "predicted_chain_set",
 ]
+
+
+def _check_total(total: int) -> None:
+    if total > PARTITION_MAX_TOTAL:
+        raise ScaleGuardError(
+            f"partitions of {total} exceed the cap {PARTITION_MAX_TOTAL} on the total"
+        )
 
 
 @lru_cache(maxsize=None)
@@ -42,10 +55,13 @@ def distinct_partitions(
     """Partitions of ``total`` into distinct parts, each a descending tuple.
 
     Defaults to at least two parts, the case that drives the chain
-    indices.  ``max_part`` bounds the largest part.
+    indices.  ``max_part`` bounds the largest part.  Every partition is
+    cached, so totals above ``PARTITION_MAX_TOTAL`` raise
+    :class:`~rigidcomm.permutations.ScaleGuardError`.
     """
     if total < 0:
         raise ValueError("total must be >= 0")
+    _check_total(total)
     cap = total if max_part is None else min(max_part, total)
     return [p for p in _distinct_desc(total, cap) if len(p) >= min_parts]
 
@@ -69,6 +85,7 @@ def euler_table(max_total: int) -> PartitionTable:
     """Tabulate b_j and a_j for j = 0..max_total."""
     if max_total < 0:
         raise ValueError("max_total must be >= 0")
+    _check_total(max_total)  # before the smaller totals fill the cache
     b = [len(distinct_partitions(j)) for j in range(max_total + 1)]
     a = []
     run = 0
@@ -93,39 +110,22 @@ def punctured_family(base: int, total: int, n: int) -> frozenset[RigidCommutator
     )
 
 
-def predicted_chain_set(n: int, i: int, *, method: str = "closed") -> SaturatedSet:
+def predicted_chain_set(n: int, i: int) -> SaturatedSet:
     """Closed-form description of the i-th chain term, 0 <= i <= n-2.
 
-    ``method="closed"`` applies the membership rule directly: a
-    commutator with base b and puncture set J belongs when |J| <= 1, or
-    when |J| >= 2 and sum(J) <= i + 2 - (n - b).  ``method="recursive"``
-    instead accumulates the per-step families; the two agree and are
-    cross-checked in the tests.
+    A commutator with base b and puncture set J belongs when |J| <= 1,
+    or when J is a partition into at least two distinct parts of a total
+    t <= i + 2 - (n - b).  Each base therefore contributes its full
+    interval, its b-1 single punctures, and the punctured family of
+    every total from 3 up to that bound.
     """
     if not 0 <= i <= n - 2:
         raise ValueError(f"step must satisfy 0 <= i <= n-2 = {n - 2}, got {i}")
-    if method == "closed":
-        members = []
-        for b in range(1, n + 1):
-            full = (1 << b) - 1
-            # puncture sets J run over the submasks of {1..b-1}
-            for j_mask in range(1 << (b - 1)):
-                holes = bin(j_mask).count("1")
-                if holes <= 1:
-                    members.append(full & ~j_mask)
-                    continue
-                total = sum(k for k in range(1, b) if (j_mask >> (k - 1)) & 1)
-                if total <= i + 2 - (n - b):
-                    members.append(full & ~j_mask)
-        return SaturatedSet(n, members)
-    if method == "recursive":
-        masks = {(1 << b) - 1 for b in range(1, n + 1)}
-        for b in range(2, n + 1):
-            full = (1 << b) - 1
-            masks.update(full & ~(1 << (j - 1)) for j in range(1, b))
-        for s in range(1, i + 1):
-            for j in range(1, s + 1):
-                for c in punctured_family(n + j - s, j + 2, n):
-                    masks.add(c.mask)
-        return SaturatedSet(n, masks)
-    raise ValueError(f"unknown method {method!r}")
+    members = []
+    for b in range(1, n + 1):
+        full = (1 << b) - 1
+        members.append(full)
+        members.extend(full & ~(1 << (j - 1)) for j in range(1, b))
+        for total in range(3, i + 3 - (n - b)):
+            members.extend(c.mask for c in punctured_family(b, total, n))
+    return SaturatedSet(n, members)

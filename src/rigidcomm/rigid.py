@@ -173,13 +173,7 @@ def commutator(x: RigidCommutator, y: RigidCommutator) -> RigidCommutator:
     return RigidCommutator(commutator_mask(x.mask, y.mask), x.n)
 
 
-def star(x: RigidCommutator, y: RigidCommutator) -> RigidCommutator:
-    """Commutator viewed as a bilinear-style product on index sets.
-
-    Same operation as :func:`commutator`; under it the nonempty subsets
-    span a commutative algebra with x*x = 0 over the two-element field.
-    """
-    return commutator(x, y)
+star = commutator  # the product read as an algebra on index sets, with x*x = 0
 
 
 def reduce_left_normed(word: Sequence[int], n: int | None = None) -> RigidCommutator:

@@ -52,10 +52,6 @@ __all__ = [
 ]
 
 
-def _translation_masks(n: int) -> tuple[int, ...]:
-    return tuple((1 << i) - 1 for i in range(1, n + 1))
-
-
 def _coerce_masks(members: Iterable, n: int) -> frozenset[int]:
     masks = set()
     for m in members:
@@ -115,14 +111,10 @@ class SaturatedSet:
     """A commutation-closed set of nonempty rigid commutators.
 
     The constructor verifies closure and raises if it fails; operations
-    whose result is closed by construction skip the check.  The one
-    deliberate exception is :func:`normalizing_step` applied to a set
-    that does not contain all the full-interval commutators: there the
-    guarantee lapses, so the result is returned with ``is_closed``
-    recording an explicit verification instead.
+    whose result is closed by construction skip the check.
     """
 
-    __slots__ = ("n", "masks", "_closed")
+    __slots__ = ("n", "masks")
 
     def __init__(self, n: int, members: Iterable = ()) -> None:
         masks = _coerce_masks(members, n)
@@ -136,24 +128,18 @@ class SaturatedSet:
             )
         self.n = n
         self.masks = masks
-        self._closed = True
 
     @classmethod
-    def _make(cls, n: int, masks: frozenset[int], closed: bool) -> "SaturatedSet":
+    def _make(cls, n: int, masks: frozenset[int]) -> "SaturatedSet":
         self = object.__new__(cls)
         self.n = n
         self.masks = frozenset(masks)
-        self._closed = closed
         return self
-
-    @property
-    def is_closed(self) -> bool:
-        return self._closed
 
     @property
     def contains_translations(self) -> bool:
         """Whether every full-interval commutator t_i = [{1..i}] is a member."""
-        return all(t in self.masks for t in _translation_masks(self.n))
+        return all((1 << i) - 1 in self.masks for i in range(1, self.n + 1))
 
     @property
     def log2_order(self) -> int:
@@ -249,7 +235,7 @@ def members_from_json(text: str) -> tuple[int, tuple[RigidCommutator, ...]]:
 def full_rigid_set(n: int) -> SaturatedSet:
     """All 2^n - 1 nonempty rigid commutators; generates the whole group."""
     # closed by construction: commutators of rigid commutators are rigid
-    return SaturatedSet._make(n, frozenset(range(1, 1 << n)), True)
+    return SaturatedSet._make(n, frozenset(range(1, 1 << n)))
 
 
 def saturate(members: Iterable[RigidCommutator], n: int | None = None) -> SaturatedSet:
@@ -275,7 +261,7 @@ def saturate(members: Iterable[RigidCommutator], n: int | None = None) -> Satura
                     masks.add(c)
                     nxt.append(c)
         frontier = nxt
-    return SaturatedSet._make(n, frozenset(masks), True)
+    return SaturatedSet._make(n, frozenset(masks))
 
 
 # ── normalizer machinery ─────────────────────────────────────────────────────
@@ -296,17 +282,14 @@ def _witness(c: int, masks: AbstractSet[int]) -> int:
 def normalizing_step(M: SaturatedSet) -> SaturatedSet:
     """All rigid commutators whose commutator with every member stays inside.
 
-    This is one step of the normalizer chain: when the result contains
-    the full-interval commutators it is the member set of the normalizer
-    of the subgroup generated by ``M``, and is itself saturated.  When it
-    does not (``contains_translations`` False), no group-level meaning is
-    claimed; closure is then verified and recorded in ``is_closed``.
+    This is one step of the normalizer chain, :func:`normalizer_in` with
+    all rigid commutators as the ambient: the member set of the
+    normalizer of the subgroup generated by ``M``.  ``M`` must contain
+    the full-interval commutators.  The scan covers 2^n candidates, so
+    it shares the rank cap of :func:`normal_closure`.
     """
-    n = M.n
-    cand = frozenset(c for c in range(1, 1 << n) if not _witness(c, M.masks))
-    if all(t in cand for t in _translation_masks(n)):
-        return SaturatedSet._make(n, cand, True)
-    return SaturatedSet._make(n, cand, _closure_defect(cand) is None)
+    check_closure_rank(M.n)
+    return normalizer_in(full_rigid_set(M.n), M)
 
 
 def normalizer_in(B: SaturatedSet, A: SaturatedSet) -> SaturatedSet:
@@ -321,15 +304,13 @@ def normalizer_in(B: SaturatedSet, A: SaturatedSet) -> SaturatedSet:
     if not A.contains_translations:
         raise ValueError("A must contain all full-interval commutators t_1..t_n")
     cand = frozenset(b for b in B.masks if not _witness(b, A.masks))
-    return SaturatedSet._make(B.n, cand, True)
+    return SaturatedSet._make(B.n, cand)
 
 
 def check_closure_rank(n: int, max_rank: int = CLOSURE_MAX_RANK) -> None:
-    """Refuse a normal closure whose ambient set may pass the rank cap."""
+    """Refuse a normal closure or a normalizer scan past the rank cap."""
     if n > max_rank:
-        raise perm.ScaleGuardError(
-            f"normal closure at rank {n} exceeds the cap {max_rank}; pass max_rank= to override"
-        )
+        raise perm.ScaleGuardError(f"rank {n} exceeds the closure cap {max_rank}")
 
 
 def normal_closure(
@@ -365,7 +346,7 @@ def normal_closure(
             found.append(new)
         frontier = np.concatenate(found)
     members = frozenset(pool[i] for i in np.flatnonzero(inside).tolist())
-    return SaturatedSet._make(B.n, members, True)
+    return SaturatedSet._make(B.n, members)
 
 
 # ── unique factorization over rigid commutators ──────────────────────────────

@@ -139,15 +139,6 @@ def test_index_sequence_padding():
     assert truncated.index_sequence(2) == (1, 2)
 
 
-def test_past_termination_rows_are_fixpoints():
-    full_at = run_chain(4).terminated_at
-    report = run_chain(4, full_at + 3, stop_at_full=False)
-    tail = report.steps[full_at + 1 :]
-    assert len(tail) == 3
-    assert all(s.index_log2 == 0 and not s.new_members for s in tail)
-    assert all(s.log2_order == (1 << 4) - 1 for s in tail)
-
-
 def test_chain_indices_match_partial_sum_predictions():
     # interior indices grow by the partial sums of the partition counts
     from rigidcomm import euler_table

@@ -117,10 +117,24 @@ def test_chain_timings_go_to_stderr(capsys):
 
 
 def test_chain_argument_errors(capsys):
-    assert main(["chain"]) == 2
-    assert main(["chain", "--n", "3", "--n-range", "3..4"]) == 2
-    assert main(["chain", "--n-range", "nonsense"]) == 2
-    capsys.readouterr()
+    # bad input exits 2 with one line on stderr and nothing on stdout
+    for argv in (
+        ["chain"],
+        ["chain", "--n", "3", "--n-range", "3..4"],
+        ["chain", "--n-range", "nonsense"],
+        ["chain", "--n", "0"],
+        ["chain", "--n", "-2"],
+        ["chain", "--n-range", "0..3"],
+        ["chain", "--n-range", "5..3"],
+        ["chain", "--n", "5", "--steps", "-1"],
+        ["chain", "--n-range", "3..5", "--steps", "-1"],
+        ["verify", "--n", "0"],
+        ["verify", "--n", "-1"],
+    ):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert captured.err.count("\n") == 1, argv
 
 
 def test_chain_timings_leave_stdout_unchanged(capsys):
@@ -211,6 +225,14 @@ def test_euler_json(capsys):
 def test_euler_rejects_negative(capsys):
     assert main(["euler", "--max-j", "-2"]) == 2
     capsys.readouterr()
+
+
+def test_euler_scale_guard(capsys):
+    # the cap on the total is checked before any partition is enumerated
+    assert main(["euler", "--max-j", "1000000"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("scale guard: ")
 
 
 # ── closure ──────────────────────────────────────────────────────────────────

@@ -5,6 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from rigidcomm import (
     RigidCommutator,
+    SaturatedSet,
+    ScaleGuardError,
     distinct_partitions,
     euler_table,
     predicted_chain_set,
@@ -13,6 +15,7 @@ from rigidcomm import (
     run_chain,
     translation_normalizer_set,
 )
+from rigidcomm.partitions import PARTITION_MAX_TOTAL
 
 # partitions of j into at least two distinct parts, and their partial
 # sums, indexed by j = 0..14
@@ -48,6 +51,15 @@ def test_partitions_are_distinct_descending_and_sum(j):
         assert sum(parts) == j
         assert len(parts) >= 2
         assert all(a > b for a, b in zip(parts, parts[1:]))
+
+
+def test_partition_scale_guard():
+    # the cap is checked before any partition is enumerated
+    with pytest.raises(ScaleGuardError):
+        distinct_partitions(PARTITION_MAX_TOTAL + 1)
+    with pytest.raises(ScaleGuardError):
+        euler_table(PARTITION_MAX_TOTAL + 1)
+    assert distinct_partitions(PARTITION_MAX_TOTAL, min_parts=1, max_part=1) == []
 
 
 def test_euler_table_values():
@@ -114,18 +126,40 @@ def test_predicted_matches_computed_chain():
             assert predicted.masks == report.member_masks_at(i), (n, i)
 
 
+def _submask_chain_set(n: int, i: int) -> frozenset[int]:
+    """The membership rule read literally, over every puncture set J in {1..b-1}."""
+    members = set()
+    for b in range(1, n + 1):
+        full = (1 << b) - 1
+        for j_mask in range(1 << (b - 1)):
+            holes = bin(j_mask).count("1")
+            total = sum(k for k in range(1, b) if (j_mask >> (k - 1)) & 1)
+            if holes <= 1 or total <= i + 2 - (n - b):
+                members.add(full & ~j_mask)
+    return frozenset(members)
+
+
+def _recursive_chain_set(n: int, i: int) -> frozenset[int]:
+    """The baseline plus the family each step s = 1..i adds, accumulated."""
+    masks = set(translation_normalizer_set(n).masks)
+    for s in range(1, i + 1):
+        for j in range(1, s + 1):
+            masks.update(c.mask for c in punctured_family(n + j - s, j + 2, n))
+    return frozenset(masks)
+
+
 def test_predicted_methods_agree():
-    for n in (3, 4, 5, 6, 7):
+    for n in range(3, 13):
         for i in range(0, n - 1):
-            closed = predicted_chain_set(n, i, method="closed")
-            rec = predicted_chain_set(n, i, method="recursive")
-            assert closed == rec, (n, i)
+            got = predicted_chain_set(n, i).masks
+            assert got == _submask_chain_set(n, i), (n, i)
+            assert got == _recursive_chain_set(n, i), (n, i)
 
 
 def test_predicted_sets_are_saturated():
-    # the constructor re-verifies closure, so building one is itself a check
+    # the constructor re-verifies closure, so rebuilding one is the check
     s = predicted_chain_set(9, 5)
-    assert s.is_closed and s.contains_translations
+    assert SaturatedSet(9, s.masks) == s and s.contains_translations
 
 
 def test_predicted_rejects_out_of_range():
@@ -133,8 +167,6 @@ def test_predicted_rejects_out_of_range():
         predicted_chain_set(6, 5)
     with pytest.raises(ValueError):
         predicted_chain_set(6, -1)
-    with pytest.raises(ValueError):
-        predicted_chain_set(6, 2, method="guess")
 
 
 def test_predicted_growth_is_euler_counts():

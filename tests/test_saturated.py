@@ -24,7 +24,6 @@ from rigidcomm import (
     normal_closure,
     normalizer_in,
     normalizing_step,
-    perm_commutator,
     run_chain,
     saturate,
     translation_normalizer_set,
@@ -78,7 +77,7 @@ def test_full_set_properties():
     r = full_rigid_set(5)
     assert r.log2_order == 31
     assert r.contains_translations
-    assert r.is_closed
+    assert SaturatedSet(5, r.masks) == r
 
 
 # ── saturate ─────────────────────────────────────────────────────────────────
@@ -86,7 +85,7 @@ def test_full_set_properties():
 def test_saturate_example():
     got = saturate([C([3, 1], 3), C([2], 3)])
     assert {c.elements for c in got} == {(3, 1), (2,), (3, 2)}
-    assert got.is_closed
+    assert SaturatedSet(3, got.masks) == got
 
 
 def test_saturate_of_saturated_is_identity_map():
@@ -107,7 +106,7 @@ def test_saturate_is_closed_and_idempotent(n, data):
         st.lists(st.integers(1, (1 << n) - 1), min_size=1, max_size=5)
     )
     s = saturate([RigidCommutator(m, n) for m in seeds], n)
-    assert s.is_closed
+    assert SaturatedSet(n, s.masks) == s
     assert set(seeds) <= s.masks
     assert saturate(s.members, n) == s
     if s.log2_order <= 10:
@@ -143,7 +142,7 @@ def test_normalizing_step_grows_baseline_by_eta():
     assert n1.log2_order == u6.log2_order + 1
     added = n1.masks - u6.masks
     assert added == {C([6, 5, 4, 3], 6).mask}
-    assert n1.contains_translations and n1.is_closed
+    assert n1.contains_translations and SaturatedSet(6, n1.masks) == n1
 
 
 def test_normalizing_step_second_growth():
@@ -166,19 +165,12 @@ def test_normalizing_step_monotone():
 
 
 def test_normalizing_step_without_translations_flags():
-    # seed that misses the translations: the guarantee lapses and the
-    # result says so
+    # without the translations the scan is no normalizer, so it refuses
     n = 4
     g = SaturatedSet(n, [C([4, 3], n)])
-    stepped = normalizing_step(g)
     assert not g.contains_translations
-    assert isinstance(stepped.is_closed, bool)
-    # the span of the returned commutators normalizes <g> regardless
-    gspan = generate_group([expand(c) for c in g])
-    for c in stepped.members:
-        p = expand(c)
-        for h in [expand(c2) for c2 in g]:
-            assert perm_commutator(h, p) in gspan
+    with pytest.raises(ValueError, match="t_1..t_n"):
+        normalizing_step(g)
 
 
 def test_normalizing_step_agrees_with_permutation_normalizer():
@@ -334,7 +326,7 @@ def test_normal_closure_blocks_split_rows_and_columns(monkeypatch):
 def test_normal_closure_rejects_an_ambient_that_is_not_closed():
     # {[3,1],[2]} commutes into [3,2], which the ambient lacks
     n = 3
-    B = SaturatedSet._make(n, frozenset({C([3, 1], n).mask, C([2], n).mask}), False)
+    B = SaturatedSet._make(n, frozenset({C([3, 1], n).mask, C([2], n).mask}))
     A = SaturatedSet(n, [C([2], n)])
     with pytest.raises(ValueError, match="not closed"):
         normal_closure(A, B)
@@ -350,6 +342,9 @@ def test_normal_closure_scale_guard():
     with pytest.raises(ScaleGuardError):
         saturated.check_closure_rank(above)
     saturated.check_closure_rank(above, max_rank=above)
+    # the one-shot normalizer scans all 2^n candidates, under the same cap
+    with pytest.raises(ScaleGuardError):
+        normalizing_step(translation_set(above))
 
 
 @settings(max_examples=150, deadline=None)
