@@ -13,7 +13,9 @@ for each candidate that failed, one witness: a commutator [c, m] with a
 member m that lies outside the term.  The terms only grow, so m stays a
 member, and c keeps failing until the witness itself joins the chain.
 Each step therefore rescans only the candidates whose witness was added
-by the step before.
+by the step before, all of them in one block scan: the woken candidates
+meet growing chunks of the sorted members through the vectorized mask
+product, and each leaves the scan with the first witness it finds.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import numpy as np
 
 from .permutations import ScaleGuardError
 from .rigid import RigidCommutator, mask_order_key
-from .saturated import SaturatedSet, _witness
+from .saturated import SaturatedSet, _witnesses
 from . import partitions
 
 CHAIN_MAX_RANK = 20  # the witness array holds 2^n int64 slots: 8 MiB at rank 20
@@ -71,9 +73,10 @@ class ChainStep:
 
     ``level_dims`` counts members per base, levels 1..n ascending.
     ``index_log2`` is log2 of the index over the previous term; for step
-    0 it is reported against the translation span.  ``seconds`` and
-    ``rescanned`` (candidates re-examined in the step) are diagnostics
-    and take no part in comparisons or JSON.
+    0 it is reported against the translation span.  ``seconds``,
+    ``rescanned`` (candidates re-examined in the step) and ``products``
+    (mask products evaluated in the step) are diagnostics and take no
+    part in comparisons or JSON.
     """
 
     i: int
@@ -83,6 +86,7 @@ class ChainStep:
     new_members: tuple[RigidCommutator, ...]
     seconds: float = field(default=0.0, compare=False)
     rescanned: int = field(default=0, compare=False)
+    products: int = field(default=0, compare=False)
 
 
 @dataclass(frozen=True)
@@ -153,36 +157,37 @@ def _sorted_members(n: int, masks: Iterable[int]) -> tuple[RigidCommutator, ...]
 class _IncrementalChain:
     """Chain terms from ``start`` on, rescanning only woken candidates.
 
+    ``members`` is the current term as a sorted int64 array.
     ``witness[c]`` is 0 for members and otherwise a commutator [c, m],
     m a member, outside the current term; ``pending`` lists the
-    candidates to scan at the next step.  The cache is sound only while
-    every term is saturated, contains the translations t_1..t_n, and
-    contains the term before it.  A start with the first two properties
-    keeps all three: the normalizer of a saturated set containing the
-    translations is again saturated, and contains the set itself.
+    candidates to scan at the next step, and one call of the block
+    kernel :func:`~rigidcomm.saturated._witnesses` scans them all.  The
+    cache is sound only while every term is saturated, contains the
+    translations t_1..t_n, and contains the term before it.  A start
+    with the first two properties keeps all three: the normalizer of a
+    saturated set containing the translations is again saturated, and
+    contains the set itself.
     """
 
     def __init__(self, start: SaturatedSet) -> None:
         size = 1 << start.n
-        self.masks = set(start.masks)
+        self.members = np.array(sorted(start.masks), dtype=np.int64)
         self.witness = np.zeros(size, dtype=np.int64)
         self._added = np.zeros(size, dtype=bool)
         member = np.zeros(size, dtype=bool)
         member[0] = True
-        member[list(self.masks)] = True
+        member[self.members] = True
         self.pending = np.flatnonzero(~member)
+        self.products = 0  # mask products the last step evaluated
 
     def step(self) -> list[int]:
         """Grow the term to its normalizer; return the masks that joined."""
         scanned = self.pending
-        # fromiter keeps no list of Python ints, which at rank 16 would
-        # cost several MB of peak memory on the first step
-        found = np.fromiter(
-            (_witness(c, self.masks) for c in map(int, scanned)), np.int64, len(scanned)
-        )
+        found, self.products = _witnesses(scanned, self.members)
         self.witness[scanned] = found
         added = scanned[found == 0]
-        self.masks.update(added.tolist())
+        # scanned, hence added, is sorted, so this is a merge
+        self.members = np.insert(self.members, np.searchsorted(self.members, added), added)
         self._added[added] = True
         self.pending = np.flatnonzero(self._added[self.witness])
         self._added[added] = False
@@ -248,15 +253,16 @@ def run_chain(
         steps.append(
             ChainStep(
                 i=i,
-                log2_order=len(chain.masks),
+                log2_order=len(chain.members),
                 index_log2=len(added),
                 level_dims=tuple(dims),
                 new_members=_sorted_members(n, added),
                 seconds=time.perf_counter() - t0,
                 rescanned=rescanned,
+                products=chain.products,
             )
         )
-        reached_full = len(chain.masks) == full_log2
+        reached_full = len(chain.members) == full_log2
     return ChainReport(n, tuple(steps), i, reached_full)
 
 

@@ -36,7 +36,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--steps", type=int, help="step budget (default: run to the full group; 14 for --n-range)")
     c.add_argument("--format", choices=("csv", "json", "md"), default="md")
     c.add_argument("--timings", action="store_true",
-                   help="print per-step seconds and rescanned candidates to stderr")
+                   help="print per-step seconds, rescanned candidates and mask products to stderr")
     c.add_argument("--out", help="write to this file instead of stdout")
 
     v = sub.add_parser("verify", help="run the self-check suite at a given rank")
@@ -65,12 +65,18 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _emit(text: str, out_path: str | None) -> None:
-    if out_path:
+def _emit(command: str, text: str, out_path: str | None) -> int:
+    """Write to ``out_path`` or stdout; the exit code, 2 if the file cannot be written."""
+    if not out_path:
+        sys.stdout.write(text)
+        return 0
+    try:
         with open(out_path, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        print(f"{command}: {exc}", file=sys.stderr)
+        return 2
+    return 0
 
 
 # ── table layouts ────────────────────────────────────────────────────────────
@@ -179,8 +185,7 @@ def _cmd_chain(args) -> int:
                 {"steps": steps, "rows": {str(n): list(seq) for n, seq in rows}},
                 indent=2,
             ) + "\n"
-        _emit(text, args.out)
-        return 0
+        return _emit("chain", text, args.out)
     try:
         report = chainmod.run_chain(args.n, max_steps=args.steps)
     except ValueError as exc:
@@ -188,15 +193,17 @@ def _cmd_chain(args) -> int:
         return 2
     if args.timings:
         for s in report.steps:
-            print(f"step {s.i}: {s.seconds:.4f}s, {s.rescanned} rescanned", file=sys.stderr)
+            print(
+                f"step {s.i}: {s.seconds:.4f}s, {s.rescanned} rescanned, {s.products} products",
+                file=sys.stderr,
+            )
     if args.format == "csv":
         text = _chain_csv(report)
     elif args.format == "md":
         text = _chain_md(report)
     else:
         text = report.to_json(indent=2) + "\n"
-    _emit(text, args.out)
-    return 0
+    return _emit("chain", text, args.out)
 
 
 def _fail(name: str, detail: str) -> int:
@@ -286,8 +293,7 @@ def _cmd_euler(args) -> int:
     else:
         import json as _json
         text = _json.dumps({"b": list(table.b), "a": list(table.a)}, indent=2) + "\n"
-    _emit(text, args.out)
-    return 0
+    return _emit("euler", text, args.out)
 
 
 def _read(path: str) -> str:
@@ -308,8 +314,7 @@ def _cmd_closure(args) -> int:
     except (ValueError, OSError) as exc:
         print(f"closure: {exc}", file=sys.stderr)
         return 2
-    _emit(result.to_json(indent=2) + "\n", args.out)
-    return 0
+    return _emit("closure", result.to_json(indent=2) + "\n", args.out)
 
 
 def _cmd_factorize(args) -> int:

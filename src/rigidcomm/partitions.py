@@ -127,5 +127,9 @@ def predicted_chain_set(n: int, i: int) -> SaturatedSet:
         members.append(full)
         members.extend(full & ~(1 << (j - 1)) for j in range(1, b))
         for total in range(3, i + 3 - (n - b)):
-            members.extend(c.mask for c in punctured_family(b, total, n))
+            # the masks of punctured_family(b, total, n): part k clears bit k-1
+            members.extend(
+                full & ~sum(1 << (k - 1) for k in p)
+                for p in distinct_partitions(total, max_part=b - 1)
+            )
     return SaturatedSet(n, members)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import AbstractSet, Iterable, Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -35,6 +35,7 @@ FACTORIZE_MAX_RANK = 12
 # rank 14 on a 2-vCPU host; each rank above the cap costs four times more
 CLOSURE_MAX_RANK = 14
 _PAIR_BLOCK = 1 << 14  # mask products per kernel call, which bounds its temporaries
+_FIRST_COLUMNS = 8  # members each candidate meets in the first block of a normalizer scan
 
 __all__ = [
     "FACTORIZE_MAX_RANK",
@@ -266,17 +267,43 @@ def saturate(members: Iterable[RigidCommutator], n: int | None = None) -> Satura
 
 # ── normalizer machinery ─────────────────────────────────────────────────────
 
-def _witness(c: int, masks: AbstractSet[int]) -> int:
-    """First commutator [c, m] with a member m that is nonzero and not a member.
+def _witnesses(cands: np.ndarray, members: np.ndarray) -> tuple[np.ndarray, int]:
+    """Why each candidate fails to normalize a set, found in blocks of products.
 
-    Returns 0 when there is none, that is when c normalizes the span of
-    ``masks``.
+    ``members`` is the set as a sorted nonempty int64 array.  Entry k of
+    the first result is a nonzero product [cands[k], m] with a member m
+    that lies outside the set, or 0 when cands[k] normalizes the span of
+    the set; the second result counts the products evaluated.
+
+    Every open candidate meets a chunk of member columns at once, the
+    first ``_FIRST_COLUMNS`` wide and each next one twice as wide, and a
+    candidate that finds a witness leaves the open set, so most failing
+    candidates stop after a few products.  Once few candidates are open
+    the chunk widens until one block holds up to ``_PAIR_BLOCK``
+    products, and the open rows are split so that no block holds more.
     """
-    for m in masks:
-        r = commutator_mask(c, m)
-        if r and r not in masks:
-            return r
-    return 0
+    found = np.zeros(len(cands), dtype=np.int64)
+    member_bases = mask_bases(members)
+    open_rows = np.arange(len(cands))
+    products = 0
+    j, chunk = 0, _FIRST_COLUMNS
+    while open_rows.size and j < len(members):
+        cols = min(max(chunk, _PAIR_BLOCK // open_rows.size), _PAIR_BLOCK, len(members) - j)
+        rows = max(1, _PAIR_BLOCK // cols)
+        y, y_base = members[None, j:j + cols], member_bases[None, j:j + cols]
+        for i in range(0, open_rows.size, rows):
+            idx = open_rows[i:i + rows]
+            x = cands[idx, None]
+            prod = commutator_masks(x, mask_bases(x), y, y_base)
+            _, present = _find(members, prod)
+            bad = (prod != 0) & ~present
+            hit = np.flatnonzero(bad.any(axis=1))
+            found[idx[hit]] = prod[hit, bad[hit].argmax(axis=1)]
+        products += open_rows.size * cols
+        open_rows = open_rows[found[open_rows] == 0]
+        j += cols
+        chunk = 2 * cols
+    return found, products
 
 
 def normalizing_step(M: SaturatedSet) -> SaturatedSet:
@@ -285,8 +312,9 @@ def normalizing_step(M: SaturatedSet) -> SaturatedSet:
     This is one step of the normalizer chain, :func:`normalizer_in` with
     all rigid commutators as the ambient: the member set of the
     normalizer of the subgroup generated by ``M``.  ``M`` must contain
-    the full-interval commutators.  The scan covers 2^n candidates, so
-    it shares the rank cap of :func:`normal_closure`.
+    the full-interval commutators.  The block scan of :func:`normalizer_in`
+    covers the 2^n candidates, so it shares the rank cap of
+    :func:`normal_closure`.
     """
     check_closure_rank(M.n)
     return normalizer_in(full_rigid_set(M.n), M)
@@ -297,14 +325,19 @@ def normalizer_in(B: SaturatedSet, A: SaturatedSet) -> SaturatedSet:
 
     Requires A to be a subset of B and to contain the full-interval
     commutators; the result then generates the normalizer of <A> inside
-    <B> and is saturated.
+    <B> and is saturated.  The members of B outside A are scanned in
+    blocks of mask products against the sorted members of A, and each
+    one leaves the scan at the first product that lands outside A.
     """
     if not A.issubset(B):
         raise ValueError("A must be a subset of B (same rank, members contained)")
     if not A.contains_translations:
         raise ValueError("A must contain all full-interval commutators t_1..t_n")
-    cand = frozenset(b for b in B.masks if not _witness(b, A.masks))
-    return SaturatedSet._make(B.n, cand)
+    # members of A normalize it, since A is closed; only the rest are scanned
+    cands = np.array(sorted(B.masks - A.masks), dtype=np.int64)
+    members = np.array(sorted(A.masks), dtype=np.int64)
+    found, _ = _witnesses(cands, members)
+    return SaturatedSet._make(B.n, A.masks | frozenset(cands[found == 0].tolist()))
 
 
 def check_closure_rank(n: int, max_rank: int = CLOSURE_MAX_RANK) -> None:

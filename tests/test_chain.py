@@ -17,6 +17,7 @@ from rigidcomm import (
     ChainReport,
     ChainStep,
     RigidCommutator,
+    SaturatedSet,
     ScaleGuardError,
     full_rigid_set,
     normalizing_step,
@@ -27,6 +28,7 @@ from rigidcomm import (
     verify_theoretical,
 )
 from rigidcomm.chain import CHAIN_MAX_RANK, _IncrementalChain
+from test_saturated import _normalizer_in_loop
 
 # rank 6: 21 growth steps then the fixpoint, log2 sizes and index jumps
 N6_LOG2_SIZES = [
@@ -35,8 +37,10 @@ N6_LOG2_SIZES = [
 ]
 N6_INDICES = [15, 1, 2, 4, 7, 2, 4, 4, 1, 1, 2, 2, 2, 2, 1, 1, 1, 1, 1, 1, 1, 1]
 
-# steps from the translation normalizer to the full group, ranks 5..11
-FULL_CHAIN_LENGTHS = {5: 10, 6: 21, 7: 43, 8: 88, 9: 176, 10: 350, 11: 699}
+# steps from the translation normalizer to the full group, ranks 5..13
+FULL_CHAIN_LENGTHS = {
+    5: 10, 6: 21, 7: 43, 8: 88, 9: 176, 10: 350, 11: 699, 12: 1395, 13: 2842,
+}
 
 # sha256 of run_chain(n).to_json(), confirmed against the engine that
 # rescanned every candidate at every step
@@ -44,6 +48,7 @@ FULL_CHAIN_SHA256 = {
     9: "1d9417667355048f5e844e2def9e87f75135b0aa23e796b44578538bc2c7d5f1",
     10: "74cd23cf415500a340045345e5b4cfd4e536d1d7ce04858bd35ba075f46910cd",
     11: "f6529620f94b12784e8798c1dde70b59f8ec75559e502c9510e3c20dd06fcc26",
+    12: "90bea889364190d21c9ec15d8a2a025b03e3e8d05b6c79a2355f62b79da4d24d",
 }
 
 
@@ -187,13 +192,14 @@ def test_full_chain_json_digest_frozen(n):
 
 
 def _naive_chain(n: int) -> ChainReport:
-    """The chain as a plain fold of the one-shot normalizing step."""
+    """The chain as a plain fold of the scalar normalizer scan over all commutators."""
     current = translation_normalizer_set(n)
     translations = translation_set(n).masks
+    full = full_rigid_set(n)
     steps = [ChainStep(0, current.log2_order, n * (n - 1) // 2, current.level_dims(),
                        tuple(c for c in current.members if c.mask not in translations))]
     while current.log2_order < (1 << n) - 1:
-        nxt = normalizing_step(current)
+        nxt = SaturatedSet._make(n, _normalizer_in_loop(full, current))
         steps.append(ChainStep(len(steps), nxt.log2_order, nxt.log2_order - current.log2_order,
                                nxt.level_dims(),
                                tuple(c for c in nxt.members if c.mask not in current.masks)))
@@ -217,7 +223,7 @@ def test_incremental_step_matches_normalizing_step(n, data):
     for _ in range(data.draw(st.integers(1, 6))):
         added = chain.step()
         nxt = normalizing_step(current)
-        assert chain.masks == nxt.masks
+        assert set(chain.members.tolist()) == nxt.masks
         assert set(added) == nxt.masks - current.masks
         current = nxt
 

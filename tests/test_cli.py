@@ -109,6 +109,20 @@ def test_chain_out_file(tmp_path, capsys):
     assert target.read_text().startswith("i,dim_3,")
 
 
+@pytest.mark.parametrize("argv", [
+    ["chain", "--n", "3"],
+    ["chain", "--n-range", "3..4"],
+    ["euler", "--max-j", "3"],
+])
+def test_out_to_unwritable_path_exits_2(tmp_path, capsys, argv):
+    target = tmp_path / "missing" / "x.md"
+    assert main([*argv, "--out", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith(f"{argv[0]}: ")
+    assert not target.exists()
+
+
 def test_chain_timings_go_to_stderr(capsys):
     assert main(["chain", "--n", "3", "--timings"]) == 0
     captured = capsys.readouterr()
@@ -146,7 +160,11 @@ def test_chain_timings_leave_stdout_unchanged(capsys):
         assert timed.out == plain.out
         assert plain.err == ""
         assert "step 1: " in timed.err and " rescanned" in timed.err
-    assert all("rescanned" not in step for step in json.loads(timed.out)["steps"])
+    steps = json.loads(timed.out)["steps"]
+    assert all("rescanned" not in step and "products" not in step for step in steps)
+    step1 = next(line for line in timed.err.splitlines() if line.startswith("step 1: "))
+    assert step1.endswith(" products")
+    assert int(step1.split(", ")[-1].split()[0]) > 0
 
 
 def test_chain_and_verify_scale_guard(capsys):
@@ -263,6 +281,17 @@ def test_closure_seed_outside_ambient(tmp_path, capsys):
     ambient.write_text(translation_normalizer_set(3).to_json())
     assert main(["closure", str(seed), "--within", str(ambient)]) == 2
     assert "closure:" in capsys.readouterr().err
+
+
+def test_closure_out_to_unwritable_path_exits_2(tmp_path, capsys):
+    seed = tmp_path / "seed.json"
+    seed.write_text('{"n": 3, "members": [[3]]}')
+    target = tmp_path / "missing" / "closure.json"
+    assert main(["closure", str(seed), "--out", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("closure: ")
+    assert not target.exists()
 
 
 def test_closure_missing_file(capsys):

@@ -7,6 +7,7 @@ tests where that is cheap, so the two layers certify each other.
 import json
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -284,6 +285,20 @@ def _closure_defect_loop(masks):
     return None
 
 
+def _witness_loop(c, masks):
+    """Reference: the first product [c, m], in set order, that is nonzero and not a member."""
+    for m in masks:
+        r = commutator_mask(c, m)
+        if r and r not in masks:
+            return r
+    return 0
+
+
+def _normalizer_in_loop(B, A):
+    """Reference: the members of B whose product with every member of A stays in A."""
+    return frozenset(b for b in B.masks if not _witness_loop(b, A.masks))
+
+
 def _ambient(n, term):
     """The full set when term is None, else chain term number term modulo the chain length."""
     if term is None:
@@ -321,6 +336,54 @@ def test_normal_closure_blocks_split_rows_and_columns(monkeypatch):
     for block in (1, 7, 64):
         monkeypatch.setattr(saturated, "_PAIR_BLOCK", block)
         assert [normal_closure(A, B).masks for A, B in cases] == expected
+
+
+def _with_translations(n, B, picks):
+    """A saturated subset of B: the translations and the picked members of B."""
+    pool = sorted(B.masks)
+    seed = [*translation_set(n).masks, *(pool[k % len(pool)] for k in picks)]
+    A = saturate([RigidCommutator(m, n) for m in seed], n)
+    assert A.issubset(B)
+    return A
+
+
+def _check_witnesses(A, B):
+    cands = np.array(sorted(B.masks), dtype=np.int64)
+    found, products = saturated._witnesses(cands, np.array(sorted(A.masks), dtype=np.int64))
+    for c, w in zip(cands.tolist(), found.tolist()):
+        assert (w == 0) == (_witness_loop(c, A.masks) == 0), c
+        if w:
+            assert w not in A.masks
+            assert w in {commutator_mask(c, m) for m in A.masks}
+    assert 0 < products <= len(cands) * len(A)
+    assert normalizer_in(B, A).masks == _normalizer_in_loop(B, A)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(3, 8),
+    st.one_of(st.none(), st.integers(0, 1000)),
+    st.lists(st.integers(0, 1 << 20), max_size=4),
+)
+def test_witnesses_match_reference_loop(n, term, picks):
+    B = _ambient(n, term)
+    _check_witnesses(_with_translations(n, B, picks), B)
+
+
+def test_witnesses_blocks_split_rows_and_columns(monkeypatch):
+    # a block of 1 or 7 products holds part of a column chunk; 64 holds
+    # several rows, and once few rows are open a whole row or more
+    rng = random.Random(11)
+    n = 6
+    cases = []
+    for term in (None, 2, 9, 15):
+        B = _ambient(n, term)
+        cases.append((_with_translations(n, B, [rng.randrange(1 << 20) for _ in range(2)]), B))
+    cases.append((translation_set(n), full_rigid_set(n)))
+    for block in (1, 7, 64):
+        monkeypatch.setattr(saturated, "_PAIR_BLOCK", block)
+        for A, B in cases:
+            _check_witnesses(A, B)
 
 
 def test_normal_closure_rejects_an_ambient_that_is_not_closed():
