@@ -387,6 +387,6 @@ def perm_from_json(text: str) -> TreePermutation:
     n, images = d["n"], d["images"]
     if isinstance(n, bool) or not isinstance(n, int) or not 0 <= n <= MAX_RANK:
         raise ValueError(f"rank must be an integer in 0..{MAX_RANK}, got {n!r}")
-    if not isinstance(images, list) or not all(type(v) is int for v in images):
-        raise ValueError('"images" must be a list of integers')
+    if not isinstance(images, list) or not all(type(v) is int and 1 <= v <= 1 << n for v in images):
+        raise ValueError(f'"images" must be a list of integers in 1..{1 << n}')
     return TreePermutation(images, n)

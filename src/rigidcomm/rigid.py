@@ -73,10 +73,12 @@ class RigidCommutator:
     @classmethod
     def from_elements(cls, elements: Iterable[int], n: int | None = None) -> "RigidCommutator":
         """Build from explicit indices, e.g. ``from_elements([6, 5, 4, 3])``."""
+        top = MAX_RANK if n is None else n
+        _check_rank(top)
         mask = 0
         for k in elements:
-            if isinstance(k, bool) or not isinstance(k, int) or k < 1:
-                raise ValueError(f"indices must be positive integers, got {k!r}")
+            if isinstance(k, bool) or not isinstance(k, int) or not 1 <= k <= top:  # before 1 << (k - 1) is built
+                raise ValueError(f"indices must be integers in 1..{top}, got {k!r}")
             mask |= 1 << (k - 1)
         if n is None:
             n = max(1, mask.bit_length())

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -384,6 +383,27 @@ def normal_closure(
 
 # ── unique factorization over rigid commutators ──────────────────────────────
 
+def _superset_xor(v: np.ndarray) -> np.ndarray:
+    """Entry s is the XOR of ``v`` over the indices that contain s as a submask."""
+    v = v.copy()
+    h = 1
+    while h < len(v):
+        pairs = v.reshape(-1, 2, h)  # axis 1 is bit log2(h) of the index
+        pairs[:, 0] ^= pairs[:, 1]
+        h *= 2
+    return v
+
+
+def _reverse_bits(v: np.ndarray) -> np.ndarray:
+    """``v`` by bit-reversed index: a level's MSB-first prefixes to mask order and back."""
+    return v.reshape((2,) * (len(v).bit_length() - 1)).T.ravel()
+
+
+def _flip_level(pts: np.ndarray, flips: np.ndarray, shift: int) -> np.ndarray:
+    """Flip bit ``shift`` of the points whose MSB-first prefix above it is in ``flips``."""
+    return pts ^ (flips[pts >> (shift + 1)] << shift)
+
+
 @dataclass(frozen=True)
 class Factorization:
     """Unique decomposition of a tree permutation over rigid commutators.
@@ -402,54 +422,30 @@ class Factorization:
         return 1 if c in set(self.factors) else 0
 
     def to_permutation(self, *, max_rank: int = FACTORIZE_MAX_RANK) -> perm.TreePermutation:
-        """Re-expand the product of the factors, in canonical order."""
-        out = perm.identity(self.n)
+        """Re-expand the product of the factors, taken in canonical order.
+
+        The factors based at a level commute, so their product flips that
+        level's letter on the superset-sum XOR transform of the level's
+        exponent vector (see :func:`factorize`): one flip per level.
+        """
+        n = self.n
+        if n > max_rank:
+            raise perm.ScaleGuardError(f"to_permutation at rank {n} exceeds the cap {max_rank}")
+        exps = np.zeros(1 << n, dtype=np.int64)  # level b's exponents are exps[2^(b-1):2^b]
         for c in self.factors:
-            out = perm.compose(out, perm.expand(c, max_rank=max_rank))
-        return out
+            if c.n != n:
+                raise ValueError(f"rank mismatch: factor has rank {c.n}, factorization has {n}")
+            exps[c.mask] ^= 1
+        img = np.arange(1 << n)
+        for level in range(1, n + 1):
+            flips = _reverse_bits(_superset_xor(exps[1 << (level - 1):1 << level]))
+            img = _flip_level(img, flips, n - level)
+        return perm.TreePermutation._from0(img, n)
 
     def __str__(self) -> str:
         if not self.factors:
             return "[]"
         return " ".join(str(c) for c in self.factors)
-
-
-def _gf2_invert(mat: np.ndarray) -> np.ndarray:
-    """Inverse of a square matrix over GF(2) by Gauss-Jordan elimination."""
-    m = mat.shape[0]
-    aug = np.concatenate([mat.astype(np.uint8) & 1, np.eye(m, dtype=np.uint8)], axis=1)
-    for col in range(m):
-        pivots = np.nonzero(aug[col:, col])[0]
-        if pivots.size == 0:
-            raise ValueError("matrix is singular over GF(2)")
-        piv = col + int(pivots[0])
-        if piv != col:
-            aug[[col, piv]] = aug[[piv, col]]
-        rows = np.nonzero(aug[:, col])[0]
-        rows = rows[rows != col]
-        aug[rows] ^= aug[col]
-    return aug[:, m:]
-
-
-@lru_cache(maxsize=None)
-def _level_basis(n: int, level: int) -> tuple[tuple[int, ...], np.ndarray]:
-    """Rigid commutators based at ``level`` and the inverse of their pattern matrix.
-
-    Column k of the pattern matrix is the flip pattern of the k-th basis
-    commutator, read off its expanded permutation; the columns are a
-    GF(2) basis of all patterns at that level, so the matrix inverts.
-    """
-    top = 1 << (level - 1)
-    masks = tuple(sub | top for sub in range(top))
-    size = len(masks)
-    mat = np.zeros((size, size), dtype=np.uint8)
-    for k, mask in enumerate(masks):
-        pat = perm.level_flip_pattern(
-            perm.expand(RigidCommutator(mask, n), max_rank=n), level
-        )
-        for q in pat.flips:
-            mat[q, k] = 1
-    return masks, _gf2_invert(mat)
 
 
 def factorize(
@@ -460,10 +456,14 @@ def factorize(
 ) -> Factorization:
     """Factor a tree permutation uniquely over rigid commutators.
 
-    Peels one level at a time: reads the letter-i flip pattern of the
-    residual, solves for the exponents over the basis of rigid
-    commutators based at i, divides the level off, and continues.  A
-    non-identity final residual means the input is not in the tree
+    Peels one level at a time: reads the letter-i flip vector of the
+    residual, divides that level off, and continues.  A rigid commutator
+    based at i flips letter i exactly at the prefixes (read in mask
+    order) that are submasks of its index set below i, so a level's flip
+    vector is the superset-sum XOR transform of its exponent vector.
+    Mod 2 the Moebius inversion of that transform is the transform
+    itself, so the exponents are the same transform of the flip vector.
+    A non-identity final residual means the input is not in the tree
     group's coordinates.  With ``within`` given, ``member`` reports
     whether every factor lies in that set.
     """
@@ -480,13 +480,10 @@ def factorize(
     for level in range(1, n + 1):
         shift = n - level
         prefixes = np.arange(1 << (level - 1))
-        f = ((res[prefixes << (shift + 1)] >> shift) & 1).astype(np.uint8)
-        if f.any():
-            masks, inv = _level_basis(n, level)
-            exps = inv.astype(np.int64) @ f.astype(np.int64) & 1
-            factor_masks.extend(m for m, e in zip(masks, exps) if e)
-            level_img = pts ^ (f[pts >> (shift + 1)].astype(np.int64) << shift)
-            res = res[level_img]
+        flips = (res[prefixes << (shift + 1)] >> shift) & 1
+        exps = _superset_xor(_reverse_bits(flips))
+        factor_masks.extend((np.flatnonzero(exps) + (1 << (level - 1))).tolist())
+        res = res[_flip_level(pts, flips, shift)]
     if not np.array_equal(res, pts):
         raise ValueError(
             "permutation is not an element of the rank-n tree group "

@@ -333,6 +333,7 @@ def test_closure_rejects_malformed_json(tmp_path, capsys, text):
     '{"n": null, "images": [2, 1]}',
     '{"n": 1, "images": "21"}',
     '{"n": 1, "images": [null, 1]}',
+    '{"n": 1, "images": [1, 99999999999999999999999]}',
 ])
 def test_factorize_rejects_malformed_json(tmp_path, capsys, text):
     path = tmp_path / "g.json"

@@ -24,3 +24,5 @@ def test_demo_runs(demo):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip()
+    if demo.stem == "05_saturation_and_factorization":
+        assert "re-expanding reproduces it: True\n" in done.stdout

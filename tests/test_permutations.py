@@ -124,6 +124,9 @@ def test_json_round_trip():
         '{"n": 1, "images": [null, 1]}',
         '{"n": 1, "images": [2.5, 1]}',
         '{"n": 1, "images": [true, 2]}',
+        '{"n": 1, "images": [0, 1]}',
+        '{"n": 1, "images": [1, 3]}',
+        '{"n": 1, "images": [1, 99999999999999999999999]}',
     ):
         with pytest.raises(ValueError):
             perm_from_json(text)

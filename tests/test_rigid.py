@@ -51,6 +51,16 @@ def test_base_hang_elements():
     assert c.elements == (6, 5, 4, 3)
 
 
+def test_from_elements_checks_indices_before_shifting():
+    with pytest.raises(ValueError, match=r"1\.\.3, got 4$"):
+        C([4], 3)
+    with pytest.raises(ValueError, match=r"1\.\.63, got 10000000000$"):
+        C([10**10])
+    with pytest.raises(ValueError):
+        C([1], 0)
+    assert C([63]).n == 63
+
+
 def test_mask_bounds_checked():
     with pytest.raises(ValueError):
         RigidCommutator(1 << 3, 3)

@@ -12,15 +12,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rigidcomm import (
+    Factorization,
+    LevelFlipPattern,
     RigidCommutator,
     SaturatedSet,
     compose,
     elementary_abelian_order,
     expand,
     factorize,
+    flip_pattern_permutation,
     full_rigid_set,
     generate_group,
     identity,
+    level_flip_pattern,
     members_from_json,
     normal_closure,
     normalizer_in,
@@ -463,6 +467,9 @@ def test_json_rejects_garbage():
     ):
         with pytest.raises(ValueError):
             members_from_json(text)
+    # the index is checked before 1 << (k - 1) is built
+    with pytest.raises(ValueError, match=r"1\.\.3, got 1000000$"):
+        members_from_json('{"n": 3, "members": [[1000000]]}')
 
 
 def test_json_member_order_is_canonical():
@@ -472,6 +479,77 @@ def test_json_member_order_is_canonical():
 
 
 # ── factorization ────────────────────────────────────────────────────────────
+
+def _to_permutation_fold(fac):
+    """Reference re-expansion: the factors folded through the ``expand`` oracle."""
+    out = identity(fac.n)
+    for c in fac.factors:
+        out = compose(out, expand(c))
+    return out
+
+
+def _closed_form_pattern(c):
+    """The MSB-first prefixes whose 1-letters all lie in c's index set below its base."""
+    b = c.base
+    below = set(c.elements) - {b}
+    flips = frozenset(
+        q for q in range(1 << (b - 1))
+        if {j for j in range(1, b) if q >> (b - 1 - j) & 1} <= below
+    )
+    return LevelFlipPattern(b, flips)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_flip_pattern_closed_form_matches_expand(n):
+    for mask in range(1, 1 << n):
+        c = RigidCommutator(mask, n)
+        g = expand(c)
+        pattern = _closed_form_pattern(c)
+        assert pattern == level_flip_pattern(g, c.base)
+        assert flip_pattern_permutation(pattern, n) == g
+        # the engine's transform of the unit exponent vector gives the same pattern
+        top = 1 << (c.base - 1)
+        unit = np.zeros(top, dtype=np.int64)
+        unit[mask ^ top] = 1
+        flips = saturated._reverse_bits(saturated._superset_xor(unit))
+        assert frozenset(np.flatnonzero(flips).tolist()) == pattern.flips
+        assert Factorization(n, (c,), True).to_permutation() == g
+
+
+def test_to_permutation_matches_fold_on_canonical_words_with_repeats():
+    # a public Factorization may repeat a factor; as in the fold, a pair cancels
+    rng = random.Random(6)
+    for n in range(1, 8):
+        for _ in range(10):
+            masks = [rng.randrange(1, 1 << n) for _ in range(rng.randint(0, 12))]
+            masks += masks[:rng.randint(0, len(masks))]
+            masks.sort(key=lambda m: (m.bit_length(), m))
+            fac = Factorization(n, tuple(RigidCommutator(m, n) for m in masks), True)
+            assert fac.to_permutation() == _to_permutation_fold(fac)
+
+
+@pytest.mark.parametrize("width", range(7))
+def test_superset_xor_is_a_superset_sum_and_an_involution(width):
+    rng = np.random.default_rng(width)
+    size = 1 << width
+    for _ in range(20):
+        v = rng.integers(0, 2, size)
+        kept = v.copy()
+        out = saturated._superset_xor(v)
+        brute = [int(np.bitwise_xor.reduce(v[[t for t in range(size) if t & s == s]]))
+                 for s in range(size)]
+        assert out.tolist() == brute
+        assert saturated._superset_xor(out).tolist() == v.tolist()
+        assert np.array_equal(v, kept)
+
+
+@pytest.mark.parametrize("width", range(7))
+def test_reverse_bits_reverses_the_index(width):
+    size = 1 << width
+    rev = saturated._reverse_bits(np.arange(size))
+    assert rev.tolist() == [int(format(s, f"0{width}b")[::-1] or "0", 2) for s in range(size)]
+    assert saturated._reverse_bits(rev).tolist() == list(range(size))
+
 
 def test_factorize_identity():
     fac = factorize(identity(4))
@@ -560,3 +638,4 @@ def test_factorize_round_trip_random(n, data):
         g = compose(g, expand(RigidCommutator(m, n)))
     fac = factorize(g)
     assert fac.to_permutation() == g
+    assert _to_permutation_fold(fac) == g
