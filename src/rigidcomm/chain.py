@@ -27,7 +27,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .permutations import ScaleGuardError
+from .permutations import check_cap
 from .rigid import RigidCommutator, mask_order_key
 from .saturated import SaturatedSet, _witnesses
 from . import partitions
@@ -194,17 +194,12 @@ class _IncrementalChain:
         return added.tolist()
 
 
-def check_chain_rank(n: int, max_rank: int = CHAIN_MAX_RANK) -> None:
-    """Refuse a chain whose per-candidate state would pass the rank cap."""
-    if n > max_rank:
-        raise ScaleGuardError(
-            f"chain at rank {n} exceeds the cap {max_rank}; pass max_rank= to override"
-        )
+def check_chain_rank(n: int) -> None:
+    """Refuse a chain whose per-candidate state would pass ``CHAIN_MAX_RANK``."""
+    check_cap("chain at rank", n, CHAIN_MAX_RANK)
 
 
-def run_chain(
-    n: int, max_steps: int | None = None, *, max_rank: int = CHAIN_MAX_RANK
-) -> ChainReport:
+def run_chain(n: int, max_steps: int | None = None) -> ChainReport:
     """Run the normalizer chain at rank n.
 
     Step 0 is the translation-normalizer baseline, its index reported
@@ -216,14 +211,14 @@ def run_chain(
     Each step rescans only the candidates whose cached witness joined the
     chain in the step before; the baseline is saturated and contains the
     translations, which is what keeps that cache sound.  The cache takes
-    2^n slots, so ranks above ``max_rank`` raise
+    2^n slots, so ranks above ``CHAIN_MAX_RANK`` raise
     :class:`~rigidcomm.permutations.ScaleGuardError` before any work.
     """
     if n < 1:
         raise ValueError("rank must be at least 1")
     if max_steps is not None and max_steps < 0:
         raise ValueError("step budget cannot be negative")
-    check_chain_rank(n, max_rank)
+    check_chain_rank(n)
     budget = (1 << n) if max_steps is None else max_steps
     full_log2 = (1 << n) - 1
     t0 = time.perf_counter()

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .permutations import ScaleGuardError
+from .permutations import check_cap
 from .rigid import RigidCommutator, punctured_commutator
 from .saturated import SaturatedSet
 
@@ -28,13 +28,6 @@ __all__ = [
     "punctured_family",
     "predicted_chain_set",
 ]
-
-
-def _check_total(total: int) -> None:
-    if total > PARTITION_MAX_TOTAL:
-        raise ScaleGuardError(
-            f"partitions of {total} exceed the cap {PARTITION_MAX_TOTAL} on the total"
-        )
 
 
 @lru_cache(maxsize=None)
@@ -61,7 +54,7 @@ def distinct_partitions(
     """
     if total < 0:
         raise ValueError("total must be >= 0")
-    _check_total(total)
+    check_cap("partitions of total", total, PARTITION_MAX_TOTAL)
     cap = total if max_part is None else min(max_part, total)
     return [p for p in _distinct_desc(total, cap) if len(p) >= min_parts]
 
@@ -85,7 +78,8 @@ def euler_table(max_total: int) -> PartitionTable:
     """Tabulate b_j and a_j for j = 0..max_total."""
     if max_total < 0:
         raise ValueError("max_total must be >= 0")
-    _check_total(max_total)  # before the smaller totals fill the cache
+    # before the smaller totals fill the cache
+    check_cap("partitions of total", max_total, PARTITION_MAX_TOTAL)
     b = [len(distinct_partitions(j)) for j in range(max_total + 1)]
     a = []
     run = 0

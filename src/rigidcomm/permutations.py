@@ -21,13 +21,14 @@ import numpy as np
 
 from .rigid import MAX_RANK, RigidCommutator
 
-EXPAND_MAX_RANK = 12    # 2^12-point arrays; raise explicitly to go beyond
+EXPAND_MAX_RANK = 12    # 2^12-point arrays
 BRUTE_MAX_RANK = 3      # exhaustive Sym(2^n) scans stop at 8 points
 
 __all__ = [
     "EXPAND_MAX_RANK",
     "BRUTE_MAX_RANK",
     "ScaleGuardError",
+    "check_cap",
     "TreePermutation",
     "LevelFlipPattern",
     "identity",
@@ -48,7 +49,17 @@ __all__ = [
 
 
 class ScaleGuardError(Exception):
-    """Raised when an operation would exceed its configured scale cap."""
+    """Raised when an operation would exceed its scale cap."""
+
+
+def check_cap(what: str, value: int, cap: int) -> None:
+    """Raise :class:`ScaleGuardError` when ``value`` is past ``cap``.
+
+    Every scale guard goes through here, before the work it guards.
+    Callers pass their module's cap constant at call time.
+    """
+    if value > cap:
+        raise ScaleGuardError(f"{what} {value} exceeds the cap {cap}")
 
 
 class TreePermutation:
@@ -185,16 +196,14 @@ def perm_commutator(p: TreePermutation, q: TreePermutation) -> TreePermutation:
     return compose(compose(inverse(p), inverse(q)), compose(p, q))
 
 
-def expand(c: RigidCommutator, *, max_rank: int = EXPAND_MAX_RANK) -> TreePermutation:
+def expand(c: RigidCommutator) -> TreePermutation:
     """Evaluate a rigid commutator as an explicit permutation.
 
     Folds the left-normed word over the generators of its index set in
-    descending order, entirely at the permutation level.
+    descending order, entirely at the permutation level.  Ranks above
+    ``EXPAND_MAX_RANK`` raise :class:`ScaleGuardError`.
     """
-    if c.n > max_rank:
-        raise ScaleGuardError(
-            f"expand at rank {c.n} exceeds the cap {max_rank}; pass max_rank= to override"
-        )
+    check_cap("expand at rank", c.n, EXPAND_MAX_RANK)
     if c.is_identity:
         return identity(c.n)
     idx = c.elements
@@ -260,7 +269,7 @@ def flip_pattern_permutation(pattern: LevelFlipPattern, n: int) -> TreePermutati
 
 # ── brute-force group machinery ──────────────────────────────────────────────
 
-def generate_group(generators: Iterable[TreePermutation], *, limit: int | None = None) -> set[TreePermutation]:
+def generate_group(generators: Iterable[TreePermutation]) -> set[TreePermutation]:
     """Closure of the generators under composition (breadth-first, with dedup)."""
     gens = list(generators)
     if not gens:
@@ -278,8 +287,6 @@ def generate_group(generators: Iterable[TreePermutation], *, limit: int | None =
                 if q not in elems:
                     elems.add(q)
                     nxt.append(q)
-                    if limit is not None and len(elems) > limit:
-                        raise ScaleGuardError(f"group closure exceeded {limit} elements")
         frontier = nxt
     return elems
 
@@ -305,40 +312,27 @@ def elementary_abelian_order(generators: Iterable[TreePermutation]) -> int:
     return len(generate_group(gens))
 
 
-def translation_checks(n: int, *, max_rank: int = EXPAND_MAX_RANK) -> dict:
+def translation_checks(n: int) -> dict:
     """Sanity report for the full-interval commutators t_i = [{1..i}].
 
     Verifies that each is an involution, that they commute pairwise,
     that the orbit of point 1 under the group they generate is all of
-    {1..2^n}, and that the stabilizer of point 1 is trivial.
+    {1..2^n}, and that the stabilizer of point 1 is trivial.  Both are
+    read off one enumeration of that group.
     """
-    ts = [expand(RigidCommutator((1 << i) - 1, n), max_rank=max_rank) for i in range(1, n + 1)]
+    ts = [expand(RigidCommutator((1 << i) - 1, n)) for i in range(1, n + 1)]
     involutions = all(compose(t, t).is_identity for t in ts)
     commute = all(
         compose(a, b) == compose(b, a) for a, b in itertools.combinations(ts, 2)
     )
-    # orbit of point 0 (internally) under the generators
-    size = 1 << n
-    seen = np.zeros(size, dtype=bool)
-    seen[0] = True
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for t in ts:
-                y = int(t._img[x])
-                if not seen[y]:
-                    seen[y] = True
-                    nxt.append(y)
-        frontier = nxt
-    orbit_size = int(seen.sum())
-    group = generate_group(ts)
-    stabilizer_trivial = sum(1 for g in group if g._img[0] == 0) == 1
+    images_of_1 = [int(g._img[0]) for g in generate_group(ts)]
+    orbit_size = len(set(images_of_1))
+    stabilizer_trivial = images_of_1.count(0) == 1
     return {
         "involutions": involutions,
         "pairwise_commute": commute,
         "orbit_size": orbit_size,
-        "orbit_full": orbit_size == size,
+        "orbit_full": orbit_size == 1 << n,
         "stabilizer_trivial": stabilizer_trivial,
     }
 
@@ -349,8 +343,7 @@ def brute_normalizer_in_sym(group_elements: Iterable[TreePermutation], n: int) -
     Scans every permutation of {1..2^n}; n is capped hard at
     ``BRUTE_MAX_RANK`` because the scan is factorial in 2^n.
     """
-    if n > BRUTE_MAX_RANK:
-        raise ScaleGuardError(f"exhaustive Sym(2^{n}) scan refused; cap is n <= {BRUTE_MAX_RANK}")
+    check_cap("exhaustive Sym(2^n) scan at rank", n, BRUTE_MAX_RANK)
     elems = [tuple(int(v) for v in p._img) for p in group_elements]
     if not elems:
         raise ValueError("need the subgroup's elements")
@@ -380,11 +373,19 @@ def perm_to_json(p: TreePermutation, *, indent: int | None = None) -> str:
     return json.dumps({"n": p.n, "images": list(p.images)}, indent=indent)
 
 
+def _json_fields(text: str, field: str) -> tuple[object, object]:
+    """The ``"n"`` and ``field`` entries of a JSON object; ``ValueError`` otherwise."""
+    try:
+        d = json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON input is nested too deeply") from None
+    if not isinstance(d, dict) or "n" not in d or field not in d:
+        raise ValueError(f'expected {{"n": ..., "{field}": [...]}}')
+    return d["n"], d[field]
+
+
 def perm_from_json(text: str) -> TreePermutation:
-    d = json.loads(text)
-    if not isinstance(d, dict) or "n" not in d or "images" not in d:
-        raise ValueError('expected {"n": ..., "images": [...]}')
-    n, images = d["n"], d["images"]
+    n, images = _json_fields(text, "images")
     if isinstance(n, bool) or not isinstance(n, int) or not 0 <= n <= MAX_RANK:
         raise ValueError(f"rank must be an integer in 0..{MAX_RANK}, got {n!r}")
     if not isinstance(images, list) or not all(type(v) is int and 1 <= v <= 1 << n for v in images):

@@ -405,17 +405,21 @@ def evaluate_expression(text: str, n: int | None = None) -> RigidCommutator:
 
     Bare integers are generators, bracket lists fold left-normed, and
     punctured literals like "6^{2,1}" are accepted anywhere.  The rank
-    defaults to the largest index in the expression.
+    defaults to the largest index in the expression.  An expression
+    nested past the interpreter's recursion limit is a ``ValueError``.
     """
-    sc = _Scanner(text)
-    node = _parse_node(sc)
-    sc.skip_ws()
-    if sc.pos != len(sc.text):
-        raise ValueError(f"trailing input at position {sc.pos} in {text!r}")
-    top = _node_max_index(node)
-    if n is None:
-        n = max(1, top)
-    _check_rank(n)
-    if top > n:
-        raise ValueError(f"index {top} outside 1..{n}")
-    return RigidCommutator(_eval_node(node, n), n)
+    try:
+        sc = _Scanner(text)
+        node = _parse_node(sc)
+        sc.skip_ws()
+        if sc.pos != len(sc.text):
+            raise ValueError(f"trailing input at position {sc.pos} in {text!r}")
+        top = _node_max_index(node)
+        if n is None:
+            n = max(1, top)
+        _check_rank(n)
+        if top > n:
+            raise ValueError(f"index {top} outside 1..{n}")
+        return RigidCommutator(_eval_node(node, n), n)
+    except RecursionError:
+        raise ValueError("expression is nested too deeply") from None

@@ -213,10 +213,7 @@ def members_from_json(text: str) -> tuple[int, tuple[RigidCommutator, ...]]:
     Member entries may be descending integer lists like [6,5,4,3] or hex
     bitmask strings like "0x3c".
     """
-    d = json.loads(text)
-    if not isinstance(d, dict) or "n" not in d or "members" not in d:
-        raise ValueError('expected {"n": ..., "members": [...]}')
-    n, members = d["n"], d["members"]
+    n, members = perm._json_fields(text, "members")
     _check_rank(n)
     if not isinstance(members, list):
         raise ValueError(f'"members" must be a list, got {type(members).__name__}')
@@ -242,26 +239,35 @@ def saturate(members: Iterable[RigidCommutator], n: int | None = None) -> Satura
     """Smallest saturated set containing the given commutators.
 
     Generates the same subgroup as the seed.  Rank is taken from the
-    members when not given.
+    members when not given.  Each round multiplies the members found in
+    the round before by every member, in blocks of at most
+    ``_PAIR_BLOCK`` products, so no pair of older members is evaluated
+    again.  A set that would pass 2^``CLOSURE_MAX_RANK`` - 1 members,
+    which no set at that rank or below can, raises
+    :class:`~rigidcomm.permutations.ScaleGuardError`.
     """
     seed = list(members)
     if n is None:
         if not seed:
             raise ValueError("cannot infer rank from an empty seed")
         n = seed[0].n
-    masks = set(_coerce_masks(seed, n))
-    frontier = list(masks)
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for y in list(masks):
-                # [x, y] = [y, x]: tests/test_rigid.py::test_antisymmetric_and_involutive
-                c = commutator_mask(x, y)
-                if c and c not in masks:
-                    masks.add(c)
-                    nxt.append(c)
-        frontier = nxt
-    return SaturatedSet._make(n, frozenset(masks))
+    cap = (1 << CLOSURE_MAX_RANK) - 1
+    masks = np.array(sorted(_coerce_masks(seed, n)), dtype=np.int64)
+    frontier = masks
+    while frontier.size:
+        found, pending = [], 0
+        bases = mask_bases(masks)
+        for _, _, prod in _product_blocks(frontier, mask_bases(frontier), masks, bases):
+            _, present = _find(masks, prod)
+            found.append(np.unique(prod[(prod != 0) & ~present]))
+            pending += found[-1].size
+            if pending > cap:  # merge early, so that a runaway round stays small
+                found, pending = [np.unique(np.concatenate(found))], 0
+                perm.check_cap("saturated set of size", masks.size + found[0].size, cap)
+        frontier = np.unique(np.concatenate(found))
+        perm.check_cap("saturated set of size", masks.size + frontier.size, cap)
+        masks = np.union1d(masks, frontier)
+    return SaturatedSet._make(n, frozenset(masks.tolist()))
 
 
 # ── normalizer machinery ─────────────────────────────────────────────────────
@@ -339,15 +345,12 @@ def normalizer_in(B: SaturatedSet, A: SaturatedSet) -> SaturatedSet:
     return SaturatedSet._make(B.n, A.masks | frozenset(cands[found == 0].tolist()))
 
 
-def check_closure_rank(n: int, max_rank: int = CLOSURE_MAX_RANK) -> None:
-    """Refuse a normal closure or a normalizer scan past the rank cap."""
-    if n > max_rank:
-        raise perm.ScaleGuardError(f"rank {n} exceeds the closure cap {max_rank}")
+def check_closure_rank(n: int) -> None:
+    """Refuse a normal closure or a normalizer scan past ``CLOSURE_MAX_RANK``."""
+    perm.check_cap("closure at rank", n, CLOSURE_MAX_RANK)
 
 
-def normal_closure(
-    A: SaturatedSet, B: SaturatedSet, *, max_rank: int = CLOSURE_MAX_RANK
-) -> SaturatedSet:
+def normal_closure(A: SaturatedSet, B: SaturatedSet) -> SaturatedSet:
     """Smallest subset of B containing A and closed under commutation with all of B.
 
     Generates the normal closure of <A> in <B>.  Each round multiplies
@@ -356,7 +359,7 @@ def normal_closure(
     evaluated once since the product is symmetric.  B must be closed: a
     product outside it raises ``ValueError``.
     """
-    check_closure_rank(B.n, max_rank)
+    check_closure_rank(B.n)
     if not A.issubset(B):
         raise ValueError("A must be a subset of B (same rank, members contained)")
     pool = sorted(B.masks)  # the result reuses these int objects
@@ -421,16 +424,17 @@ class Factorization:
     def exponent(self, c: RigidCommutator) -> int:
         return 1 if c in set(self.factors) else 0
 
-    def to_permutation(self, *, max_rank: int = FACTORIZE_MAX_RANK) -> perm.TreePermutation:
+    def to_permutation(self) -> perm.TreePermutation:
         """Re-expand the product of the factors, taken in canonical order.
 
         The factors based at a level commute, so their product flips that
         level's letter on the superset-sum XOR transform of the level's
         exponent vector (see :func:`factorize`): one flip per level.
+        Ranks above ``FACTORIZE_MAX_RANK`` raise
+        :class:`~rigidcomm.permutations.ScaleGuardError`.
         """
         n = self.n
-        if n > max_rank:
-            raise perm.ScaleGuardError(f"to_permutation at rank {n} exceeds the cap {max_rank}")
+        perm.check_cap("to_permutation at rank", n, FACTORIZE_MAX_RANK)
         exps = np.zeros(1 << n, dtype=np.int64)  # level b's exponents are exps[2^(b-1):2^b]
         for c in self.factors:
             if c.n != n:
@@ -448,12 +452,7 @@ class Factorization:
         return " ".join(str(c) for c in self.factors)
 
 
-def factorize(
-    g: perm.TreePermutation,
-    within: SaturatedSet | None = None,
-    *,
-    max_rank: int = FACTORIZE_MAX_RANK,
-) -> Factorization:
+def factorize(g: perm.TreePermutation, within: SaturatedSet | None = None) -> Factorization:
     """Factor a tree permutation uniquely over rigid commutators.
 
     Peels one level at a time: reads the letter-i flip vector of the
@@ -465,13 +464,11 @@ def factorize(
     itself, so the exponents are the same transform of the flip vector.
     A non-identity final residual means the input is not in the tree
     group's coordinates.  With ``within`` given, ``member`` reports
-    whether every factor lies in that set.
+    whether every factor lies in that set.  Ranks above
+    ``FACTORIZE_MAX_RANK`` raise :class:`~rigidcomm.permutations.ScaleGuardError`.
     """
     n = g.n
-    if n > max_rank:
-        raise perm.ScaleGuardError(
-            f"factorize at rank {n} exceeds the cap {max_rank}; pass max_rank= to override"
-        )
+    perm.check_cap("factorize at rank", n, FACTORIZE_MAX_RANK)
     if within is not None and within.n != n:
         raise ValueError(f"rank mismatch: permutation has rank {n}, set has {within.n}")
     pts = np.arange(1 << n)

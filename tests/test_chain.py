@@ -27,6 +27,7 @@ from rigidcomm import (
     translation_set,
     verify_theoretical,
 )
+from rigidcomm import chain
 from rigidcomm.chain import CHAIN_MAX_RANK, _IncrementalChain
 from test_saturated import _normalizer_in_loop
 
@@ -239,15 +240,16 @@ def test_rescanned_counts_candidates_reexamined():
     assert report == run_chain(6)  # a diagnostic, not part of equality
 
 
-def test_chain_scale_guard_refuses_before_work():
+def test_chain_scale_guard_refuses_before_work(monkeypatch):
     assert CHAIN_MAX_RANK == 20
     with pytest.raises(ScaleGuardError):
         run_chain(30)
     with pytest.raises(ScaleGuardError):
         run_chain(40, 1)
+    monkeypatch.setattr(chain, "CHAIN_MAX_RANK", 4)
     with pytest.raises(ScaleGuardError):
-        run_chain(5, max_rank=4)
-    assert run_chain(4, max_rank=4).reached_full
+        run_chain(5)
+    assert run_chain(4).reached_full
 
 
 def test_report_rejects_bad_budget():

@@ -16,6 +16,8 @@ from rigidcomm import (
     perm_to_json,
     translation_normalizer_set,
 )
+from rigidcomm import chain as chainmod
+from rigidcomm import saturated
 from rigidcomm.cli import main
 
 C = RigidCommutator.from_elements
@@ -203,15 +205,21 @@ def test_eval_identity_result(capsys):
 
 
 def test_eval_bad_expression(capsys):
-    assert main(["eval", "[oops]"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "eval:" in captured.err
+    # nesting past the recursion limit is bad input too, not a crash
+    for expr in ("[oops]", "[" * 1200 + "1" + "]" * 1200):
+        assert main(["eval", expr]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "eval:" in captured.err
 
 
 def test_eval_scale_guard(capsys):
-    assert main(["eval", "[20,19]", "--perm"]) == 3
-    assert "scale guard" in capsys.readouterr().err
+    # the permutation is built before anything is printed
+    for argv in (["[20,19]"], ["[2,1]", "--n", "13"]):
+        assert main(["eval", *argv, "--perm"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "scale guard" in captured.err
 
 
 # ── euler ────────────────────────────────────────────────────────────────────
@@ -299,14 +307,21 @@ def test_closure_missing_file(capsys):
     capsys.readouterr()
 
 
-def test_closure_scale_guard(tmp_path, capsys):
+def test_closure_scale_guard(tmp_path, capsys, monkeypatch):
     # the guard trips before the seed is saturated or the ambient is built
     seed = tmp_path / "seed.json"
     seed.write_text('{"n": 40, "members": []}')
     assert main(["closure", str(seed)]) == 3
+    # an ambient past the cap is refused before its closure is checked,
+    # which for these 2^14 - 1 members would take seconds
+    monkeypatch.setattr(saturated, "_closure_defect", lambda masks: pytest.fail("closure checked"))
+    seed.write_text('{"n": 3, "members": [[3]]}')
+    ambient = tmp_path / "ambient.json"
+    ambient.write_text(json.dumps({"n": 20, "members": [hex(m) for m in range(1, 1 << 14)]}))
+    assert main(["closure", str(seed), "--within", str(ambient)]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "scale guard" in captured.err
+    assert captured.err.count("scale guard") == 2
 
 
 @pytest.mark.parametrize("text", [
@@ -315,6 +330,7 @@ def test_closure_scale_guard(tmp_path, capsys):
     '{"n": null, "members": []}',
     '{"n": 3, "members": "0x3"}',
     '{"n": 3, "members": 7}',
+    pytest.param("[" * 100000 + "]" * 100000, id="nested-100000"),
 ])
 def test_closure_rejects_malformed_json(tmp_path, capsys, text):
     seed = tmp_path / "seed.json"
@@ -334,6 +350,7 @@ def test_closure_rejects_malformed_json(tmp_path, capsys, text):
     '{"n": 1, "images": "21"}',
     '{"n": 1, "images": [null, 1]}',
     '{"n": 1, "images": [1, 99999999999999999999999]}',
+    pytest.param("[" * 100000 + "]" * 100000, id="nested-100000"),
 ])
 def test_factorize_rejects_malformed_json(tmp_path, capsys, text):
     path = tmp_path / "g.json"
@@ -394,8 +411,31 @@ def test_verify_sym_brute_rank3(capsys):
 
 
 def test_verify_sym_brute_guard(capsys):
-    assert main(["verify", "--n", "4", "--sym-brute"]) == 3
-    assert "scale guard" in capsys.readouterr().err
+    # refused before any check runs or prints
+    for n in ("4", "20"):
+        assert main(["verify", "--n", n, "--sym-brute"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "scale guard" in captured.err
+
+
+@pytest.mark.parametrize("argv, calls", [
+    pytest.param(["verify", "--n", "9"], [(9, 7)], id="closed-form"),
+    pytest.param(["verify", "--n", "3", "--sym-brute"], [(3, None)], id="sym-brute"),
+])
+def test_verify_runs_only_the_steps_it_checks(monkeypatch, capsys, argv, calls):
+    # the closed form covers steps 0..n-2; --sym-brute checks every term
+    seen = []
+    run_chain = chainmod.run_chain
+
+    def recording(n, max_steps=None):
+        seen.append((n, max_steps))
+        return run_chain(n, max_steps)
+
+    monkeypatch.setattr(chainmod, "run_chain", recording)
+    assert main(argv) == 0
+    assert seen == calls
+    assert capsys.readouterr().out.rstrip().endswith("all checks passed")
 
 
 def test_unknown_command_exits_two(capsys):

@@ -30,6 +30,7 @@ from rigidcomm import (
     perm_to_json,
     translation_checks,
 )
+from rigidcomm import permutations
 from rigidcomm.permutations import LevelFlipPattern
 from rigidcomm.rigid import commutator_mask
 
@@ -140,11 +141,15 @@ def test_expand_of_identity_and_singletons():
         assert expand(C([i], 4)) == generator(i, 4)
 
 
-def test_expand_scale_guard():
+def test_expand_scale_guard(monkeypatch):
+    assert expand(RigidCommutator(1, 12)).n == 12
     with pytest.raises(ScaleGuardError):
         expand(RigidCommutator(1, 13))
-    # override is available
-    assert expand(RigidCommutator(1, 13), max_rank=13).n == 13
+    # the guard reads the cap when it is called
+    monkeypatch.setattr(permutations, "EXPAND_MAX_RANK", 3)
+    assert expand(RigidCommutator(1, 3)).n == 3
+    with pytest.raises(ScaleGuardError):
+        expand(RigidCommutator(1, 4))
 
 
 def test_oracle_equivalence_exhaustive_small():
@@ -181,7 +186,7 @@ def test_product_clauses_sampled():
     def ex(mask, n):
         key = (mask, n)
         if key not in cache:
-            cache[key] = expand(RigidCommutator(mask, n), max_rank=10)
+            cache[key] = expand(RigidCommutator(mask, n))
         return cache[key]
 
     for _ in range(10_000):

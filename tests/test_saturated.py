@@ -120,6 +120,57 @@ def test_saturate_is_closed_and_idempotent(n, data):
         assert span == 1 << s.log2_order
 
 
+def _saturate_loop(seed, n):
+    """Reference: the saturation by one scalar product per pair of members."""
+    masks = {m for m in seed if m}
+    frontier = list(masks)
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for y in list(masks):
+                # [x, y] = [y, x]: tests/test_rigid.py::test_antisymmetric_and_involutive
+                c = commutator_mask(x, y)
+                if c and c not in masks:
+                    masks.add(c)
+                    nxt.append(c)
+        frontier = nxt
+    return frozenset(masks)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 8), st.data())
+def test_saturate_matches_reference_loop(n, data):
+    # empty seeds and identity members included
+    seed = data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=6))
+    got = saturate([RigidCommutator(m, n) for m in seed], n)
+    assert got.masks == _saturate_loop(seed, n)
+
+
+def test_saturate_blocks_and_early_merges(monkeypatch):
+    # tiny blocks, and a cap small enough that rounds merge their finds early
+    rng = random.Random(7)
+    cases = [(n, [rng.randrange(1, 1 << n) for _ in range(k)]) for n in (3, 5, 6) for k in (1, 2, 3, n)]
+    cases.append((6, [1 << i for i in range(6)]))
+    expected = [_saturate_loop(seed, n) for n, seed in cases]
+    for block in (1, 7, 64):
+        monkeypatch.setattr(saturated, "_PAIR_BLOCK", block)
+        got = []
+        for n, seed in cases:
+            monkeypatch.setattr(saturated, "CLOSURE_MAX_RANK", n)
+            got.append(saturate([RigidCommutator(m, n) for m in seed], n).masks)
+        assert got == expected
+
+
+def test_saturate_scale_guard(monkeypatch):
+    # the cap is on the member count: 2^CLOSURE_MAX_RANK - 1
+    monkeypatch.setattr(saturated, "CLOSURE_MAX_RANK", 2)
+    assert len(saturate([C([3, 1], 3), C([2], 3)])) == 3
+    with pytest.raises(ScaleGuardError):
+        saturate([C([3], 3), C([2], 3), C([1], 3)])
+    with pytest.raises(ScaleGuardError):
+        saturate([C([3, 2, 1], 3), C([3, 2], 3), C([3, 1], 3), C([3], 3)])
+
+
 # ── order and dimension against the oracle ───────────────────────────────────
 
 def test_log2_order_matches_brute_force_span():
@@ -399,16 +450,19 @@ def test_normal_closure_rejects_an_ambient_that_is_not_closed():
         normal_closure(A, B)
 
 
-def test_normal_closure_scale_guard():
+def test_normal_closure_scale_guard(monkeypatch):
     # the cap is checked before any product, so these return at once
     r = full_rigid_set(5)
+    monkeypatch.setattr(saturated, "CLOSURE_MAX_RANK", 4)
     with pytest.raises(ScaleGuardError):
-        normal_closure(r, r, max_rank=4)
-    assert normal_closure(r, r, max_rank=5) == r
+        normal_closure(r, r)
+    monkeypatch.setattr(saturated, "CLOSURE_MAX_RANK", 5)
+    assert normal_closure(r, r) == r
+    monkeypatch.undo()
     above = saturated.CLOSURE_MAX_RANK + 1
     with pytest.raises(ScaleGuardError):
         saturated.check_closure_rank(above)
-    saturated.check_closure_rank(above, max_rank=above)
+    saturated.check_closure_rank(above - 1)
     # the one-shot normalizer scans all 2^n candidates, under the same cap
     with pytest.raises(ScaleGuardError):
         normalizing_step(translation_set(above))
