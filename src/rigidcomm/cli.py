@@ -321,7 +321,10 @@ def _cmd_factorize(args) -> int:
         g = perm.perm_from_json(_read(args.perm))
         within = None
         if args.set_path:
-            within = saturated.SaturatedSet.from_json(_read(args.set_path))
+            set_n, members = saturated.members_from_json(_read(args.set_path))
+            if set_n != g.n:  # before the set's closure is checked
+                raise ValueError(f"rank mismatch: permutation has rank {g.n}, set has {set_n}")
+            within = saturated.SaturatedSet(set_n, members)
         fac = saturated.factorize(g, within)
     except (ValueError, OSError) as exc:
         print(f"factorize: {exc}", file=sys.stderr)

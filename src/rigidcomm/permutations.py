@@ -388,6 +388,8 @@ def perm_from_json(text: str) -> TreePermutation:
     n, images = _json_fields(text, "images")
     if isinstance(n, bool) or not isinstance(n, int) or not 0 <= n <= MAX_RANK:
         raise ValueError(f"rank must be an integer in 0..{MAX_RANK}, got {n!r}")
-    if not isinstance(images, list) or not all(type(v) is int and 1 <= v <= 1 << n for v in images):
-        raise ValueError(f'"images" must be a list of integers in 1..{1 << n}')
+    # the length first: at rank 63 an image may be 2^63, past int64
+    if (not isinstance(images, list) or len(images) != 1 << n
+            or not all(type(v) is int and 1 <= v <= 1 << n for v in images)):
+        raise ValueError(f'"images" must be a list of {1 << n} integers in 1..{1 << n}')
     return TreePermutation(images, n)

@@ -67,6 +67,14 @@ class RigidCommutator:
             )
 
     @classmethod
+    def _trusted(cls, mask: int, n: int) -> "RigidCommutator":
+        # trusted constructor: n is a valid rank and 0 <= mask < 2^n
+        self = object.__new__(cls)
+        object.__setattr__(self, "mask", mask)
+        object.__setattr__(self, "n", n)
+        return self
+
+    @classmethod
     def identity(cls, n: int) -> "RigidCommutator":
         return cls(0, n)
 

@@ -30,8 +30,8 @@ from .rigid import (
 )
 
 FACTORIZE_MAX_RANK = 12
-# normal_closure of the full set in itself, (2^14 - 1)^2 products, took 5-6 s at
-# rank 14 on a 2-vCPU host; each rank above the cap costs four times more
+# the closure check of the full set took 1.2-1.3 s at rank 14 on a 2-vCPU host;
+# each rank above the cap costs four times more
 CLOSURE_MAX_RANK = 14
 _PAIR_BLOCK = 1 << 14  # mask products per kernel call, which bounds its temporaries
 _FIRST_COLUMNS = 8  # members each candidate meets in the first block of a normalizer scan
@@ -70,22 +70,42 @@ def _coerce_masks(members: Iterable, n: int) -> frozenset[int]:
     return frozenset(masks)
 
 
-def _product_blocks(
-    x: np.ndarray, x_base: np.ndarray, y: np.ndarray, y_base: np.ndarray
-) -> Iterator[tuple[int, int, np.ndarray]]:
-    """The table of products x[i] * y[j], in blocks of at most ``_PAIR_BLOCK``.
+def _pair_products(
+    x: np.ndarray, y: np.ndarray, *, both: bool = True
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The nonzero products of members of ``x`` with members of ``y``.
 
-    Yields ``(i, j, block)``: the block's first row and column, and the
-    products of those rows with those columns.
+    ``x`` and ``y`` are sorted nonzero int64 masks.  A product is nonzero
+    only when the bases differ and the higher-based factor lacks the
+    lower base, so for each level ``a`` the members of ``x`` based at
+    ``a`` meet the members of ``y`` based above it with bit ``a - 1``
+    clear, and with ``both`` also the other way round.  Yields
+    ``(lo, hi, block)``, ``block[r, c]`` the product of ``lo[r]`` with
+    ``hi[c]``, at most ``_PAIR_BLOCK`` products each.
     """
-    rows = max(1, _PAIR_BLOCK // max(len(y), 1))
-    cols = _PAIR_BLOCK // rows
-    for i in range(0, len(x), rows):
-        for j in range(0, len(y), cols):
-            yield i, j, commutator_masks(
-                x[i:i + rows, None], x_base[i:i + rows, None],
-                y[None, j:j + cols], y_base[None, j:j + cols],
-            )
+    top_level = max(int(x[-1]) if x.size else 0, int(y[-1]) if y.size else 0).bit_length()
+    starts = np.left_shift(np.int64(1), np.arange(top_level, dtype=np.int64))
+    x_cuts = [*np.searchsorted(x, starts).tolist(), x.size]  # level a is [cuts[a-1], cuts[a])
+    y_cuts = [*np.searchsorted(y, starts).tolist(), y.size]
+    sides = [(x, x_cuts, y, y_cuts)]
+    if both:
+        sides.append((y, y_cuts, x, x_cuts))
+    for a in range(1, top_level + 1):
+        top = 1 << (a - 1)
+        for lows, low_cuts, highs, high_cuts in sides:
+            if low_cuts[a - 1] == low_cuts[a] or high_cuts[a] == highs.size:
+                continue
+            hi = highs[high_cuts[a]:]
+            hi = hi[(hi & top) == 0]
+            if not hi.size:
+                continue
+            lo = lows[low_cuts[a - 1]:low_cuts[a]]
+            rows = max(1, _PAIR_BLOCK // hi.size)  # one row is split when hi is longer
+            keep = lo | -(top << 1)  # lo's bits below its level, and every bit above
+            for i in range(0, lo.size, rows):
+                for j in range(0, hi.size, _PAIR_BLOCK):
+                    h = hi[j:j + _PAIR_BLOCK]
+                    yield lo[i:i + rows], h, (h[None, :] & keep[i:i + rows, None]) | top
 
 
 def _find(arr: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -97,13 +117,12 @@ def _find(arr: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _closure_defect(masks: frozenset[int]) -> tuple[int, int] | None:
     """A pair of members whose commutator is nonzero and not a member, if any."""
     arr = np.sort(np.fromiter(masks, dtype=np.int64, count=len(masks)))
-    bases = mask_bases(arr)
-    for i, j, prod in _product_blocks(arr, bases, arr, bases):
+    for lo, hi, prod in _pair_products(arr, arr, both=False):
         _, present = _find(arr, prod)
-        bad = np.flatnonzero((prod != 0) & ~present)
+        bad = np.flatnonzero(~present)
         if bad.size:
             r, c = divmod(int(bad[0]), prod.shape[1])
-            return int(arr[i + r]), int(arr[j + c])
+            return int(lo[r]), int(hi[c])
     return None
 
 
@@ -111,13 +130,15 @@ class SaturatedSet:
     """A commutation-closed set of nonempty rigid commutators.
 
     The constructor verifies closure and raises if it fails; operations
-    whose result is closed by construction skip the check.
+    whose result is closed by construction skip the check.  More than
+    2^``CLOSURE_MAX_RANK`` - 1 members raise ``ScaleGuardError`` first.
     """
 
     __slots__ = ("n", "masks")
 
     def __init__(self, n: int, members: Iterable = ()) -> None:
         masks = _coerce_masks(members, n)
+        perm.check_cap("saturated set of size", len(masks), (1 << CLOSURE_MAX_RANK) - 1)
         defect = _closure_defect(masks)
         if defect is not None:
             x, y = defect
@@ -240,10 +261,10 @@ def saturate(members: Iterable[RigidCommutator], n: int | None = None) -> Satura
 
     Generates the same subgroup as the seed.  Rank is taken from the
     members when not given.  Each round multiplies the members found in
-    the round before by every member, in blocks of at most
-    ``_PAIR_BLOCK`` products, so no pair of older members is evaluated
-    again.  A set that would pass 2^``CLOSURE_MAX_RANK`` - 1 members,
-    which no set at that rank or below can, raises
+    the round before by the members that can give a nonzero product, so
+    no pair of older members is evaluated again.  A set that would pass
+    2^``CLOSURE_MAX_RANK`` - 1 members, which no set at that rank or
+    below can, raises
     :class:`~rigidcomm.permutations.ScaleGuardError`.
     """
     seed = list(members)
@@ -255,11 +276,10 @@ def saturate(members: Iterable[RigidCommutator], n: int | None = None) -> Satura
     masks = np.array(sorted(_coerce_masks(seed, n)), dtype=np.int64)
     frontier = masks
     while frontier.size:
-        found, pending = [], 0
-        bases = mask_bases(masks)
-        for _, _, prod in _product_blocks(frontier, mask_bases(frontier), masks, bases):
+        found, pending = [frontier[:0]], 0  # a round may make no product
+        for _, _, prod in _pair_products(frontier, masks):
             _, present = _find(masks, prod)
-            found.append(np.unique(prod[(prod != 0) & ~present]))
+            found.append(np.unique(prod[~present]))
             pending += found[-1].size
             if pending > cap:  # merge early, so that a runaway round stays small
                 found, pending = [np.unique(np.concatenate(found))], 0
@@ -354,32 +374,32 @@ def normal_closure(A: SaturatedSet, B: SaturatedSet) -> SaturatedSet:
     """Smallest subset of B containing A and closed under commutation with all of B.
 
     Generates the normal closure of <A> in <B>.  Each round multiplies
-    the members found in the round before by every member of B, in
-    blocks of at most ``_PAIR_BLOCK`` (2^14) products, and each pair is
-    evaluated once since the product is symmetric.  B must be closed: a
-    product outside it raises ``ValueError``.
+    the members found in the round before by those of B that can give a
+    nonzero product, and finds the products in a table of positions in
+    B, 2^n entries.  B must be closed: a product outside it raises
+    ``ValueError``.
     """
     check_closure_rank(B.n)
     if not A.issubset(B):
         raise ValueError("A must be a subset of B (same rank, members contained)")
     pool = sorted(B.masks)  # the result reuses these int objects
     ambient = np.array(pool, dtype=np.int64)
-    bases = mask_bases(ambient)
+    where = np.full(1 << B.n, -1)  # the position of each mask in ambient, or -1
+    where[ambient] = np.arange(len(pool))
     inside = np.zeros(len(pool), dtype=bool)
-    inside[np.searchsorted(ambient, np.fromiter(A.masks, dtype=np.int64, count=len(A.masks)))] = True
+    inside[where[np.fromiter(A.masks, dtype=np.int64, count=len(A.masks))]] = True
     frontier = np.flatnonzero(inside)
     while frontier.size:
-        found = []
-        for _, _, prod in _product_blocks(ambient[frontier], bases[frontier], ambient, bases):
-            prod = prod[prod != 0]
-            pos, present = _find(ambient, prod)
-            if not present.all():
-                missing = RigidCommutator(int(prod[~present][0]), B.n)
+        found = [frontier[:0]]  # a round may make no product
+        for _, _, prod in _pair_products(ambient[frontier], ambient):
+            pos = where[prod]
+            if (pos < 0).any():
+                missing = RigidCommutator(int(prod[pos < 0][0]), B.n)
                 raise ValueError(f"B is not closed under commutation: it lacks {missing}")
             new = np.unique(pos[~inside[pos]])
             inside[new] = True
             found.append(new)
-        frontier = np.concatenate(found)
+        frontier = np.sort(np.concatenate(found))
     members = frozenset(pool[i] for i in np.flatnonzero(inside).tolist())
     return SaturatedSet._make(B.n, members)
 
@@ -486,6 +506,6 @@ def factorize(g: perm.TreePermutation, within: SaturatedSet | None = None) -> Fa
             "permutation is not an element of the rank-n tree group "
             "(residual after peeling all levels is not the identity)"
         )
-    factors = tuple(RigidCommutator(m, n) for m in factor_masks)
+    factors = tuple(RigidCommutator._trusted(m, n) for m in factor_masks)
     member = True if within is None else all(m in within.masks for m in factor_masks)
     return Factorization(n, factors, member)

@@ -378,6 +378,20 @@ def test_factorize_with_membership(tmp_path, capsys):
     assert capsys.readouterr().out == "factors: [3]\nmember: false\n"
 
 
+def test_factorize_set_rank_checked_before_closure(tmp_path, capsys, monkeypatch):
+    # a set of another rank is refused before its closure is checked,
+    # which for these 2^14 - 1 members would take seconds
+    monkeypatch.setattr(saturated, "_closure_defect", lambda masks: pytest.fail("closure checked"))
+    path = tmp_path / "id.json"
+    path.write_text('{"n": 3, "images": [1, 2, 3, 4, 5, 6, 7, 8]}')
+    sett = tmp_path / "set.json"
+    sett.write_text(json.dumps({"n": 20, "members": [hex(m) for m in range(1, 1 << 14)]}))
+    assert main(["factorize", str(path), "--set", str(sett)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "factorize: rank mismatch: permutation has rank 3, set has 20\n"
+
+
 def test_factorize_identity(tmp_path, capsys):
     path = tmp_path / "id.json"
     path.write_text('{"n": 2, "images": [1, 2, 3, 4]}')

@@ -6,6 +6,7 @@ tests where that is cheap, so the two layers certify each other.
 
 import json
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -480,6 +481,68 @@ def test_closure_defect_matches_reference_loop(n, data):
         x, y = defect
         assert x in masks and y in masks
         assert commutator_mask(x, y) not in masks | {0}
+
+
+def _pair_list(blocks):
+    """The products yielded by ``_pair_products`` as sorted (lo, hi, product) triples."""
+    out = []
+    for lo, hi, block in blocks:
+        assert block.shape == (lo.size, hi.size)
+        assert 0 < block.size <= saturated._PAIR_BLOCK
+        out += [(x, y, int(block[r, c]))
+                for r, x in enumerate(lo.tolist()) for c, y in enumerate(hi.tolist())]
+    return sorted(out)
+
+
+def _nonzero_pairs(pairs):
+    """Reference: the nonzero scalar products, as (smaller mask, larger mask, product)."""
+    return sorted((min(x, y), max(x, y), c) for x, y in pairs if (c := commutator_mask(x, y)))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_pair_products_matches_every_nonzero_product(n):
+    # the lower-based factor is the smaller mask, so (lo, hi) is (min, max)
+    arr = np.arange(1, 1 << n, dtype=np.int64)
+    masks = arr.tolist()
+    got = _pair_list(saturated._pair_products(arr, arr, both=False))
+    assert got == _nonzero_pairs((x, y) for i, x in enumerate(masks) for y in masks[i + 1:])
+    rng = random.Random(n)
+    half = sorted(rng.sample(masks, len(masks) // 2))
+    rest = sorted(set(masks) - set(half))
+    x, y = np.array(half, dtype=np.int64), np.array(rest, dtype=np.int64)
+    got = _pair_list(saturated._pair_products(x, y))
+    assert got == _nonzero_pairs((a, b) for a in half for b in rest)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 9),
+    st.sampled_from([1, 7, 64]),
+    st.booleans(),
+    st.data(),
+)
+def test_pair_products_matches_reference_on_random_subsets(n, block, both, data):
+    masks = st.lists(st.integers(1, (1 << n) - 1), max_size=40, unique=True).map(sorted)
+    xs, ys = data.draw(masks), data.draw(masks)
+    if both:
+        want = _nonzero_pairs((a, b) for a in xs for b in ys)
+    else:  # only x's member may be the lower-based factor
+        want = _nonzero_pairs((a, b) for a in xs for b in ys if a.bit_length() < b.bit_length())
+    x, y = np.array(xs, dtype=np.int64), np.array(ys, dtype=np.int64)
+    with mock.patch.object(saturated, "_PAIR_BLOCK", block):
+        assert _pair_list(saturated._pair_products(x, y, both=both)) == want
+
+
+def test_saturated_set_member_cap(monkeypatch):
+    # 2^CLOSURE_MAX_RANK - 1 members at most, refused before the closure check
+    monkeypatch.setattr(saturated, "CLOSURE_MAX_RANK", 2)
+    assert len(SaturatedSet(3, [0, 1, 2, 3])) == 3  # the identity is not a member
+    monkeypatch.setattr(saturated, "_closure_defect", lambda masks: pytest.fail("closure checked"))
+    with pytest.raises(ScaleGuardError, match="saturated set of size 4 exceeds the cap 3"):
+        SaturatedSet(3, [1, 2, 3, 4])
+    with pytest.raises(ScaleGuardError):
+        SaturatedSet.from_json(full_rigid_set(3).to_json())
+    assert len(full_rigid_set(3)) == 7  # closed by construction, never checked
 
 
 def test_unclosed_set_error_names_one_offending_pair():
