@@ -15,7 +15,8 @@ member, and c keeps failing until the witness itself joins the chain.
 Each step therefore rescans only the candidates whose witness was added
 by the step before, all of them in one block scan: the woken candidates
 meet growing chunks of the sorted members through the vectorized mask
-product, and each leaves the scan with the first witness it finds.
+product, the products are looked up in a dense membership table, and
+each candidate leaves the scan with the first witness it finds.
 """
 
 from __future__ import annotations
@@ -28,11 +29,13 @@ from typing import Iterable
 import numpy as np
 
 from .permutations import check_cap
-from .rigid import RigidCommutator, mask_order_key
-from .saturated import SaturatedSet, _witnesses
+from .rigid import RigidCommutator
+from .saturated import SaturatedSet, _member_table, _witnesses
 from . import partitions
 
-CHAIN_MAX_RANK = 20  # the witness array holds 2^n int64 slots: 8 MiB at rank 20
+# the witness array holds 2^n int64 slots and the membership table 2^n bools:
+# 8 MiB and 1 MiB at rank 20
+CHAIN_MAX_RANK = 20
 
 __all__ = [
     "CHAIN_MAX_RANK",
@@ -151,13 +154,16 @@ class ChainReport:
 
 
 def _sorted_members(n: int, masks: Iterable[int]) -> tuple[RigidCommutator, ...]:
-    return tuple(RigidCommutator(m, n) for m in sorted(masks, key=mask_order_key))
+    # canonical order is mask order, since a larger base means a larger mask;
+    # the masks are in range by construction
+    return tuple(RigidCommutator._trusted(m, n) for m in sorted(masks))
 
 
 class _IncrementalChain:
     """Chain terms from ``start`` on, rescanning only woken candidates.
 
-    ``members`` is the current term as a sorted int64 array.
+    ``members`` is the current term as a sorted int64 array, and
+    ``table`` its dense membership, with the identity 0 marked present.
     ``witness[c]`` is 0 for members and otherwise a commutator [c, m],
     m a member, outside the current term; ``pending`` lists the
     candidates to scan at the next step, and one call of the block
@@ -174,20 +180,19 @@ class _IncrementalChain:
         self.members = np.array(sorted(start.masks), dtype=np.int64)
         self.witness = np.zeros(size, dtype=np.int64)
         self._added = np.zeros(size, dtype=bool)
-        member = np.zeros(size, dtype=bool)
-        member[0] = True
-        member[self.members] = True
-        self.pending = np.flatnonzero(~member)
+        self.table = _member_table(self.members, start.n)
+        self.pending = np.flatnonzero(~self.table)
         self.products = 0  # mask products the last step evaluated
 
     def step(self) -> list[int]:
         """Grow the term to its normalizer; return the masks that joined."""
         scanned = self.pending
-        found, self.products = _witnesses(scanned, self.members)
+        found, self.products = _witnesses(scanned, self.members, self.table.__getitem__)
         self.witness[scanned] = found
         added = scanned[found == 0]
         # scanned, hence added, is sorted, so this is a merge
         self.members = np.insert(self.members, np.searchsorted(self.members, added), added)
+        self.table[added] = True
         self._added[added] = True
         self.pending = np.flatnonzero(self._added[self.witness])
         self._added[added] = False
@@ -264,13 +269,13 @@ def run_chain(n: int, max_steps: int | None = None) -> ChainReport:
 def verify_theoretical(report: ChainReport) -> list[tuple[int, bool]]:
     """Compare each computed term against the closed-form prediction.
 
-    Valid for steps 0..n-2; returns (step, matches) pairs.
+    Valid for steps 0..n-2; returns (step, matches) pairs.  The terms
+    are built up in one running set, step by step.
     """
     n = report.n
+    masks = {(1 << t) - 1 for t in range(1, n + 1)}
     out = []
-    for i in range(0, n - 1):
-        if i > report.terminated_at:
-            break
-        predicted = partitions.predicted_chain_set(n, i)
-        out.append((i, report.member_masks_at(i) == predicted.masks))
+    for i, step in enumerate(report.steps[: min(n - 1, report.terminated_at + 1)]):
+        masks.update(c.mask for c in step.new_members)
+        out.append((i, masks == partitions.predicted_chain_set(n, i).masks))
     return out

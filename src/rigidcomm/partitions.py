@@ -89,6 +89,15 @@ def euler_table(max_total: int) -> PartitionTable:
     return PartitionTable(tuple(b), tuple(a))
 
 
+@lru_cache(maxsize=None)
+def _hole_masks(total: int, max_part: int) -> tuple[int, ...]:
+    # the puncture sets of distinct_partitions(total, max_part=max_part) as
+    # masks: part k is bit k-1
+    return tuple(
+        sum(1 << (k - 1) for k in p) for p in distinct_partitions(total, max_part=max_part)
+    )
+
+
 def punctured_family(base: int, total: int, n: int) -> frozenset[RigidCommutator]:
     """Punctured commutators at ``base`` whose punctures are >= 2 distinct
     parts summing to ``total``.
@@ -121,9 +130,6 @@ def predicted_chain_set(n: int, i: int) -> SaturatedSet:
         members.append(full)
         members.extend(full & ~(1 << (j - 1)) for j in range(1, b))
         for total in range(3, i + 3 - (n - b)):
-            # the masks of punctured_family(b, total, n): part k clears bit k-1
-            members.extend(
-                full & ~sum(1 << (k - 1) for k in p)
-                for p in distinct_partitions(total, max_part=b - 1)
-            )
+            # the masks of punctured_family(b, total, n); the holes lie below bit b-1
+            members.extend(full ^ hole for hole in _hole_masks(total, b - 1))
     return SaturatedSet(n, members)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -35,6 +35,9 @@ FACTORIZE_MAX_RANK = 12
 CLOSURE_MAX_RANK = 14
 _PAIR_BLOCK = 1 << 14  # mask products per kernel call, which bounds its temporaries
 _FIRST_COLUMNS = 8  # members each candidate meets in the first block of a normalizer scan
+# membership lookups index a 2^n bool table up to this rank, 1 MiB at rank 20,
+# which is also the chain's cap; above it they binary-search the sorted members
+_DENSE_MAX_RANK = 20
 
 __all__ = [
     "FACTORIZE_MAX_RANK",
@@ -114,12 +117,34 @@ def _find(arr: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return pos, arr[pos] == values
 
 
+def _member_table(members: np.ndarray, n: int) -> np.ndarray:
+    """Entry m is whether mask m < 2^n is in ``members`` or is 0, the identity."""
+    table = np.zeros(1 << n, dtype=bool)
+    table[0] = True
+    table[members] = True
+    return table
+
+
+def _membership(members: np.ndarray, n: int) -> Callable[[np.ndarray], np.ndarray]:
+    """A lookup: which entries of an array of masks below 2^n are 0 or members.
+
+    ``members`` is a sorted int64 array, nonempty above rank
+    ``_DENSE_MAX_RANK``.  Up to that rank the lookup indexes
+    :func:`_member_table`; above it the table would not fit, so the
+    lookup binary-searches ``members``.
+    """
+    if n <= _DENSE_MAX_RANK:
+        return _member_table(members, n).__getitem__
+    return lambda masks: (masks == 0) | _find(members, masks)[1]
+
+
 def _closure_defect(masks: frozenset[int]) -> tuple[int, int] | None:
     """A pair of members whose commutator is nonzero and not a member, if any."""
     arr = np.sort(np.fromiter(masks, dtype=np.int64, count=len(masks)))
+    # a product lies below the larger factor's top bit, so the top member bounds the lookup
+    present = _membership(arr, int(arr[-1]).bit_length() if arr.size else 0)
     for lo, hi, prod in _pair_products(arr, arr, both=False):
-        _, present = _find(arr, prod)
-        bad = np.flatnonzero(~present)
+        bad = np.flatnonzero(~present(prod))
         if bad.size:
             r, c = divmod(int(bad[0]), prod.shape[1])
             return int(lo[r]), int(hi[c])
@@ -292,10 +317,13 @@ def saturate(members: Iterable[RigidCommutator], n: int | None = None) -> Satura
 
 # ── normalizer machinery ─────────────────────────────────────────────────────
 
-def _witnesses(cands: np.ndarray, members: np.ndarray) -> tuple[np.ndarray, int]:
+def _witnesses(
+    cands: np.ndarray, members: np.ndarray, present: Callable[[np.ndarray], np.ndarray]
+) -> tuple[np.ndarray, int]:
     """Why each candidate fails to normalize a set, found in blocks of products.
 
-    ``members`` is the set as a sorted nonempty int64 array.  Entry k of
+    ``members`` is the set as a sorted nonempty int64 array, and
+    ``present`` its lookup, as :func:`_membership` makes it.  Entry k of
     the first result is a nonzero product [cands[k], m] with a member m
     that lies outside the set, or 0 when cands[k] normalizes the span of
     the set; the second result counts the products evaluated.
@@ -320,8 +348,7 @@ def _witnesses(cands: np.ndarray, members: np.ndarray) -> tuple[np.ndarray, int]
             idx = open_rows[i:i + rows]
             x = cands[idx, None]
             prod = commutator_masks(x, mask_bases(x), y, y_base)
-            _, present = _find(members, prod)
-            bad = (prod != 0) & ~present
+            bad = ~present(prod)
             hit = np.flatnonzero(bad.any(axis=1))
             found[idx[hit]] = prod[hit, bad[hit].argmax(axis=1)]
         products += open_rows.size * cols
@@ -352,7 +379,8 @@ def normalizer_in(B: SaturatedSet, A: SaturatedSet) -> SaturatedSet:
     commutators; the result then generates the normalizer of <A> inside
     <B> and is saturated.  The members of B outside A are scanned in
     blocks of mask products against the sorted members of A, and each
-    one leaves the scan at the first product that lands outside A.
+    one leaves the scan at the first product that lands outside A; the
+    products are looked up as :func:`_membership` says.
     """
     if not A.issubset(B):
         raise ValueError("A must be a subset of B (same rank, members contained)")
@@ -361,7 +389,7 @@ def normalizer_in(B: SaturatedSet, A: SaturatedSet) -> SaturatedSet:
     # members of A normalize it, since A is closed; only the rest are scanned
     cands = np.array(sorted(B.masks - A.masks), dtype=np.int64)
     members = np.array(sorted(A.masks), dtype=np.int64)
-    found, _ = _witnesses(cands, members)
+    found, _ = _witnesses(cands, members, _membership(members, B.n))
     return SaturatedSet._make(B.n, A.masks | frozenset(cands[found == 0].tolist()))
 
 

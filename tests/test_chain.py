@@ -7,6 +7,7 @@ then frozen here; any regression in the step logic moves at least one
 of them.
 """
 
+import dataclasses
 import hashlib
 import json
 
@@ -27,7 +28,7 @@ from rigidcomm import (
     translation_set,
     verify_theoretical,
 )
-from rigidcomm import chain
+from rigidcomm import chain, saturated
 from rigidcomm.chain import CHAIN_MAX_RANK, _IncrementalChain
 from test_saturated import _normalizer_in_loop
 
@@ -41,6 +42,45 @@ N6_INDICES = [15, 1, 2, 4, 7, 2, 4, 4, 1, 1, 2, 2, 2, 2, 1, 1, 1, 1, 1, 1, 1, 1]
 # steps from the translation normalizer to the full group, ranks 5..13
 FULL_CHAIN_LENGTHS = {
     5: 10, 6: 21, 7: 43, 8: 88, 9: 176, 10: 350, 11: 699, 12: 1395, 13: 2842,
+}
+
+# index_log2 of every step of run_chain(n), step 0 first, recorded from the
+# engine that looked members up by binary search
+FULL_CHAIN_INDEX_ROWS = {
+    7: [
+        21, 1, 2, 4, 7, 11, 4, 7, 3, 4, 2, 2, 4, 4, 4, 4, 1, 1, 1, 1, 2, 2, 2, 2, 2, 2, 2,
+        2, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1
+    ],
+    8: [
+        28, 1, 2, 4, 7, 11, 16, 7, 5, 6, 2, 6, 6, 3, 3, 7, 3, 7, 3, 4, 4, 2, 2, 2, 2, 4, 4,
+        4, 4, 4, 4, 4, 4, 1, 1, 1, 1, 1, 1, 1, 1, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2,
+        2, 2, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1,
+        1, 1, 1, 1, 1, 1
+    ],
+    9: [
+        36, 1, 2, 4, 7, 11, 16, 23, 4, 9, 4, 11, 4, 12, 9, 7, 5, 7, 6, 6, 2, 10, 4, 10, 4,
+        8, 8, 5, 5, 5, 5, 3, 3, 5, 5, 4, 4, 3, 3, 3, 3, 2, 2, 2, 2, 2, 2, 2, 2, 4, 4, 4, 4,
+        4, 4, 4, 4, 3, 3, 3, 3, 3, 3, 3, 3, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1,
+        2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2,
+        2, 2, 2, 2, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1,
+        1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1,
+        1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1
+    ],
+    10: [
+        45, 1, 2, 4, 7, 11, 16, 23, 32, 4, 14, 5, 20, 7, 19, 5, 12, 9, 4, 12, 6, 11, 4, 12,
+        12, 9, 9, 7, 5, 7, 3, 8, 7, 6, 6, 6, 6, 3, 2, 10, 4, 10, 4, 10, 10, 4, 4, 8, 8, 8,
+        8, 5, 5, 5, 5, 5, 5, 5, 5, 3, 3, 3, 3, 5, 5, 5, 5, 4, 4, 4, 4, 3, 3, 3, 3, 3, 3, 3,
+        3, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4,
+        4, 4, 4, 4, 4, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 1, 1, 1, 1, 1, 1, 1,
+        1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 2, 2, 2,
+        2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2,
+        2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2,
+        2, 2, 2, 2, 2, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1,
+        1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1,
+        1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1,
+        1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1,
+        1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1
+    ],
 }
 
 # sha256 of run_chain(n).to_json(), confirmed against the engine that
@@ -164,6 +204,21 @@ def test_verify_theoretical_all_hold():
         assert all(ok for _, ok in verdicts)
 
 
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_verify_theoretical_flags_a_missing_member_from_its_step_on(n):
+    # the terms are accumulated, so a member lost at step k is missing from
+    # every later term too
+    report = run_chain(n, n - 2)
+    for k, step in enumerate(report.steps):
+        drop = len(step.new_members) // 2
+        broken = dataclasses.replace(
+            step, new_members=step.new_members[:drop] + step.new_members[drop + 1:]
+        )
+        steps = report.steps[:k] + (broken,) + report.steps[k + 1:]
+        verdicts = verify_theoretical(dataclasses.replace(report, steps=steps))
+        assert verdicts == [(i, i < k) for i in range(n - 1)], k
+
+
 def test_report_json_shape():
     report = run_chain(3)
     d = report.to_json_dict()
@@ -184,6 +239,13 @@ def test_full_chain_lengths_frozen():
         assert report.reached_full, n
         assert report.terminated_at == length, n
         assert report.steps[-1].log2_order == (1 << n) - 1
+
+
+@pytest.mark.parametrize("n", sorted(FULL_CHAIN_INDEX_ROWS))
+def test_full_chain_index_rows_frozen(n):
+    report = run_chain(n)
+    assert [s.index_log2 for s in report.steps] == FULL_CHAIN_INDEX_ROWS[n]
+    assert len(report.steps) == FULL_CHAIN_LENGTHS[n] + 1
 
 
 @pytest.mark.parametrize("n", sorted(FULL_CHAIN_SHA256))
@@ -225,6 +287,7 @@ def test_incremental_step_matches_normalizing_step(n, data):
         added = chain.step()
         nxt = normalizing_step(current)
         assert set(chain.members.tolist()) == nxt.masks
+        assert chain.table.nonzero()[0].tolist() == [0, *sorted(nxt.masks)]
         assert set(added) == nxt.masks - current.masks
         current = nxt
 
@@ -242,6 +305,8 @@ def test_rescanned_counts_candidates_reexamined():
 
 def test_chain_scale_guard_refuses_before_work(monkeypatch):
     assert CHAIN_MAX_RANK == 20
+    # the chain keeps a dense membership table, which lookups use up to this rank
+    assert saturated._DENSE_MAX_RANK == CHAIN_MAX_RANK
     with pytest.raises(ScaleGuardError):
         run_chain(30)
     with pytest.raises(ScaleGuardError):

@@ -24,7 +24,7 @@ from rigidcomm import (
     star,
     to_punctured,
 )
-from rigidcomm.rigid import MAX_RANK, commutator_masks, mask_bases
+from rigidcomm.rigid import MAX_RANK, commutator_masks, mask_bases, mask_order_key
 
 C = RigidCommutator.from_elements
 
@@ -281,6 +281,12 @@ def test_order_key_sorts_by_base_then_mask():
         (1,), (2,), (2, 1), (3,), (3, 1),
     ]
     assert order_key(RigidCommutator.identity(3)) < order_key(C([1], 3))
+
+
+@given(st.lists(masks(MAX_RANK), max_size=40))
+def test_mask_order_is_numeric_order(ms):
+    # a larger base means a larger mask, so canonical order needs no key
+    assert sorted(ms, key=mask_order_key) == sorted(ms)
 
 
 # ── text forms ───────────────────────────────────────────────────────────────

@@ -6,6 +6,7 @@ tests where that is cheap, so the two layers certify each other.
 
 import json
 import random
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -405,7 +406,8 @@ def _with_translations(n, B, picks):
 
 def _check_witnesses(A, B):
     cands = np.array(sorted(B.masks), dtype=np.int64)
-    found, products = saturated._witnesses(cands, np.array(sorted(A.masks), dtype=np.int64))
+    members = np.array(sorted(A.masks), dtype=np.int64)
+    found, products = saturated._witnesses(cands, members, saturated._membership(members, A.n))
     for c, w in zip(cands.tolist(), found.tolist()):
         assert (w == 0) == (_witness_loop(c, A.masks) == 0), c
         if w:
@@ -440,6 +442,43 @@ def test_witnesses_blocks_split_rows_and_columns(monkeypatch):
         monkeypatch.setattr(saturated, "_PAIR_BLOCK", block)
         for A, B in cases:
             _check_witnesses(A, B)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 12), st.data())
+def test_membership_table_agrees_with_binary_search(n, data):
+    members = data.draw(st.lists(st.integers(1, (1 << n) - 1), min_size=1, max_size=40,
+                                 unique=True).map(sorted))
+    masks = data.draw(st.lists(st.one_of(st.sampled_from(members), st.integers(0, (1 << n) - 1)),
+                               max_size=60))
+    masks = np.array([0, *masks], dtype=np.int64).reshape(-1, 1)  # shaped like a block
+    want = [[m == 0 or m in members] for m in masks.ravel().tolist()]
+    arr = np.array(members, dtype=np.int64)
+    assert saturated._membership(arr, n)(masks).tolist() == want
+    with mock.patch.object(saturated, "_DENSE_MAX_RANK", 0):  # the binary search
+        assert saturated._membership(arr, n)(masks).tolist() == want
+
+
+def test_high_ranks_look_members_up_without_a_dense_table():
+    # a 2^n bool table would take 1 TiB at rank 40 and 2 MiB at rank 21
+    def small(make):
+        make()  # numpy's first calls of some functions allocate once
+        tracemalloc.start()
+        try:
+            out = make()
+            assert tracemalloc.get_traced_memory()[1] < 1 << 20
+        finally:
+            tracemalloc.stop()
+        return out
+
+    n = 40
+    assert small(lambda: SaturatedSet(n, [1 << 39])).masks == {1 << 39}
+    seed = [C([40], n), C([39, 1], n), C([38, 2], n)]
+    assert small(lambda: saturate(seed, n)).masks == _saturate_loop([c.mask for c in seed], n)
+    n = saturated._DENSE_MAX_RANK + 1
+    A = small(lambda: translation_set(n))
+    B = small(lambda: translation_normalizer_set(n))
+    assert small(lambda: normalizer_in(B, A)).masks == _normalizer_in_loop(B, A) == B.masks
 
 
 def test_normal_closure_rejects_an_ambient_that_is_not_closed():
