@@ -165,9 +165,10 @@ class _IncrementalChain:
     ``members`` is the current term as a sorted int64 array, and
     ``table`` its dense membership, with the identity 0 marked present.
     ``witness[c]`` is 0 for members and otherwise a commutator [c, m],
-    m a member, outside the current term; ``pending`` lists the
-    candidates to scan at the next step, and one call of the block
-    kernel :func:`~rigidcomm.saturated._witnesses` scans them all.  The
+    m a member, that lay outside the term when it was recorded;
+    ``pending`` lists the candidates to scan at the next step, those
+    whose witness has joined since, and one call of the block kernel
+    :func:`~rigidcomm.saturated._witnesses` scans them all.  The
     cache is sound only while every term is saturated, contains the
     translations t_1..t_n, and contains the term before it.  A start
     with the first two properties keeps all three: the normalizer of a
@@ -176,10 +177,8 @@ class _IncrementalChain:
     """
 
     def __init__(self, start: SaturatedSet) -> None:
-        size = 1 << start.n
         self.members = np.array(sorted(start.masks), dtype=np.int64)
-        self.witness = np.zeros(size, dtype=np.int64)
-        self._added = np.zeros(size, dtype=bool)
+        self.witness = np.zeros(1 << start.n, dtype=np.int64)
         self.table = _member_table(self.members, start.n)
         self.pending = np.flatnonzero(~self.table)
         self.products = 0  # mask products the last step evaluated
@@ -193,9 +192,9 @@ class _IncrementalChain:
         # scanned, hence added, is sorted, so this is a merge
         self.members = np.insert(self.members, np.searchsorted(self.members, added), added)
         self.table[added] = True
-        self._added[added] = True
-        self.pending = np.flatnonzero(self._added[self.witness])
-        self._added[added] = False
+        # a witness lay outside the term when recorded, and earlier steps
+        # rescanned whom they woke, so a witness in the table joined just now
+        self.pending = np.flatnonzero(self.table[self.witness] & (self.witness != 0))
         return added.tolist()
 
 
@@ -270,12 +269,15 @@ def verify_theoretical(report: ChainReport) -> list[tuple[int, bool]]:
     """Compare each computed term against the closed-form prediction.
 
     Valid for steps 0..n-2; returns (step, matches) pairs.  The terms
-    are built up in one running set, step by step.
+    are built up in one running set, step by step, and compared with the
+    closed-form masks as a plain set.  No closure check is needed: a
+    prediction equal to the engine's term, a normalizer and so
+    saturated, is itself closed.
     """
     n = report.n
     masks = {(1 << t) - 1 for t in range(1, n + 1)}
     out = []
     for i, step in enumerate(report.steps[: min(n - 1, report.terminated_at + 1)]):
         masks.update(c.mask for c in step.new_members)
-        out.append((i, masks == partitions.predicted_chain_set(n, i).masks))
+        out.append((i, masks == set(partitions._predicted_masks(n, i))))
     return out

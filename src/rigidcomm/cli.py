@@ -81,29 +81,14 @@ def _emit(command: str, text: str, out_path: str | None) -> int:
 
 # ── table layouts ────────────────────────────────────────────────────────────
 
-def _dims_desc(step: chainmod.ChainStep) -> tuple[int, ...]:
-    return tuple(reversed(step.level_dims))
-
-
-def _chain_md(report: chainmod.ChainReport) -> str:
-    n = report.n
-    lines = [
-        f"| i | dims (levels {n}..1) | log2 order | log2 index |",
-        "|---|---|---|---|",
-    ]
-    for s in report.steps:
-        dims = ", ".join(str(d) for d in _dims_desc(s))
-        lines.append(f"| {s.i} | {dims} | {s.log2_order} | {s.index_log2} |")
-    return "\n".join(lines) + "\n"
-
-
-def _chain_csv(report: chainmod.ChainReport) -> str:
-    n = report.n
-    header = ["i"] + [f"dim_{j}" for j in range(n, 0, -1)] + ["log2_order", "index_log2"]
-    lines = [",".join(header)]
-    for s in report.steps:
-        row = [s.i, *_dims_desc(s), s.log2_order, s.index_log2]
-        lines.append(",".join(str(v) for v in row))
+def _table(fmt: str, header: list, rows: list) -> str:
+    """The header and rows as a markdown table (``md``) or as csv lines."""
+    if fmt == "csv":
+        lines = [",".join(str(v) for v in row) for row in (header, *rows)]
+    else:
+        def cells(row):
+            return "| " + " | ".join(str(v) for v in row) + " |"
+        lines = [cells(header), "|---" * len(header) + "|", *map(cells, rows)]
     return "\n".join(lines) + "\n"
 
 
@@ -114,43 +99,6 @@ def _matrix_rows(n_lo: int, n_hi: int, steps: int):
         report = chainmod.run_chain(n, max_steps=steps)
         rows.append((n, report.index_sequence(steps)))
     return rows
-
-
-def _matrix_md(rows, steps: int) -> str:
-    header = "| n | " + " | ".join(f"i={i}" for i in range(1, steps + 1)) + " |"
-    sep = "|---" * (steps + 1) + "|"
-    lines = [header, sep]
-    for n, seq in rows:
-        lines.append("| " + " | ".join([str(n), *[str(v) for v in seq]]) + " |")
-    return "\n".join(lines) + "\n"
-
-
-def _matrix_csv(rows, steps: int) -> str:
-    lines = [",".join(["n"] + [f"i{i}" for i in range(1, steps + 1)])]
-    for n, seq in rows:
-        lines.append(",".join(str(v) for v in [n, *seq]))
-    return "\n".join(lines) + "\n"
-
-
-def _euler_md(table: partitions.PartitionTable) -> str:
-    js = list(range(len(table.b)))
-    lines = [
-        "| j | " + " | ".join(str(j) for j in js) + " |",
-        "|---" * (len(js) + 1) + "|",
-        "| b_j | " + " | ".join(str(v) for v in table.b) + " |",
-        "| a_j | " + " | ".join(str(v) for v in table.a) + " |",
-    ]
-    return "\n".join(lines) + "\n"
-
-
-def _euler_csv(table: partitions.PartitionTable) -> str:
-    js = list(range(len(table.b)))
-    lines = [
-        ",".join(["j"] + [str(j) for j in js]),
-        ",".join(["b"] + [str(v) for v in table.b]),
-        ",".join(["a"] + [str(v) for v in table.a]),
-    ]
-    return "\n".join(lines) + "\n"
 
 
 # ── subcommands ──────────────────────────────────────────────────────────────
@@ -175,16 +123,16 @@ def _cmd_chain(args) -> int:
         except ValueError as exc:
             print(f"chain: {exc}", file=sys.stderr)
             return 2
-        if args.format == "csv":
-            text = _matrix_csv(rows, steps)
-        elif args.format == "md":
-            text = _matrix_md(rows, steps)
-        else:
+        if args.format == "json":
             import json as _json
             text = _json.dumps(
                 {"steps": steps, "rows": {str(n): list(seq) for n, seq in rows}},
                 indent=2,
             ) + "\n"
+        else:
+            step_label = "i={}" if args.format == "md" else "i{}"
+            header = ["n", *(step_label.format(i) for i in range(1, steps + 1))]
+            text = _table(args.format, header, [[n, *seq] for n, seq in rows])
         return _emit("chain", text, args.out)
     try:
         report = chainmod.run_chain(args.n, max_steps=args.steps)
@@ -197,12 +145,18 @@ def _cmd_chain(args) -> int:
                 f"step {s.i}: {s.seconds:.4f}s, {s.rescanned} rescanned, {s.products} products",
                 file=sys.stderr,
             )
-    if args.format == "csv":
-        text = _chain_csv(report)
-    elif args.format == "md":
-        text = _chain_md(report)
-    else:
+    n = report.n
+    if args.format == "json":
         text = report.to_json(indent=2) + "\n"
+    elif args.format == "md":
+        header = ["i", f"dims (levels {n}..1)", "log2 order", "log2 index"]
+        rows = [[s.i, ", ".join(str(d) for d in reversed(s.level_dims)), s.log2_order, s.index_log2]
+                for s in report.steps]
+        text = _table("md", header, rows)
+    else:
+        header = ["i", *(f"dim_{j}" for j in range(n, 0, -1)), "log2_order", "index_log2"]
+        rows = [[s.i, *reversed(s.level_dims), s.log2_order, s.index_log2] for s in report.steps]
+        text = _table("csv", header, rows)
     return _emit("chain", text, args.out)
 
 
@@ -284,13 +238,12 @@ def _cmd_euler(args) -> int:
         print("euler: --max-j must be >= 0", file=sys.stderr)
         return 2
     table = partitions.euler_table(args.max_j)
-    if args.format == "csv":
-        text = _euler_csv(table)
-    elif args.format == "md":
-        text = _euler_md(table)
-    else:
+    if args.format == "json":
         import json as _json
         text = _json.dumps({"b": list(table.b), "a": list(table.a)}, indent=2) + "\n"
+    else:
+        b, a = ("b_j", "a_j") if args.format == "md" else ("b", "a")
+        text = _table(args.format, ["j", *range(len(table.b))], [[b, *table.b], [a, *table.a]])
     return _emit("euler", text, args.out)
 
 

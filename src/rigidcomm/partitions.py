@@ -124,6 +124,11 @@ def predicted_chain_set(n: int, i: int) -> SaturatedSet:
     """
     if not 0 <= i <= n - 2:
         raise ValueError(f"step must satisfy 0 <= i <= n-2 = {n - 2}, got {i}")
+    return SaturatedSet(n, _predicted_masks(n, i))
+
+
+def _predicted_masks(n: int, i: int) -> list[int]:
+    # the members of predicted_chain_set(n, i) as masks, unchecked
     members = []
     for b in range(1, n + 1):
         full = (1 << b) - 1
@@ -132,4 +137,4 @@ def predicted_chain_set(n: int, i: int) -> SaturatedSet:
         for total in range(3, i + 3 - (n - b)):
             # the masks of punctured_family(b, total, n); the holes lie below bit b-1
             members.extend(full ^ hole for hole in _hole_masks(total, b - 1))
-    return SaturatedSet(n, members)
+    return members

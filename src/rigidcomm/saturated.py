@@ -26,7 +26,6 @@ from .rigid import (
     commutator_mask,
     commutator_masks,
     mask_bases,
-    mask_order_key,
 )
 
 FACTORIZE_MAX_RANK = 12
@@ -111,12 +110,6 @@ def _pair_products(
                     yield lo[i:i + rows], h, (h[None, :] & keep[i:i + rows, None]) | top
 
 
-def _find(arr: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Positions of ``values`` in the sorted nonempty ``arr``, and which are there."""
-    pos = np.minimum(np.searchsorted(arr, values), len(arr) - 1)
-    return pos, arr[pos] == values
-
-
 def _member_table(members: np.ndarray, n: int) -> np.ndarray:
     """Entry m is whether mask m < 2^n is in ``members`` or is 0, the identity."""
     table = np.zeros(1 << n, dtype=bool)
@@ -135,7 +128,11 @@ def _membership(members: np.ndarray, n: int) -> Callable[[np.ndarray], np.ndarra
     """
     if n <= _DENSE_MAX_RANK:
         return _member_table(members, n).__getitem__
-    return lambda masks: (masks == 0) | _find(members, masks)[1]
+
+    def present(masks: np.ndarray) -> np.ndarray:
+        pos = np.minimum(np.searchsorted(members, masks), len(members) - 1)
+        return (masks == 0) | (members[pos] == masks)
+    return present
 
 
 def _closure_defect(masks: frozenset[int]) -> tuple[int, int] | None:
@@ -195,9 +192,8 @@ class SaturatedSet:
     @property
     def members(self) -> tuple[RigidCommutator, ...]:
         """Members in canonical order (base ascending, then mask value)."""
-        return tuple(
-            RigidCommutator(m, self.n) for m in sorted(self.masks, key=mask_order_key)
-        )
+        # a larger base means a larger mask, so canonical order is mask order
+        return tuple(RigidCommutator(m, self.n) for m in sorted(self.masks))
 
     def level_dims(self) -> tuple[int, ...]:
         """Member count per base, levels 1..n ascending.
@@ -302,9 +298,10 @@ def saturate(members: Iterable[RigidCommutator], n: int | None = None) -> Satura
     frontier = masks
     while frontier.size:
         found, pending = [frontier[:0]], 0  # a round may make no product
+        # a product lies below the larger factor's top bit, as in _closure_defect
+        present = _membership(masks, int(masks[-1]).bit_length())
         for _, _, prod in _pair_products(frontier, masks):
-            _, present = _find(masks, prod)
-            found.append(np.unique(prod[~present]))
+            found.append(np.unique(prod[~present(prod)]))
             pending += found[-1].size
             if pending > cap:  # merge early, so that a runaway round stays small
                 found, pending = [np.unique(np.concatenate(found))], 0

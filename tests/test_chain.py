@@ -204,6 +204,12 @@ def test_verify_theoretical_all_hold():
         assert all(ok for _, ok in verdicts)
 
 
+
+def test_verify_theoretical_does_no_closure_work(monkeypatch):
+    report = run_chain(8, 6)  # the chain's start is closure-checked
+    monkeypatch.setattr(saturated, "_closure_defect", lambda masks: pytest.fail("closure checked"))
+    assert verify_theoretical(report) == [(i, True) for i in range(7)]
+
 @pytest.mark.parametrize("n", [4, 6, 8])
 def test_verify_theoretical_flags_a_missing_member_from_its_step_on(n):
     # the terms are accumulated, so a member lost at step k is missing from

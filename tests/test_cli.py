@@ -104,6 +104,90 @@ def test_chain_matrix_json(capsys):
     assert d["rows"]["4"] == MATRIX_ROWS[4]
 
 
+# separator rows, the cell layout of every row and the JSON indentation, byte
+# for byte
+@pytest.mark.parametrize("argv, want", [
+    (["chain", "--n", "4"], """\
+| i | dims (levels 4..1) | log2 order | log2 index |
+|---|---|---|---|
+| 0 | 4, 3, 2, 1 | 10 | 6 |
+| 1 | 5, 3, 2, 1 | 11 | 1 |
+| 2 | 6, 4, 2, 1 | 13 | 2 |
+| 3 | 7, 4, 2, 1 | 14 | 1 |
+| 4 | 8, 4, 2, 1 | 15 | 1 |
+"""),
+    (["chain", "--n-range", "3..5", "--steps", "4"], """\
+| n | i=1 | i=2 | i=3 | i=4 |
+|---|---|---|---|---|
+| 3 | 1 | 0 | 0 | 0 |
+| 4 | 1 | 2 | 1 | 1 |
+| 5 | 1 | 2 | 4 | 1 |
+"""),
+    (["chain", "--n-range", "3..4", "--format", "json"], """\
+{
+  "steps": 14,
+  "rows": {
+    "3": [
+      1,
+      0,
+      0,
+      0,
+      0,
+      0,
+      0,
+      0,
+      0,
+      0,
+      0,
+      0,
+      0,
+      0
+    ],
+    "4": [
+      1,
+      2,
+      1,
+      1,
+      0,
+      0,
+      0,
+      0,
+      0,
+      0,
+      0,
+      0,
+      0,
+      0
+    ]
+  }
+}
+"""),
+    (["euler", "--max-j", "4", "--format", "json"], """\
+{
+  "b": [
+    0,
+    0,
+    0,
+    1,
+    1
+  ],
+  "a": [
+    0,
+    0,
+    0,
+    1,
+    2
+  ]
+}
+"""),
+    # a zero-step matrix is a table of one column
+    (["chain", "--n-range", "3..4", "--steps", "0"], "| n |\n|---|\n| 3 |\n| 4 |\n"),
+])
+def test_table_and_json_bytes_frozen(capsys, argv, want):
+    assert main(argv) == 0
+    assert capsys.readouterr().out == want
+
+
 def test_chain_out_file(tmp_path, capsys):
     target = tmp_path / "table.csv"
     assert main(["chain", "--n", "3", "--format", "csv", "--out", str(target)]) == 0
