@@ -14,9 +14,10 @@ member m that lies outside the term.  The terms only grow, so m stays a
 member, and c keeps failing until the witness itself joins the chain.
 Each step therefore rescans only the candidates whose witness was added
 by the step before, all of them in one block scan: the woken candidates
-meet growing chunks of the sorted members through the vectorized mask
-product, the products are looked up in a dense membership table, and
-each candidate leaves the scan with the first witness it finds.
+meet growing chunks of the sorted members through the block product
+that the closures of :mod:`rigidcomm.saturated` use too, the products
+are looked up in a dense membership table, and each candidate leaves
+the scan with the first witness it finds.
 """
 
 from __future__ import annotations
@@ -167,8 +168,9 @@ class _IncrementalChain:
     ``witness[c]`` is 0 for members and otherwise a commutator [c, m],
     m a member, that lay outside the term when it was recorded;
     ``pending`` lists the candidates to scan at the next step, those
-    whose witness has joined since, and one call of the block kernel
-    :func:`~rigidcomm.saturated._witnesses` scans them all.  The
+    whose witness has joined since, and one call of the block scan
+    :func:`~rigidcomm.saturated._witnesses` scans them all, reading the
+    factors' top bits off their level cuts.  The
     cache is sound only while every term is saturated, contains the
     translations t_1..t_n, and contains the term before it.  A start
     with the first two properties keeps all three: the normalizer of a

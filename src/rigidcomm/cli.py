@@ -36,7 +36,8 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--steps", type=int, help="step budget (default: run to the full group; 14 for --n-range)")
     c.add_argument("--format", choices=("csv", "json", "md"), default="md")
     c.add_argument("--timings", action="store_true",
-                   help="print per-step seconds, rescanned candidates and mask products to stderr")
+                   help="print per-step seconds, rescanned candidates and mask products to stderr, "
+                        "prefixed with the rank under --n-range")
     c.add_argument("--out", help="write to this file instead of stdout")
 
     v = sub.add_parser("verify", help="run the self-check suite at a given rank")
@@ -92,13 +93,12 @@ def _table(fmt: str, header: list, rows: list) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _matrix_rows(n_lo: int, n_hi: int, steps: int):
-    chainmod.check_chain_rank(n_hi)  # refuse before computing the low rows
-    rows = []
-    for n in range(n_lo, n_hi + 1):
-        report = chainmod.run_chain(n, max_steps=steps)
-        rows.append((n, report.index_sequence(steps)))
-    return rows
+def _print_timings(report, prefix: str = "") -> None:
+    for s in report.steps:
+        print(
+            f"{prefix}step {s.i}: {s.seconds:.4f}s, {s.rescanned} rescanned, {s.products} products",
+            file=sys.stderr,
+        )
 
 
 # ── subcommands ──────────────────────────────────────────────────────────────
@@ -118,8 +118,14 @@ def _cmd_chain(args) -> int:
             print(f"chain: empty --n-range {args.n_range!r}", file=sys.stderr)
             return 2
         steps = args.steps if args.steps is not None else 14
+        chainmod.check_chain_rank(hi)  # refuse before computing the low rows
+        rows = []
         try:
-            rows = _matrix_rows(lo, hi, steps)
+            for n in range(lo, hi + 1):
+                report = chainmod.run_chain(n, max_steps=steps)
+                if args.timings:
+                    _print_timings(report, f"n={n} ")
+                rows.append((n, report.index_sequence(steps)))
         except ValueError as exc:
             print(f"chain: {exc}", file=sys.stderr)
             return 2
@@ -140,11 +146,7 @@ def _cmd_chain(args) -> int:
         print(f"chain: {exc}", file=sys.stderr)
         return 2
     if args.timings:
-        for s in report.steps:
-            print(
-                f"step {s.i}: {s.seconds:.4f}s, {s.rescanned} rescanned, {s.products} products",
-                file=sys.stderr,
-            )
+        _print_timings(report)
     n = report.n
     if args.format == "json":
         text = report.to_json(indent=2) + "\n"

@@ -8,6 +8,8 @@ the group identity.  The commutator of two rigid commutators is again
 rigid or trivial and is given by a closed-form mask expression, so every
 product in this module is O(1).
 
+This is the scalar calculus, on plain Python ints with no numpy; the
+same product over arrays of masks lives in :mod:`rigidcomm.saturated`.
 All values are immutable and every function is pure.
 """
 
@@ -17,8 +19,6 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-import numpy as np
-
 MAX_RANK = 63  # element k occupies bit k-1 of a machine-word-sized int
 
 __all__ = [
@@ -27,15 +27,12 @@ __all__ = [
     "PuncturedForm",
     "commutator",
     "commutator_mask",
-    "mask_bases",
-    "commutator_masks",
     "star",
     "reduce_left_normed",
     "to_punctured",
     "from_punctured",
     "punctured_commutator",
     "order_key",
-    "mask_order_key",
     "format_commutator",
     "format_punctured",
     "parse_commutator",
@@ -142,40 +139,6 @@ def commutator_mask(x: int, y: int) -> int:
     return (1 << (b - 1)) | (x & y) | (x & ~((1 << b) - 1))
 
 
-_POWERS = np.left_shift(np.int64(1), np.arange(MAX_RANK, dtype=np.int64))
-_POWERS.flags.writeable = False
-
-
-def mask_bases(masks: np.ndarray) -> np.ndarray:
-    """Bases (bit lengths) of an array of nonnegative int64 masks; 0 for 0."""
-    return np.searchsorted(_POWERS, masks, side="right").astype(np.int64)
-
-
-def commutator_masks(
-    x: np.ndarray, x_base: np.ndarray, y: np.ndarray, y_base: np.ndarray
-) -> np.ndarray:
-    """:func:`commutator_mask` elementwise over broadcast int64 mask arrays.
-
-    ``x_base`` and ``y_base`` are the bases of ``x`` and ``y`` as given by
-    :func:`mask_bases`, passed in so that callers compute them once per
-    set.  A column ``x[:, None]`` against a row ``y[None, :]`` gives the
-    whole product table in one pass.
-
-    A larger base means a larger mask, so the smaller-based factor is the
-    smaller mask and its top bit is the smaller top bit.  Equal bases
-    need no test of their own: the larger mask then has that bit set.
-    The identity has base 0 and no top bit, so its products come out 0.
-    """
-    x_top = np.where(x_base > 0, np.left_shift(np.int64(1), x_base - 1), 0)
-    y_top = np.where(y_base > 0, np.left_shift(np.int64(1), y_base - 1), 0)
-    lo = np.minimum(x, y)
-    hi = np.maximum(x, y)
-    top = np.minimum(x_top, y_top)
-    # the smaller base, the shared bits, and the larger mask above that base
-    prod = (hi & (lo | -(top << 1))) | top
-    return np.where((hi & top) == 0, prod, 0)
-
-
 def commutator(x: RigidCommutator, y: RigidCommutator) -> RigidCommutator:
     """Group commutator x^-1 y^-1 x y of two rigid commutators."""
     if x.n != y.n:
@@ -261,14 +224,9 @@ def punctured_commutator(base: int, punctures: Iterable[int], n: int | None = No
 
 # ── canonical order ──────────────────────────────────────────────────────────
 
-def mask_order_key(mask: int) -> tuple[int, int]:
-    """Sort key for raw masks: base ascending, then mask value ascending."""
-    return (mask.bit_length(), mask)
-
-
 def order_key(c: RigidCommutator) -> tuple[int, int]:
     """Canonical order on rigid commutators; the identity sorts first."""
-    return mask_order_key(c.mask)
+    return (c.mask.bit_length(), c.mask)
 
 
 # ── text forms ───────────────────────────────────────────────────────────────

@@ -20,13 +20,7 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from . import permutations as perm
-from .rigid import (
-    RigidCommutator,
-    _check_rank,
-    commutator_mask,
-    commutator_masks,
-    mask_bases,
-)
+from .rigid import RigidCommutator, _check_rank, commutator_mask
 
 FACTORIZE_MAX_RANK = 12
 # the closure check of the full set took 1.2-1.3 s at rank 14 on a 2-vCPU host;
@@ -72,6 +66,32 @@ def _coerce_masks(members: Iterable, n: int) -> frozenset[int]:
     return frozenset(masks)
 
 
+def _level_cuts(masks: np.ndarray, levels: int) -> list[int]:
+    """Level ``a`` of sorted nonzero int64 ``masks``, top bit 2^(a-1), is masks[cuts[a-1]:cuts[a]]."""
+    starts = np.left_shift(np.int64(1), np.arange(levels, dtype=np.int64))
+    return [*np.searchsorted(masks, starts).tolist(), masks.size]
+
+
+def _top_bits(masks: np.ndarray) -> np.ndarray:
+    """The top bit of each of the sorted nonzero int64 ``masks``, read off the level cuts."""
+    levels = int(masks[-1]).bit_length() if masks.size else 0
+    cuts = _level_cuts(masks, levels)
+    bits = np.left_shift(np.int64(1), np.arange(levels, dtype=np.int64))
+    return np.repeat(bits, [end - start for start, end in zip(cuts, cuts[1:])])
+
+
+def _products(lo: np.ndarray, hi: np.ndarray, top) -> np.ndarray:
+    """:func:`~rigidcomm.rigid.commutator_mask` of masks ``lo`` <= ``hi``, elementwise.
+
+    ``top`` is the top bit of ``lo``, the smaller top bit, since a larger
+    base means a larger mask.  The product keeps that bit, the bits the
+    two share below it, and ``hi`` above it.  Where ``hi`` has ``top``,
+    equal bases included, the product is 0 but the expression is not, so
+    the callers leave those pairs out.
+    """
+    return (hi & (lo | -(top << 1))) | top
+
+
 def _pair_products(
     x: np.ndarray, y: np.ndarray, *, both: bool = True
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -86,9 +106,7 @@ def _pair_products(
     ``hi[c]``, at most ``_PAIR_BLOCK`` products each.
     """
     top_level = max(int(x[-1]) if x.size else 0, int(y[-1]) if y.size else 0).bit_length()
-    starts = np.left_shift(np.int64(1), np.arange(top_level, dtype=np.int64))
-    x_cuts = [*np.searchsorted(x, starts).tolist(), x.size]  # level a is [cuts[a-1], cuts[a])
-    y_cuts = [*np.searchsorted(y, starts).tolist(), y.size]
+    x_cuts, y_cuts = _level_cuts(x, top_level), _level_cuts(y, top_level)
     sides = [(x, x_cuts, y, y_cuts)]
     if both:
         sides.append((y, y_cuts, x, x_cuts))
@@ -103,11 +121,11 @@ def _pair_products(
                 continue
             lo = lows[low_cuts[a - 1]:low_cuts[a]]
             rows = max(1, _PAIR_BLOCK // hi.size)  # one row is split when hi is longer
-            keep = lo | -(top << 1)  # lo's bits below its level, and every bit above
             for i in range(0, lo.size, rows):
+                part = lo[i:i + rows]
                 for j in range(0, hi.size, _PAIR_BLOCK):
                     h = hi[j:j + _PAIR_BLOCK]
-                    yield lo[i:i + rows], h, (h[None, :] & keep[i:i + rows, None]) | top
+                    yield part, h, _products(part[:, None], h[None, :], top)
 
 
 def _member_table(members: np.ndarray, n: int) -> np.ndarray:
@@ -319,11 +337,12 @@ def _witnesses(
 ) -> tuple[np.ndarray, int]:
     """Why each candidate fails to normalize a set, found in blocks of products.
 
-    ``members`` is the set as a sorted nonempty int64 array, and
-    ``present`` its lookup, as :func:`_membership` makes it.  Entry k of
-    the first result is a nonzero product [cands[k], m] with a member m
-    that lies outside the set, or 0 when cands[k] normalizes the span of
-    the set; the second result counts the products evaluated.
+    ``cands`` and ``members`` are sorted nonzero int64 arrays, the latter
+    the set, nonempty, and ``present`` its lookup, as :func:`_membership`
+    makes it.  Entry k of the first result is a nonzero product
+    [cands[k], m] with a member m that lies outside the set, or 0 when
+    cands[k] normalizes the span of the set; the second result counts
+    the products evaluated.
 
     Every open candidate meets a chunk of member columns at once, the
     first ``_FIRST_COLUMNS`` wide and each next one twice as wide, and a
@@ -331,21 +350,25 @@ def _witnesses(
     candidates stop after a few products.  Once few candidates are open
     the chunk widens until one block holds up to ``_PAIR_BLOCK``
     products, and the open rows are split so that no block holds more.
+    Each block is one call of :func:`_products` on the smaller and larger
+    factors, with the smaller top bit taken from :func:`_top_bits`; the
+    pairs whose larger factor has that bit make no product and no witness.
     """
     found = np.zeros(len(cands), dtype=np.int64)
-    member_bases = mask_bases(members)
+    cand_tops, member_tops = _top_bits(cands), _top_bits(members)
     open_rows = np.arange(len(cands))
     products = 0
     j, chunk = 0, _FIRST_COLUMNS
     while open_rows.size and j < len(members):
         cols = min(max(chunk, _PAIR_BLOCK // open_rows.size), _PAIR_BLOCK, len(members) - j)
         rows = max(1, _PAIR_BLOCK // cols)
-        y, y_base = members[None, j:j + cols], member_bases[None, j:j + cols]
+        y, y_top = members[None, j:j + cols], member_tops[None, j:j + cols]
         for i in range(0, open_rows.size, rows):
             idx = open_rows[i:i + rows]
             x = cands[idx, None]
-            prod = commutator_masks(x, mask_bases(x), y, y_base)
-            bad = ~present(prod)
+            hi, top = np.maximum(x, y), np.minimum(cand_tops[idx, None], y_top)
+            prod = _products(np.minimum(x, y), hi, top)
+            bad = ~present(prod) & ((hi & top) == 0)
             hit = np.flatnonzero(bad.any(axis=1))
             found[idx[hit]] = prod[hit, bad[hit].argmax(axis=1)]
         products += open_rows.size * cols

@@ -39,9 +39,9 @@ N6_LOG2_SIZES = [
 ]
 N6_INDICES = [15, 1, 2, 4, 7, 2, 4, 4, 1, 1, 2, 2, 2, 2, 1, 1, 1, 1, 1, 1, 1, 1]
 
-# steps from the translation normalizer to the full group, ranks 5..13
+# steps from the translation normalizer to the full group, ranks 5..14
 FULL_CHAIN_LENGTHS = {
-    5: 10, 6: 21, 7: 43, 8: 88, 9: 176, 10: 350, 11: 699, 12: 1395, 13: 2842,
+    5: 10, 6: 21, 7: 43, 8: 88, 9: 176, 10: 350, 11: 699, 12: 1395, 13: 2842, 14: 5601,
 }
 
 # index_log2 of every step of run_chain(n), step 0 first, recorded from the

@@ -6,6 +6,7 @@ compared against frozen renderings, including the exit-code contract
 """
 
 import json
+import re
 
 import pytest
 
@@ -251,6 +252,24 @@ def test_chain_timings_leave_stdout_unchanged(capsys):
     step1 = next(line for line in timed.err.splitlines() if line.startswith("step 1: "))
     assert step1.endswith(" products")
     assert int(step1.split(", ")[-1].split()[0]) > 0
+
+
+def test_chain_range_timings_print_every_step_of_every_rank(capsys):
+    # the lines of --n, each prefixed with its rank, in rank order
+    line = re.compile(r"n=(\d+) step (\d+): \d+\.\d{4}s, \d+ rescanned, \d+ products")
+    want = [(n, s.i) for n in (3, 4, 5) for s in chainmod.run_chain(n, 4).steps]
+    assert len(want) == 2 + 5 + 5  # rank 3 is full after one step, rank 4 after four
+    for fmt in ("md", "json"):
+        argv = ["chain", "--n-range", "3..5", "--steps", "4", "--format", fmt]
+        assert main(argv) == 0
+        plain = capsys.readouterr()
+        assert main([*argv, "--timings"]) == 0
+        timed = capsys.readouterr()
+        assert timed.out == plain.out
+        assert plain.err == ""
+        matches = [line.fullmatch(text) for text in timed.err.splitlines()]
+        assert all(matches), timed.err
+        assert [(int(m[1]), int(m[2])) for m in matches] == want
 
 
 def test_chain_and_verify_scale_guard(capsys):

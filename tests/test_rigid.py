@@ -4,7 +4,6 @@ Expected values were frozen after computing them on the permutation
 oracle; the oracle comparison itself lives in test_permutations.py.
 """
 
-import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -24,7 +23,7 @@ from rigidcomm import (
     star,
     to_punctured,
 )
-from rigidcomm.rigid import MAX_RANK, commutator_masks, mask_bases, mask_order_key
+from rigidcomm.rigid import MAX_RANK
 
 C = RigidCommutator.from_elements
 
@@ -134,39 +133,6 @@ def test_antisymmetric_and_involutive(n, data):
     y = data.draw(masks(n))
     assert commutator_mask(x, y) == commutator_mask(y, x)
     assert commutator_mask(x, x) == 0
-
-
-def _product_table(values):
-    arr = np.array(values, dtype=np.int64)
-    bases = mask_bases(arr)
-    return commutator_masks(arr[:, None], bases[:, None], arr[None, :], bases[None, :])
-
-
-def test_mask_bases_are_bit_lengths():
-    values = [0, 1, 2, 3, 5, 8, 255, 256, (1 << 61) + 7, 1 << 62, (1 << 63) - 1]
-    assert mask_bases(np.array(values, dtype=np.int64)).tolist() == [
-        v.bit_length() for v in values
-    ]
-
-
-def test_vector_kernel_matches_scalar_product_exhaustively_at_rank_6():
-    values = range(1 << 6)  # the identity included
-    table = _product_table(values)
-    assert table.tolist() == [[commutator_mask(x, y) for y in values] for x in values]
-
-
-def test_vector_kernel_at_rank_63_edge_masks():
-    # base 63 is bit 62, the highest bit an int64 holds without its sign
-    top = 1 << (MAX_RANK - 1)
-    values = [
-        1, 3, 6, top - 1, top >> 1, (top >> 1) | 5,
-        top, top | 1, top | (top >> 1), top | 6, (1 << MAX_RANK) - 1,
-    ]
-    table = _product_table(values)
-    expected = [[commutator_mask(x, y) for y in values] for x in values]
-    assert table.tolist() == expected
-    assert any(v >= top for row in expected for v in row)  # base-63 results occur
-    assert (table >= 0).all()
 
 
 @given(st.integers(2, 12), st.data())
@@ -286,7 +252,8 @@ def test_order_key_sorts_by_base_then_mask():
 @given(st.lists(masks(MAX_RANK), max_size=40))
 def test_mask_order_is_numeric_order(ms):
     # a larger base means a larger mask, so canonical order needs no key
-    assert sorted(ms, key=mask_order_key) == sorted(ms)
+    cs = [RigidCommutator(m, MAX_RANK) for m in ms]
+    assert [c.mask for c in sorted(cs, key=order_key)] == sorted(ms)
 
 
 # ── text forms ───────────────────────────────────────────────────────────────

@@ -38,7 +38,7 @@ from rigidcomm import (
 )
 from rigidcomm import saturated
 from rigidcomm.permutations import ScaleGuardError
-from rigidcomm.rigid import commutator_mask
+from rigidcomm.rigid import MAX_RANK, commutator_mask
 
 C = RigidCommutator.from_elements
 
@@ -249,6 +249,75 @@ def test_normalizing_step_agrees_with_permutation_normalizer():
             # full group: one more lap confirms the fixpoint
             assert normalizing_step(current) == current
             break
+
+
+def _tree_group_images(n):
+    """Every element of the rank-n tree group as a row of 0-based images.
+
+    An element flips letter i of a word exactly at the prefixes
+    w1..w(i-1) its portrait marks, so row k takes its flips from the
+    bits of k, level i at bits 2^(i-1) - 1 + prefix.  Built from that
+    definition alone, with no mask calculus.
+    """
+    pts = np.arange(1 << n)
+    portraits = np.arange(1 << ((1 << n) - 1))[:, None]
+    img = np.broadcast_to(pts, (portraits.size, pts.size)).copy()
+    for i in range(1, n + 1):
+        prefix_bit = (1 << (i - 1)) - 1 + (pts >> (n - i + 1))
+        img ^= ((portraits >> prefix_bit) & 1) << (n - i)
+    return img
+
+
+def _portraits(img, n):
+    """The portrait of each row of tree-group images, the inverse of the row order above."""
+    out = np.zeros(img.shape[:-1], dtype=np.int64)
+    for i in range(1, n + 1):
+        prefixes = np.arange(1 << (i - 1))
+        # the word with that prefix and zeros below shows the flip at letter i
+        flips = (img[..., prefixes << (n - i + 1)] >> (n - i)) & 1
+        out |= (flips << ((1 << (i - 1)) - 1 + prefixes)).sum(axis=-1)
+    return out
+
+
+def _span(gens, tree, n):
+    """Which portraits lie in the group the image rows ``gens`` generate."""
+    inside = np.zeros(len(tree), dtype=bool)
+    inside[0] = True  # the identity
+    frontier = tree[:1]
+    while frontier.size:
+        # right action: p then g has images g[p]
+        found = np.unique(_portraits(np.concatenate([g[frontier] for g in gens]), n))
+        found = found[~inside[found]]
+        inside[found] = True
+        frontier = tree[found]
+    return inside
+
+
+def test_normalizing_step_agrees_with_tree_group_normalizer_at_rank_4():
+    # the normalizer of each chain term inside the whole tree group, 2^15
+    # elements, found by conjugating the term's generators by every element
+    n = 4
+    tree = _tree_group_images(n)
+    assert (_portraits(tree, n) == np.arange(1 << 15)).all()
+    inverse = np.argsort(tree, axis=1)
+    report = run_chain(n)
+    assert [s.log2_order for s in report.steps] == [10, 11, 13, 14, 15]
+    for i in range(len(report.steps)):
+        term = SaturatedSet(n, report.member_masks_at(i))
+        gens = np.array([expand(c)._img for c in term])
+        assert (tree[_portraits(gens, n)] == gens).all()  # the oracle's tree is this one
+        span = _span(gens, tree, n)
+        assert span.sum() == 1 << term.log2_order
+        normalizes = np.ones(len(tree), dtype=bool)
+        for h in gens:
+            # g^-1 h g sends p to g[h[g^-1[p]]]
+            conjugate = np.take_along_axis(tree, h[inverse], axis=1)
+            normalizes &= span[_portraits(conjugate, n)]
+        stepped = normalizing_step(term)
+        assert normalizes.sum() == 1 << stepped.log2_order, i
+        assert normalizes[_portraits(np.array([expand(c)._img for c in stepped]), n)].all()
+        if i + 1 < len(report.steps):
+            assert stepped.masks == report.member_masks_at(i + 1)
 
 
 # ── normalizer_in and normal_closure ─────────────────────────────────────────
@@ -520,6 +589,45 @@ def test_closure_defect_matches_reference_loop(n, data):
         x, y = defect
         assert x in masks and y in masks
         assert commutator_mask(x, y) not in masks | {0}
+
+
+def _product_table(values):
+    """The products of all pairs of sorted nonzero masks, as ``_witnesses`` makes them."""
+    arr = np.array(values, dtype=np.int64)
+    tops = saturated._top_bits(arr)
+    x, y = arr[:, None], arr[None, :]
+    hi, top = np.maximum(x, y), np.minimum(tops[:, None], tops[None, :])
+    return np.where((hi & top) == 0, saturated._products(np.minimum(x, y), hi, top), 0)
+
+
+def test_level_cuts_give_top_bits():
+    values = [1, 2, 3, 5, 8, 255, 256, (1 << 61) + 7, 1 << 62, (1 << 62) + 5, (1 << 63) - 1]
+    arr = np.array(values, dtype=np.int64)
+    assert saturated._top_bits(arr).tolist() == [1 << (v.bit_length() - 1) for v in values]
+    assert saturated._level_cuts(arr, 63) == [
+        sum(v < (1 << a) for v in values) for a in range(63)
+    ] + [len(values)]
+    assert saturated._top_bits(arr[:0]).size == 0
+
+
+def test_vector_kernel_matches_scalar_product_exhaustively_at_rank_6():
+    values = range(1, 1 << 6)  # the identity is never a factor
+    table = _product_table(values)
+    assert table.tolist() == [[commutator_mask(x, y) for y in values] for x in values]
+
+
+def test_vector_kernel_at_rank_63_edge_masks():
+    # base 63 is bit 62, the highest bit an int64 holds without its sign
+    top = 1 << (MAX_RANK - 1)
+    values = sorted([
+        1, 3, 6, top - 1, top >> 1, (top >> 1) | 5,
+        top, top | 1, top | (top >> 1), top | 6, (1 << MAX_RANK) - 1,
+    ])
+    table = _product_table(values)
+    expected = [[commutator_mask(x, y) for y in values] for x in values]
+    assert table.tolist() == expected
+    assert any(v >= top for row in expected for v in row)  # base-63 results occur
+    assert (table >= 0).all()
 
 
 def _pair_list(blocks):
