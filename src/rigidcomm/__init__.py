@@ -26,7 +26,6 @@ from .rigid import (
     parse_commutator,
     punctured_commutator,
     reduce_left_normed,
-    star,
     to_punctured,
 )
 from .permutations import (

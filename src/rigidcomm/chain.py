@@ -13,11 +13,11 @@ for each candidate that failed, one witness: a commutator [c, m] with a
 member m that lies outside the term.  The terms only grow, so m stays a
 member, and c keeps failing until the witness itself joins the chain.
 Each step therefore rescans only the candidates whose witness was added
-by the step before, all of them in one block scan: the woken candidates
-meet growing chunks of the sorted members through the block product
-that the closures of :mod:`rigidcomm.saturated` use too, the products
-are looked up in a dense membership table, and each candidate leaves
-the scan with the first witness it finds.
+by the step before, all of them in one block scan.  The term is kept
+only as a dense membership table: the woken candidates meet its members,
+read off it in mask order, through the block product that the closures
+of :mod:`rigidcomm.saturated` use too, each product is looked up in it,
+and each candidate leaves the scan with the first witness it finds.
 """
 
 from __future__ import annotations
@@ -163,14 +163,14 @@ def _sorted_members(n: int, masks: Iterable[int]) -> tuple[RigidCommutator, ...]
 class _IncrementalChain:
     """Chain terms from ``start`` on, rescanning only woken candidates.
 
-    ``members`` is the current term as a sorted int64 array, and
-    ``table`` its dense membership, with the identity 0 marked present.
+    ``table`` is the current term's dense membership, its only copy, with
+    the identity 0 marked present; ``log2_order`` counts its members.
     ``witness[c]`` is 0 for members and otherwise a commutator [c, m],
     m a member, that lay outside the term when it was recorded;
     ``pending`` lists the candidates to scan at the next step, those
     whose witness has joined since, and one call of the block scan
-    :func:`~rigidcomm.saturated._witnesses` scans them all, reading the
-    factors' top bits off their level cuts.  The
+    :func:`~rigidcomm.saturated._witnesses` scans them all against the
+    table's nonzero entries, the members in mask order.  The
     cache is sound only while every term is saturated, contains the
     translations t_1..t_n, and contains the term before it.  A start
     with the first two properties keeps all three: the normalizer of a
@@ -179,21 +179,21 @@ class _IncrementalChain:
     """
 
     def __init__(self, start: SaturatedSet) -> None:
-        self.members = np.array(sorted(start.masks), dtype=np.int64)
         self.witness = np.zeros(1 << start.n, dtype=np.int64)
-        self.table = _member_table(self.members, start.n)
+        self.table = _member_table(np.fromiter(start.masks, dtype=np.int64), start.n)
+        self.log2_order = start.log2_order
         self.pending = np.flatnonzero(~self.table)
         self.products = 0  # mask products the last step evaluated
 
     def step(self) -> list[int]:
         """Grow the term to its normalizer; return the masks that joined."""
         scanned = self.pending
-        found, self.products = _witnesses(scanned, self.members, self.table.__getitem__)
+        members = np.flatnonzero(self.table)[1:]  # entry 0 is the identity
+        found, self.products = _witnesses(scanned, members, self.table.__getitem__)
         self.witness[scanned] = found
         added = scanned[found == 0]
-        # scanned, hence added, is sorted, so this is a merge
-        self.members = np.insert(self.members, np.searchsorted(self.members, added), added)
         self.table[added] = True
+        self.log2_order += added.size
         # a witness lay outside the term when recorded, and earlier steps
         # rescanned whom they woke, so a witness in the table joined just now
         self.pending = np.flatnonzero(self.table[self.witness] & (self.witness != 0))
@@ -254,7 +254,7 @@ def run_chain(n: int, max_steps: int | None = None) -> ChainReport:
         steps.append(
             ChainStep(
                 i=i,
-                log2_order=len(chain.members),
+                log2_order=chain.log2_order,
                 index_log2=len(added),
                 level_dims=tuple(dims),
                 new_members=_sorted_members(n, added),
@@ -263,7 +263,7 @@ def run_chain(n: int, max_steps: int | None = None) -> ChainReport:
                 products=chain.products,
             )
         )
-        reached_full = len(chain.members) == full_log2
+        reached_full = chain.log2_order == full_log2
     return ChainReport(n, tuple(steps), i, reached_full)
 
 

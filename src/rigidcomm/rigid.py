@@ -27,7 +27,6 @@ __all__ = [
     "PuncturedForm",
     "commutator",
     "commutator_mask",
-    "star",
     "reduce_left_normed",
     "to_punctured",
     "from_punctured",
@@ -144,9 +143,6 @@ def commutator(x: RigidCommutator, y: RigidCommutator) -> RigidCommutator:
     if x.n != y.n:
         raise ValueError(f"rank mismatch: {x.n} != {y.n}")
     return RigidCommutator(commutator_mask(x.mask, y.mask), x.n)
-
-
-star = commutator  # the product read as an algebra on index sets, with x*x = 0
 
 
 def reduce_left_normed(word: Sequence[int], n: int | None = None) -> RigidCommutator:

@@ -27,7 +27,6 @@ FACTORIZE_MAX_RANK = 12
 # each rank above the cap costs four times more
 CLOSURE_MAX_RANK = 14
 _PAIR_BLOCK = 1 << 14  # mask products per kernel call, which bounds its temporaries
-_FIRST_COLUMNS = 8  # members each candidate meets in the first block of a normalizer scan
 # membership lookups index a 2^n bool table up to this rank, 1 MiB at rank 20,
 # which is also the chain's cap; above it they binary-search the sorted members
 _DENSE_MAX_RANK = 20
@@ -290,7 +289,12 @@ def members_from_json(text: str) -> tuple[int, tuple[RigidCommutator, ...]]:
 
 
 def full_rigid_set(n: int) -> SaturatedSet:
-    """All 2^n - 1 nonempty rigid commutators; generates the whole group."""
+    """All 2^n - 1 nonempty rigid commutators; generates the whole group.
+
+    Ranks above ``CLOSURE_MAX_RANK`` raise ``ScaleGuardError`` before any work.
+    """
+    _check_rank(n)
+    check_closure_rank(n)
     # closed by construction: commutators of rigid commutators are rigid
     return SaturatedSet._make(n, frozenset(range(1, 1 << n)))
 
@@ -344,12 +348,11 @@ def _witnesses(
     cands[k] normalizes the span of the set; the second result counts
     the products evaluated.
 
-    Every open candidate meets a chunk of member columns at once, the
-    first ``_FIRST_COLUMNS`` wide and each next one twice as wide, and a
-    candidate that finds a witness leaves the open set, so most failing
-    candidates stop after a few products.  Once few candidates are open
-    the chunk widens until one block holds up to ``_PAIR_BLOCK``
-    products, and the open rows are split so that no block holds more.
+    Each pass gives every open candidate the next ``_PAIR_BLOCK // open``
+    member columns, at least one, and splits the open rows so that no
+    block holds more than ``_PAIR_BLOCK`` products.  A candidate leaves
+    the open set at its first witness, so the passes widen as the
+    candidates drop out.
     Each block is one call of :func:`_products` on the smaller and larger
     factors, with the smaller top bit taken from :func:`_top_bits`; the
     pairs whose larger factor has that bit make no product and no witness.
@@ -358,9 +361,9 @@ def _witnesses(
     cand_tops, member_tops = _top_bits(cands), _top_bits(members)
     open_rows = np.arange(len(cands))
     products = 0
-    j, chunk = 0, _FIRST_COLUMNS
+    j = 0
     while open_rows.size and j < len(members):
-        cols = min(max(chunk, _PAIR_BLOCK // open_rows.size), _PAIR_BLOCK, len(members) - j)
+        cols = min(max(1, _PAIR_BLOCK // open_rows.size), len(members) - j)
         rows = max(1, _PAIR_BLOCK // cols)
         y, y_top = members[None, j:j + cols], member_tops[None, j:j + cols]
         for i in range(0, open_rows.size, rows):
@@ -374,7 +377,6 @@ def _witnesses(
         products += open_rows.size * cols
         open_rows = open_rows[found[open_rows] == 0]
         j += cols
-        chunk = 2 * cols
     return found, products
 
 

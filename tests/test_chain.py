@@ -292,7 +292,7 @@ def test_incremental_step_matches_normalizing_step(n, data):
     for _ in range(data.draw(st.integers(1, 6))):
         added = chain.step()
         nxt = normalizing_step(current)
-        assert set(chain.members.tolist()) == nxt.masks
+        assert chain.log2_order == len(nxt.masks)
         assert chain.table.nonzero()[0].tolist() == [0, *sorted(nxt.masks)]
         assert set(added) == nxt.masks - current.masks
         current = nxt
@@ -306,6 +306,8 @@ def test_rescanned_counts_candidates_reexamined():
     # later steps only those a new member woke, never more than remain outside
     for prev, s in zip(report.steps[1:], report.steps[2:]):
         assert 0 < s.rescanned <= (1 << 6) - 1 - prev.log2_order
+        # each candidate meets each member of the term before at most once
+        assert 0 < s.products <= s.rescanned * prev.log2_order
     assert report == run_chain(6)  # a diagnostic, not part of equality
 
 

@@ -20,7 +20,6 @@ from rigidcomm import (
     parse_commutator,
     punctured_commutator,
     reduce_left_normed,
-    star,
     to_punctured,
 )
 from rigidcomm.rigid import MAX_RANK
@@ -210,19 +209,15 @@ def test_punctured_round_trip_everywhere(n, data):
     assert from_punctured(to_punctured(c)) == c
 
 
-# ── star product laws ────────────────────────────────────────────────────────
+# ── product laws ─────────────────────────────────────────────────────────────
 
-def test_star_is_commutator():
-    assert star(C([5, 3], 6), C([4, 2, 1], 6)) == C([5, 4], 6)
-
-
-def test_star_laws_exhaustive_n5():
+def test_commutator_laws_exhaustive_n5():
     n = 5
     cs = [RigidCommutator(m, n) for m in range(1 << n)]
     for x in cs:
-        assert star(x, x).is_identity
+        assert commutator(x, x).is_identity
         for y in cs:
-            assert star(x, y) == star(y, x)
+            assert commutator(x, y) == commutator(y, x)
 
 
 def test_jordan_identity_instances_exhaustive():
@@ -230,10 +225,10 @@ def test_jordan_identity_instances_exhaustive():
     for n in (4, 6):
         cs = [RigidCommutator(m, n) for m in range(1 << n)]
         for x in cs:
-            xx = star(x, x)
+            xx = commutator(x, x)
             for y in cs:
-                lhs = star(star(xx, y), x)
-                rhs = star(xx, star(y, x))
+                lhs = commutator(commutator(xx, y), x)
+                rhs = commutator(xx, commutator(y, x))
                 assert lhs == rhs
                 assert lhs.is_identity
 

@@ -87,6 +87,24 @@ def test_full_set_properties():
     assert SaturatedSet(5, r.masks) == r
 
 
+def test_full_rigid_set_checks_rank_before_building(monkeypatch):
+    for bad in (0, True, -1, 64):
+        with pytest.raises(ValueError):
+            full_rigid_set(bad)
+    # 2^15 - 1 members would pass the SaturatedSet member cap; refused before the masks are built
+    tracemalloc.start()
+    try:
+        with pytest.raises(ScaleGuardError):
+            full_rigid_set(saturated.CLOSURE_MAX_RANK + 1)
+        assert tracemalloc.get_traced_memory()[1] < 1 << 16
+    finally:
+        tracemalloc.stop()
+    monkeypatch.setattr(saturated, "CLOSURE_MAX_RANK", 4)
+    monkeypatch.setattr(saturated.SaturatedSet, "_make", lambda *a: pytest.fail("set built"))
+    with pytest.raises(ScaleGuardError):
+        full_rigid_set(5)
+
+
 # ── saturate ─────────────────────────────────────────────────────────────────
 
 def test_saturate_example():
@@ -498,8 +516,9 @@ def test_witnesses_match_reference_loop(n, term, picks):
 
 
 def test_witnesses_blocks_split_rows_and_columns(monkeypatch):
-    # a block of 1 or 7 products holds part of a column chunk; 64 holds
-    # several rows, and once few rows are open a whole row or more
+    # a block of 1 or 7 products is smaller than the open rows, so each pass
+    # meets one column in blocks of rows; with 64, the passes widen to several
+    # columns as rows drop out, and to all the columns left once few are open
     rng = random.Random(11)
     n = 6
     cases = []
@@ -682,13 +701,15 @@ def test_pair_products_matches_reference_on_random_subsets(n, block, both, data)
 
 def test_saturated_set_member_cap(monkeypatch):
     # 2^CLOSURE_MAX_RANK - 1 members at most, refused before the closure check
+    full_json = full_rigid_set(3).to_json()  # full_rigid_set checks the rank cap too
     monkeypatch.setattr(saturated, "CLOSURE_MAX_RANK", 2)
     assert len(SaturatedSet(3, [0, 1, 2, 3])) == 3  # the identity is not a member
     monkeypatch.setattr(saturated, "_closure_defect", lambda masks: pytest.fail("closure checked"))
     with pytest.raises(ScaleGuardError, match="saturated set of size 4 exceeds the cap 3"):
         SaturatedSet(3, [1, 2, 3, 4])
     with pytest.raises(ScaleGuardError):
-        SaturatedSet.from_json(full_rigid_set(3).to_json())
+        SaturatedSet.from_json(full_json)
+    monkeypatch.setattr(saturated, "CLOSURE_MAX_RANK", 3)
     assert len(full_rigid_set(3)) == 7  # closed by construction, never checked
 
 
