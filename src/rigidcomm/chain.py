@@ -220,10 +220,12 @@ def run_chain(n: int, max_steps: int | None = None) -> ChainReport:
     2^n slots, so ranks above ``CHAIN_MAX_RANK`` raise
     :class:`~rigidcomm.permutations.ScaleGuardError` before any work.
     """
-    if n < 1:
-        raise ValueError("rank must be at least 1")
-    if max_steps is not None and max_steps < 0:
-        raise ValueError("step budget cannot be negative")
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise ValueError(f"rank must be a positive integer, got {n!r}")
+    if max_steps is not None and (
+        isinstance(max_steps, bool) or not isinstance(max_steps, int) or max_steps < 0
+    ):
+        raise ValueError(f"step budget must be a non-negative integer, got {max_steps!r}")
     check_chain_rank(n)
     budget = (1 << n) if max_steps is None else max_steps
     full_log2 = (1 << n) - 1

@@ -161,6 +161,10 @@ class TreePermutation:
 
 
 def identity(n: int) -> TreePermutation:
+    """The identity at rank n; ranks above ``EXPAND_MAX_RANK`` raise :class:`ScaleGuardError`."""
+    if isinstance(n, bool) or not isinstance(n, int) or n < 0:
+        raise ValueError(f"rank must be a non-negative integer, got {n!r}")
+    check_cap("permutation at rank", n, EXPAND_MAX_RANK)
     return TreePermutation._from0(np.arange(1 << n), n)
 
 
@@ -168,12 +172,12 @@ def generator(i: int, n: int) -> TreePermutation:
     """The i-th tree generator: flips letter i under an all-zero prefix.
 
     As a permutation it is the involution (1, 1+2^(n-i))(2, 2+2^(n-i))...
-    with support {1, ..., 2^(n-i+1)}.
+    with support {1, ..., 2^(n-i+1)}.  The rank is checked as by :func:`identity`.
     """
-    if not 1 <= i <= n:
-        raise ValueError(f"generator index {i} outside 1..{n}")
+    img = np.array(identity(n)._img)  # a writable copy
+    if isinstance(i, bool) or not isinstance(i, int) or not 1 <= i <= n:
+        raise ValueError(f"generator index {i!r} outside 1..{n}")
     step = 1 << (n - i)
-    img = np.arange(1 << n)
     img[: 2 * step] ^= step
     return TreePermutation._from0(img, n)
 

@@ -15,9 +15,8 @@ All values are immutable and every function is pure.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 MAX_RANK = 63  # element k occupies bit k-1 of a machine-word-sized int
 
@@ -237,129 +236,81 @@ def format_punctured(c: RigidCommutator) -> str:
     return str(to_punctured(c))
 
 
-_PUNCTURED_RE = re.compile(r"^(\d+)\^\{([\d,\s]*)\}$")
-
-
-def parse_commutator(text: str, n: int | None = None) -> RigidCommutator:
-    """Parse a canonical text form: "[6,5,4,3]", "[]", or "6^{2,1}".
-
-    Bracket lists must be strictly descending (use
-    :func:`evaluate_expression` for arbitrary nested words).  The rank
-    defaults to the largest index seen, or 1 for the identity.
-    """
-    s = text.strip()
-    m = _PUNCTURED_RE.match(s)
-    if m is not None:
-        base = int(m.group(1))
-        inner = m.group(2).strip()
-        holes = [int(t) for t in inner.split(",")] if inner else []
-        if n is not None and base > n:
-            raise ValueError(f"base {base} exceeds rank {n}")
-        return punctured_commutator(base, holes, n if n is not None else base)
-    if not (s.startswith("[") and s.endswith("]")):
-        raise ValueError(f"not a commutator literal: {text!r}")
-    inner = s[1:-1].strip()
-    if not inner:
-        return RigidCommutator(0, n if n is not None else 1)
-    try:
-        ks = [int(t) for t in inner.split(",")]
-    except ValueError:
-        raise ValueError(f"not a commutator literal: {text!r}") from None
-    if any(ks[i] <= ks[i + 1] for i in range(len(ks) - 1)):
-        raise ValueError(f"canonical form requires strictly descending indices: {text!r}")
-    return RigidCommutator.from_elements(ks, n)
-
-
-# ── expression evaluator ─────────────────────────────────────────────────────
+# ── reading text ─────────────────────────────────────────────────────────────
 #
-# Grammar for nested commutator words:
-#   expr  := '[' items? ']' | INT '^' '{' ints? '}'
-#   items := item (',' item)*
-#   item  := INT | expr
-# A bracket list folds left-normed: [a, b, c] = [[a, b], c], with bare
-# integers meaning single-generator commutators.
+# One grammar serves both readers:
+#   expr  := '[' (expr (',' expr)*)? ']' | INDEX | INDEX '^' '{' (INDEX (',' INDEX)*)? '}'
+#   INDEX := ASCII digits naming an index in 1..MAX_RANK, and at most n
+# Whitespace may stand between any two tokens.  A bare index is a
+# generator, a bracket list folds left-normed, [a, b, c] = [[a, b], c],
+# and b^{h, ...} is the set {1..b} minus the holes h, each below b.
 
 class _Scanner:
     def __init__(self, text: str) -> None:
         self.text = text
         self.pos = 0
 
-    def skip_ws(self) -> None:
+    def peek(self) -> str:
+        """The next token's first character after whitespace, or "" at the end."""
         while self.pos < len(self.text) and self.text[self.pos].isspace():
             self.pos += 1
+        return self.text[self.pos : self.pos + 1]
 
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+    def skip(self, ch: str) -> bool:
+        """Take ``ch`` if it comes next."""
+        if self.peek() != ch:
+            return False
+        self.pos += 1
+        return True
 
     def take(self, ch: str) -> None:
-        if self.peek() != ch:
+        if not self.skip(ch):
             raise ValueError(f"expected {ch!r} at position {self.pos} in {self.text!r}")
-        self.pos += 1
 
-    def take_int(self) -> int:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+    def items(self, close: str) -> Iterator[None]:
+        """Yield once per item of a comma list, possibly empty, then take ``close``."""
+        if not self.skip(close):
+            yield
+            while not self.skip(close):
+                self.take(",")
+                yield
+
+    def index(self) -> int:
+        """Read an index in ASCII digits, refusing it once it leaves 1..MAX_RANK."""
+        self.peek()
+        start, value = self.pos, 0
+        while self.pos < len(self.text) and "0" <= self.text[self.pos] <= "9":
+            value = 10 * value + ord(self.text[self.pos]) - ord("0")
             self.pos += 1
+            if value > MAX_RANK:
+                break
         if self.pos == start:
-            raise ValueError(f"expected integer at position {start} in {self.text!r}")
-        return int(self.text[start:self.pos])
+            raise ValueError(f"expected an index at position {start} in {self.text!r}")
+        if not 1 <= value <= MAX_RANK:
+            raise ValueError(f"index at position {start} outside 1..{MAX_RANK} in {self.text!r}")
+        return value
 
 
-def _parse_node(sc: _Scanner):
-    ch = sc.peek()
-    if ch == "[":
-        sc.take("[")
-        items = []
-        if sc.peek() != "]":
-            items.append(_parse_node(sc))
-            while sc.peek() == ",":
-                sc.take(",")
-                items.append(_parse_node(sc))
-        sc.take("]")
-        return ("word", items)
-    k = sc.take_int()
-    if sc.peek() == "^":
-        sc.take("^")
-        sc.take("{")
-        holes = []
-        if sc.peek() != "}":
-            holes.append(sc.take_int())
-            while sc.peek() == ",":
-                sc.take(",")
-                holes.append(sc.take_int())
-        sc.take("}")
-        return ("punctured", k, holes)
-    return ("gen", k)
-
-
-def _node_max_index(node) -> int:
-    kind = node[0]
-    if kind == "gen":
-        return node[1]
-    if kind == "punctured":
-        return node[1]
-    return max((_node_max_index(it) for it in node[1]), default=0)
-
-
-def _eval_node(node, n: int) -> int:
-    kind = node[0]
-    if kind == "gen":
-        k = node[1]
-        if not 1 <= k <= n:
-            raise ValueError(f"index {k} outside 1..{n}")
-        return 1 << (k - 1)
-    if kind == "punctured":
-        base, holes = node[1], node[2]
-        return punctured_commutator(base, holes, n).mask
-    items = node[1]
-    if not items:
-        return 0
-    mask = _eval_node(items[0], n)
-    for it in items[1:]:
-        mask = commutator_mask(mask, _eval_node(it, n))
-    return mask
+def _read(sc: _Scanner) -> tuple[int, int]:
+    """Read one expression, folding as it goes: its mask and its largest index."""
+    if sc.skip("["):
+        mask, top = None, 0
+        for _ in sc.items("]"):
+            item, k = _read(sc)
+            mask = item if mask is None else commutator_mask(mask, item)
+            top = max(top, k)
+        return mask or 0, top
+    base = sc.index()
+    if not sc.skip("^"):
+        return 1 << (base - 1), base
+    sc.take("{")
+    mask = (1 << base) - 1
+    for _ in sc.items("}"):
+        hole = sc.index()
+        if hole >= base:
+            raise ValueError(f"hole {hole} is not below the base {base} in {sc.text!r}")
+        mask &= ~(1 << (hole - 1))
+    return mask, base
 
 
 def evaluate_expression(text: str, n: int | None = None) -> RigidCommutator:
@@ -370,18 +321,34 @@ def evaluate_expression(text: str, n: int | None = None) -> RigidCommutator:
     defaults to the largest index in the expression.  An expression
     nested past the interpreter's recursion limit is a ``ValueError``.
     """
+    sc = _Scanner(text)
     try:
-        sc = _Scanner(text)
-        node = _parse_node(sc)
-        sc.skip_ws()
-        if sc.pos != len(sc.text):
-            raise ValueError(f"trailing input at position {sc.pos} in {text!r}")
-        top = _node_max_index(node)
-        if n is None:
-            n = max(1, top)
-        _check_rank(n)
-        if top > n:
-            raise ValueError(f"index {top} outside 1..{n}")
-        return RigidCommutator(_eval_node(node, n), n)
+        mask, top = _read(sc)
     except RecursionError:
         raise ValueError("expression is nested too deeply") from None
+    if sc.peek():
+        raise ValueError(f"trailing input at position {sc.pos} in {text!r}")
+    if n is None:
+        n = max(1, top)
+    _check_rank(n)
+    if top > n:
+        raise ValueError(f"index {top} outside 1..{n}")
+    return RigidCommutator(mask, n)
+
+
+def parse_commutator(text: str, n: int | None = None) -> RigidCommutator:
+    """Parse a canonical text form: "[6,5,4,3]", "[]", or "6^{2,1}".
+
+    The text is read as by :func:`evaluate_expression`, and then it must
+    be a lone punctured literal, holes in any order, or, up to
+    whitespace, the bracket list that :func:`format_commutator` writes
+    for the result: strictly descending, no leading zeros (use
+    :func:`evaluate_expression` for arbitrary nested words).  The rank
+    defaults to the largest index seen, or 1 for the identity.
+    """
+    c = evaluate_expression(text, n)
+    s = "".join(text.split())
+    lone_punctured = not s.startswith("[") and s.endswith("}")
+    if not lone_punctured and s != format_commutator(c):
+        raise ValueError(f"not a canonical commutator literal: {text!r}")
+    return c

@@ -48,6 +48,7 @@ __all__ = [
 
 
 def _coerce_masks(members: Iterable, n: int) -> frozenset[int]:
+    _check_rank(n)
     masks = set()
     for m in members:
         if isinstance(m, RigidCommutator):

@@ -330,3 +330,7 @@ def test_report_rejects_bad_budget():
         run_chain(0)
     with pytest.raises(ValueError):
         run_chain(4, -1)
+    # a bool or a non-int is refused, not run as a rank or a budget
+    for args in ((True,), (1.0,), ("3",), (3, True), (3, 2.5)):
+        with pytest.raises(ValueError):
+            run_chain(*args)

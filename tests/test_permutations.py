@@ -10,6 +10,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rigidcomm import (
     RigidCommutator,
@@ -18,6 +19,7 @@ from rigidcomm import (
     brute_normalizer_in_sym,
     compose,
     elementary_abelian_order,
+    evaluate_expression,
     expand,
     flip_pattern_permutation,
     generate_group,
@@ -55,6 +57,26 @@ def test_generator_is_involution_with_prefix_support():
             assert compose(s, s).is_identity
             moved = [p for p in range(1, (1 << n) + 1) if s(p) != p]
             assert moved == list(range(1, (1 << (n - i + 1)) + 1))
+
+
+def test_identity_and_generator_check_rank(monkeypatch):
+    assert identity(0).images == (1,)
+    for bad in (-1, True, 2.0, "3"):
+        with pytest.raises(ValueError):
+            identity(bad)
+        with pytest.raises(ValueError):
+            generator(1, bad)
+    for bad in (0, 4, True, 1.0):
+        with pytest.raises(ValueError):
+            generator(bad, 3)
+    # the guard comes before the 2^n-point array, and reads the cap when it is called
+    with pytest.raises(ScaleGuardError):
+        identity(permutations.EXPAND_MAX_RANK + 1)
+    monkeypatch.setattr(permutations, "EXPAND_MAX_RANK", 3)
+    assert generator(3, 3).n == 3
+    for build in (identity, lambda n: generator(1, n)):
+        with pytest.raises(ScaleGuardError):
+            build(4)
 
 
 def test_right_action_composition():
@@ -150,6 +172,54 @@ def test_expand_scale_guard(monkeypatch):
     assert expand(RigidCommutator(1, 3)).n == 3
     with pytest.raises(ScaleGuardError):
         expand(RigidCommutator(1, 4))
+
+
+def _punctured(b):
+    # base b with holes below it, in any order
+    holes = st.tuples(st.permutations(range(1, b)), st.integers(0, b - 1))
+    return holes.map(lambda t: ("punct", b, t[0][: t[1]]))
+
+
+def _nested_words(n):
+    leaves = st.integers(1, n).map(lambda k: ("gen", k)) | st.integers(1, n).flatmap(_punctured)
+    return st.recursive(
+        leaves, lambda items: st.lists(items, max_size=4).map(lambda xs: ("word", xs)), max_leaves=10
+    )
+
+
+def _word_text(node, sp):
+    kind = node[0]
+    if kind == "gen":
+        return str(node[1])
+    if kind == "punct":
+        return f"{node[1]}{sp}^{{" + f",{sp}".join(map(str, node[2])) + "}"
+    return "[" + f",{sp}".join(_word_text(it, sp) for it in node[1]) + "]"
+
+
+def _word_permutation(node, n):
+    # generators and permutation commutators only: a punctured literal is
+    # the left-normed word over its index set, taken in descending order
+    kind = node[0]
+    if kind == "gen":
+        return generator(node[1], n)
+    if kind == "punct":
+        parts = [("gen", k) for k in range(node[1], 0, -1) if k not in node[2]]
+    else:
+        parts = node[1]
+    if not parts:
+        return identity(n)
+    p = _word_permutation(parts[0], n)
+    for part in parts[1:]:
+        p = perm_commutator(p, _word_permutation(part, n))
+    return p
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(st.just(n), _nested_words(n))), st.sampled_from(["", " "]))
+def test_evaluate_expression_matches_oracle_on_nested_words(n_word, sp):
+    n, word = n_word
+    text = _word_text(word, sp)
+    assert expand(evaluate_expression(text, n)) == _word_permutation(word, n), text
 
 
 def test_oracle_equivalence_exhaustive_small():

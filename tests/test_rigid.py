@@ -4,6 +4,8 @@ Expected values were frozen after computing them on the permutation
 oracle; the oracle comparison itself lives in test_permutations.py.
 """
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -269,21 +271,53 @@ def test_format_and_parse_punctured():
 
 
 def test_parse_rejects_non_canonical():
-    with pytest.raises(ValueError):
-        parse_commutator("[3,1,2]")
-    with pytest.raises(ValueError):
-        parse_commutator("[3,3]")
+    # each of these is a word that evaluate_expression reads
+    for text in ("[3,1,2]", "[3,3]", "[06,5]", "[3,02]", "[[3]]", "[6^{2,1}]", "3", "[2,[1]]"):
+        evaluate_expression(text)
+        with pytest.raises(ValueError):
+            parse_commutator(text)
     with pytest.raises(ValueError):
         parse_commutator("soup")
+
+
+def test_readers_share_one_token_rule():
+    # indices are ASCII digits only, with no sign or separator; whitespace may stand between tokens
+    for text in ("[1_0]", "[٣]", "٣^{}", "[３,2]", "3^{٢}", "[+3]"):
+        for read in (parse_commutator, evaluate_expression):
+            with pytest.raises(ValueError):
+                read(text)
+    for read in (parse_commutator, evaluate_expression):
+        assert read("3 ^ { 1 }") == C([3, 2], 3)
+
+
+def test_index_refused_as_it_is_read():
+    for text in ("[0]", "[64]", "[007,64]", "5^{0}", "5^{5}", "64^{}"):
+        with pytest.raises(ValueError):
+            evaluate_expression(text)
+    # a huge index is refused after its first digits, before an int or a mask is built
+    for text in ("[100000000000]", "[" + "9" * 4000 + "]"):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError):
+                evaluate_expression(text)
+            assert tracemalloc.get_traced_memory()[1] < 1 << 20
+        finally:
+            tracemalloc.stop()
 
 
 @given(st.integers(1, 12), st.data())
 def test_text_round_trip(n, data):
     mask = data.draw(st.integers(0, (1 << n) - 1))
     c = RigidCommutator(mask, n)
-    assert parse_commutator(format_commutator(c), n) == c
+    texts = [format_commutator(c), format_commutator(c).replace(",", " , ")]
     if mask:
-        assert parse_commutator(format_punctured(c), n) == c
+        p = to_punctured(c)
+        holes = data.draw(st.permutations(sorted(p.punctures)))  # any order
+        texts += [format_punctured(c), f" {p.base} ^ {{ {' , '.join(map(str, holes))} }} "]
+    # canonical text reads the same through both readers
+    for text in texts:
+        assert parse_commutator(text, n) == evaluate_expression(text, n) == c
+        assert parse_commutator(text) == evaluate_expression(text)
 
 
 # ── expression evaluator ─────────────────────────────────────────────────────

@@ -18,6 +18,7 @@ from rigidcomm import (
     LevelFlipPattern,
     RigidCommutator,
     SaturatedSet,
+    TreePermutation,
     compose,
     elementary_abelian_order,
     expand,
@@ -78,6 +79,17 @@ def test_level_dims_counts_bases():
 def test_rank_mismatch_rejected():
     with pytest.raises(ValueError):
         SaturatedSet(3, [C([2], 4)])
+
+
+def test_set_and_saturate_check_their_rank():
+    # both read their members through one coercion, which checks the rank first
+    for bad in (0, -1, 100, True, 2.5):
+        with pytest.raises(ValueError):
+            SaturatedSet(bad, [])
+        with pytest.raises(ValueError):
+            saturate([], bad)
+    with pytest.raises(ValueError):
+        SaturatedSet(MAX_RANK + 1, [1 << MAX_RANK])  # not an OverflowError from numpy
 
 
 def test_full_set_properties():
@@ -905,8 +917,9 @@ def test_factorize_rejects_foreign_permutations():
 
 
 def test_factorize_scale_guard():
+    # identity(13) is refused by its own guard, so build the rank-13 input directly
     with pytest.raises(ScaleGuardError):
-        factorize(identity(13))
+        factorize(TreePermutation(range(1, 2**13 + 1), 13))
 
 
 def test_factorize_rank_mismatch():
