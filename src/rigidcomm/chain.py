@@ -278,6 +278,8 @@ def verify_theoretical(report: ChainReport) -> list[tuple[int, bool]]:
     prediction equal to the engine's term, a normalizer and so
     saturated, is itself closed.
     """
+    if not isinstance(report, ChainReport):
+        raise TypeError(f"expected a ChainReport, got {type(report).__name__}")
     n = report.n
     masks = {(1 << t) - 1 for t in range(1, n + 1)}
     out = []

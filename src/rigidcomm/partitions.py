@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .permutations import check_cap
-from .rigid import RigidCommutator, punctured_commutator
+from .rigid import RigidCommutator, _check_rank, punctured_commutator
 from .saturated import SaturatedSet
 
 # the cache of partitions up to this total peaked at 56 MB RSS (27 MB above
@@ -122,8 +122,9 @@ def predicted_chain_set(n: int, i: int) -> SaturatedSet:
     interval, its b-1 single punctures, and the punctured family of
     every total from 3 up to that bound.
     """
-    if not 0 <= i <= n - 2:
-        raise ValueError(f"step must satisfy 0 <= i <= n-2 = {n - 2}, got {i}")
+    _check_rank(n)
+    if isinstance(i, bool) or not isinstance(i, int) or not 0 <= i <= n - 2:
+        raise ValueError(f"step must be an integer in 0..n-2 = {n - 2}, got {i!r}")
     return SaturatedSet(n, _predicted_masks(n, i))
 
 

@@ -72,6 +72,8 @@ class TreePermutation:
     __slots__ = ("n", "_img", "_hash")
 
     def __init__(self, images: Iterable[int], n: int | None = None) -> None:
+        if n is not None and (isinstance(n, bool) or not isinstance(n, int) or n < 0):
+            raise ValueError(f"rank must be a nonnegative integer, got {n!r}")
         arr = np.asarray(list(images), dtype=np.int64)
         size = arr.shape[0]
         if n is None:

@@ -183,11 +183,13 @@ class PuncturedForm:
 
     def __post_init__(self) -> None:
         _check_rank(self.n)
-        if not 1 <= self.base <= self.n:
-            raise ValueError(f"base must be in 1..{self.n}, got {self.base}")
+        b = self.base
+        if isinstance(b, bool) or not isinstance(b, int) or not 1 <= b <= self.n:
+            raise ValueError(f"base must be an integer in 1..{self.n}, got {b!r}")
         object.__setattr__(self, "punctures", frozenset(self.punctures))
-        if any(not 1 <= p <= self.base - 1 for p in self.punctures):
-            raise ValueError("punctures must lie strictly below the base")
+        for p in self.punctures:  # before from_punctured shifts by them
+            if isinstance(p, bool) or not isinstance(p, int) or not 1 <= p < b:
+                raise ValueError(f"punctures must be integers strictly below the base {b}, got {p!r}")
 
     def __str__(self) -> str:
         inner = ",".join(str(p) for p in sorted(self.punctures, reverse=True))

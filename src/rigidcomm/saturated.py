@@ -424,15 +424,64 @@ def check_closure_rank(n: int) -> None:
 def normal_closure(A: SaturatedSet, B: SaturatedSet) -> SaturatedSet:
     """Smallest subset of B containing A and closed under commutation with all of B.
 
-    Generates the normal closure of <A> in <B>.  Each round multiplies
-    the members found in the round before by those of B that can give a
-    nonzero product, and finds the products in a table of positions in
-    B, 2^n entries.  B must be closed: a product outside it raises
-    ``ValueError``.
+    Generates the normal closure of <A> in <B>.  When B is the whole
+    group, which holds exactly when it has all 2^n - 1 masks, the result
+    has a closed form and no product is evaluated.  Let a0 be the lowest
+    base among A's members.  At each base b the result holds every mask
+    m based at b with m >= t_b, where t_b is the smaller of the smallest
+    member of A based at b and, when b > a0, 2^(b-1) + 2^(a0-1); a base
+    with neither value holds nothing.  Why this holds, with
+    sigma_b = 2^(b-1) the single-bit masks, which generate the group:
+
+    1. Products with a generator.  Let x have base a.  For b > a,
+       [x, sigma_b] = {b, a}.  For b < a with bit b missing from x,
+       [x, sigma_b] keeps x above b, sets b and clears everything below
+       b.  In every other case the product is 0.
+    2. The closure contains the set.  Each mask the rule admits is
+       reached from a member of A by such products.  To reach a larger
+       mask at the same base, set its highest differing bit, then add
+       its lower bits in decreasing order.  To reach base b > a0, start
+       from {b, a0}.
+    3. The set is saturated.  Multiply members based at b1 < b2.  The
+       product has base b2, and its second-highest bit is at least
+       b1 >= a0, so the product is >= t_b2.  Products with the sigma_b
+       stay in the set by step 1.  So <set> is normal and contains A.
+    4. Conclusion.  By steps 2 and 3, <set> is the normal closure, since
+       a saturated set is exactly the member set of the subgroup it
+       spans.
+
+    Any other B takes :func:`_normal_closure_rounds`.  Ranks above
+    ``CLOSURE_MAX_RANK`` raise
+    :class:`~rigidcomm.permutations.ScaleGuardError` and an A outside B
+    raises ``ValueError``, both before any work.
     """
     check_closure_rank(B.n)
     if not A.issubset(B):
         raise ValueError("A must be a subset of B (same rank, members contained)")
+    if len(B.masks) < (1 << B.n) - 1:
+        return _normal_closure_rounds(A, B)
+    least = {}  # the smallest member of A at each base
+    for m in sorted(A.masks, reverse=True):
+        least[m.bit_length()] = m
+    members = []
+    if least:
+        a0 = min(least)
+        for b in range(a0, B.n + 1):
+            t = least.get(b, 1 << b)  # 2^b, past the level, when A has no member here
+            if b > a0:
+                t = min(t, (1 << (b - 1)) | (1 << (a0 - 1)))
+            members.extend(range(t, 1 << b))
+    return SaturatedSet._make(B.n, frozenset(members))
+
+
+def _normal_closure_rounds(A: SaturatedSet, B: SaturatedSet) -> SaturatedSet:
+    """:func:`normal_closure` of A, a subset of B, by rounds of products.
+
+    Each round multiplies the members found in the round before by those
+    of B that can give a nonzero product, and finds the products in a
+    table of positions in B, 2^n entries.  B must be closed: a product
+    outside it raises ``ValueError``.
+    """
     pool = sorted(B.masks)  # the result reuses these int objects
     ambient = np.array(pool, dtype=np.int64)
     where = np.full(1 << B.n, -1)  # the position of each mask in ambient, or -1

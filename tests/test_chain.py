@@ -205,6 +205,12 @@ def test_verify_theoretical_all_hold():
 
 
 
+def test_verify_theoretical_takes_only_a_report():
+    for bad in (True, 5, run_chain(4).to_json()):
+        with pytest.raises(TypeError, match="ChainReport"):
+            verify_theoretical(bad)
+
+
 def test_verify_theoretical_does_no_closure_work(monkeypatch):
     report = run_chain(8, 6)  # the chain's start is closure-checked
     monkeypatch.setattr(saturated, "_closure_defect", lambda masks: pytest.fail("closure checked"))

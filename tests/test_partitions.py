@@ -169,6 +169,11 @@ def test_predicted_rejects_out_of_range():
         predicted_chain_set(6, 5)
     with pytest.raises(ValueError):
         predicted_chain_set(6, -1)
+    for step in (True, 1.5, "1"):
+        with pytest.raises(ValueError, match="step must be an integer"):
+            predicted_chain_set(4, step)
+    with pytest.raises(ValueError, match="rank"):
+        predicted_chain_set(4.0, 1)
 
 
 def test_predicted_growth_is_euler_counts():

@@ -59,6 +59,14 @@ def test_generator_is_involution_with_prefix_support():
             assert moved == list(range(1, (1 << (n - i + 1)) + 1))
 
 
+def test_tree_permutation_checks_its_rank():
+    for bad in (True, 1.0, -1, "1"):
+        with pytest.raises(ValueError, match="rank must be a nonnegative integer"):
+            TreePermutation([1, 2], bad)
+    assert TreePermutation([2, 1]).n == TreePermutation([2, 1], 1).n == 1
+    assert TreePermutation([1], 0).n == TreePermutation([1]).n == 0
+
+
 def test_identity_and_generator_check_rank(monkeypatch):
     assert identity(0).images == (1,)
     for bad in (-1, True, 2.0, "3"):

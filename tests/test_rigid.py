@@ -202,6 +202,16 @@ def test_punctured_validation():
         PuncturedForm(3, frozenset([3]), 5)
     with pytest.raises(ValueError):
         PuncturedForm(6, frozenset([1]), 5)
+    # a bool or a float is refused before from_punctured shifts by it, as the text reader does
+    for base in (True, 2.0):
+        with pytest.raises(ValueError, match="base must be an integer"):
+            PuncturedForm(base, frozenset(), 3)
+    for hole in (True, 1.0):
+        with pytest.raises(ValueError, match="punctures must be integers"):
+            PuncturedForm(3, frozenset([hole]), 3)
+        with pytest.raises(ValueError, match="punctures must be integers"):
+            punctured_commutator(3, [hole])
+    assert punctured_commutator(3, [1]).elements == (3, 2)
 
 
 @given(st.integers(1, 12), st.data())

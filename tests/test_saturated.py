@@ -474,7 +474,10 @@ def test_normal_closure_matches_reference_loop(n, term, picks):
     pool = sorted(B.masks)
     A = saturate([RigidCommutator(pool[k % len(pool)], n) for k in picks], n)
     assert A.issubset(B)
-    assert normal_closure(A, B).masks == _normal_closure_loop(A, B)
+    want = _normal_closure_loop(A, B)
+    assert normal_closure(A, B).masks == want
+    # the whole group takes the closed form, so its rounds are checked on their own
+    assert saturated._normal_closure_rounds(A, B).masks == want
 
 
 def test_normal_closure_blocks_split_rows_and_columns(monkeypatch):
@@ -491,7 +494,85 @@ def test_normal_closure_blocks_split_rows_and_columns(monkeypatch):
     expected = [_normal_closure_loop(A, B) for A, B in cases]
     for block in (1, 7, 64):
         monkeypatch.setattr(saturated, "_PAIR_BLOCK", block)
-        assert [normal_closure(A, B).masks for A, B in cases] == expected
+        got = [saturated._normal_closure_rounds(A, B).masks for A, B in cases]
+        assert got == expected
+
+
+def _saturated_sets(n):
+    """Every saturated set at rank n, as frozensets of masks."""
+    masks = np.arange(1, 1 << n)
+    subsets = np.arange(1 << masks.size, dtype=np.int64)  # bit k - 1 holds mask k
+    has = [None, *((subsets >> k) & 1 == 1 for k in range(masks.size))]
+    closed = np.ones(subsets.size, dtype=bool)
+    for x in masks.tolist():
+        for y in masks.tolist():
+            p = commutator_mask(x, y)
+            if p:
+                closed &= ~(has[x] & has[y]) | has[p]
+    return [frozenset(m for m in range(1, 1 << n) if s >> (m - 1) & 1)
+            for s in np.flatnonzero(closed).tolist()]
+
+
+def test_whole_group_closure_matches_scalar_loop_exhaustively():
+    counts = []
+    for n in range(1, 5):
+        B = full_rigid_set(n)
+        sets = _saturated_sets(n)
+        counts.append(len(sets))
+        for masks in sets:
+            A = SaturatedSet._make(n, masks)
+            assert normal_closure(A, B).masks == _normal_closure_loop(A, B), sorted(masks)
+    assert counts == [2, 7, 63, 2876]  # the empty set included
+
+
+def _normal_in_whole_group(masks, n):
+    """Whether [x, m] lies in the set or is 0 for every rigid commutator x and member m.
+
+    Computed with numpy from the bit formula of the product, not through
+    the engine's kernel.
+    """
+    members = np.fromiter(masks, dtype=np.int64, count=len(masks))
+    inside = np.zeros(1 << n, dtype=bool)
+    inside[0] = True
+    inside[members] = True
+    bits = np.array([v.bit_length() for v in range(1 << n)], dtype=np.int64)
+    x = np.arange(1, 1 << n, dtype=np.int64)[:, None]
+    y = members[None, :]
+    a, b = bits[x], bits[y]
+    high = np.where(a > b, x, y)
+    low_bit = np.left_shift(1, np.minimum(a, b) - 1)
+    prod = low_bit | (x & y) | (high & ~((low_bit << 1) - 1))
+    prod = np.where((a == b) | ((high & low_bit) != 0), 0, prod)
+    return bool(inside[prod].all())
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(5, 12), st.data())
+def test_whole_group_closure_matches_rounds(n, data):
+    seed = data.draw(st.lists(st.integers(1, (1 << n) - 1), max_size=4))
+    A = saturate([RigidCommutator(m, n) for m in seed], n)
+    B = full_rigid_set(n)
+    got = normal_closure(A, B)
+    assert got == saturated._normal_closure_rounds(A, B)
+    if n <= 10:
+        assert A.masks <= got.masks and _normal_in_whole_group(got.masks, n)
+
+
+def test_whole_group_closure_makes_no_product(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the whole group needs no product")
+
+    n = 10
+    B = full_rigid_set(n)
+    empty, seed = SaturatedSet(n, []), SaturatedSet(n, [C([3, 1], n)])
+    proper = saturate([C([3, 1], n), C([n], n)], n)  # built before the kernel is refused
+    monkeypatch.setattr(saturated, "_pair_products", refuse)
+    assert normal_closure(empty, B).masks == frozenset()
+    assert normal_closure(B, B) == B
+    # [3,1] keeps 3 masks at base 3 and every mask >= {b, 3} at each base b above
+    assert normal_closure(seed, B).log2_order == 3 + sum((1 << (b - 1)) - 4 for b in range(4, n + 1))
+    with pytest.raises(AssertionError, match="no product"):  # a proper ambient takes the rounds
+        normal_closure(seed, proper)
 
 
 def _with_translations(n, B, picks):
