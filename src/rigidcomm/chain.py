@@ -13,11 +13,13 @@ for each candidate that failed, one witness: a commutator [c, m] with a
 member m that lies outside the term.  The terms only grow, so m stays a
 member, and c keeps failing until the witness itself joins the chain.
 Each step therefore rescans only the candidates whose witness was added
-by the step before, all of them in one block scan.  The term is kept
-only as a dense membership table: the woken candidates meet its members,
-read off it in mask order, through the block product that the closures
-of :mod:`rigidcomm.saturated` use too, each product is looked up in it,
-and each candidate leaves the scan with the first witness it finds.
+by the step before, all of them in one block scan.  The scan meets only
+the term's cover, the members that no product of two smaller members
+yields: they generate the term, so a candidate that keeps the cover
+inside the term normalizes it.  The term is kept as a dense membership
+table, each product is looked up in it, the top bits come from a table
+of bases built once, and each candidate leaves the scan with the first
+witness it finds.
 """
 
 from __future__ import annotations
@@ -31,11 +33,11 @@ import numpy as np
 
 from .permutations import check_cap
 from .rigid import RigidCommutator
-from .saturated import SaturatedSet, _member_table, _witnesses
+from .saturated import SaturatedSet, _levels, _member_table, _uncovered, _witnesses
 from . import partitions
 
-# the witness array holds 2^n int64 slots and the membership table 2^n bools:
-# 8 MiB and 1 MiB at rank 20
+# the witness array holds 2^n int64 slots, the membership table 2^n bools and
+# the level table 2^n int8 bases: 8 MiB, 1 MiB and 1 MiB at rank 20
 CHAIN_MAX_RANK = 20
 
 __all__ = [
@@ -78,9 +80,10 @@ class ChainStep:
     ``level_dims`` counts members per base, levels 1..n ascending.
     ``index_log2`` is log2 of the index over the previous term; for step
     0 it is reported against the translation span.  ``seconds``,
-    ``rescanned`` (candidates re-examined in the step) and ``products``
-    (mask products evaluated in the step) are diagnostics and take no
-    part in comparisons or JSON.
+    ``rescanned`` (candidates re-examined in the step), ``cover`` (the
+    size of the previous term's cover, which the step scanned them
+    against) and ``products`` (mask products evaluated in the step) are
+    diagnostics and take no part in comparisons or JSON.
     """
 
     i: int
@@ -90,6 +93,7 @@ class ChainStep:
     new_members: tuple[RigidCommutator, ...]
     seconds: float = field(default=0.0, compare=False)
     rescanned: int = field(default=0, compare=False)
+    cover: int = field(default=0, compare=False)
     products: int = field(default=0, compare=False)
 
 
@@ -164,23 +168,28 @@ class _IncrementalChain:
     """Chain terms from ``start`` on, rescanning only woken candidates.
 
     ``table`` is the current term's dense membership, its only copy, with
-    the identity 0 marked present; ``log2_order`` counts its members.
-    ``witness[c]`` is 0 for members and otherwise a commutator [c, m],
-    m a member, that lay outside the term when it was recorded;
-    ``pending`` lists the candidates to scan at the next step, those
-    whose witness has joined since, and one call of the block scan
+    the identity 0 marked present; ``log2_order`` counts its members, and
+    ``cover`` lists those that :func:`~rigidcomm.saturated._uncovered`
+    keeps, which generate the term.  ``levels`` gives the base of each
+    mask below 2^n.  ``witness[c]`` is 0 for members and otherwise a
+    commutator [c, m], m a member, that lay outside the term when it was
+    recorded; ``pending`` lists the candidates to scan at the next step,
+    those whose witness has joined since, and one call of the block scan
     :func:`~rigidcomm.saturated._witnesses` scans them all against the
-    table's nonzero entries, the members in mask order.  The
-    cache is sound only while every term is saturated, contains the
-    translations t_1..t_n, and contains the term before it.  A start
-    with the first two properties keeps all three: the normalizer of a
-    saturated set containing the translations is again saturated, and
-    contains the set itself.
+    cover.  The cache is sound only while every term is saturated,
+    contains the translations t_1..t_n, and contains the term before it.
+    A start with the first two properties keeps all three: the
+    normalizer of a saturated set containing the translations is again
+    saturated, and contains the set itself.
     """
 
     def __init__(self, start: SaturatedSet) -> None:
+        self.n = start.n
+        self.levels = _levels(start.n)
         self.witness = np.zeros(1 << start.n, dtype=np.int64)
-        self.table = _member_table(np.fromiter(start.masks, dtype=np.int64), start.n)
+        members = np.fromiter(start.masks, dtype=np.int64)
+        self.table = _member_table(members, start.n)
+        self.cover = _uncovered(members, self.table.__getitem__, start.n)
         self.log2_order = start.log2_order
         self.pending = np.flatnonzero(~self.table)
         self.products = 0  # mask products the last step evaluated
@@ -188,12 +197,14 @@ class _IncrementalChain:
     def step(self) -> list[int]:
         """Grow the term to its normalizer; return the masks that joined."""
         scanned = self.pending
-        members = np.flatnonzero(self.table)[1:]  # entry 0 is the identity
-        found, self.products = _witnesses(scanned, members, self.table.__getitem__)
+        present = self.table.__getitem__
+        found, self.products = _witnesses(scanned, self.cover, present, self.levels)
         self.witness[scanned] = found
         added = scanned[found == 0]
         self.table[added] = True
         self.log2_order += added.size
+        # the term only grows, so a covered member stays covered
+        self.cover = _uncovered(np.concatenate((self.cover, added)), present, self.n)
         # a witness lay outside the term when recorded, and earlier steps
         # rescanned whom they woke, so a witness in the table joined just now
         self.pending = np.flatnonzero(self.table[self.witness] & (self.witness != 0))
@@ -215,9 +226,10 @@ def run_chain(n: int, max_steps: int | None = None) -> ChainReport:
     :meth:`ChainReport.index_sequence` pads it with zero indices.
 
     Each step rescans only the candidates whose cached witness joined the
-    chain in the step before; the baseline is saturated and contains the
-    translations, which is what keeps that cache sound.  The cache takes
-    2^n slots, so ranks above ``CHAIN_MAX_RANK`` raise
+    chain in the step before, against the term's cover; the baseline is
+    saturated and contains the translations, which is what keeps that
+    cache sound.  The cache takes 2^n slots, so ranks above
+    ``CHAIN_MAX_RANK`` raise
     :class:`~rigidcomm.permutations.ScaleGuardError` before any work.
     """
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
@@ -248,7 +260,7 @@ def run_chain(n: int, max_steps: int | None = None) -> ChainReport:
     reached_full = start.log2_order == full_log2
     while i < budget and not reached_full:
         t0 = time.perf_counter()
-        rescanned = len(chain.pending)
+        rescanned, cover = len(chain.pending), len(chain.cover)
         added = chain.step()
         for m in added:
             dims[m.bit_length() - 1] += 1
@@ -262,6 +274,7 @@ def run_chain(n: int, max_steps: int | None = None) -> ChainReport:
                 new_members=_sorted_members(n, added),
                 seconds=time.perf_counter() - t0,
                 rescanned=rescanned,
+                cover=cover,
                 products=chain.products,
             )
         )

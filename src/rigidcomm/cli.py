@@ -36,8 +36,8 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--steps", type=int, help="step budget (default: run to the full group; 14 for --n-range)")
     c.add_argument("--format", choices=("csv", "json", "md"), default="md")
     c.add_argument("--timings", action="store_true",
-                   help="print per-step seconds, rescanned candidates and mask products to stderr, "
-                        "prefixed with the rank under --n-range")
+                   help="print per-step seconds, rescanned candidates, the cover they met and "
+                        "mask products to stderr, prefixed with the rank under --n-range")
     c.add_argument("--out", help="write to this file instead of stdout")
 
     v = sub.add_parser("verify", help="run the self-check suite at a given rank")
@@ -96,7 +96,8 @@ def _table(fmt: str, header: list, rows: list) -> str:
 def _print_timings(report, prefix: str = "") -> None:
     for s in report.steps:
         print(
-            f"{prefix}step {s.i}: {s.seconds:.4f}s, {s.rescanned} rescanned, {s.products} products",
+            f"{prefix}step {s.i}: {s.seconds:.4f}s, {s.rescanned} rescanned, {s.cover} cover, "
+            f"{s.products} products",
             file=sys.stderr,
         )
 

@@ -30,6 +30,12 @@ __all__ = [
 ]
 
 
+def _check_count(name: str, value) -> None:
+    """Refuse a bool, a non-int or a negative value, before any work."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
+
+
 @lru_cache(maxsize=None)
 def _distinct_desc(total: int, max_part: int) -> tuple[tuple[int, ...], ...]:
     # strictly decreasing partitions of total with parts <= max_part
@@ -50,10 +56,13 @@ def distinct_partitions(
     Defaults to at least two parts, the case that drives the chain
     indices.  ``max_part`` bounds the largest part.  Every partition is
     cached, so totals above ``PARTITION_MAX_TOTAL`` raise
-    :class:`~rigidcomm.permutations.ScaleGuardError`.
+    :class:`~rigidcomm.permutations.ScaleGuardError`; a bool, a non-int
+    or a negative argument raises ``ValueError``, both before any work.
     """
-    if total < 0:
-        raise ValueError("total must be >= 0")
+    _check_count("total", total)
+    _check_count("min_parts", min_parts)
+    if max_part is not None:
+        _check_count("max_part", max_part)
     check_cap("partitions of total", total, PARTITION_MAX_TOTAL)
     cap = total if max_part is None else min(max_part, total)
     return [p for p in _distinct_desc(total, cap) if len(p) >= min_parts]
@@ -76,8 +85,7 @@ class PartitionTable:
 
 def euler_table(max_total: int) -> PartitionTable:
     """Tabulate b_j and a_j for j = 0..max_total."""
-    if max_total < 0:
-        raise ValueError("max_total must be >= 0")
+    _check_count("max_total", max_total)
     # before the smaller totals fill the cache
     check_cap("partitions of total", max_total, PARTITION_MAX_TOTAL)
     b = [len(distinct_partitions(j)) for j in range(max_total + 1)]
@@ -103,10 +111,13 @@ def punctured_family(base: int, total: int, n: int) -> frozenset[RigidCommutator
     parts summing to ``total``.
 
     These are the sets {1..base} minus I with |I| >= 2, sum(I) = total,
-    I inside {1..base-1}.
+    I inside {1..base-1}.  A bool or a non-int argument raises
+    ``ValueError`` before any work.
     """
-    if not 1 <= base <= n:
-        raise ValueError(f"base must be in 1..{n}, got {base}")
+    _check_rank(n)
+    _check_count("total", total)
+    if isinstance(base, bool) or not isinstance(base, int) or not 1 <= base <= n:
+        raise ValueError(f"base must be an integer in 1..{n}, got {base!r}")
     return frozenset(
         punctured_commutator(base, p, n)
         for p in distinct_partitions(total, max_part=base - 1)

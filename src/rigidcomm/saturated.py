@@ -27,9 +27,11 @@ FACTORIZE_MAX_RANK = 12
 # each rank above the cap costs four times more
 CLOSURE_MAX_RANK = 14
 _PAIR_BLOCK = 1 << 14  # mask products per kernel call, which bounds its temporaries
-# membership lookups index a 2^n bool table up to this rank, 1 MiB at rank 20,
-# which is also the chain's cap; above it they binary-search the sorted members
+# membership and level lookups index a 2^n table, of bools or int8 bases, up to
+# this rank, 1 MiB each at rank 20, which is also the chain's cap; above it they
+# binary-search the sorted members or the powers of two
 _DENSE_MAX_RANK = 20
+_POWERS = np.left_shift(np.int64(1), np.arange(63, dtype=np.int64))  # 2^k, each bit an int64 holds
 
 __all__ = [
     "FACTORIZE_MAX_RANK",
@@ -68,16 +70,7 @@ def _coerce_masks(members: Iterable, n: int) -> frozenset[int]:
 
 def _level_cuts(masks: np.ndarray, levels: int) -> list[int]:
     """Level ``a`` of sorted nonzero int64 ``masks``, top bit 2^(a-1), is masks[cuts[a-1]:cuts[a]]."""
-    starts = np.left_shift(np.int64(1), np.arange(levels, dtype=np.int64))
-    return [*np.searchsorted(masks, starts).tolist(), masks.size]
-
-
-def _top_bits(masks: np.ndarray) -> np.ndarray:
-    """The top bit of each of the sorted nonzero int64 ``masks``, read off the level cuts."""
-    levels = int(masks[-1]).bit_length() if masks.size else 0
-    cuts = _level_cuts(masks, levels)
-    bits = np.left_shift(np.int64(1), np.arange(levels, dtype=np.int64))
-    return np.repeat(bits, [end - start for start, end in zip(cuts, cuts[1:])])
+    return [*np.searchsorted(masks, _POWERS[:levels]).tolist(), masks.size]
 
 
 def _products(lo: np.ndarray, hi: np.ndarray, top) -> np.ndarray:
@@ -151,6 +144,50 @@ def _membership(members: np.ndarray, n: int) -> Callable[[np.ndarray], np.ndarra
         pos = np.minimum(np.searchsorted(members, masks), len(members) - 1)
         return (masks == 0) | (members[pos] == masks)
     return present
+
+
+def _levels(n: int) -> Callable[[np.ndarray], np.ndarray]:
+    """A lookup: the base, or bit length, of each entry of an array of masks below 2^n.
+
+    Up to rank ``_DENSE_MAX_RANK`` the lookup indexes an int8 table of
+    2^n entries, 1 MiB at rank 20; above it the lookup binary-searches
+    the powers of two.
+    """
+    if n <= _DENSE_MAX_RANK:
+        table = np.zeros(1 << n, dtype=np.int8)  # entry 0, the identity, has base 0
+        for a in range(1, n + 1):
+            table[1 << (a - 1):1 << a] = a
+        return table.__getitem__
+    return lambda masks: np.searchsorted(_POWERS[:n], masks, side="right")
+
+
+def _uncovered(
+    masks: np.ndarray, present: Callable[[np.ndarray], np.ndarray], n: int
+) -> np.ndarray:
+    """The entries of ``masks``, members of a saturated set, that no smaller pair yields.
+
+    ``present`` is the set's lookup, as :func:`_membership` makes it.
+    A member x based at a is covered when some b < a with bit b - 1 in
+    x has both of these as members:
+
+    - z_b = x & (2^b - 1), based at b;
+    - y_b = (x & ~(2^b - 1)) | (2^(b-1) - 1), based at a and without bit b - 1.
+
+    Then :func:`~rigidcomm.rigid.commutator_mask` (y_b, z_b) is x: it
+    keeps bit b - 1, the bits the two share below it, which are z_b's,
+    and y_b's bits above it, which are x's.  Both factors are smaller
+    masks than x, so by induction on the mask the uncovered members
+    generate the subgroup the set generates, and a normalizer test
+    need meet only them.  Each mask takes n - 1 pairs of lookups, all
+    in one block.
+    """
+    bits = _POWERS[:n - 1]  # 2^(b-1), b = 1..n-1
+    x = masks[:, None]
+    z = x & (_POWERS[1:n] - 1)
+    y = x - z + (bits - 1)  # x - z keeps x's bits from b up
+    # z has bit b - 1 when z >= 2^(b-1), and b is below x's base when z != x
+    covered = (z >= bits) & (z != x) & present(z) & present(y)
+    return masks[~covered.any(axis=1)]
 
 
 def _closure_defect(masks: frozenset[int]) -> tuple[int, int] | None:
@@ -338,16 +375,21 @@ def saturate(members: Iterable[RigidCommutator], n: int | None = None) -> Satura
 # ── normalizer machinery ─────────────────────────────────────────────────────
 
 def _witnesses(
-    cands: np.ndarray, members: np.ndarray, present: Callable[[np.ndarray], np.ndarray]
+    cands: np.ndarray,
+    members: np.ndarray,
+    present: Callable[[np.ndarray], np.ndarray],
+    levels: Callable[[np.ndarray], np.ndarray],
 ) -> tuple[np.ndarray, int]:
     """Why each candidate fails to normalize a set, found in blocks of products.
 
-    ``cands`` and ``members`` are sorted nonzero int64 arrays, the latter
-    the set, nonempty, and ``present`` its lookup, as :func:`_membership`
-    makes it.  Entry k of the first result is a nonzero product
-    [cands[k], m] with a member m that lies outside the set, or 0 when
-    cands[k] normalizes the span of the set; the second result counts
-    the products evaluated.
+    ``cands`` and ``members`` are nonzero int64 arrays, in any order, the
+    latter a nonempty generating set of a saturated set, such as its
+    :func:`_uncovered` members; ``present`` is the set's lookup, as
+    :func:`_membership` makes it, and ``levels`` gives bases, as
+    :func:`_levels` does.  Entry k of the first result is a nonzero
+    product [cands[k], m] with an m of ``members`` that lies outside the
+    set, or 0 when cands[k] normalizes the span of the set; the second
+    result counts the products evaluated.
 
     Each pass gives every open candidate the next ``_PAIR_BLOCK // open``
     member columns, at least one, and splits the open rows so that no
@@ -355,11 +397,12 @@ def _witnesses(
     the open set at its first witness, so the passes widen as the
     candidates drop out.
     Each block is one call of :func:`_products` on the smaller and larger
-    factors, with the smaller top bit taken from :func:`_top_bits`; the
-    pairs whose larger factor has that bit make no product and no witness.
+    factors, with the smaller top bit read off ``levels``; the pairs
+    whose larger factor has that bit make no product and no witness.
     """
     found = np.zeros(len(cands), dtype=np.int64)
-    cand_tops, member_tops = _top_bits(cands), _top_bits(members)
+    cand_tops = np.left_shift(1, levels(cands) - 1, dtype=np.int64)
+    member_tops = np.left_shift(1, levels(members) - 1, dtype=np.int64)
     open_rows = np.arange(len(cands))
     products = 0
     j = 0
@@ -401,9 +444,11 @@ def normalizer_in(B: SaturatedSet, A: SaturatedSet) -> SaturatedSet:
     Requires A to be a subset of B and to contain the full-interval
     commutators; the result then generates the normalizer of <A> inside
     <B> and is saturated.  The members of B outside A are scanned in
-    blocks of mask products against the sorted members of A, and each
-    one leaves the scan at the first product that lands outside A; the
-    products are looked up as :func:`_membership` says.
+    blocks of mask products against the uncovered members of A, which
+    generate <A> (see :func:`_uncovered`), and each one leaves the scan
+    at the first product that lands outside A; the products are looked
+    up as :func:`_membership` says.  The normalizer chain takes the same
+    scan, one term at a time.
     """
     if not A.issubset(B):
         raise ValueError("A must be a subset of B (same rank, members contained)")
@@ -412,7 +457,8 @@ def normalizer_in(B: SaturatedSet, A: SaturatedSet) -> SaturatedSet:
     # members of A normalize it, since A is closed; only the rest are scanned
     cands = np.array(sorted(B.masks - A.masks), dtype=np.int64)
     members = np.array(sorted(A.masks), dtype=np.int64)
-    found, _ = _witnesses(cands, members, _membership(members, B.n))
+    present = _membership(members, B.n)
+    found, _ = _witnesses(cands, _uncovered(members, present, B.n), present, _levels(B.n))
     return SaturatedSet._make(B.n, A.masks | frozenset(cands[found == 0].tolist()))
 
 

@@ -11,6 +11,7 @@ import dataclasses
 import hashlib
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -39,9 +40,10 @@ N6_LOG2_SIZES = [
 ]
 N6_INDICES = [15, 1, 2, 4, 7, 2, 4, 4, 1, 1, 2, 2, 2, 2, 1, 1, 1, 1, 1, 1, 1, 1]
 
-# steps from the translation normalizer to the full group, ranks 5..14
+# steps from the translation normalizer to the full group, ranks 5..15
 FULL_CHAIN_LENGTHS = {
     5: 10, 6: 21, 7: 43, 8: 88, 9: 176, 10: 350, 11: 699, 12: 1395, 13: 2842, 14: 5601,
+    15: 11271,
 }
 
 # index_log2 of every step of run_chain(n), step 0 first, recorded from the
@@ -84,12 +86,15 @@ FULL_CHAIN_INDEX_ROWS = {
 }
 
 # sha256 of run_chain(n).to_json(), confirmed against the engine that
-# rescanned every candidate at every step
+# rescanned every candidate at every step (ranks 9..12) and recorded from the
+# engine that scanned against every member of the term (ranks 13 and 14)
 FULL_CHAIN_SHA256 = {
     9: "1d9417667355048f5e844e2def9e87f75135b0aa23e796b44578538bc2c7d5f1",
     10: "74cd23cf415500a340045345e5b4cfd4e536d1d7ce04858bd35ba075f46910cd",
     11: "f6529620f94b12784e8798c1dde70b59f8ec75559e502c9510e3c20dd06fcc26",
     12: "90bea889364190d21c9ec15d8a2a025b03e3e8d05b6c79a2355f62b79da4d24d",
+    13: "5667d9c8f1920aaef8f4ce3e57d666ac3a347cc74ae6ec3d5ad6b30277a6ab67",
+    14: "44f76a7907e54538b6af8b4f9dc2506fb1d87e8cef58947bc56531ced1b88d74",
 }
 
 
@@ -301,6 +306,10 @@ def test_incremental_step_matches_normalizing_step(n, data):
         assert chain.log2_order == len(nxt.masks)
         assert chain.table.nonzero()[0].tolist() == [0, *sorted(nxt.masks)]
         assert set(added) == nxt.masks - current.masks
+        # the cover kept across steps is the cover of the term made afresh
+        members = np.array(sorted(nxt.masks), dtype=np.int64)
+        fresh = saturated._uncovered(members, saturated._membership(members, n), n)
+        assert sorted(chain.cover.tolist()) == fresh.tolist()
         current = nxt
 
 
@@ -312,9 +321,16 @@ def test_rescanned_counts_candidates_reexamined():
     # later steps only those a new member woke, never more than remain outside
     for prev, s in zip(report.steps[1:], report.steps[2:]):
         assert 0 < s.rescanned <= (1 << 6) - 1 - prev.log2_order
-        # each candidate meets each member of the term before at most once
-        assert 0 < s.products <= s.rescanned * prev.log2_order
+        # each candidate meets each member of the cover of the term before at most once
+        assert 0 < s.cover < prev.log2_order
+        assert 0 < s.products <= s.rescanned * s.cover
+    assert report.steps[0].cover == 0
     assert report == run_chain(6)  # a diagnostic, not part of equality
+
+
+def test_rank13_chain_meets_only_the_cover():
+    # scanned against every member of each term, this chain took 40.3 M products
+    assert sum(s.products for s in run_chain(13).steps) < 1_000_000
 
 
 def test_chain_scale_guard_refuses_before_work(monkeypatch):

@@ -248,15 +248,18 @@ def test_chain_timings_leave_stdout_unchanged(capsys):
         assert plain.err == ""
         assert "step 1: " in timed.err and " rescanned" in timed.err
     steps = json.loads(timed.out)["steps"]
-    assert all("rescanned" not in step and "products" not in step for step in steps)
+    assert all(not {"rescanned", "cover", "products"} & set(step) for step in steps)
     step1 = next(line for line in timed.err.splitlines() if line.startswith("step 1: "))
     assert step1.endswith(" products")
-    assert int(step1.split(", ")[-1].split()[0]) > 0
+    cover, products = (int(field.split()[0]) for field in step1.split(", ")[-2:])
+    # the cover of rank 5's baseline: t_1, {2}, {3,1}, {4,2,1} and {5,3,2,1}
+    assert cover == chainmod.run_chain(5, 1).steps[1].cover == 5
+    assert products > 0
 
 
 def test_chain_range_timings_print_every_step_of_every_rank(capsys):
     # the lines of --n, each prefixed with its rank, in rank order
-    line = re.compile(r"n=(\d+) step (\d+): \d+\.\d{4}s, \d+ rescanned, \d+ products")
+    line = re.compile(r"n=(\d+) step (\d+): \d+\.\d{4}s, \d+ rescanned, \d+ cover, \d+ products")
     want = [(n, s.i) for n in (3, 4, 5) for s in chainmod.run_chain(n, 4).steps]
     assert len(want) == 2 + 5 + 5  # rank 3 is full after one step, rank 4 after four
     for fmt in ("md", "json"):

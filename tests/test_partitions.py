@@ -15,6 +15,7 @@ from rigidcomm import (
     run_chain,
     translation_normalizer_set,
 )
+from rigidcomm import partitions
 from rigidcomm.partitions import PARTITION_MAX_TOTAL
 
 # partitions of j into at least two distinct parts, and their partial
@@ -60,6 +61,25 @@ def test_partition_scale_guard():
     with pytest.raises(ScaleGuardError):
         euler_table(PARTITION_MAX_TOTAL + 1)
     assert distinct_partitions(PARTITION_MAX_TOTAL, min_parts=1, max_part=1) == []
+
+
+def test_partition_arguments_must_be_integers(monkeypatch):
+    # a bool is no count and a float no total; both are refused before any work
+    monkeypatch.setattr(partitions, "_distinct_desc", lambda *a: pytest.fail("enumerated"))
+    for args in ((True,), (3.5,), (3.0,), (-1,), ("3",)):
+        with pytest.raises(ValueError, match="total must be an integer"):
+            distinct_partitions(*args)
+    for kwargs in ({"min_parts": True}, {"min_parts": 1.0}, {"max_part": True}, {"max_part": 2.5}):
+        with pytest.raises(ValueError, match="must be an integer"):
+            distinct_partitions(3, **kwargs)
+    for args in ((True, 3, 4), (4.0, 3, 4), (4, True, 4), (4, 3.0, 4), (4, 3, True), (4, 3, 4.0)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            punctured_family(*args)
+    for bad in (True, 2.0):
+        with pytest.raises(ValueError, match="max_total must be an integer"):
+            euler_table(bad)
+    monkeypatch.undo()
+    assert punctured_family(4, 3, 4) == {RigidCommutator.from_elements([4, 3], 4)}
 
 
 def test_euler_table_values():

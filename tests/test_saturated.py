@@ -587,13 +587,17 @@ def _with_translations(n, B, picks):
 def _check_witnesses(A, B):
     cands = np.array(sorted(B.masks), dtype=np.int64)
     members = np.array(sorted(A.masks), dtype=np.int64)
-    found, products = saturated._witnesses(cands, members, saturated._membership(members, A.n))
-    for c, w in zip(cands.tolist(), found.tolist()):
-        assert (w == 0) == (_witness_loop(c, A.masks) == 0), c
-        if w:
-            assert w not in A.masks
-            assert w in {commutator_mask(c, m) for m in A.masks}
-    assert 0 < products <= len(cands) * len(A)
+    present, levels = saturated._membership(members, A.n), saturated._levels(A.n)
+    cover = saturated._uncovered(members, present, A.n)
+    # every member in mask order, and the cover, which generates A, in reverse order
+    for gens in (members, cover[::-1]):
+        found, products = saturated._witnesses(cands, gens, present, levels)
+        for c, w in zip(cands.tolist(), found.tolist()):
+            assert (w == 0) == (_witness_loop(c, A.masks) == 0), c
+            if w:
+                assert w not in A.masks
+                assert w in {commutator_mask(c, m) for m in gens.tolist()}
+        assert 0 < products <= len(cands) * len(gens)
     assert normalizer_in(B, A).masks == _normalizer_in_loop(B, A)
 
 
@@ -704,9 +708,9 @@ def test_closure_defect_matches_reference_loop(n, data):
 
 
 def _product_table(values):
-    """The products of all pairs of sorted nonzero masks, as ``_witnesses`` makes them."""
+    """The products of all pairs of nonzero masks, as ``_witnesses`` makes them."""
     arr = np.array(values, dtype=np.int64)
-    tops = saturated._top_bits(arr)
+    tops = np.left_shift(1, saturated._levels(MAX_RANK)(arr) - 1)
     x, y = arr[:, None], arr[None, :]
     hi, top = np.maximum(x, y), np.minimum(tops[:, None], tops[None, :])
     return np.where((hi & top) == 0, saturated._products(np.minimum(x, y), hi, top), 0)
@@ -715,11 +719,62 @@ def _product_table(values):
 def test_level_cuts_give_top_bits():
     values = [1, 2, 3, 5, 8, 255, 256, (1 << 61) + 7, 1 << 62, (1 << 62) + 5, (1 << 63) - 1]
     arr = np.array(values, dtype=np.int64)
-    assert saturated._top_bits(arr).tolist() == [1 << (v.bit_length() - 1) for v in values]
+    bases = [v.bit_length() for v in values]
+    assert saturated._levels(MAX_RANK)(arr).tolist() == bases
     assert saturated._level_cuts(arr, 63) == [
         sum(v < (1 << a) for v in values) for a in range(63)
     ] + [len(values)]
-    assert saturated._top_bits(arr[:0]).size == 0
+    # the int8 table of the dense ranks and the binary search above them agree
+    masks = np.arange(1 << 12, dtype=np.int64)
+    want = [v.bit_length() for v in range(1 << 12)]
+    table = saturated._levels(12)
+    assert table.__self__.dtype == np.int8 and table(masks).tolist() == want
+    with mock.patch.object(saturated, "_DENSE_MAX_RANK", 0):
+        assert saturated._levels(12)(masks.reshape(64, 64)).ravel().tolist() == want
+
+
+# ── the cover: the members that no smaller pair yields ───────────────────────
+
+def _covering_pairs(x, masks):
+    """Reference: the pairs (y_b, z_b) of members, b below x's base and in x, for a mask x."""
+    pairs = []
+    for b in range(1, x.bit_length()):
+        if x >> (b - 1) & 1:
+            z = x & ((1 << b) - 1)
+            y = (x & ~((1 << b) - 1)) | ((1 << (b - 1)) - 1)
+            if y in masks and z in masks:
+                pairs.append((y, z))
+    return pairs
+
+
+def _check_cover(masks, n):
+    arr = np.array(sorted(masks), dtype=np.int64)
+    cover = set(saturated._uncovered(arr, saturated._membership(arr, n), n).tolist())
+    assert saturate([RigidCommutator(m, n) for m in cover], n).masks == masks
+    for x in masks:
+        pairs = _covering_pairs(x, masks)
+        assert (x not in cover) == bool(pairs), x
+        for y, z in pairs:  # each dropped member is the product of two smaller members
+            assert commutator_mask(y, z) == x and y < x and z < x
+
+
+def test_cover_generates_every_saturated_set_with_the_translations_exhaustively():
+    counts = []
+    for n in range(1, 5):
+        translations = translation_set(n).masks
+        sets = [masks for masks in _saturated_sets(n) if translations <= masks]
+        counts.append(len(sets))
+        for masks in sets:
+            _check_cover(masks, n)
+    assert counts == [1, 2, 9, 111]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(5, 12), st.data())
+def test_cover_generates_random_saturated_sets(n, data):
+    picks = data.draw(st.lists(st.integers(1, (1 << n) - 1), max_size=3))
+    M = saturate([RigidCommutator(m, n) for m in (*translation_set(n).masks, *picks)], n)
+    _check_cover(M.masks, n)
 
 
 def test_vector_kernel_matches_scalar_product_exhaustively_at_rank_6():
