@@ -16,10 +16,10 @@ Each step therefore rescans only the candidates whose witness was added
 by the step before, all of them in one block scan.  The scan meets only
 the term's cover, the members that no product of two smaller members
 yields: they generate the term, so a candidate that keeps the cover
-inside the term normalizes it.  The term is kept as a dense membership
-table, each product is looked up in it, the top bits come from a table
-of bases built once, and each candidate leaves the scan with the first
-witness it finds.
+inside the term normalizes it.  A commutator joins the chain once, so
+the chain and its report keep one array, each mask's join step; each
+product is looked up there, the top bits come from a table of bases
+built once, and each candidate leaves the scan at its first witness.
 """
 
 from __future__ import annotations
@@ -27,18 +27,19 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
-from typing import Iterable
+from functools import cached_property
 
 import numpy as np
 
 from .permutations import check_cap
 from .rigid import RigidCommutator
-from .saturated import SaturatedSet, _levels, _member_table, _uncovered, _witnesses
+from .saturated import SaturatedSet, _levels, _uncovered, _witnesses
 from . import partitions
 
-# the witness array holds 2^n int64 slots, the membership table 2^n bools and
-# the level table 2^n int8 bases: 8 MiB, 1 MiB and 1 MiB at rank 20
+# the join steps take 2^n int32 slots, the witnesses 2^n int64 and the level
+# table 2^n int8 bases: 4 MiB, 8 MiB and 1 MiB at rank 20
 CHAIN_MAX_RANK = 20
+_NEVER = np.iinfo(np.int32).max  # the join step of a mask outside every computed term
 
 __all__ = [
     "CHAIN_MAX_RANK",
@@ -97,18 +98,56 @@ class ChainStep:
     products: int = field(default=0, compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChainReport:
     """Full record of a chain run.
 
-    ``terminated_at`` is the step where the full group was reached, or
-    the step budget if that ran out first; ``reached_full`` says which.
+    ``joined``, read-only, holds each mask's join step: -1 for the
+    identity and the translations, a sentinel above every step outside
+    all computed terms, so term i is the masks m >= 1 with
+    ``joined[m] <= i``.  ``terminated_at`` is the step where the full
+    group was reached, or the step budget if that ran out first;
+    ``reached_full`` says which.  ``diagnostics`` holds each step's
+    :class:`ChainStep` diagnostics and takes no part in comparisons.
     """
 
     n: int
-    steps: tuple[ChainStep, ...]
+    joined: np.ndarray
     terminated_at: int
     reached_full: bool
+    diagnostics: tuple[tuple[float, int, int, int], ...]
+
+    def __post_init__(self) -> None:
+        self.joined.flags.writeable = False
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ChainReport):
+            return NotImplemented
+        return (self.n, self.terminated_at, self.reached_full) == (
+            other.n, other.terminated_at, other.reached_full
+        ) and np.array_equal(self.joined, other.joined)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.terminated_at, self.reached_full, self.joined.tobytes()))
+
+    @cached_property
+    def steps(self) -> tuple[ChainStep, ...]:
+        """The terms 0..terminated_at, built on first read from one sort of ``joined``."""
+        n = self.n
+        # a stable sort keeps each step's new members in mask order, their canonical order
+        order = np.argsort(self.joined, kind="stable")
+        cuts = np.searchsorted(self.joined[order], np.arange(self.terminated_at + 2)).tolist()
+        dims = [1] * n  # the translations, one per level
+        steps = []
+        for i, diagnostics in enumerate(self.diagnostics):
+            new = order[cuts[i]:cuts[i + 1]].tolist()
+            for m in new:
+                dims[m.bit_length() - 1] += 1
+            steps.append(ChainStep(
+                i, sum(dims), len(new), tuple(dims),
+                tuple(RigidCommutator._trusted(m, n) for m in new), *diagnostics,
+            ))
+        return tuple(steps)
 
     def index_sequence(self, count: int) -> tuple[int, ...]:
         """log2 indices for steps 1..count, padding a full-group fixpoint with zeros.
@@ -116,26 +155,21 @@ class ChainReport:
         Refuses to pad a budget-terminated report: those later indices
         were never computed.
         """
-        have = [s.index_log2 for s in self.steps[1:]]
-        if count <= len(have):
-            return tuple(have[:count])
-        if not self.reached_full:
+        partitions._check_count("step count", count)
+        have = tuple(s.index_log2 for s in self.steps[1:])
+        if count > len(have) and not self.reached_full:
             raise ValueError(
                 f"only {len(have)} steps computed and the chain had not reached "
                 "the full group; cannot pad"
             )
-        return tuple(have) + (0,) * (count - len(have))
+        return have[:count] + (0,) * (count - len(have))
 
     def member_masks_at(self, i: int) -> frozenset[int]:
-        """Member set of the i-th term, rebuilt from the recorded deltas."""
-        if not 0 <= i <= self.terminated_at:
+        """Member set of the i-th term, the translations included."""
+        partitions._check_count("step", i)
+        if i > self.terminated_at:
             raise ValueError(f"step {i} outside 0..{self.terminated_at}")
-        masks = set()
-        for step in self.steps[: i + 1]:
-            masks.update(c.mask for c in step.new_members)
-        for t in range(1, self.n + 1):
-            masks.add((1 << t) - 1)
-        return frozenset(masks)
+        return frozenset((np.flatnonzero(self.joined[1:] <= i) + 1).tolist())
 
     def to_json_dict(self) -> dict:
         return {
@@ -158,57 +192,56 @@ class ChainReport:
         return json.dumps(self.to_json_dict(), indent=indent)
 
 
-def _sorted_members(n: int, masks: Iterable[int]) -> tuple[RigidCommutator, ...]:
-    # canonical order is mask order, since a larger base means a larger mask;
-    # the masks are in range by construction
-    return tuple(RigidCommutator._trusted(m, n) for m in sorted(masks))
-
-
 class _IncrementalChain:
     """Chain terms from ``start`` on, rescanning only woken candidates.
 
-    ``table`` is the current term's dense membership, its only copy, with
-    the identity 0 marked present; ``log2_order`` counts its members, and
-    ``cover`` lists those that :func:`~rigidcomm.saturated._uncovered`
-    keeps, which generate the term.  ``levels`` gives the base of each
-    mask below 2^n.  ``witness[c]`` is 0 for members and otherwise a
-    commutator [c, m], m a member, that lay outside the term when it was
-    recorded; ``pending`` lists the candidates to scan at the next step,
-    those whose witness has joined since, and one call of the block scan
-    :func:`~rigidcomm.saturated._witnesses` scans them all against the
-    cover.  The cache is sound only while every term is saturated,
-    contains the translations t_1..t_n, and contains the term before it.
-    A start with the first two properties keeps all three: the
-    normalizer of a saturated set containing the translations is again
-    saturated, and contains the set itself.
+    ``joined`` is the term's only copy, as :attr:`ChainReport.joined`
+    reads it, with the other members of ``start`` at step 0 and ``i``
+    the last step taken; ``log2_order`` counts its members, and ``cover``
+    lists those that :func:`~rigidcomm.saturated._uncovered` keeps,
+    which generate the term.  ``levels`` gives the base of each mask
+    below 2^n.  ``witness[c]`` is 0 for members and otherwise a
+    commutator [c, m], m a member, that lay outside the term when it
+    was recorded; ``pending`` lists the candidates to scan at the next
+    step, those whose witness has joined since, and one call of the
+    block scan :func:`~rigidcomm.saturated._witnesses` scans them all
+    against the cover.  The cache is sound only while every term is
+    saturated, contains the translations t_1..t_n, and contains the term
+    before it.  A start with the first two properties keeps all three:
+    the normalizer of a saturated set containing the translations is
+    again saturated, and contains the set itself.
     """
 
     def __init__(self, start: SaturatedSet) -> None:
-        self.n = start.n
-        self.levels = _levels(start.n)
-        self.witness = np.zeros(1 << start.n, dtype=np.int64)
+        n = self.n = start.n
+        self.levels = _levels(n)
+        self.witness = np.zeros(1 << n, dtype=np.int64)
         members = np.fromiter(start.masks, dtype=np.int64)
-        self.table = _member_table(members, start.n)
-        self.cover = _uncovered(members, self.table.__getitem__, start.n)
+        self.joined = np.full(1 << n, _NEVER, dtype=np.int32)
+        self.joined[members] = 0
+        self.joined[(1 << np.arange(n + 1)) - 1] = -1  # the identity and the t_i
+        self.i = 0
+        self.cover = _uncovered(members, self._present, n)
         self.log2_order = start.log2_order
-        self.pending = np.flatnonzero(~self.table)
+        self.pending = np.flatnonzero(self.joined == _NEVER)
         self.products = 0  # mask products the last step evaluated
 
-    def step(self) -> list[int]:
+    def _present(self, masks: np.ndarray) -> np.ndarray:
+        return self.joined[masks] != _NEVER
+
+    def step(self) -> np.ndarray:
         """Grow the term to its normalizer; return the masks that joined."""
         scanned = self.pending
-        present = self.table.__getitem__
-        found, self.products = _witnesses(scanned, self.cover, present, self.levels)
+        found, self.products = _witnesses(scanned, self.cover, self._present, self.levels)
         self.witness[scanned] = found
         added = scanned[found == 0]
-        self.table[added] = True
+        self.i += 1
+        self.joined[added] = self.i
         self.log2_order += added.size
         # the term only grows, so a covered member stays covered
-        self.cover = _uncovered(np.concatenate((self.cover, added)), present, self.n)
-        # a witness lay outside the term when recorded, and earlier steps
-        # rescanned whom they woke, so a witness in the table joined just now
-        self.pending = np.flatnonzero(self.table[self.witness] & (self.witness != 0))
-        return added.tolist()
+        self.cover = _uncovered(np.concatenate((self.cover, added)), self._present, self.n)
+        self.pending = np.flatnonzero(self.joined[self.witness] == self.i)
+        return added
 
 
 def check_chain_rank(n: int) -> None:
@@ -242,61 +275,28 @@ def run_chain(n: int, max_steps: int | None = None) -> ChainReport:
     budget = (1 << n) if max_steps is None else max_steps
     full_log2 = (1 << n) - 1
     t0 = time.perf_counter()
-    start = translation_normalizer_set(n)
-    baseline = ChainStep(
-        i=0,
-        log2_order=start.log2_order,
-        index_log2=n * (n - 1) // 2,
-        level_dims=start.level_dims(),
-        new_members=_sorted_members(
-            n, start.masks - frozenset((1 << i) - 1 for i in range(1, n + 1))
-        ),
-        seconds=time.perf_counter() - t0,
-    )
-    steps = [baseline]
-    chain = _IncrementalChain(start)
-    dims = list(baseline.level_dims)
-    i = 0
-    reached_full = start.log2_order == full_log2
-    while i < budget and not reached_full:
+    chain = _IncrementalChain(translation_normalizer_set(n))
+    diagnostics = [(time.perf_counter() - t0, 0, 0, 0)]
+    while chain.i < budget and chain.log2_order < full_log2:
         t0 = time.perf_counter()
         rescanned, cover = len(chain.pending), len(chain.cover)
-        added = chain.step()
-        for m in added:
-            dims[m.bit_length() - 1] += 1
-        i += 1
-        steps.append(
-            ChainStep(
-                i=i,
-                log2_order=chain.log2_order,
-                index_log2=len(added),
-                level_dims=tuple(dims),
-                new_members=_sorted_members(n, added),
-                seconds=time.perf_counter() - t0,
-                rescanned=rescanned,
-                cover=cover,
-                products=chain.products,
-            )
-        )
-        reached_full = chain.log2_order == full_log2
-    return ChainReport(n, tuple(steps), i, reached_full)
+        chain.step()
+        diagnostics.append((time.perf_counter() - t0, rescanned, cover, chain.products))
+    return ChainReport(n, chain.joined, chain.i, chain.log2_order == full_log2, tuple(diagnostics))
 
 
 def verify_theoretical(report: ChainReport) -> list[tuple[int, bool]]:
     """Compare each computed term against the closed-form prediction.
 
-    Valid for steps 0..n-2; returns (step, matches) pairs.  The terms
-    are built up in one running set, step by step, and compared with the
-    closed-form masks as a plain set.  No closure check is needed: a
-    prediction equal to the engine's term, a normalizer and so
-    saturated, is itself closed.
+    Valid for steps 0..n-2; returns (step, matches) pairs.  Each term is
+    compared with the closed-form masks as a plain set.  No closure check
+    is needed: a prediction equal to the engine's term, a normalizer and
+    so saturated, is itself closed.
     """
     if not isinstance(report, ChainReport):
         raise TypeError(f"expected a ChainReport, got {type(report).__name__}")
     n = report.n
-    masks = {(1 << t) - 1 for t in range(1, n + 1)}
-    out = []
-    for i, step in enumerate(report.steps[: min(n - 1, report.terminated_at + 1)]):
-        masks.update(c.mask for c in step.new_members)
-        out.append((i, masks == set(partitions._predicted_masks(n, i))))
-    return out
+    return [
+        (i, report.member_masks_at(i) == frozenset(partitions._predicted_masks(n, i)))
+        for i in range(min(n - 1, report.terminated_at + 1))
+    ]

@@ -121,24 +121,19 @@ def _pair_products(
                     yield part, h, _products(part[:, None], h[None, :], top)
 
 
-def _member_table(members: np.ndarray, n: int) -> np.ndarray:
-    """Entry m is whether mask m < 2^n is in ``members`` or is 0, the identity."""
-    table = np.zeros(1 << n, dtype=bool)
-    table[0] = True
-    table[members] = True
-    return table
-
-
 def _membership(members: np.ndarray, n: int) -> Callable[[np.ndarray], np.ndarray]:
     """A lookup: which entries of an array of masks below 2^n are 0 or members.
 
     ``members`` is a sorted int64 array, nonempty above rank
-    ``_DENSE_MAX_RANK``.  Up to that rank the lookup indexes
-    :func:`_member_table`; above it the table would not fit, so the
-    lookup binary-searches ``members``.
+    ``_DENSE_MAX_RANK``.  Up to that rank the lookup indexes a table of
+    2^n bools, with entry 0 set; above it the table would not fit, so
+    the lookup binary-searches ``members``.
     """
     if n <= _DENSE_MAX_RANK:
-        return _member_table(members, n).__getitem__
+        table = np.zeros(1 << n, dtype=bool)
+        table[0] = True
+        table[members] = True
+        return table.__getitem__
 
     def present(masks: np.ndarray) -> np.ndarray:
         pos = np.minimum(np.searchsorted(members, masks), len(members) - 1)

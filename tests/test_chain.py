@@ -7,7 +7,6 @@ then frozen here; any regression in the step logic moves at least one
 of them.
 """
 
-import dataclasses
 import hashlib
 import json
 
@@ -17,7 +16,6 @@ from hypothesis import given, settings, strategies as st
 
 from rigidcomm import (
     ChainReport,
-    ChainStep,
     RigidCommutator,
     SaturatedSet,
     ScaleGuardError,
@@ -30,7 +28,7 @@ from rigidcomm import (
     verify_theoretical,
 )
 from rigidcomm import chain, saturated
-from rigidcomm.chain import CHAIN_MAX_RANK, _IncrementalChain
+from rigidcomm.chain import _NEVER, CHAIN_MAX_RANK, _IncrementalChain
 from test_saturated import _normalizer_in_loop
 
 # rank 6: 21 growth steps then the fixpoint, log2 sizes and index jumps
@@ -190,6 +188,18 @@ def test_index_sequence_padding():
     assert truncated.index_sequence(2) == (1, 2)
 
 
+def test_report_accessors_refuse_a_bad_step():
+    report = run_chain(4)
+    # a bool, a non-int or a negative step is refused, not read as a step or a slice
+    for bad in (-1, True, False, 2.0, "2", None):
+        with pytest.raises(ValueError):
+            report.index_sequence(bad)
+        with pytest.raises(ValueError):
+            report.member_masks_at(bad)
+    assert report.index_sequence(0) == ()
+    assert report.member_masks_at(0) == translation_normalizer_set(4).masks
+
+
 def test_chain_indices_match_partial_sum_predictions():
     # interior indices grow by the partial sums of the partition counts
     from rigidcomm import euler_table
@@ -226,13 +236,13 @@ def test_verify_theoretical_flags_a_missing_member_from_its_step_on(n):
     # the terms are accumulated, so a member lost at step k is missing from
     # every later term too
     report = run_chain(n, n - 2)
-    for k, step in enumerate(report.steps):
-        drop = len(step.new_members) // 2
-        broken = dataclasses.replace(
-            step, new_members=step.new_members[:drop] + step.new_members[drop + 1:]
-        )
-        steps = report.steps[:k] + (broken,) + report.steps[k + 1:]
-        verdicts = verify_theoretical(dataclasses.replace(report, steps=steps))
+    for k in range(report.terminated_at + 1):
+        joined = report.joined.copy()
+        step_k = np.flatnonzero(joined == k)
+        joined[step_k[len(step_k) // 2]] = _NEVER
+        broken = ChainReport(n, joined, report.terminated_at, report.reached_full,
+                             report.diagnostics)
+        verdicts = verify_theoretical(broken)
         assert verdicts == [(i, i < k) for i in range(n - 1)], k
 
 
@@ -274,17 +284,17 @@ def test_full_chain_json_digest_frozen(n):
 def _naive_chain(n: int) -> ChainReport:
     """The chain as a plain fold of the scalar normalizer scan over all commutators."""
     current = translation_normalizer_set(n)
-    translations = translation_set(n).masks
     full = full_rigid_set(n)
-    steps = [ChainStep(0, current.log2_order, n * (n - 1) // 2, current.level_dims(),
-                       tuple(c for c in current.members if c.mask not in translations))]
+    joined = np.full(1 << n, _NEVER, dtype=np.int32)
+    joined[sorted(current.masks)] = 0
+    joined[[0, *translation_set(n).masks]] = -1
+    step = 0
     while current.log2_order < (1 << n) - 1:
         nxt = SaturatedSet._make(n, _normalizer_in_loop(full, current))
-        steps.append(ChainStep(len(steps), nxt.log2_order, nxt.log2_order - current.log2_order,
-                               nxt.level_dims(),
-                               tuple(c for c in nxt.members if c.mask not in current.masks)))
+        step += 1
+        joined[sorted(nxt.masks - current.masks)] = step
         current = nxt
-    return ChainReport(n, tuple(steps), len(steps) - 1, True)
+    return ChainReport(n, joined, step, True, ((0.0, 0, 0, 0),) * (step + 1))
 
 
 @pytest.mark.parametrize("n", range(3, 9))
@@ -304,7 +314,7 @@ def test_incremental_step_matches_normalizing_step(n, data):
         added = chain.step()
         nxt = normalizing_step(current)
         assert chain.log2_order == len(nxt.masks)
-        assert chain.table.nonzero()[0].tolist() == [0, *sorted(nxt.masks)]
+        assert np.flatnonzero(chain.joined != _NEVER).tolist() == [0, *sorted(nxt.masks)]
         assert set(added) == nxt.masks - current.masks
         # the cover kept across steps is the cover of the term made afresh
         members = np.array(sorted(nxt.masks), dtype=np.int64)
@@ -328,6 +338,27 @@ def test_rescanned_counts_candidates_reexamined():
     assert report == run_chain(6)  # a diagnostic, not part of equality
 
 
+def test_report_compares_and_hashes_by_value():
+    report = run_chain(6)
+    # the diagnostics take no part
+    again = ChainReport(6, run_chain(6).joined, report.terminated_at, True,
+                        ((0.0, 0, 0, 0),) * len(report.diagnostics))
+    assert report == again and hash(report) == hash(again)
+    assert hash(report) == hash(run_chain(6))
+    assert len({report, again, run_chain(6, 3)}) == 2
+    assert report != run_chain(5) and report != report.to_json()
+    with pytest.raises(ValueError):
+        report.joined[1] = 0
+
+
+def test_run_chain_builds_no_per_step_records():
+    report = run_chain(7)
+    # the loop keeps only the join steps; the records are built when first read
+    assert "steps" not in report.__dict__
+    assert len(report.steps) == report.terminated_at + 1
+    assert report.steps is report.steps
+
+
 def test_rank13_chain_meets_only_the_cover():
     # scanned against every member of each term, this chain took 40.3 M products
     assert sum(s.products for s in run_chain(13).steps) < 1_000_000
@@ -335,7 +366,7 @@ def test_rank13_chain_meets_only_the_cover():
 
 def test_chain_scale_guard_refuses_before_work(monkeypatch):
     assert CHAIN_MAX_RANK == 20
-    # the chain keeps a dense membership table, which lookups use up to this rank
+    # the chain reads bases off a dense level table, which lookups use up to this rank
     assert saturated._DENSE_MAX_RANK == CHAIN_MAX_RANK
     with pytest.raises(ScaleGuardError):
         run_chain(30)
