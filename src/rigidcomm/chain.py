@@ -156,7 +156,10 @@ class ChainReport:
         were never computed.
         """
         partitions._check_count("step count", count)
-        have = tuple(s.index_log2 for s in self.steps[1:])
+        joined = self.joined
+        have = tuple(np.bincount(
+            joined[(joined > 0) & (joined != _NEVER)], minlength=self.terminated_at + 1
+        )[1:].tolist())
         if count > len(have) and not self.reached_full:
             raise ValueError(
                 f"only {len(have)} steps computed and the chain had not reached "
@@ -288,15 +291,19 @@ def run_chain(n: int, max_steps: int | None = None) -> ChainReport:
 def verify_theoretical(report: ChainReport) -> list[tuple[int, bool]]:
     """Compare each computed term against the closed-form prediction.
 
-    Valid for steps 0..n-2; returns (step, matches) pairs.  Each term is
-    compared with the closed-form masks as a plain set.  No closure check
-    is needed: a prediction equal to the engine's term, a normalizer and
-    so saturated, is itself closed.
+    Valid for steps 0..n-2; returns (step, matches) pairs.  The closed
+    form is enumerated once, as each member's predicted join step in the
+    conventions of :attr:`ChainReport.joined`, and term i holds exactly
+    when the masks that joined by step i are the same in both.  No
+    closure check is needed: a prediction equal to the engine's term, a
+    normalizer and so saturated, is itself closed.
     """
     if not isinstance(report, ChainReport):
         raise TypeError(f"expected a ChainReport, got {type(report).__name__}")
     n = report.n
-    return [
-        (i, report.member_masks_at(i) == frozenset(partitions._predicted_masks(n, i)))
-        for i in range(min(n - 1, report.terminated_at + 1))
-    ]
+    last = min(n - 2, report.terminated_at)
+    joins = partitions._predicted_joins(n, last)
+    want = np.full(1 << n, _NEVER, dtype=np.int32)
+    want[0] = -1  # the identity
+    want[list(joins)] = list(joins.values())
+    return [(i, np.array_equal(report.joined <= i, want <= i)) for i in range(last + 1)]

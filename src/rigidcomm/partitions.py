@@ -97,15 +97,6 @@ def euler_table(max_total: int) -> PartitionTable:
     return PartitionTable(tuple(b), tuple(a))
 
 
-@lru_cache(maxsize=None)
-def _hole_masks(total: int, max_part: int) -> tuple[int, ...]:
-    # the puncture sets of distinct_partitions(total, max_part=max_part) as
-    # masks: part k is bit k-1
-    return tuple(
-        sum(1 << (k - 1) for k in p) for p in distinct_partitions(total, max_part=max_part)
-    )
-
-
 def punctured_family(base: int, total: int, n: int) -> frozenset[RigidCommutator]:
     """Punctured commutators at ``base`` whose punctures are >= 2 distinct
     parts summing to ``total``.
@@ -129,24 +120,29 @@ def predicted_chain_set(n: int, i: int) -> SaturatedSet:
 
     A commutator with base b and puncture set J belongs when |J| <= 1,
     or when J is a partition into at least two distinct parts of a total
-    t <= i + 2 - (n - b).  Each base therefore contributes its full
-    interval, its b-1 single punctures, and the punctured family of
-    every total from 3 up to that bound.
+    t <= i + 2 - (n - b), that is, from step t - 2 + (n - b) on.  Each
+    base therefore contributes its full interval, its b-1 single
+    punctures, and the punctured family of every total from 3 up to that
+    bound.  Only the members are enumerated, so the rank may pass the
+    chain's cap.
     """
     _check_rank(n)
     if isinstance(i, bool) or not isinstance(i, int) or not 0 <= i <= n - 2:
         raise ValueError(f"step must be an integer in 0..n-2 = {n - 2}, got {i!r}")
-    return SaturatedSet(n, _predicted_masks(n, i))
+    return SaturatedSet(n, _predicted_joins(n, i))
 
 
-def _predicted_masks(n: int, i: int) -> list[int]:
-    # the members of predicted_chain_set(n, i) as masks, unchecked
-    members = []
+def _predicted_joins(n: int, last: int) -> dict[int, int]:
+    # each member of closed-form term `last`, as a mask, mapped to the step it
+    # joins at: -1 for t_b, 0 for a single puncture, t - 2 + n - b for a
+    # partition of total t at base b; the holes lie below bit b-1
+    joins = {}
     for b in range(1, n + 1):
         full = (1 << b) - 1
-        members.append(full)
-        members.extend(full & ~(1 << (j - 1)) for j in range(1, b))
-        for total in range(3, i + 3 - (n - b)):
-            # the masks of punctured_family(b, total, n); the holes lie below bit b-1
-            members.extend(full ^ hole for hole in _hole_masks(total, b - 1))
-    return members
+        joins[full] = -1
+        joins.update((full & ~(1 << (j - 1)), 0) for j in range(1, b))
+        for total in range(3, last + 3 - (n - b)):
+            step = total - 2 + n - b
+            for p in distinct_partitions(total, max_part=b - 1):
+                joins[full & ~sum(1 << (k - 1) for k in p)] = step
+    return joins

@@ -246,6 +246,20 @@ def test_verify_theoretical_flags_a_missing_member_from_its_step_on(n):
         assert verdicts == [(i, i < k) for i in range(n - 1)], k
 
 
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_verify_theoretical_flags_an_early_joiner_until_its_step(n):
+    # a step-k member moved to step k-2 is extra in terms k-2 and k-1 only
+    report = run_chain(n, n - 2)
+    for k in range(2, report.terminated_at + 1):
+        joined = report.joined.copy()
+        step_k = np.flatnonzero(joined == k)
+        joined[step_k[len(step_k) // 2]] = k - 2
+        broken = ChainReport(n, joined, report.terminated_at, report.reached_full,
+                             report.diagnostics)
+        verdicts = verify_theoretical(broken)
+        assert verdicts == [(i, i not in (k - 2, k - 1)) for i in range(n - 1)], k
+
+
 def test_report_json_shape():
     report = run_chain(3)
     d = report.to_json_dict()
@@ -271,6 +285,11 @@ def test_full_chain_lengths_frozen():
 @pytest.mark.parametrize("n", sorted(FULL_CHAIN_INDEX_ROWS))
 def test_full_chain_index_rows_frozen(n):
     report = run_chain(n)
+    # the index row and the closed-form check read the join steps, not the step records
+    row = report.index_sequence(report.terminated_at + 1)
+    assert row == tuple(FULL_CHAIN_INDEX_ROWS[n][1:]) + (0,)
+    assert all(ok for _, ok in verify_theoretical(report))
+    assert "steps" not in report.__dict__
     assert [s.index_log2 for s in report.steps] == FULL_CHAIN_INDEX_ROWS[n]
     assert len(report.steps) == FULL_CHAIN_LENGTHS[n] + 1
 

@@ -8,6 +8,7 @@ compared against frozen renderings, including the exit-code contract
 import json
 import re
 
+import numpy as np
 import pytest
 
 from rigidcomm import (
@@ -528,6 +529,25 @@ def test_verify_sym_brute_rank3(capsys):
     out = capsys.readouterr().out
     assert "ok: sym-brute (all 2 terms, rank 3)" in out
     assert out.rstrip().endswith("all checks passed")
+
+
+def test_verify_sym_brute_compares_with_the_next_term(monkeypatch, capsys):
+    # a chain that lost a step-1 member fails the exhaustive check on its own,
+    # with the closed-form check passed over
+    run_chain = chainmod.run_chain
+
+    def dropping(n, max_steps=None):
+        report = run_chain(n, max_steps)
+        joined = report.joined.copy()
+        joined[np.flatnonzero(joined == 1)[0]] = chainmod._NEVER
+        return chainmod.ChainReport(n, joined, report.terminated_at, report.reached_full,
+                                    report.diagnostics)
+
+    monkeypatch.setattr(chainmod, "run_chain", dropping)
+    monkeypatch.setattr(chainmod, "verify_theoretical",
+                        lambda report: [(i, True) for i in range(report.terminated_at + 1)])
+    assert main(["verify", "--n", "3", "--sym-brute"]) == 1
+    assert "fail: sym-brute: term 0 normalizer differs at rank 3" in capsys.readouterr().out
 
 
 def test_verify_sym_brute_guard(capsys):

@@ -172,10 +172,17 @@ def _recursive_chain_set(n: int, i: int) -> frozenset[int]:
 
 def test_predicted_methods_agree():
     for n in range(3, 13):
+        first = {}  # each mask's first term under the literal rule
         for i in range(0, n - 1):
             got = predicted_chain_set(n, i).masks
-            assert got == _submask_chain_set(n, i), (n, i)
+            literal = _submask_chain_set(n, i)
+            assert got == literal, (n, i)
             assert got == _recursive_chain_set(n, i), (n, i)
+            for m in literal:
+                first.setdefault(m, i)
+        # the closed form's join steps; the translations' -1 reads as step 0
+        joins = partitions._predicted_joins(n, n - 2)
+        assert {m: max(step, 0) for m, step in joins.items()} == first, n
 
 
 def test_predicted_sets_are_saturated():
