@@ -8,24 +8,31 @@ one before.  In a 2-group every proper subgroup is properly contained in
 its normalizer, so the log2 orders climb strictly until the full group
 is reached, after which the chain is a fixpoint.
 
-The driver does not rescan every candidate at every step.  It remembers,
-for each candidate that failed, one witness: a commutator [c, m] with a
-member m that lies outside the term.  The terms only grow, so m stays a
-member, and c keeps failing until the witness itself joins the chain.
-Each step therefore rescans only the candidates whose witness was added
-by the step before, all of them in one block scan.  The scan meets only
-the term's cover, the members that no product of two smaller members
-yields: they generate the term, so a candidate that keeps the cover
-inside the term normalizes it.  A commutator joins the chain once, so
-the chain and its report keep one array, each mask's join step; each
-product is looked up there, the top bits come from a table of bases
-built once, and each candidate leaves the scan at its first witness.
+The driver does not rescan every candidate at every step.  Each
+candidate outside the term waits on one witness: a commutator [c, m]
+with a member m that lies outside the term.  The terms only grow, so m
+stays a member, and c keeps failing until the witness itself joins the
+chain.  Every term contains the translations, and [c, t_k] is c with
+its hole k filled in, so a candidate's first witness is its lowest
+fill-in, found without a product; only the candidates whose lowest
+fill-in is already a member meet the first scan.  Each later step
+rescans only the candidates whose witness was added by the step before,
+woken from the members that joined, all of them in one block scan.  The
+scan meets only the term's cover, the members that no product of two
+smaller members yields: they generate the term, so a candidate that
+keeps the cover inside the term normalizes it.  A commutator joins the
+chain once, so the chain and its report keep one array, each mask's
+join step; each product is looked up there, the top bits come from a
+table of bases built once, and each candidate leaves the scan at its
+first witness.
 """
 
 from __future__ import annotations
 
 import json
 import time
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -36,8 +43,9 @@ from .rigid import RigidCommutator
 from .saturated import SaturatedSet, _levels, _uncovered, _witnesses
 from . import partitions
 
-# the join steps take 2^n int32 slots, the witnesses 2^n int64 and the level
-# table 2^n int8 bases: 4 MiB, 8 MiB and 1 MiB at rank 20
+# the join steps take 2^n int32 slots and the level table 2^n int8 bases, 4 MiB
+# and 1 MiB at rank 20; a candidate waits on its lowest fill-in with no state,
+# and only those that failed a scan are kept, keyed by their witness
 CHAIN_MAX_RANK = 20
 _NEVER = np.iinfo(np.int32).max  # the join step of a mask outside every computed term
 
@@ -108,14 +116,16 @@ class ChainReport:
     ``joined[m] <= i``.  ``terminated_at`` is the step where the full
     group was reached, or the step budget if that ran out first;
     ``reached_full`` says which.  ``diagnostics`` holds each step's
-    :class:`ChainStep` diagnostics and takes no part in comparisons.
+    :class:`ChainStep` diagnostics as a (seconds, rescanned, cover,
+    products) tuple, which :func:`run_chain` keeps in flat typed
+    arrays, and takes no part in comparisons.
     """
 
     n: int
     joined: np.ndarray
     terminated_at: int
     reached_full: bool
-    diagnostics: tuple[tuple[float, int, int, int], ...]
+    diagnostics: Sequence[tuple[float, int, int, int]]
 
     def __post_init__(self) -> None:
         self.joined.flags.writeable = False
@@ -195,6 +205,25 @@ class ChainReport:
         return json.dumps(self.to_json_dict(), indent=indent)
 
 
+class _Diagnostics(Sequence):
+    """Each step's (seconds, rescanned, cover, products), kept in flat typed arrays."""
+
+    def __init__(self) -> None:
+        self.seconds = array("d")
+        self.counts = array("q")  # three per step
+
+    def append(self, seconds: float, rescanned: int, cover: int, products: int) -> None:
+        self.seconds.append(seconds)
+        self.counts.extend((rescanned, cover, products))
+
+    def __len__(self) -> int:
+        return len(self.seconds)
+
+    def __getitem__(self, i: int) -> tuple[float, int, int, int]:
+        i = range(len(self.seconds))[i]
+        return (self.seconds[i], *self.counts[3 * i:3 * i + 3])
+
+
 class _IncrementalChain:
     """Chain terms from ``start`` on, rescanning only woken candidates.
 
@@ -203,22 +232,34 @@ class _IncrementalChain:
     the last step taken; ``log2_order`` counts its members, and ``cover``
     lists those that :func:`~rigidcomm.saturated._uncovered` keeps,
     which generate the term.  ``levels`` gives the base of each mask
-    below 2^n.  ``witness[c]`` is 0 for members and otherwise a
+    below 2^n.  Every candidate outside the term waits on a witness, a
     commutator [c, m], m a member, that lay outside the term when it
     was recorded; ``pending`` lists the candidates to scan at the next
     step, those whose witness has joined since, and one call of the
     block scan :func:`~rigidcomm.saturated._witnesses` scans them all
-    against the cover.  The cache is sound only while every term is
-    saturated, contains the translations t_1..t_n, and contains the term
-    before it.  A start with the first two properties keeps all three:
-    the normalizer of a saturated set containing the translations is
-    again saturated, and contains the set itself.
+    against the cover.
+
+    A candidate c with base b and a hole k < b has [c, t_k] = [t_k, c]
+    = c | 2^(k-1), so its lowest fill-in c | (c + 1) is a witness
+    whenever it is not a member.  ``__init__`` parks every candidate
+    there, and only those whose lowest fill-in is a member meet the
+    first scan.  A parked candidate needs no stored state: when a mask a
+    joins, the candidates parked on it are a ^ 2^j for each of a's
+    trailing ones 2^j.  A candidate that fails a scan waits in
+    ``waiters`` under the witness the scan found, until that joins.
+
+    The cache is sound only while every term is saturated, contains the
+    translations t_1..t_n, and contains the term before it.  A start
+    with the first two properties keeps all three: the normalizer of a
+    saturated set containing the translations is again saturated, and
+    contains the set itself.  A saturated set with the translations
+    holds the fill-ins of its members, so a parked candidate is never a
+    member, and a candidate that has met a scan is never parked.
     """
 
     def __init__(self, start: SaturatedSet) -> None:
         n = self.n = start.n
         self.levels = _levels(n)
-        self.witness = np.zeros(1 << n, dtype=np.int64)
         members = np.fromiter(start.masks, dtype=np.int64)
         self.joined = np.full(1 << n, _NEVER, dtype=np.int32)
         self.joined[members] = 0
@@ -226,7 +267,10 @@ class _IncrementalChain:
         self.i = 0
         self.cover = _uncovered(members, self._present, n)
         self.log2_order = start.log2_order
-        self.pending = np.flatnonzero(self.joined == _NEVER)
+        # a candidate is no translation, so its lowest fill-in lies below 2^n
+        outside = np.flatnonzero(self.joined == _NEVER)
+        self.pending = outside[self._present(outside | (outside + 1))].tolist()
+        self.waiters: dict[int, list[int]] = {}
         self.products = 0  # mask products the last step evaluated
 
     def _present(self, masks: np.ndarray) -> np.ndarray:
@@ -234,21 +278,37 @@ class _IncrementalChain:
 
     def step(self) -> np.ndarray:
         """Grow the term to its normalizer; return the masks that joined."""
-        scanned = self.pending
-        found, self.products = _witnesses(scanned, self.cover, self._present, self.levels)
-        self.witness[scanned] = found
-        added = scanned[found == 0]
+        scanned = sorted(self.pending)  # in mask order, so no witness hangs on the wake order
+        found, self.products = _witnesses(
+            np.array(scanned, dtype=np.int64), self.cover, self._present, self.levels
+        )
+        waiters = self.waiters
+        joins = []
+        for c, w in zip(scanned, found.tolist()):
+            if w:
+                waiters.setdefault(w, []).append(c)
+            else:
+                joins.append(c)
+        added = np.array(joins, dtype=np.int64)
         self.i += 1
         self.joined[added] = self.i
         self.log2_order += added.size
         # the term only grows, so a covered member stays covered
         self.cover = _uncovered(np.concatenate((self.cover, added)), self._present, self.n)
-        self.pending = np.flatnonzero(self.joined[self.witness] == self.i)
+        pending = []
+        for a in joins:
+            pending += waiters.pop(a, ())
+            ones = a & ~(a + 1)  # the candidates parked on a fill a's trailing ones
+            while ones:
+                bit = ones & -ones
+                pending.append(a ^ bit)
+                ones ^= bit
+        self.pending = pending
         return added
 
 
 def check_chain_rank(n: int) -> None:
-    """Refuse a chain whose per-candidate state would pass ``CHAIN_MAX_RANK``."""
+    """Refuse a chain whose 2^n-slot tables would pass ``CHAIN_MAX_RANK``."""
     check_cap("chain at rank", n, CHAIN_MAX_RANK)
 
 
@@ -264,8 +324,9 @@ def run_chain(n: int, max_steps: int | None = None) -> ChainReport:
     Each step rescans only the candidates whose cached witness joined the
     chain in the step before, against the term's cover; the baseline is
     saturated and contains the translations, which is what keeps that
-    cache sound.  The cache takes 2^n slots, so ranks above
-    ``CHAIN_MAX_RANK`` raise
+    cache sound and lets each candidate's lowest fill-in serve as its
+    first witness.  The join steps and the bases take 2^n slots, so
+    ranks above ``CHAIN_MAX_RANK`` raise
     :class:`~rigidcomm.permutations.ScaleGuardError` before any work.
     """
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
@@ -279,13 +340,14 @@ def run_chain(n: int, max_steps: int | None = None) -> ChainReport:
     full_log2 = (1 << n) - 1
     t0 = time.perf_counter()
     chain = _IncrementalChain(translation_normalizer_set(n))
-    diagnostics = [(time.perf_counter() - t0, 0, 0, 0)]
+    diagnostics = _Diagnostics()
+    diagnostics.append(time.perf_counter() - t0, 0, 0, 0)
     while chain.i < budget and chain.log2_order < full_log2:
         t0 = time.perf_counter()
         rescanned, cover = len(chain.pending), len(chain.cover)
         chain.step()
-        diagnostics.append((time.perf_counter() - t0, rescanned, cover, chain.products))
-    return ChainReport(n, chain.joined, chain.i, chain.log2_order == full_log2, tuple(diagnostics))
+        diagnostics.append(time.perf_counter() - t0, rescanned, cover, chain.products)
+    return ChainReport(n, chain.joined, chain.i, chain.log2_order == full_log2, diagnostics)
 
 
 def verify_theoretical(report: ChainReport) -> list[tuple[int, bool]]:

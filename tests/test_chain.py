@@ -9,6 +9,7 @@ of them.
 
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from rigidcomm import (
 )
 from rigidcomm import chain, saturated
 from rigidcomm.chain import _NEVER, CHAIN_MAX_RANK, _IncrementalChain
+from rigidcomm.rigid import commutator_mask
 from test_saturated import _normalizer_in_loop
 
 # rank 6: 21 growth steps then the fixpoint, log2 sizes and index jumps
@@ -93,6 +95,13 @@ FULL_CHAIN_SHA256 = {
     12: "90bea889364190d21c9ec15d8a2a025b03e3e8d05b6c79a2355f62b79da4d24d",
     13: "5667d9c8f1920aaef8f4ce3e57d666ac3a347cc74ae6ec3d5ad6b30277a6ab67",
     14: "44f76a7907e54538b6af8b4f9dc2506fb1d87e8cef58947bc56531ced1b88d74",
+}
+
+# (sha256 of run_chain(n).joined.tobytes(), terminated_at), recorded from the
+# engine that scanned every candidate at the first step
+FULL_CHAIN_JOINED_SHA256 = {
+    15: ("bb787631e819a3434105183a6d21ee8faca6733604d5fea08fa99e9adfd09738", 11271),
+    16: ("9ebbbe63f8f6ce2bf98bdd420bb5b6d7e6f3937a24731dfb2ce0fb9194c2698a", 22387),
 }
 
 
@@ -300,6 +309,14 @@ def test_full_chain_json_digest_frozen(n):
     assert digest == FULL_CHAIN_SHA256[n]
 
 
+@pytest.mark.parametrize("n", sorted(FULL_CHAIN_JOINED_SHA256))
+def test_full_chain_join_steps_frozen(n):
+    report = run_chain(n)
+    digest = hashlib.sha256(report.joined.tobytes()).hexdigest()
+    assert (digest, report.terminated_at) == FULL_CHAIN_JOINED_SHA256[n]
+    assert report.reached_full
+
+
 def _naive_chain(n: int) -> ChainReport:
     """The chain as a plain fold of the scalar normalizer scan over all commutators."""
     current = translation_normalizer_set(n)
@@ -328,6 +345,10 @@ def test_incremental_step_matches_normalizing_step(n, data):
     extra = data.draw(st.lists(st.integers(1, (1 << n) - 1), min_size=1, max_size=3))
     start = saturate([RigidCommutator(m, n) for m in (*translation_set(n).masks, *extra)], n)
     chain = _IncrementalChain(start)
+    # the first scan meets the candidates whose lowest fill-in is a member, whatever the start
+    assert sorted(chain.pending) == sorted(
+        c for c in range(1 << n) if c not in start.masks | {0} and c | (c + 1) in start.masks
+    )
     current = start
     for _ in range(data.draw(st.integers(1, 6))):
         added = chain.step()
@@ -345,8 +366,9 @@ def test_incremental_step_matches_normalizing_step(n, data):
 def test_rescanned_counts_candidates_reexamined():
     report = run_chain(6)
     assert report.steps[0].rescanned == 0
-    # the first step examines every non-member of the baseline
-    assert report.steps[1].rescanned == (1 << 6) - 1 - report.steps[0].log2_order
+    # the first step examines only the candidates whose lowest fill-in is a
+    # member: from the translation normalizer, the masks with two holes
+    assert report.steps[1].rescanned == math.comb(6, 3)
     # later steps only those a new member woke, never more than remain outside
     for prev, s in zip(report.steps[1:], report.steps[2:]):
         assert 0 < s.rescanned <= (1 << 6) - 1 - prev.log2_order
@@ -355,6 +377,25 @@ def test_rescanned_counts_candidates_reexamined():
         assert 0 < s.products <= s.rescanned * s.cover
     assert report.steps[0].cover == 0
     assert report == run_chain(6)  # a diagnostic, not part of equality
+
+
+def test_first_step_rescans_the_two_hole_masks():
+    for n in range(3, 21):
+        assert run_chain(n, 1).steps[1].rescanned == math.comb(n, 3), n
+
+
+def test_fill_in_is_a_product_with_a_translation():
+    # [c, t_k] = [t_k, c] = c with hole k filled, for every hole k below c's base,
+    # and c | (c + 1) fills c's lowest hole unless c is a translation
+    for n in range(1, 9):
+        for c in range(1, 1 << n):
+            base = c.bit_length()
+            holes = [k for k in range(1, base) if not c >> (k - 1) & 1]
+            for k in holes:
+                t = (1 << k) - 1
+                assert commutator_mask(c, t) == commutator_mask(t, c) == c | 1 << (k - 1), (c, k)
+            if c != (1 << base) - 1:
+                assert c | (c + 1) == c | 1 << (holes[0] - 1), c
 
 
 def test_report_compares_and_hashes_by_value():
@@ -370,6 +411,17 @@ def test_report_compares_and_hashes_by_value():
         report.joined[1] = 0
 
 
+def test_diagnostics_read_back_as_step_tuples():
+    report = run_chain(7)
+    diagnostics = report.diagnostics
+    assert len(diagnostics) == report.terminated_at + 1
+    assert list(diagnostics) == [(s.seconds, s.rescanned, s.cover, s.products) for s in report.steps]
+    assert diagnostics[-1] == diagnostics[len(diagnostics) - 1]
+    assert all(type(count) is int for row in diagnostics for count in row[1:])
+    with pytest.raises(IndexError):
+        diagnostics[len(diagnostics)]
+
+
 def test_run_chain_builds_no_per_step_records():
     report = run_chain(7)
     # the loop keeps only the join steps; the records are built when first read
@@ -381,6 +433,11 @@ def test_run_chain_builds_no_per_step_records():
 def test_rank13_chain_meets_only_the_cover():
     # scanned against every member of each term, this chain took 40.3 M products
     assert sum(s.products for s in run_chain(13).steps) < 1_000_000
+
+
+def test_rank16_prefix_rescans_only_woken_candidates():
+    # scanning every candidate at the first step, these 14 steps rescanned 66036
+    assert sum(s.rescanned for s in run_chain(16, 14).steps) < 2000
 
 
 def test_chain_scale_guard_refuses_before_work(monkeypatch):
