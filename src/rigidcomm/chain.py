@@ -14,17 +14,17 @@ with a member m that lies outside the term.  The terms only grow, so m
 stays a member, and c keeps failing until the witness itself joins the
 chain.  Every term contains the translations, and [c, t_k] is c with
 its hole k filled in, so a candidate's first witness is its lowest
-fill-in, found without a product; only the candidates whose lowest
-fill-in is already a member meet the first scan.  Each later step
-rescans only the candidates whose witness was added by the step before,
-woken from the members that joined, all of them in one block scan.  The
-scan meets only the term's cover, the members that no product of two
-smaller members yields: they generate the term, so a candidate that
-keeps the cover inside the term normalizes it.  A commutator joins the
-chain once, so the chain and its report keep one array, each mask's
-join step; each product is looked up there, the top bits come from a
-table of bases built once, and each candidate leaves the scan at its
-first witness.
+fill-in, found without a product.  Each step scans only the candidates
+that the members which joined in the step before woke, those parked on
+them as their lowest fill-in and those whose witness they are, all in
+one block scan; the first scan is what the first term's members wake,
+so no step reads all 2^n masks.  The scan meets only the term's cover,
+the members that no product of two smaller members yields: they
+generate the term, so a candidate that keeps the cover inside the term
+normalizes it.  A commutator joins the chain once, so the chain and its
+report keep one array, each mask's join step, and no other of its size;
+each product is looked up there, and each candidate leaves the scan at
+its first witness.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from __future__ import annotations
 import json
 import time
 from array import array
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -40,12 +40,12 @@ import numpy as np
 
 from .permutations import check_cap
 from .rigid import RigidCommutator
-from .saturated import SaturatedSet, _levels, _uncovered, _witnesses
+from .saturated import SaturatedSet, _uncovered, _witnesses
 from . import partitions
 
-# the join steps take 2^n int32 slots and the level table 2^n int8 bases, 4 MiB
-# and 1 MiB at rank 20; a candidate waits on its lowest fill-in with no state,
-# and only those that failed a scan are kept, keyed by their witness
+# the join steps take 2^n int32 slots, 4 MiB at rank 20, the chain's only table
+# of that size; a candidate waits on its lowest fill-in with no state, and only
+# those that failed a scan are kept, keyed by their witness
 CHAIN_MAX_RANK = 20
 _NEVER = np.iinfo(np.int32).max  # the join step of a mask outside every computed term
 
@@ -224,6 +224,18 @@ class _Diagnostics(Sequence):
         return (self.seconds[i], *self.counts[3 * i:3 * i + 3])
 
 
+def _parked(masks: Iterable[int]) -> list[int]:
+    """The masks whose lowest fill-in is in ``masks``: a ^ 2^j for each trailing one 2^j of each a."""
+    out = []  # a whole step's joins in one call: a call per mask cost more than its wake
+    for a in masks:
+        ones = a & ~(a + 1)
+        while ones:
+            bit = ones & -ones
+            out.append(a ^ bit)
+            ones ^= bit
+    return out
+
+
 class _IncrementalChain:
     """Chain terms from ``start`` on, rescanning only woken candidates.
 
@@ -231,22 +243,23 @@ class _IncrementalChain:
     reads it, with the other members of ``start`` at step 0 and ``i``
     the last step taken; ``log2_order`` counts its members, and ``cover``
     lists those that :func:`~rigidcomm.saturated._uncovered` keeps,
-    which generate the term.  ``levels`` gives the base of each mask
-    below 2^n.  Every candidate outside the term waits on a witness, a
-    commutator [c, m], m a member, that lay outside the term when it
-    was recorded; ``pending`` lists the candidates to scan at the next
-    step, those whose witness has joined since, and one call of the
-    block scan :func:`~rigidcomm.saturated._witnesses` scans them all
-    against the cover.
+    which generate the term; no other array of the chain grows with 2^n.
+    Every candidate outside the term waits on a witness, a commutator
+    [c, m], m a member, that lay outside the term when it was recorded;
+    ``pending`` lists the candidates to scan at the next step, those
+    whose witness has joined since, and one call of the block scan
+    :func:`~rigidcomm.saturated._witnesses` scans them all against the
+    cover.
 
     A candidate c with base b and a hole k < b has [c, t_k] = [t_k, c]
     = c | 2^(k-1), so its lowest fill-in c | (c + 1) is a witness
-    whenever it is not a member.  ``__init__`` parks every candidate
-    there, and only those whose lowest fill-in is a member meet the
-    first scan.  A parked candidate needs no stored state: when a mask a
-    joins, the candidates parked on it are a ^ 2^j for each of a's
-    trailing ones 2^j.  A candidate that fails a scan waits in
-    ``waiters`` under the witness the scan found, until that joins.
+    whenever it is not a member.  Every candidate starts parked there,
+    with no stored state: the masks that join a step wake those that
+    :func:`_parked` gives for them.  ``__init__`` wakes the candidates
+    parked on the members of ``start`` and drops those in the term, so
+    the first scan meets the candidates whose lowest fill-in is a
+    member.  A candidate that fails a scan waits in ``waiters`` under
+    the witness the scan found, until that joins.
 
     The cache is sound only while every term is saturated, contains the
     translations t_1..t_n, and contains the term before it.  A start
@@ -259,7 +272,6 @@ class _IncrementalChain:
 
     def __init__(self, start: SaturatedSet) -> None:
         n = self.n = start.n
-        self.levels = _levels(n)
         members = np.fromiter(start.masks, dtype=np.int64)
         self.joined = np.full(1 << n, _NEVER, dtype=np.int32)
         self.joined[members] = 0
@@ -267,9 +279,9 @@ class _IncrementalChain:
         self.i = 0
         self.cover = _uncovered(members, self._present, n)
         self.log2_order = start.log2_order
-        # a candidate is no translation, so its lowest fill-in lies below 2^n
-        outside = np.flatnonzero(self.joined == _NEVER)
-        self.pending = outside[self._present(outside | (outside + 1))].tolist()
+        # each member wakes the masks parked on it, as if it had just joined
+        parked = np.array(_parked(start.masks), dtype=np.int64)
+        self.pending = parked[~self._present(parked)].tolist()
         self.waiters: dict[int, list[int]] = {}
         self.products = 0  # mask products the last step evaluated
 
@@ -279,9 +291,7 @@ class _IncrementalChain:
     def step(self) -> np.ndarray:
         """Grow the term to its normalizer; return the masks that joined."""
         scanned = sorted(self.pending)  # in mask order, so no witness hangs on the wake order
-        found, self.products = _witnesses(
-            np.array(scanned, dtype=np.int64), self.cover, self._present, self.levels
-        )
+        found, self.products = _witnesses(np.array(scanned, dtype=np.int64), self.cover, self._present)
         waiters = self.waiters
         joins = []
         for c, w in zip(scanned, found.tolist()):
@@ -295,20 +305,15 @@ class _IncrementalChain:
         self.log2_order += added.size
         # the term only grows, so a covered member stays covered
         self.cover = _uncovered(np.concatenate((self.cover, added)), self._present, self.n)
-        pending = []
+        pending = _parked(joins)
         for a in joins:
             pending += waiters.pop(a, ())
-            ones = a & ~(a + 1)  # the candidates parked on a fill a's trailing ones
-            while ones:
-                bit = ones & -ones
-                pending.append(a ^ bit)
-                ones ^= bit
         self.pending = pending
         return added
 
 
 def check_chain_rank(n: int) -> None:
-    """Refuse a chain whose 2^n-slot tables would pass ``CHAIN_MAX_RANK``."""
+    """Refuse a chain whose 2^n-slot join steps would pass ``CHAIN_MAX_RANK``."""
     check_cap("chain at rank", n, CHAIN_MAX_RANK)
 
 
@@ -325,8 +330,8 @@ def run_chain(n: int, max_steps: int | None = None) -> ChainReport:
     chain in the step before, against the term's cover; the baseline is
     saturated and contains the translations, which is what keeps that
     cache sound and lets each candidate's lowest fill-in serve as its
-    first witness.  The join steps and the bases take 2^n slots, so
-    ranks above ``CHAIN_MAX_RANK`` raise
+    first witness.  The join steps take 2^n slots, so ranks above
+    ``CHAIN_MAX_RANK`` raise
     :class:`~rigidcomm.permutations.ScaleGuardError` before any work.
     """
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:

@@ -74,7 +74,11 @@ class TreePermutation:
     def __init__(self, images: Iterable[int], n: int | None = None) -> None:
         if n is not None and (isinstance(n, bool) or not isinstance(n, int) or n < 0):
             raise ValueError(f"rank must be a nonnegative integer, got {n!r}")
-        arr = np.asarray(list(images), dtype=np.int64)
+        images = list(images)
+        for v in images:  # before numpy truncates a float or parses a string
+            if isinstance(v, bool) or not isinstance(v, int):
+                raise ValueError(f"images must be integers, got {v!r}")
+        arr = np.asarray(images, dtype=np.int64)
         size = arr.shape[0]
         if n is None:
             n = max(size.bit_length() - 1, 0)
@@ -234,11 +238,15 @@ class LevelFlipPattern:
     flips: frozenset[int]
 
     def __post_init__(self) -> None:
+        flips = tuple(self.flips)
+        for v in (self.level, *flips):
+            if isinstance(v, bool) or not isinstance(v, int):
+                raise ValueError(f"level and flip prefixes must be integers, got {v!r}")
         if self.level < 1:
             raise ValueError("level must be >= 1")
-        limit = 1 << (self.level - 1)
-        if any(not 0 <= f < limit for f in self.flips):
+        if any(f < 0 or f.bit_length() >= self.level for f in flips):  # f < 2^(level-1)
             raise ValueError("flip prefixes out of range for this level")
+        object.__setattr__(self, "flips", frozenset(flips))
 
 
 def level_flip_pattern(p: TreePermutation, level: int) -> LevelFlipPattern:

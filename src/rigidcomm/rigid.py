@@ -56,10 +56,9 @@ class RigidCommutator:
 
     def __post_init__(self) -> None:
         _check_rank(self.n)
-        if not isinstance(self.mask, int) or not 0 <= self.mask < (1 << self.n):
-            raise ValueError(
-                f"mask must be in 0..2^{self.n}-1, got {self.mask!r}"
-            )
+        mask = self.mask
+        if isinstance(mask, bool) or not isinstance(mask, int) or not 0 <= mask < (1 << self.n):
+            raise ValueError(f"mask must be an integer in 0..2^{self.n}-1, got {mask!r}")
 
     @classmethod
     def _trusted(cls, mask: int, n: int) -> "RigidCommutator":

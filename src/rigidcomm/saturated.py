@@ -27,9 +27,8 @@ FACTORIZE_MAX_RANK = 12
 # each rank above the cap costs four times more
 CLOSURE_MAX_RANK = 14
 _PAIR_BLOCK = 1 << 14  # mask products per kernel call, which bounds its temporaries
-# membership and level lookups index a 2^n table, of bools or int8 bases, up to
-# this rank, 1 MiB each at rank 20, which is also the chain's cap; above it they
-# binary-search the sorted members or the powers of two
+# membership lookups index a 2^n bool table up to this rank, 1 MiB at rank 20;
+# above it they binary-search the sorted members
 _DENSE_MAX_RANK = 20
 _POWERS = np.left_shift(np.int64(1), np.arange(63, dtype=np.int64))  # 2^k, each bit an int64 holds
 
@@ -57,7 +56,7 @@ def _coerce_masks(members: Iterable, n: int) -> frozenset[int]:
             if m.n != n:
                 raise ValueError(f"rank mismatch: member has rank {m.n}, set has {n}")
             mask = m.mask
-        elif isinstance(m, int):
+        elif isinstance(m, int) and not isinstance(m, bool):
             mask = m
         else:
             raise TypeError(f"members must be RigidCommutator or int masks, got {type(m)!r}")
@@ -141,19 +140,9 @@ def _membership(members: np.ndarray, n: int) -> Callable[[np.ndarray], np.ndarra
     return present
 
 
-def _levels(n: int) -> Callable[[np.ndarray], np.ndarray]:
-    """A lookup: the base, or bit length, of each entry of an array of masks below 2^n.
-
-    Up to rank ``_DENSE_MAX_RANK`` the lookup indexes an int8 table of
-    2^n entries, 1 MiB at rank 20; above it the lookup binary-searches
-    the powers of two.
-    """
-    if n <= _DENSE_MAX_RANK:
-        table = np.zeros(1 << n, dtype=np.int8)  # entry 0, the identity, has base 0
-        for a in range(1, n + 1):
-            table[1 << (a - 1):1 << a] = a
-        return table.__getitem__
-    return lambda masks: np.searchsorted(_POWERS[:n], masks, side="right")
+def _top_bits(masks: np.ndarray) -> np.ndarray:
+    """The top bit 2^(b-1) of each nonzero int64 mask, b its base, in any order or shape."""
+    return _POWERS.take(_POWERS.searchsorted(masks, "right") - 1)
 
 
 def _uncovered(
@@ -370,18 +359,14 @@ def saturate(members: Iterable[RigidCommutator], n: int | None = None) -> Satura
 # ── normalizer machinery ─────────────────────────────────────────────────────
 
 def _witnesses(
-    cands: np.ndarray,
-    members: np.ndarray,
-    present: Callable[[np.ndarray], np.ndarray],
-    levels: Callable[[np.ndarray], np.ndarray],
+    cands: np.ndarray, members: np.ndarray, present: Callable[[np.ndarray], np.ndarray]
 ) -> tuple[np.ndarray, int]:
     """Why each candidate fails to normalize a set, found in blocks of products.
 
     ``cands`` and ``members`` are nonzero int64 arrays, in any order, the
     latter a nonempty generating set of a saturated set, such as its
     :func:`_uncovered` members; ``present`` is the set's lookup, as
-    :func:`_membership` makes it, and ``levels`` gives bases, as
-    :func:`_levels` does.  Entry k of the first result is a nonzero
+    :func:`_membership` makes it.  Entry k of the first result is a nonzero
     product [cands[k], m] with an m of ``members`` that lies outside the
     set, or 0 when cands[k] normalizes the span of the set; the second
     result counts the products evaluated.
@@ -392,12 +377,12 @@ def _witnesses(
     the open set at its first witness, so the passes widen as the
     candidates drop out.
     Each block is one call of :func:`_products` on the smaller and larger
-    factors, with the smaller top bit read off ``levels``; the pairs
-    whose larger factor has that bit make no product and no witness.
+    factors, with the smaller top bit read off :func:`_top_bits`; the
+    pairs whose larger factor has that bit make no product and no
+    witness.
     """
     found = np.zeros(len(cands), dtype=np.int64)
-    cand_tops = np.left_shift(1, levels(cands) - 1, dtype=np.int64)
-    member_tops = np.left_shift(1, levels(members) - 1, dtype=np.int64)
+    cand_tops, member_tops = _top_bits(cands), _top_bits(members)
     open_rows = np.arange(len(cands))
     products = 0
     j = 0
@@ -453,7 +438,7 @@ def normalizer_in(B: SaturatedSet, A: SaturatedSet) -> SaturatedSet:
     cands = np.array(sorted(B.masks - A.masks), dtype=np.int64)
     members = np.array(sorted(A.masks), dtype=np.int64)
     present = _membership(members, B.n)
-    found, _ = _witnesses(cands, _uncovered(members, present, B.n), present, _levels(B.n))
+    found, _ = _witnesses(cands, _uncovered(members, present, B.n), present)
     return SaturatedSet._make(B.n, A.masks | frozenset(cands[found == 0].tolist()))
 
 

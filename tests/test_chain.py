@@ -10,6 +10,7 @@ of them.
 import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -440,10 +441,22 @@ def test_rank16_prefix_rescans_only_woken_candidates():
     assert sum(s.rescanned for s in run_chain(16, 14).steps) < 2000
 
 
+def test_rank20_chain_holds_no_table_besides_its_join_steps():
+    # joined takes 4 MiB at rank 20; finding the first scan by reading all 2^n
+    # masks would make int64 arrays of 8 MiB each, and a table of bases 1 MiB more
+    run_chain(4, 1)  # numpy's first calls of some functions allocate once
+    tracemalloc.start()
+    try:
+        report = run_chain(20, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.joined.nbytes == 4 << 20
+    assert peak < 6 << 20, peak
+
+
 def test_chain_scale_guard_refuses_before_work(monkeypatch):
     assert CHAIN_MAX_RANK == 20
-    # the chain reads bases off a dense level table, which lookups use up to this rank
-    assert saturated._DENSE_MAX_RANK == CHAIN_MAX_RANK
     with pytest.raises(ScaleGuardError):
         run_chain(30)
     with pytest.raises(ScaleGuardError):

@@ -67,6 +67,16 @@ def test_tree_permutation_checks_its_rank():
     assert TreePermutation([1], 0).n == TreePermutation([1]).n == 0
 
 
+def test_tree_permutation_refuses_non_integer_images():
+    # numpy would truncate or parse each of these into the identity (1, 2)
+    for bad in ([1.9, 2.2], ["1", "2"], [True, 2], [1, 2.0], [np.int64(1), 2]):
+        with pytest.raises(ValueError, match="images must be integers"):
+            TreePermutation(bad)
+        with pytest.raises(ValueError, match="images must be integers"):
+            TreePermutation(iter(bad), 1)
+    assert TreePermutation(range(1, 3)).images == TreePermutation([1, 2], 1).images == (1, 2)
+
+
 def test_identity_and_generator_check_rank(monkeypatch):
     assert identity(0).images == (1,)
     for bad in (-1, True, 2.0, "3"):
@@ -326,6 +336,17 @@ def test_flip_pattern_of_generator():
 def test_flip_pattern_validation():
     with pytest.raises(ValueError):
         LevelFlipPattern(2, frozenset({2}))
+    # bools and non-ints are refused here, not by numpy in flip_pattern_permutation
+    for level in (True, 0, 2.0, "2"):
+        with pytest.raises(ValueError, match="level"):
+            LevelFlipPattern(level, frozenset())
+    for flips in ({0.5}, {True}, {"1"}, [0, 1.0], {-1}, {1 << 70}):
+        with pytest.raises(ValueError, match="flip prefixes"):
+            LevelFlipPattern(2, flips)
+    # any iterable of prefixes is stored as a frozenset, so patterns compare by value
+    pat = LevelFlipPattern(3, [3, 0, 3])
+    assert type(pat.flips) is frozenset and pat == LevelFlipPattern(3, frozenset({0, 3}))
+    assert hash(pat) == hash(LevelFlipPattern(3, frozenset({0, 3})))
     with pytest.raises(ValueError):
         level_flip_pattern(identity(3), 4)
 

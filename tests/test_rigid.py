@@ -68,6 +68,10 @@ def test_mask_bounds_checked():
         RigidCommutator(1, 0)
     with pytest.raises(ValueError):
         RigidCommutator(1, 64)
+    # a bool or a non-int mask is refused, not stored as given
+    for bad in (True, False, 1.0, "1"):
+        with pytest.raises(ValueError, match="mask must be an integer"):
+            RigidCommutator(bad, 3)
 
 
 # ── the closed-form product ──────────────────────────────────────────────────

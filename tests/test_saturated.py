@@ -92,6 +92,15 @@ def test_set_and_saturate_check_their_rank():
         SaturatedSet(MAX_RANK + 1, [1 << MAX_RANK])  # not an OverflowError from numpy
 
 
+def test_set_and_saturate_refuse_bool_members():
+    # True is an int to Python, but not a mask: it must not become member 1
+    for make in (lambda ms: SaturatedSet(3, ms), lambda ms: saturate(ms, 3)):
+        for bad in ([True], [1, False], [C([2], 3), True]):
+            with pytest.raises(TypeError, match="members must be"):
+                make(bad)
+    assert SaturatedSet(3, [1]).masks == {1}
+
+
 def test_full_set_properties():
     r = full_rigid_set(5)
     assert r.log2_order == 31
@@ -587,11 +596,11 @@ def _with_translations(n, B, picks):
 def _check_witnesses(A, B):
     cands = np.array(sorted(B.masks), dtype=np.int64)
     members = np.array(sorted(A.masks), dtype=np.int64)
-    present, levels = saturated._membership(members, A.n), saturated._levels(A.n)
+    present = saturated._membership(members, A.n)
     cover = saturated._uncovered(members, present, A.n)
     # every member in mask order, and the cover, which generates A, in reverse order
     for gens in (members, cover[::-1]):
-        found, products = saturated._witnesses(cands, gens, present, levels)
+        found, products = saturated._witnesses(cands, gens, present)
         for c, w in zip(cands.tolist(), found.tolist()):
             assert (w == 0) == (_witness_loop(c, A.masks) == 0), c
             if w:
@@ -710,7 +719,7 @@ def test_closure_defect_matches_reference_loop(n, data):
 def _product_table(values):
     """The products of all pairs of nonzero masks, as ``_witnesses`` makes them."""
     arr = np.array(values, dtype=np.int64)
-    tops = np.left_shift(1, saturated._levels(MAX_RANK)(arr) - 1)
+    tops = saturated._top_bits(arr)
     x, y = arr[:, None], arr[None, :]
     hi, top = np.maximum(x, y), np.minimum(tops[:, None], tops[None, :])
     return np.where((hi & top) == 0, saturated._products(np.minimum(x, y), hi, top), 0)
@@ -719,18 +728,15 @@ def _product_table(values):
 def test_level_cuts_give_top_bits():
     values = [1, 2, 3, 5, 8, 255, 256, (1 << 61) + 7, 1 << 62, (1 << 62) + 5, (1 << 63) - 1]
     arr = np.array(values, dtype=np.int64)
-    bases = [v.bit_length() for v in values]
-    assert saturated._levels(MAX_RANK)(arr).tolist() == bases
+    tops = [1 << (v.bit_length() - 1) for v in values]
+    assert saturated._top_bits(arr).tolist() == tops
+    assert saturated._top_bits(arr[::-1]).tolist() == tops[::-1]  # in any order
+    masks = np.arange(1, 1 << 12, dtype=np.int64)  # and every mask up to rank 12, in a block
+    want = [1 << (v.bit_length() - 1) for v in range(1, 1 << 12)]
+    assert saturated._top_bits(masks.reshape(63, 65)).ravel().tolist() == want
     assert saturated._level_cuts(arr, 63) == [
         sum(v < (1 << a) for v in values) for a in range(63)
     ] + [len(values)]
-    # the int8 table of the dense ranks and the binary search above them agree
-    masks = np.arange(1 << 12, dtype=np.int64)
-    want = [v.bit_length() for v in range(1 << 12)]
-    table = saturated._levels(12)
-    assert table.__self__.dtype == np.int8 and table(masks).tolist() == want
-    with mock.patch.object(saturated, "_DENSE_MAX_RANK", 0):
-        assert saturated._levels(12)(masks.reshape(64, 64)).ravel().tolist() == want
 
 
 # ── the cover: the members that no smaller pair yields ───────────────────────
