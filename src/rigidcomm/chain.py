@@ -32,7 +32,7 @@ from __future__ import annotations
 import json
 import time
 from array import array
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -40,7 +40,7 @@ import numpy as np
 
 from .permutations import check_cap
 from .rigid import RigidCommutator
-from .saturated import SaturatedSet, _uncovered, _witnesses
+from .saturated import SaturatedSet, _parked, _uncovered, _witnesses
 from . import partitions
 
 # the join steps take 2^n int32 slots, 4 MiB at rank 20, the chain's only table
@@ -224,18 +224,6 @@ class _Diagnostics(Sequence):
         return (self.seconds[i], *self.counts[3 * i:3 * i + 3])
 
 
-def _parked(masks: Iterable[int]) -> list[int]:
-    """The masks whose lowest fill-in is in ``masks``: a ^ 2^j for each trailing one 2^j of each a."""
-    out = []  # a whole step's joins in one call: a call per mask cost more than its wake
-    for a in masks:
-        ones = a & ~(a + 1)
-        while ones:
-            bit = ones & -ones
-            out.append(a ^ bit)
-            ones ^= bit
-    return out
-
-
 class _IncrementalChain:
     """Chain terms from ``start`` on, rescanning only woken candidates.
 
@@ -255,11 +243,11 @@ class _IncrementalChain:
     = c | 2^(k-1), so its lowest fill-in c | (c + 1) is a witness
     whenever it is not a member.  Every candidate starts parked there,
     with no stored state: the masks that join a step wake those that
-    :func:`_parked` gives for them.  ``__init__`` wakes the candidates
-    parked on the members of ``start`` and drops those in the term, so
+    :func:`~rigidcomm.saturated._parked` gives for them.  ``__init__``
+    wakes those parked on the members of ``start`` outside the term, so
     the first scan meets the candidates whose lowest fill-in is a
-    member.  A candidate that fails a scan waits in ``waiters`` under
-    the witness the scan found, until that joins.
+    member, as in ``normalizer_in``.  A candidate that fails a scan
+    waits in ``waiters`` under the witness the scan found, until it joins.
 
     The cache is sound only while every term is saturated, contains the
     translations t_1..t_n, and contains the term before it.  A start

@@ -113,6 +113,8 @@ class TreePermutation:
         return bool(np.array_equal(self._img, np.arange(1 << self.n)))
 
     def __call__(self, point: int) -> int:
+        if isinstance(point, bool) or not isinstance(point, int):  # before numpy indexes it
+            raise ValueError(f"point must be an integer, got {point!r}")
         if not 1 <= point <= (1 << self.n):
             raise ValueError(f"point {point} outside 1..2^{self.n}")
         return int(self._img[point - 1]) + 1

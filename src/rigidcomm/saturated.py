@@ -23,7 +23,7 @@ from . import permutations as perm
 from .rigid import RigidCommutator, _check_rank, commutator_mask
 
 FACTORIZE_MAX_RANK = 12
-# the closure check of the full set took 1.2-1.3 s at rank 14 on a 2-vCPU host;
+# the closure check of the full set took 0.13-0.17 s at rank 14 on a 2-vCPU host;
 # each rank above the cap costs four times more
 CLOSURE_MAX_RANK = 14
 _PAIR_BLOCK = 1 << 14  # mask products per kernel call, which bounds its temporaries
@@ -246,13 +246,11 @@ class SaturatedSet:
         return tuple(dims)
 
     def __contains__(self, item) -> bool:
-        if isinstance(item, RigidCommutator):
-            if item.n != self.n:
-                return False
-            return item.mask == 0 or item.mask in self.masks
-        if isinstance(item, int):
-            return item == 0 or item in self.masks
-        return False
+        if isinstance(item, RigidCommutator) and item.n == self.n:
+            item = item.mask
+        elif isinstance(item, bool) or not isinstance(item, int):  # True is not mask 1
+            return False
+        return item == 0 or item in self.masks
 
     def __iter__(self) -> Iterator[RigidCommutator]:
         return iter(self.members)
@@ -358,6 +356,18 @@ def saturate(members: Iterable[RigidCommutator], n: int | None = None) -> Satura
 
 # ── normalizer machinery ─────────────────────────────────────────────────────
 
+def _parked(masks: Iterable[int]) -> list[int]:
+    """The masks whose lowest fill-in is in ``masks``: a ^ 2^j for each trailing one 2^j of each a."""
+    out = []  # a whole step's joins in one call: a call per mask cost more than its wake
+    for a in masks:
+        ones = a & ~(a + 1)
+        while ones:
+            bit = ones & -ones
+            out.append(a ^ bit)
+            ones ^= bit
+    return out
+
+
 def _witnesses(
     cands: np.ndarray, members: np.ndarray, present: Callable[[np.ndarray], np.ndarray]
 ) -> tuple[np.ndarray, int]:
@@ -371,11 +381,10 @@ def _witnesses(
     set, or 0 when cands[k] normalizes the span of the set; the second
     result counts the products evaluated.
 
-    Each pass gives every open candidate the next ``_PAIR_BLOCK // open``
-    member columns, at least one, and splits the open rows so that no
-    block holds more than ``_PAIR_BLOCK`` products.  A candidate leaves
-    the open set at its first witness, so the passes widen as the
-    candidates drop out.
+    The candidates are taken in blocks of ``_PAIR_BLOCK // len(members)``
+    rows, at least one, and each block meets the members in blocks of at
+    most ``_PAIR_BLOCK`` columns, in member order, so no block holds more
+    than ``_PAIR_BLOCK`` products; a row leaves at its first witness.
     Each block is one call of :func:`_products` on the smaller and larger
     factors, with the smaller top bit read off :func:`_top_bits`; the
     pairs whose larger factor has that bit make no product and no
@@ -383,24 +392,22 @@ def _witnesses(
     """
     found = np.zeros(len(cands), dtype=np.int64)
     cand_tops, member_tops = _top_bits(cands), _top_bits(members)
-    open_rows = np.arange(len(cands))
+    rows = max(1, _PAIR_BLOCK // len(members))
     products = 0
-    j = 0
-    while open_rows.size and j < len(members):
-        cols = min(max(1, _PAIR_BLOCK // open_rows.size), len(members) - j)
-        rows = max(1, _PAIR_BLOCK // cols)
-        y, y_top = members[None, j:j + cols], member_tops[None, j:j + cols]
-        for i in range(0, open_rows.size, rows):
-            idx = open_rows[i:i + rows]
+    for i in range(0, len(cands), rows):
+        idx = np.arange(i, min(i + rows, len(cands)))
+        for j in range(0, len(members), _PAIR_BLOCK):
+            y, y_top = members[None, j:j + _PAIR_BLOCK], member_tops[None, j:j + _PAIR_BLOCK]
             x = cands[idx, None]
             hi, top = np.maximum(x, y), np.minimum(cand_tops[idx, None], y_top)
             prod = _products(np.minimum(x, y), hi, top)
             bad = ~present(prod) & ((hi & top) == 0)
             hit = np.flatnonzero(bad.any(axis=1))
             found[idx[hit]] = prod[hit, bad[hit].argmax(axis=1)]
-        products += open_rows.size * cols
-        open_rows = open_rows[found[open_rows] == 0]
-        j += cols
+            products += prod.size
+            idx = idx[found[idx] == 0]
+            if not idx.size:
+                break
     return found, products
 
 
@@ -410,8 +417,8 @@ def normalizing_step(M: SaturatedSet) -> SaturatedSet:
     This is one step of the normalizer chain, :func:`normalizer_in` with
     all rigid commutators as the ambient: the member set of the
     normalizer of the subgroup generated by ``M``.  ``M`` must contain
-    the full-interval commutators.  The block scan of :func:`normalizer_in`
-    covers the 2^n candidates, so it shares the rank cap of
+    the full-interval commutators.  The ambient :func:`full_rigid_set`
+    builds has 2^n - 1 members, so the step shares the rank cap of
     :func:`normal_closure`.
     """
     check_closure_rank(M.n)
@@ -423,21 +430,22 @@ def normalizer_in(B: SaturatedSet, A: SaturatedSet) -> SaturatedSet:
 
     Requires A to be a subset of B and to contain the full-interval
     commutators; the result then generates the normalizer of <A> inside
-    <B> and is saturated.  The members of B outside A are scanned in
-    blocks of mask products against the uncovered members of A, which
-    generate <A> (see :func:`_uncovered`), and each one leaves the scan
-    at the first product that lands outside A; the products are looked
-    up as :func:`_membership` says.  The normalizer chain takes the same
-    scan, one term at a time.
+    <B> and is saturated.  A member c of B outside A has [c, t_k] =
+    c | (c + 1) for its lowest hole k, so it normalizes A only if that
+    fill-in is in A: as in the normalizer chain, only the masks that
+    :func:`_parked` gives for A's members are scanned, in blocks of
+    products against the uncovered members of A, which generate <A>
+    (see :func:`_uncovered`), and each leaves the scan at its first
+    product outside A, looked up as :func:`_membership` says.
     """
     if not A.issubset(B):
         raise ValueError("A must be a subset of B (same rank, members contained)")
     if not A.contains_translations:
         raise ValueError("A must contain all full-interval commutators t_1..t_n")
-    # members of A normalize it, since A is closed; only the rest are scanned
-    cands = np.array(sorted(B.masks - A.masks), dtype=np.int64)
     members = np.array(sorted(A.masks), dtype=np.int64)
     present = _membership(members, B.n)
+    parked = np.array([c for c in _parked(A.masks) if c in B.masks], dtype=np.int64)
+    cands = parked[~present(parked)]
     found, _ = _witnesses(cands, _uncovered(members, present, B.n), present)
     return SaturatedSet._make(B.n, A.masks | frozenset(cands[found == 0].tolist()))
 

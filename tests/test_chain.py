@@ -378,6 +378,11 @@ def test_rescanned_counts_candidates_reexamined():
         assert 0 < s.products <= s.rescanned * s.cover
     assert report.steps[0].cover == 0
     assert report == run_chain(6)  # a diagnostic, not part of equality
+    # a cover below 2^14 members fits one block of columns, so every rescanned
+    # candidate meets all of it, also where rescanned * cover passes 2^14
+    for _, rescanned, cover, products in run_chain(16, 14).diagnostics:
+        assert cover < 1 << 14
+        assert products == rescanned * cover
 
 
 def test_first_step_rescans_the_two_hole_masks():

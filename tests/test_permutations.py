@@ -106,6 +106,18 @@ def test_right_action_composition():
     assert q(1) == 4
 
 
+def test_call_refuses_non_integer_points():
+    # True would index point 1 and 1.5 would reach numpy's indexing
+    g = generator(1, 2)
+    for bad in (True, 1.5, "1", np.int64(1)):
+        with pytest.raises(ValueError, match="point must be an integer"):
+            g(bad)
+    for bad in (0, 5):
+        with pytest.raises(ValueError, match="outside"):
+            g(bad)
+    assert [g(p) for p in range(1, 5)] == [3, 4, 1, 2]
+
+
 def test_interval_commutator_cycle_forms():
     # the full interval t_i flips letter i under every prefix, pairing
     # x with x + 2^(n-i); frozen rank-6 forms (1,33)(2,34)..., (1,17)...,

@@ -98,7 +98,12 @@ def test_set_and_saturate_refuse_bool_members():
         for bad in ([True], [1, False], [C([2], 3), True]):
             with pytest.raises(TypeError, match="members must be"):
                 make(bad)
-    assert SaturatedSet(3, [1]).masks == {1}
+    s = SaturatedSet(3, [1])
+    assert s.masks == {1}
+    # nor may a lookup take True for member 1
+    assert True not in s and False not in s
+    assert 1 in s and 0 in s and C([1], 3) in s
+    assert C([1], 4) not in s and 2 not in s and 1.0 not in s
 
 
 def test_full_set_properties():
@@ -593,6 +598,22 @@ def _with_translations(n, B, picks):
     return A
 
 
+def _scanned_pool(B, A):
+    """The candidates normalizer_in(B, A) hands the witness scan, in mask order, and its masks."""
+    pools = []
+    real = saturated._witnesses
+
+    def spy(cands, members, present):
+        pools.append(cands.tolist())
+        return real(cands, members, present)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(saturated, "_witnesses", spy)
+        got = normalizer_in(B, A)
+    assert len(pools) == 1
+    return sorted(pools[0]), got.masks
+
+
 def _check_witnesses(A, B):
     cands = np.array(sorted(B.masks), dtype=np.int64)
     members = np.array(sorted(A.masks), dtype=np.int64)
@@ -607,7 +628,10 @@ def _check_witnesses(A, B):
                 assert w not in A.masks
                 assert w in {commutator_mask(c, m) for m in gens.tolist()}
         assert 0 < products <= len(cands) * len(gens)
-    assert normalizer_in(B, A).masks == _normalizer_in_loop(B, A)
+    pool, got = _scanned_pool(B, A)
+    # [c, t_k] fills c's lowest hole k, so c fails unless c | (c + 1) is in A
+    assert pool == sorted(c for c in B.masks - A.masks if c | (c + 1) in A.masks)
+    assert got == _normalizer_in_loop(B, A)
 
 
 @settings(max_examples=60, deadline=None)
@@ -622,9 +646,9 @@ def test_witnesses_match_reference_loop(n, term, picks):
 
 
 def test_witnesses_blocks_split_rows_and_columns(monkeypatch):
-    # a block of 1 or 7 products is smaller than the open rows, so each pass
-    # meets one column in blocks of rows; with 64, the passes widen to several
-    # columns as rows drop out, and to all the columns left once few are open
+    # a block of 1 or 7 products is shorter than most member lists, so each
+    # candidate meets the members alone, a block of columns at a time, until
+    # its first witness; with 64 the members fit one block of several rows
     rng = random.Random(11)
     n = 6
     cases = []
@@ -673,6 +697,8 @@ def test_high_ranks_look_members_up_without_a_dense_table():
     A = small(lambda: translation_set(n))
     B = small(lambda: translation_normalizer_set(n))
     assert small(lambda: normalizer_in(B, A)).masks == _normalizer_in_loop(B, A) == B.masks
+    # each single puncture's lowest fill-in is a translation, so all of B outside A is scanned
+    assert _scanned_pool(B, A) == (sorted(B.masks - A.masks), B.masks)
 
 
 def test_normal_closure_rejects_an_ambient_that_is_not_closed():
