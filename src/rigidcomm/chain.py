@@ -163,9 +163,11 @@ class ChainReport:
         """log2 indices for steps 1..count, padding a full-group fixpoint with zeros.
 
         Refuses to pad a budget-terminated report: those later indices
-        were never computed.
+        were never computed.  A count past 2^``CHAIN_MAX_RANK``, which no
+        chain reaches, raises ``ScaleGuardError`` before any padding.
         """
         partitions._check_count("step count", count)
+        check_cap("step count", count, 1 << CHAIN_MAX_RANK)
         joined = self.joined
         have = tuple(np.bincount(
             joined[(joined > 0) & (joined != _NEVER)], minlength=self.terminated_at + 1
@@ -246,7 +248,7 @@ class _IncrementalChain:
     :func:`~rigidcomm.saturated._parked` gives for them.  ``__init__``
     wakes those parked on the members of ``start`` outside the term, so
     the first scan meets the candidates whose lowest fill-in is a
-    member, as in ``normalizer_in``.  A candidate that fails a scan
+    member, as in ``normalizing_step``.  A candidate that fails a scan
     waits in ``waiters`` under the witness the scan found, until it joins.
 
     The cache is sound only while every term is saturated, contains the

@@ -381,14 +381,12 @@ def _witnesses(
     set, or 0 when cands[k] normalizes the span of the set; the second
     result counts the products evaluated.
 
-    The candidates are taken in blocks of ``_PAIR_BLOCK // len(members)``
-    rows, at least one, and each block meets the members in blocks of at
-    most ``_PAIR_BLOCK`` columns, in member order, so no block holds more
-    than ``_PAIR_BLOCK`` products; a row leaves at its first witness.
-    Each block is one call of :func:`_products` on the smaller and larger
-    factors, with the smaller top bit read off :func:`_top_bits`; the
-    pairs whose larger factor has that bit make no product and no
-    witness.
+    The candidates meet the members in blocks of at most ``_PAIR_BLOCK``
+    products: ``_PAIR_BLOCK // len(members)`` rows, at least one, by at
+    most ``_PAIR_BLOCK`` columns in member order; a row leaves at its
+    first witness.  Each block is one call of :func:`_products` on the
+    smaller and larger factors, with the smaller top bit read off
+    :func:`_top_bits`; pairs whose larger factor has it make no product.
     """
     found = np.zeros(len(cands), dtype=np.int64)
     cand_tops, member_tops = _top_bits(cands), _top_bits(members)
@@ -414,44 +412,44 @@ def _witnesses(
 def normalizing_step(M: SaturatedSet) -> SaturatedSet:
     """All rigid commutators whose commutator with every member stays inside.
 
-    This is one step of the normalizer chain, :func:`normalizer_in` with
-    all rigid commutators as the ambient: the member set of the
-    normalizer of the subgroup generated by ``M``.  ``M`` must contain
-    the full-interval commutators.  The ambient :func:`full_rigid_set`
-    builds has 2^n - 1 members, so the step shares the rank cap of
-    :func:`normal_closure`.
+    One step of the normalizer chain: the members of the normalizer of
+    <M>, which must contain the full-interval commutators.  A commutator
+    c outside M with lowest hole k has [c, t_k] = c | (c + 1), so it
+    fails unless that fill-in is in M: only the masks that :func:`_parked`
+    gives for M's members are scanned, with no ambient set, against M's
+    :func:`_uncovered` members, which generate <M>.  A scan of more than
+    (2^``CLOSURE_MAX_RANK`` - 1)^2 candidate-member pairs raises
+    :class:`~rigidcomm.permutations.ScaleGuardError` before any product.
     """
-    check_closure_rank(M.n)
-    return normalizer_in(full_rigid_set(M.n), M)
+    if not M.contains_translations:
+        raise ValueError("the set must contain all full-interval commutators t_1..t_n")
+    members = np.array(sorted(M.masks), dtype=np.int64)
+    present = _membership(members, M.n)
+    parked = np.array(_parked(M.masks), dtype=np.int64)
+    pool = parked[~present(parked)]
+    cover = _uncovered(members, present, M.n)
+    cap = (1 << CLOSURE_MAX_RANK) - 1
+    perm.check_cap("normalizer scan of pairs", len(pool) * len(cover), cap * cap)
+    found, _ = _witnesses(pool, cover, present)
+    return SaturatedSet._make(M.n, M.masks | frozenset(pool[found == 0].tolist()))
 
 
 def normalizer_in(B: SaturatedSet, A: SaturatedSet) -> SaturatedSet:
     """Members of B normalizing the subgroup generated by A.
 
     Requires A to be a subset of B and to contain the full-interval
-    commutators; the result then generates the normalizer of <A> inside
-    <B> and is saturated.  A member c of B outside A has [c, t_k] =
-    c | (c + 1) for its lowest hole k, so it normalizes A only if that
-    fill-in is in A: as in the normalizer chain, only the masks that
-    :func:`_parked` gives for A's members are scanned, in blocks of
-    products against the uncovered members of A, which generate <A>
-    (see :func:`_uncovered`), and each leaves the scan at its first
-    product outside A, looked up as :func:`_membership` says.
+    commutators.  The normalizer of <A> in <B> is N(<A>) ∩ <B>, and two
+    saturated sets meet in a saturated set, so this is the
+    :func:`normalizing_step` of A met with B: a member c of B outside A,
+    lowest hole k, fails when [c, t_k] = c | (c + 1) lies outside A.
     """
     if not A.issubset(B):
         raise ValueError("A must be a subset of B (same rank, members contained)")
-    if not A.contains_translations:
-        raise ValueError("A must contain all full-interval commutators t_1..t_n")
-    members = np.array(sorted(A.masks), dtype=np.int64)
-    present = _membership(members, B.n)
-    parked = np.array([c for c in _parked(A.masks) if c in B.masks], dtype=np.int64)
-    cands = parked[~present(parked)]
-    found, _ = _witnesses(cands, _uncovered(members, present, B.n), present)
-    return SaturatedSet._make(B.n, A.masks | frozenset(cands[found == 0].tolist()))
+    return SaturatedSet._make(B.n, normalizing_step(A).masks & B.masks)
 
 
 def check_closure_rank(n: int) -> None:
-    """Refuse a normal closure or a normalizer scan past ``CLOSURE_MAX_RANK``."""
+    """Refuse a normal closure past ``CLOSURE_MAX_RANK``."""
     perm.check_cap("closure at rank", n, CLOSURE_MAX_RANK)
 
 

@@ -29,7 +29,7 @@ from rigidcomm import (
     translation_set,
     verify_theoretical,
 )
-from rigidcomm import chain, saturated
+from rigidcomm import chain, partitions, saturated
 from rigidcomm.chain import _NEVER, CHAIN_MAX_RANK, _IncrementalChain
 from rigidcomm.rigid import commutator_mask
 from test_saturated import _normalizer_in_loop
@@ -198,6 +198,14 @@ def test_index_sequence_padding():
     assert truncated.index_sequence(2) == (1, 2)
 
 
+def test_index_sequence_refuses_a_count_past_every_chain():
+    # a 10^12-entry tuple of zeros would exhaust memory; the guard trips first
+    report = run_chain(3)
+    with pytest.raises(ScaleGuardError, match="step count"):
+        report.index_sequence(10**12)
+    assert report.index_sequence(1 << CHAIN_MAX_RANK)[:2] == (1, 0)
+
+
 def test_report_accessors_refuse_a_bad_step():
     report = run_chain(4)
     # a bool, a non-int or a negative step is refused, not read as a step or a slice
@@ -340,7 +348,7 @@ def test_full_chain_matches_naive_fold(n):
 
 
 @settings(max_examples=40, deadline=None)
-@given(n=st.integers(3, 7), data=st.data())
+@given(n=st.integers(3, 10), data=st.data())
 def test_incremental_step_matches_normalizing_step(n, data):
     # the witness cache needs a saturated start containing the translations
     extra = data.draw(st.lists(st.integers(1, (1 << n) - 1), min_size=1, max_size=3))
@@ -362,6 +370,32 @@ def test_incremental_step_matches_normalizing_step(n, data):
         fresh = saturated._uncovered(members, saturated._membership(members, n), n)
         assert sorted(chain.cover.tolist()) == fresh.tolist()
         current = nxt
+
+
+# normalizing_step(translation_normalizer_set(40)): its member count and the sha256
+# of its sorted masks as int64 bytes, recorded from the ambient-free scan
+RANK40_STEP = (821, "f6e1b1ca693a456aacdf6dd7369316b2e7db8d507be8b67ad161b4f24c3a26b1")
+
+
+def test_iterated_normalizing_step_is_the_chain_past_its_cap():
+    # the one-shot scan and the incremental chain share only the block scan
+    for n in range(3, 21):
+        report = run_chain(n, n + 1)
+        term = translation_normalizer_set(n)
+        for i in range(1, n + 2):
+            term = normalizing_step(term)
+            # a chain that reached the full group early stays there
+            assert term.masks == report.member_masks_at(min(i, report.terminated_at)), (n, i)
+    # no chain runs at these ranks, but the closed form holds for terms 0..n-2
+    for n in (24, 27):
+        term = translation_normalizer_set(n)
+        for i in range(n - 1):
+            if i:
+                term = normalizing_step(term)
+            assert term.masks == partitions._predicted_joins(n, i).keys(), (n, i)
+    step = normalizing_step(translation_normalizer_set(40))
+    digest = hashlib.sha256(np.array(sorted(step.masks), dtype=np.int64).tobytes()).hexdigest()
+    assert (len(step), digest) == RANK40_STEP
 
 
 def test_rescanned_counts_candidates_reexamined():

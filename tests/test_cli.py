@@ -286,6 +286,14 @@ def test_chain_and_verify_scale_guard(capsys):
     assert captured.err.count("scale guard") == 3
 
 
+def test_chain_matrix_refuses_a_step_count_past_every_chain(capsys):
+    # the rows would be padded with 10^12 zeros; the guard trips first
+    assert main(["chain", "--n-range", "3..4", "--steps", str(10**12)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "scale guard: step count" in captured.err
+
+
 # ── eval ─────────────────────────────────────────────────────────────────────
 
 def test_eval_nested_expression(capsys):

@@ -629,8 +629,9 @@ def _check_witnesses(A, B):
                 assert w in {commutator_mask(c, m) for m in gens.tolist()}
         assert 0 < products <= len(cands) * len(gens)
     pool, got = _scanned_pool(B, A)
-    # [c, t_k] fills c's lowest hole k, so c fails unless c | (c + 1) is in A
-    assert pool == sorted(c for c in B.masks - A.masks if c | (c + 1) in A.masks)
+    # [c, t_k] fills c's lowest hole k, so c fails unless c | (c + 1) is in A;
+    # the scan has no ambient, so B does not narrow it
+    assert pool == [c for c in range(1, 1 << A.n) if c not in A.masks and c | (c + 1) in A.masks]
     assert got == _normalizer_in_loop(B, A)
 
 
@@ -723,9 +724,44 @@ def test_normal_closure_scale_guard(monkeypatch):
     with pytest.raises(ScaleGuardError):
         saturated.check_closure_rank(above)
     saturated.check_closure_rank(above - 1)
-    # the one-shot normalizer scans all 2^n candidates, under the same cap
-    with pytest.raises(ScaleGuardError):
-        normalizing_step(translation_set(above))
+    # the normalizer scan has no ambient and no rank cap: it runs past CLOSURE_MAX_RANK
+    report = run_chain(above, 1)
+    term = normalizing_step(translation_set(above))
+    assert term.masks == report.member_masks_at(0)
+    assert normalizing_step(term).masks == report.member_masks_at(1)
+
+
+def test_normalizing_step_product_guard_refuses_before_any_product(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the guard comes before the scan")
+
+    # rank 6 scans C(6, 3) = 20 candidates against a cover of 6 members, 120 pairs
+    u, full = translation_normalizer_set(6), full_rigid_set(6)
+    monkeypatch.setattr(saturated, "_witnesses", refuse)
+    monkeypatch.setattr(saturated, "CLOSURE_MAX_RANK", 3)  # at most 7^2 = 49 pairs
+    with pytest.raises(ScaleGuardError, match="normalizer scan"):
+        normalizing_step(u)
+    with pytest.raises(ScaleGuardError, match="normalizer scan"):
+        normalizer_in(full, u)
+    monkeypatch.setattr(saturated, "CLOSURE_MAX_RANK", 4)  # 15^2 = 225 pairs
+    with pytest.raises(AssertionError, match="before the scan"):
+        normalizing_step(u)
+
+
+def test_normalizer_scan_builds_no_ambient_and_checks_no_rank(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the normalizer scan needs no ambient")
+
+    n = 9
+    report = run_chain(n, 2)
+    full = full_rigid_set(n)
+    monkeypatch.setattr(saturated, "full_rigid_set", refuse)
+    monkeypatch.setattr(saturated, "check_closure_rank", refuse)
+    term = translation_normalizer_set(n)
+    for i in (1, 2):
+        assert normalizer_in(full, term).masks == report.member_masks_at(i)
+        term = normalizing_step(term)
+        assert term.masks == report.member_masks_at(i)
 
 
 @settings(max_examples=150, deadline=None)
