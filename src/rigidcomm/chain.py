@@ -18,13 +18,13 @@ fill-in, found without a product.  Each step scans only the candidates
 that the members which joined in the step before woke, those parked on
 them as their lowest fill-in and those whose witness they are, all in
 one block scan; the first scan is what the first term's members wake,
-so no step reads all 2^n masks.  The scan meets only the term's cover,
-the members that no product of two smaller members yields: they
-generate the term, so a candidate that keeps the cover inside the term
-normalizes it.  A commutator joins the chain once, so the chain and its
-report keep one array, each mask's join step, and no other of its size;
-each product is looked up there, and each candidate leaves the scan at
-its first witness.
+so no step reads all 2^n masks.  The scan meets only a cover of the
+term, a generating set: the members that no product of two smaller
+members yields, as last found, plus those that joined since, found
+again once the cover has doubled.  A candidate that keeps it inside the
+term normalizes it; one that fails waits on its largest product outside.
+A commutator joins the chain once, so the chain and its report keep one
+array, each mask's join step, and no other of its size.
 """
 
 from __future__ import annotations
@@ -90,8 +90,8 @@ class ChainStep:
     ``index_log2`` is log2 of the index over the previous term; for step
     0 it is reported against the translation span.  ``seconds``,
     ``rescanned`` (candidates re-examined in the step), ``cover`` (the
-    size of the previous term's cover, which the step scanned them
-    against) and ``products`` (mask products evaluated in the step) are
+    size of the generating set of the previous term the step scanned
+    them against) and ``products`` (mask products evaluated in the step) are
     diagnostics and take no part in comparisons or JSON.
     """
 
@@ -221,7 +221,9 @@ class _Diagnostics(Sequence):
     def __len__(self) -> int:
         return len(self.seconds)
 
-    def __getitem__(self, i: int) -> tuple[float, int, int, int]:
+    def __getitem__(self, i: int | slice):
+        if isinstance(i, slice):
+            return tuple(map(self.__getitem__, range(len(self.seconds))[i]))
         i = range(len(self.seconds))[i]
         return (self.seconds[i], *self.counts[3 * i:3 * i + 3])
 
@@ -231,12 +233,14 @@ class _IncrementalChain:
 
     ``joined`` is the term's only copy, as :attr:`ChainReport.joined`
     reads it, with the other members of ``start`` at step 0 and ``i``
-    the last step taken; ``log2_order`` counts its members, and ``cover``
-    lists those that :func:`~rigidcomm.saturated._uncovered` keeps,
-    which generate the term; no other array of the chain grows with 2^n.
+    the last step taken; ``log2_order`` counts its members.  ``cover``
+    generates the term but is not :func:`~rigidcomm.saturated._uncovered`'s
+    exact output: it holds the members kept when that last ran, as it does
+    again once the cover has doubled, and every member joined since; no
+    other array of the chain grows with 2^n.
     Every candidate outside the term waits on a witness, a commutator
     [c, m], m a member, that lay outside the term when it was recorded;
-    ``pending`` lists the candidates to scan at the next step, those
+    ``pending`` holds, sorted, the candidates to scan at the next step, those
     whose witness has joined since, and one call of the block scan
     :func:`~rigidcomm.saturated._witnesses` scans them all against the
     cover.
@@ -268,10 +272,11 @@ class _IncrementalChain:
         self.joined[(1 << np.arange(n + 1)) - 1] = -1  # the identity and the t_i
         self.i = 0
         self.cover = _uncovered(members, self._present, n)
+        self.pruned = len(self.cover)  # the cover's size when _uncovered last made it
         self.log2_order = start.log2_order
         # each member wakes the masks parked on it, as if it had just joined
         parked = np.array(_parked(start.masks), dtype=np.int64)
-        self.pending = parked[~self._present(parked)].tolist()
+        self.pending = np.sort(parked[~self._present(parked)])
         self.waiters: dict[int, list[int]] = {}
         self.products = 0  # mask products the last step evaluated
 
@@ -280,25 +285,27 @@ class _IncrementalChain:
 
     def step(self) -> np.ndarray:
         """Grow the term to its normalizer; return the masks that joined."""
-        scanned = sorted(self.pending)  # in mask order, so no witness hangs on the wake order
-        found, self.products = _witnesses(np.array(scanned, dtype=np.int64), self.cover, self._present)
+        scanned = self.pending
+        found, self.products = _witnesses(scanned, self.cover, self._present)
+        fails = found != 0
+        added = scanned[~fails]
         waiters = self.waiters
-        joins = []
-        for c, w in zip(scanned, found.tolist()):
-            if w:
-                waiters.setdefault(w, []).append(c)
-            else:
-                joins.append(c)
-        added = np.array(joins, dtype=np.int64)
+        for c, w in zip(scanned[fails].tolist(), found[fails].tolist()):
+            waiters.setdefault(w, []).append(c)
         self.i += 1
         self.joined[added] = self.i
         self.log2_order += added.size
-        # the term only grows, so a covered member stays covered
-        self.cover = _uncovered(np.concatenate((self.cover, added)), self._present, self.n)
+        # the term only grows, so a covered member stays covered and the old
+        # cover plus the joins still generates the term; prune once it doubles
+        self.cover = np.concatenate((self.cover, added))
+        if len(self.cover) >= 2 * self.pruned:
+            self.cover = _uncovered(self.cover, self._present, self.n)
+            self.pruned = len(self.cover)
+        joins = added.tolist()
         pending = _parked(joins)
         for a in joins:
             pending += waiters.pop(a, ())
-        self.pending = pending
+        self.pending = np.sort(np.array(pending, dtype=np.int64))
         return added
 
 

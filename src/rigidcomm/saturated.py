@@ -371,42 +371,35 @@ def _parked(masks: Iterable[int]) -> list[int]:
 def _witnesses(
     cands: np.ndarray, members: np.ndarray, present: Callable[[np.ndarray], np.ndarray]
 ) -> tuple[np.ndarray, int]:
-    """Why each candidate fails to normalize a set, found in blocks of products.
+    """Why each candidate fails to normalize a set, found in row blocks of products.
 
     ``cands`` and ``members`` are nonzero int64 arrays, in any order, the
     latter a nonempty generating set of a saturated set, such as its
     :func:`_uncovered` members; ``present`` is the set's lookup, as
-    :func:`_membership` makes it.  Entry k of the first result is a nonzero
-    product [cands[k], m] with an m of ``members`` that lies outside the
-    set, or 0 when cands[k] normalizes the span of the set; the second
-    result counts the products evaluated.
+    :func:`_membership` makes it.  Entry k of the first result is the
+    largest nonzero product [cands[k], m], m in ``members``, that lies
+    outside the set, or 0 when cands[k] normalizes the span of the set;
+    the second result counts the products evaluated.
 
-    The candidates meet the members in blocks of at most ``_PAIR_BLOCK``
-    products: ``_PAIR_BLOCK // len(members)`` rows, at least one, by at
-    most ``_PAIR_BLOCK`` columns in member order; a row leaves at its
-    first witness.  Each block is one call of :func:`_products` on the
-    smaller and larger factors, with the smaller top bit read off
-    :func:`_top_bits`; pairs whose larger factor has it make no product.
+    The candidates meet all the members in row blocks of
+    ``_PAIR_BLOCK // len(members)`` candidates, at least one, so a block
+    holds at most ``max(_PAIR_BLOCK, len(members))`` products.  Each block
+    is one call of :func:`_products` on the smaller and larger factors,
+    with the smaller top bit read off :func:`_top_bits`; pairs whose
+    larger factor has it make no product.  The block zeroes those pairs
+    and the products inside the set, so a row's witness is its largest
+    product outside the set.
     """
     found = np.zeros(len(cands), dtype=np.int64)
-    cand_tops, member_tops = _top_bits(cands), _top_bits(members)
+    cand_tops, y, y_top = _top_bits(cands)[:, None], members[None, :], _top_bits(members)[None, :]
     rows = max(1, _PAIR_BLOCK // len(members))
-    products = 0
     for i in range(0, len(cands), rows):
-        idx = np.arange(i, min(i + rows, len(cands)))
-        for j in range(0, len(members), _PAIR_BLOCK):
-            y, y_top = members[None, j:j + _PAIR_BLOCK], member_tops[None, j:j + _PAIR_BLOCK]
-            x = cands[idx, None]
-            hi, top = np.maximum(x, y), np.minimum(cand_tops[idx, None], y_top)
-            prod = _products(np.minimum(x, y), hi, top)
-            bad = ~present(prod) & ((hi & top) == 0)
-            hit = np.flatnonzero(bad.any(axis=1))
-            found[idx[hit]] = prod[hit, bad[hit].argmax(axis=1)]
-            products += prod.size
-            idx = idx[found[idx] == 0]
-            if not idx.size:
-                break
-    return found, products
+        x = cands[i:i + rows, None]
+        hi, top = np.maximum(x, y), np.minimum(cand_tops[i:i + rows], y_top)
+        prod = _products(np.minimum(x, y), hi, top)
+        prod[present(prod) | ((hi & top) != 0)] = 0
+        found[i:i + rows] = prod.max(axis=1)
+    return found, len(cands) * len(members)
 
 
 def normalizing_step(M: SaturatedSet) -> SaturatedSet:

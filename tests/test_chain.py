@@ -360,16 +360,37 @@ def test_incremental_step_matches_normalizing_step(n, data):
     )
     current = start
     for _ in range(data.draw(st.integers(1, 6))):
+        before, pruned = chain.cover.tolist(), chain.pruned
         added = chain.step()
         nxt = normalizing_step(current)
         assert chain.log2_order == len(nxt.masks)
         assert np.flatnonzero(chain.joined != _NEVER).tolist() == [0, *sorted(nxt.masks)]
         assert set(added) == nxt.masks - current.masks
-        # the cover kept across steps is the cover of the term made afresh
+        # the cover kept across steps holds the cover of the term made afresh,
+        # so it generates the term, and is that cover right after a re-prune
         members = np.array(sorted(nxt.masks), dtype=np.int64)
         fresh = saturated._uncovered(members, saturated._membership(members, n), n)
-        assert sorted(chain.cover.tolist()) == fresh.tolist()
+        cover = chain.cover.tolist()
+        assert set(fresh.tolist()) <= set(cover) <= nxt.masks
+        assert len(set(cover)) == len(cover)
+        if len(before) + len(added) >= 2 * pruned:
+            assert sorted(cover) == fresh.tolist()
+        else:
+            assert cover == before + added.tolist()
         current = nxt
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+def test_lazy_cover_stays_within_twice_a_fresh_cover(n):
+    # the cover is pruned afresh only once it has doubled, and it can shrink as
+    # the term grows, so the bound is the largest fresh cover so far, not the last
+    report = run_chain(n)
+    largest = 0
+    for s, (_, _, cover, _) in enumerate(report.diagnostics[1:], 1):
+        members = np.array(sorted(report.member_masks_at(s - 1)), dtype=np.int64)
+        fresh = len(saturated._uncovered(members, saturated._membership(members, n), n))
+        largest = max(largest, fresh)
+        assert fresh <= cover < 2 * largest, (s, fresh, cover, largest)
 
 
 # normalizing_step(translation_normalizer_set(40)): its member count and the sha256
@@ -412,8 +433,8 @@ def test_rescanned_counts_candidates_reexamined():
         assert 0 < s.products <= s.rescanned * s.cover
     assert report.steps[0].cover == 0
     assert report == run_chain(6)  # a diagnostic, not part of equality
-    # a cover below 2^14 members fits one block of columns, so every rescanned
-    # candidate meets all of it, also where rescanned * cover passes 2^14
+    # every rescanned candidate meets all of the cover in one row block, also
+    # where rescanned * cover passes 2^14
     for _, rescanned, cover, products in run_chain(16, 14).diagnostics:
         assert cover < 1 << 14
         assert products == rescanned * cover
@@ -460,6 +481,14 @@ def test_diagnostics_read_back_as_step_tuples():
     assert all(type(count) is int for row in diagnostics for count in row[1:])
     with pytest.raises(IndexError):
         diagnostics[len(diagnostics)]
+
+
+def test_diagnostics_slice_as_tuples():
+    diagnostics = run_chain(6).diagnostics
+    rows = tuple(diagnostics)
+    for cut in (slice(1, 3), slice(None, None, -1), slice(-2, None)):
+        assert diagnostics[cut] == rows[cut], cut
+    assert len(diagnostics[1:3]) == 2
 
 
 def test_run_chain_builds_no_per_step_records():

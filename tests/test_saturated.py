@@ -648,8 +648,8 @@ def test_witnesses_match_reference_loop(n, term, picks):
 
 def test_witnesses_blocks_split_rows_and_columns(monkeypatch):
     # a block of 1 or 7 products is shorter than most member lists, so each
-    # candidate meets the members alone, a block of columns at a time, until
-    # its first witness; with 64 the members fit one block of several rows
+    # candidate meets all the members alone, in a row block of its own; with 64
+    # a row block holds several candidates
     rng = random.Random(11)
     n = 6
     cases = []
