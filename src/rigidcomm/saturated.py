@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -531,15 +532,13 @@ def _normal_closure_rounds(A: SaturatedSet, B: SaturatedSet) -> SaturatedSet:
 
 # ── unique factorization over rigid commutators ──────────────────────────────
 
-def _superset_xor(v: np.ndarray) -> np.ndarray:
-    """Entry s is the XOR of ``v`` over the indices that contain s as a submask."""
-    v = v.copy()
-    h = 1
-    while h < len(v):
-        pairs = v.reshape(-1, 2, h)  # axis 1 is bit log2(h) of the index
+def _superset_xor_levels(exps: np.ndarray) -> np.ndarray:
+    """Each level block exps[2^(l-1):2^l] taken to its superset-sum XOR over the bits below 2^(l-1)."""
+    exps = exps.copy()
+    for j in range(len(exps).bit_length() - 2):  # from 2^(j+1) up, the levels have bit j below the top
+        pairs = exps[2 << j:].reshape(-1, 2, 1 << j)  # axis 1 is bit j of the index
         pairs[:, 0] ^= pairs[:, 1]
-        h *= 2
-    return v
+    return exps
 
 
 def _reverse_bits(v: np.ndarray) -> np.ndarray:
@@ -550,6 +549,12 @@ def _reverse_bits(v: np.ndarray) -> np.ndarray:
 def _flip_level(pts: np.ndarray, flips: np.ndarray, shift: int) -> np.ndarray:
     """Flip bit ``shift`` of the points whose MSB-first prefix above it is in ``flips``."""
     return pts ^ (flips[pts >> (shift + 1)] << shift)
+
+
+@lru_cache(maxsize=None)
+def _commutators(n: int) -> tuple[RigidCommutator, ...]:
+    """The 2^n rigid commutators of rank ``n`` by mask, built once and shared: they are immutable."""
+    return tuple(RigidCommutator._trusted(m, n) for m in range(1 << n))
 
 
 @dataclass(frozen=True)
@@ -574,20 +579,25 @@ class Factorization:
 
         The factors based at a level commute, so their product flips that
         level's letter on the superset-sum XOR transform of the level's
-        exponent vector (see :func:`factorize`): one flip per level.
-        Ranks above ``FACTORIZE_MAX_RANK`` raise
+        exponents (see :func:`factorize`): one transform of the factors'
+        exponent vector for all levels, then one flip per level.  A
+        factor that is not a :class:`~rigidcomm.rigid.RigidCommutator`
+        raises ``TypeError``.  Ranks above ``FACTORIZE_MAX_RANK`` raise
         :class:`~rigidcomm.permutations.ScaleGuardError`.
         """
         n = self.n
         perm.check_cap("to_permutation at rank", n, FACTORIZE_MAX_RANK)
         exps = np.zeros(1 << n, dtype=np.int64)  # level b's exponents are exps[2^(b-1):2^b]
         for c in self.factors:
+            if not isinstance(c, RigidCommutator):
+                raise TypeError(f"factors must be RigidCommutator, got {type(c)!r}")
             if c.n != n:
                 raise ValueError(f"rank mismatch: factor has rank {c.n}, factorization has {n}")
             exps[c.mask] ^= 1
+        exps = _superset_xor_levels(exps)
         img = np.arange(1 << n)
         for level in range(1, n + 1):
-            flips = _reverse_bits(_superset_xor(exps[1 << (level - 1):1 << level]))
+            flips = _reverse_bits(exps[1 << (level - 1):1 << level])
             img = _flip_level(img, flips, n - level)
         return perm.TreePermutation._from0(img, n)
 
@@ -606,31 +616,35 @@ def factorize(g: perm.TreePermutation, within: SaturatedSet | None = None) -> Fa
     order) that are submasks of its index set below i, so a level's flip
     vector is the superset-sum XOR transform of its exponent vector.
     Mod 2 the Moebius inversion of that transform is the transform
-    itself, so the exponents are the same transform of the flip vector.
-    A non-identity final residual means the input is not in the tree
-    group's coordinates.  With ``within`` given, ``member`` reports
-    whether every factor lies in that set.  Ranks above
-    ``FACTORIZE_MAX_RANK`` raise :class:`~rigidcomm.permutations.ScaleGuardError`.
+    itself, so one transform of all levels' flips, in one vector indexed
+    by mask, gives every exponent.  A non-identity final residual means
+    the input is not in the tree group's coordinates.  With ``within``
+    given, ``member`` reports whether every factor lies in that set.  A
+    ``g`` or ``within`` of the wrong type raises ``TypeError``, and ranks
+    above ``FACTORIZE_MAX_RANK`` raise :class:`~rigidcomm.permutations.ScaleGuardError`.
     """
+    if not isinstance(g, perm.TreePermutation):
+        raise TypeError(f"g must be a TreePermutation, got {type(g)!r}")
+    if within is not None and not isinstance(within, SaturatedSet):
+        raise TypeError(f"within must be a SaturatedSet or None, got {type(within)!r}")
     n = g.n
     perm.check_cap("factorize at rank", n, FACTORIZE_MAX_RANK)
     if within is not None and within.n != n:
         raise ValueError(f"rank mismatch: permutation has rank {n}, set has {within.n}")
     pts = np.arange(1 << n)
     res = g._img
-    factor_masks: list[int] = []
+    exps = np.zeros(1 << n, dtype=np.int64)  # level b's flips in mask order, then its exponents
     for level in range(1, n + 1):
         shift = n - level
         prefixes = np.arange(1 << (level - 1))
         flips = (res[prefixes << (shift + 1)] >> shift) & 1
-        exps = _superset_xor(_reverse_bits(flips))
-        factor_masks.extend((np.flatnonzero(exps) + (1 << (level - 1))).tolist())
+        exps[1 << (level - 1):1 << level] = _reverse_bits(flips)
         res = res[_flip_level(pts, flips, shift)]
     if not np.array_equal(res, pts):
         raise ValueError(
             "permutation is not an element of the rank-n tree group "
             "(residual after peeling all levels is not the identity)"
         )
-    factors = tuple(RigidCommutator._trusted(m, n) for m in factor_masks)
-    member = True if within is None else all(m in within.masks for m in factor_masks)
-    return Factorization(n, factors, member)
+    masks = np.flatnonzero(_superset_xor_levels(exps)).tolist()  # mask order is canonical order
+    member = True if within is None else within.masks.issuperset(masks)
+    return Factorization(n, tuple(map(_commutators(n).__getitem__, masks)), member)

@@ -4,6 +4,7 @@ Derived expectations are recomputed on the permutation oracle inside the
 tests where that is cheap, so the two layers certify each other.
 """
 
+import itertools
 import json
 import random
 import tracemalloc
@@ -26,6 +27,7 @@ from rigidcomm import (
     flip_pattern_permutation,
     full_rigid_set,
     generate_group,
+    generator,
     identity,
     level_flip_pattern,
     members_from_json,
@@ -1008,12 +1010,15 @@ def test_flip_pattern_closed_form_matches_expand(n):
         pattern = _closed_form_pattern(c)
         assert pattern == level_flip_pattern(g, c.base)
         assert flip_pattern_permutation(pattern, n) == g
-        # the engine's transform of the unit exponent vector gives the same pattern
+        # the engine's all-levels transform of the unit exponent vector gives the same
+        # pattern in c's level block and leaves every other level at 0
         top = 1 << (c.base - 1)
-        unit = np.zeros(top, dtype=np.int64)
-        unit[mask ^ top] = 1
-        flips = saturated._reverse_bits(saturated._superset_xor(unit))
+        unit = np.zeros(1 << n, dtype=np.int64)
+        unit[mask] = 1
+        out = saturated._superset_xor_levels(unit)
+        flips = saturated._reverse_bits(out[top:2 * top])
         assert frozenset(np.flatnonzero(flips).tolist()) == pattern.flips
+        assert not out[:top].any() and not out[2 * top:].any()
         assert Factorization(n, (c,), True).to_permutation() == g
 
 
@@ -1031,16 +1036,21 @@ def test_to_permutation_matches_fold_on_canonical_words_with_repeats():
 
 @pytest.mark.parametrize("width", range(7))
 def test_superset_xor_is_a_superset_sum_and_an_involution(width):
+    # the all-levels transform of a 2^width vector, level l in entries 2^(l-1)..2^l - 1
     rng = np.random.default_rng(width)
     size = 1 << width
     for _ in range(20):
         v = rng.integers(0, 2, size)
         kept = v.copy()
-        out = saturated._superset_xor(v)
-        brute = [int(np.bitwise_xor.reduce(v[[t for t in range(size) if t & s == s]]))
-                 for s in range(size)]
+        out = saturated._superset_xor_levels(v)
+        brute = [int(v[0])]  # entry 0 belongs to no level
+        for level in range(1, width + 1):
+            top = 1 << (level - 1)
+            brute += [int(np.bitwise_xor.reduce(v[[top | t for t in range(top) if t & s == s]]))
+                      for s in range(top)]
         assert out.tolist() == brute
-        assert saturated._superset_xor(out).tolist() == v.tolist()
+        assert out[0] == v[0]
+        assert saturated._superset_xor_levels(out).tolist() == v.tolist()
         assert np.array_equal(v, kept)
 
 
@@ -1124,6 +1134,81 @@ def test_factorize_scale_guard():
     # identity(13) is refused by its own guard, so build the rank-13 input directly
     with pytest.raises(ScaleGuardError):
         factorize(TreePermutation(range(1, 2**13 + 1), 13))
+
+
+def test_factorize_scale_guard_comes_before_the_commutator_table(monkeypatch):
+    def refuse(n):
+        raise AssertionError(f"commutator table built at rank {n}")
+
+    monkeypatch.setattr(saturated, "_commutators", refuse)
+    with pytest.raises(ScaleGuardError):
+        factorize(TreePermutation(range(1, 2**13 + 1), 13))
+    with pytest.raises(AssertionError):  # the patch is the builder factorize calls
+        factorize(identity(3))
+
+
+def test_commutator_table_is_every_commutator_by_mask():
+    for n in range(1, 7):
+        table = saturated._commutators(n)
+        assert table == tuple(RigidCommutator(m, n) for m in range(1 << n))
+        assert saturated._commutators(n) is table
+    # factors are the shared table entries
+    fac = factorize(expand(C([4, 2], 4)))
+    assert fac.factors[0] is saturated._commutators(4)[0b1010]
+
+
+def test_factorize_rejects_a_non_permutation():
+    with pytest.raises(TypeError, match="TreePermutation"):
+        factorize("21")
+    with pytest.raises(TypeError, match="TreePermutation"):
+        factorize((2, 1))
+
+
+def test_factorize_rejects_a_non_set_within():
+    with pytest.raises(TypeError, match="SaturatedSet"):
+        factorize(identity(3), frozenset({1, 3}))
+    # before any work: a rank-13 input would otherwise trip the scale guard
+    with pytest.raises(TypeError, match="SaturatedSet"):
+        factorize(TreePermutation(range(1, 2**13 + 1), 13), [C([3], 13)])
+
+
+def test_to_permutation_rejects_a_non_commutator_factor(monkeypatch):
+    def refuse(exps):
+        raise AssertionError("transform ran")
+
+    monkeypatch.setattr(saturated, "_superset_xor_levels", refuse)
+    with pytest.raises(TypeError, match="RigidCommutator"):
+        Factorization(3, (C([3], 3), 1), True).to_permutation()
+    with pytest.raises(TypeError, match="RigidCommutator"):
+        Factorization(3, ("[3]",), True).to_permutation()
+
+
+def test_factorize_accepts_exactly_the_tree_group():
+    # all of Sym(4), then a seeded sample of Sym(8) that holds the whole tree group
+    rng = random.Random(8)
+    group3 = generate_group(generator(i, 3) for i in range(1, 4))
+    sym8 = [p.images for p in group3] + [tuple(rng.sample(range(1, 9), 8)) for _ in range(1872)]
+    for n, images in ((2, itertools.permutations(range(1, 5))), (3, sym8)):
+        group = generate_group(generator(i, n) for i in range(1, n + 1))
+        seen = set()
+        for img in images:
+            p = TreePermutation(img, n)
+            if p in group:
+                fac = factorize(p)
+                assert fac.to_permutation() == p
+                seen.add(p)
+            else:
+                with pytest.raises(ValueError, match="not an element"):
+                    factorize(p)
+        assert seen == group
+
+
+@pytest.mark.parametrize("n", range(1, 4))
+def test_factorize_inverts_the_fold_on_every_exponent_set(n):
+    masks = range(1, 1 << n)
+    for bits in range(1 << len(masks)):
+        S = tuple(RigidCommutator(m, n) for k, m in enumerate(masks) if bits >> k & 1)
+        assert factorize(_to_permutation_fold(Factorization(n, S, True))).factors == S
 
 
 def test_factorize_rank_mismatch():
