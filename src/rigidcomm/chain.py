@@ -358,16 +358,23 @@ def verify_theoretical(report: ChainReport) -> list[tuple[int, bool]]:
     Valid for steps 0..n-2; returns (step, matches) pairs.  The closed
     form is enumerated once, as each member's predicted join step in the
     conventions of :attr:`ChainReport.joined`, and term i holds exactly
-    when the masks that joined by step i are the same in both.  No
-    closure check is needed: a prediction equal to the engine's term, a
-    normalizer and so saturated, is itself closed.
+    when both terms have as many members and no predicted member due by
+    step i joined later; only the predicted masks of ``joined`` are read.
+    No closure check is needed: a prediction equal to the engine's term,
+    a normalizer and so saturated, is itself closed.
     """
     if not isinstance(report, ChainReport):
         raise TypeError(f"expected a ChainReport, got {type(report).__name__}")
     n = report.n
     last = min(n - 2, report.terminated_at)
     joins = partitions._predicted_joins(n, last)
-    want = np.full(1 << n, _NEVER, dtype=np.int32)
-    want[0] = -1  # the identity
-    want[list(joins)] = list(joins.values())
-    return [(i, np.array_equal(report.joined <= i, want <= i)) for i in range(last + 1)]
+    joins[0] = -1  # the identity
+    want = np.array(list(joins.values()))
+    joined = report.joined
+    got = np.minimum(joined[list(joins)], last + 1)  # past `last` all steps look alike
+    late = got > want  # missing from the terms want..got-1
+    # entry i + 1 counts the steps <= i: of each term's members, and of the late ones due and joined
+    size, want_size, due, arrived = (np.bincount(s + 1, minlength=last + 3).cumsum()
+                                     for s in (joined[joined <= last], want, want[late], got[late]))
+    ok = (size == want_size) & (due == arrived)
+    return [(i, bool(ok[i + 1])) for i in range(last + 1)]

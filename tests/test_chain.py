@@ -278,6 +278,28 @@ def test_verify_theoretical_flags_an_early_joiner_until_its_step(n):
         assert verdicts == [(i, i not in (k - 2, k - 1)) for i in range(n - 1)], k
 
 
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_verify_theoretical_flags_a_swap_that_keeps_every_count(n):
+    # every term keeps its size, so only the members themselves can tell
+    report = run_chain(n, n - 2)
+    outside = int(np.flatnonzero(report.joined == _NEVER)[0])
+    for k in range(report.terminated_at + 1):
+        step_k = np.flatnonzero(report.joined == k)
+        m = step_k[len(step_k) // 2]
+        joined = report.joined.copy()
+        joined[[m, outside]] = joined[[outside, m]]  # a stranger takes m's place
+        broken = ChainReport(n, joined, report.terminated_at, report.reached_full,
+                             report.diagnostics)
+        assert verify_theoretical(broken) == [(i, i < k) for i in range(n - 1)], k
+        if k + 2 <= report.terminated_at:  # m joins two steps late, a later member early
+            joined = report.joined.copy()
+            later = np.flatnonzero(joined == k + 2)[0]
+            joined[[m, later]] = joined[[later, m]]
+            broken = ChainReport(n, joined, report.terminated_at, report.reached_full,
+                                 report.diagnostics)
+            assert verify_theoretical(broken) == [(i, i not in (k, k + 1)) for i in range(n - 1)], k
+
+
 def test_report_json_shape():
     report = run_chain(3)
     d = report.to_json_dict()

@@ -1119,6 +1119,11 @@ def test_factorize_exponent_lookup():
     fac = factorize(expand(c))
     assert fac.exponent(c) == 1
     assert fac.exponent(C([4, 3], n)) == 0
+    for bad in (5, "x", c.mask):
+        with pytest.raises(TypeError, match="RigidCommutator"):
+            fac.exponent(bad)
+    with pytest.raises(ValueError, match="rank mismatch"):
+        factorize(expand(C([3, 2], 3))).exponent(C([4, 2], n))
 
 
 def test_factorize_rejects_foreign_permutations():
@@ -1184,11 +1189,9 @@ def test_to_permutation_rejects_a_non_commutator_factor(monkeypatch):
 
 
 def test_factorize_accepts_exactly_the_tree_group():
-    # all of Sym(4), then a seeded sample of Sym(8) that holds the whole tree group
-    rng = random.Random(8)
-    group3 = generate_group(generator(i, 3) for i in range(1, 4))
-    sym8 = [p.images for p in group3] + [tuple(rng.sample(range(1, 9), 8)) for _ in range(1872)]
-    for n, images in ((2, itertools.permutations(range(1, 5))), (3, sym8)):
+    # all of Sym(4) and all of Sym(8)
+    for n in (2, 3):
+        images = itertools.permutations(range(1, (1 << n) + 1))
         group = generate_group(generator(i, n) for i in range(1, n + 1))
         seen = set()
         for img in images:
@@ -1201,6 +1204,59 @@ def test_factorize_accepts_exactly_the_tree_group():
                 with pytest.raises(ValueError, match="not an element"):
                     factorize(p)
         assert seen == group
+
+
+def _flip_level(pts, flips, shift):
+    """Flip bit ``shift`` of the points whose MSB-first prefix above it is in ``flips``."""
+    return pts ^ (flips[pts >> (shift + 1)] << shift)
+
+
+def _factorize_peel(g):
+    """Reference factorization: divide the levels off one at a time, top level first.
+
+    Level l's flips are read at the prefixes p 0...0 of the residual, which
+    is then composed with the level's flips; the input is in the tree group
+    exactly when the final residual is the identity.  Returns the factor
+    masks in canonical order.
+    """
+    n = g.n
+    pts = np.arange(1 << n)
+    res = g._img
+    exps = np.zeros(1 << n, dtype=np.int64)
+    for level in range(1, n + 1):
+        shift = n - level
+        flips = (res[np.arange(1 << (level - 1)) << (shift + 1)] >> shift) & 1
+        exps[1 << (level - 1):1 << level] = saturated._reverse_bits(flips)
+        res = res[_flip_level(pts, flips, shift)]
+    if not np.array_equal(res, pts):
+        raise ValueError("not an element: the residual after peeling all levels is not the identity")
+    return tuple(np.flatnonzero(saturated._superset_xor_levels(exps)).tolist())
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_factorize_matches_the_level_peel(n):
+    # seeded tree elements built from random portraits, then each with two images swapped
+    rng = np.random.default_rng(n)
+    within = translation_normalizer_set(n)
+    for _ in range(12):
+        img = np.arange(1 << n)
+        for level in range(1, n + 1):
+            img = _flip_level(img, rng.integers(0, 2, 1 << (level - 1)), n - level)
+        swapped = img.copy()
+        a, b = rng.choice(1 << n, 2, replace=False)
+        swapped[[a, b]] = swapped[[b, a]]
+        for arr in (img, swapped):
+            g = TreePermutation((arr + 1).tolist(), n)
+            try:
+                want = _factorize_peel(g)
+            except ValueError:
+                with pytest.raises(ValueError, match="not an element"):
+                    factorize(g, within)
+                continue
+            fac = factorize(g, within)
+            assert tuple(c.mask for c in fac.factors) == want
+            assert fac.member == within.masks.issuperset(want)
+            assert fac.to_permutation() == g
 
 
 @pytest.mark.parametrize("n", range(1, 4))
