@@ -39,7 +39,7 @@ from functools import cached_property
 import numpy as np
 
 from .permutations import check_cap
-from .rigid import RigidCommutator
+from .rigid import RigidCommutator, _check_rank
 from .saturated import SaturatedSet, _parked, _uncovered, _witnesses
 from . import partitions
 
@@ -64,22 +64,26 @@ __all__ = [
 def translation_set(n: int) -> SaturatedSet:
     """The full-interval commutators t_i = [{1..i}], i = 1..n.
 
-    They span a regular elementary abelian subgroup of order 2^n.
+    They span a regular elementary abelian subgroup of order 2^n.  The
+    t_i commute, so the set is closed by construction and skips the check.
     """
-    return SaturatedSet(n, [(1 << i) - 1 for i in range(1, n + 1)])
+    _check_rank(n)
+    return SaturatedSet._make(n, frozenset((1 << i) - 1 for i in range(1, n + 1)))
 
 
 def translation_normalizer_set(n: int) -> SaturatedSet:
     """Members of the normalizer of the translation span: the t_i plus
     every full interval with a single puncture.
 
-    Has n(n+1)/2 members, so the subgroup has order 2^(n(n+1)/2).
+    Has n(n+1)/2 members, so the subgroup has order 2^(n(n+1)/2).  A
+    normalizer's member set, it is closed by construction and skips the check.
     """
+    _check_rank(n)
     masks = [(1 << i) - 1 for i in range(1, n + 1)]
     for i in range(2, n + 1):
         ti = (1 << i) - 1
         masks.extend(ti & ~(1 << (j - 1)) for j in range(1, i))
-    return SaturatedSet(n, masks)
+    return SaturatedSet._make(n, frozenset(masks))
 
 
 @dataclass(frozen=True)
@@ -243,7 +247,9 @@ class _IncrementalChain:
     ``pending`` holds, sorted, the candidates to scan at the next step, those
     whose witness has joined since, and one call of the block scan
     :func:`~rigidcomm.saturated._witnesses` scans them all against the
-    cover.
+    cover.  One Python pass over the scanned masks and their witnesses
+    splits the joins from the failures; the joins wake the next scan,
+    sorted as a list before one conversion to an array.
 
     A candidate c with base b and a hole k < b has [c, t_k] = [t_k, c]
     = c | 2^(k-1), so its lowest fill-in c | (c + 1) is a witness
@@ -287,25 +293,24 @@ class _IncrementalChain:
         """Grow the term to its normalizer; return the masks that joined."""
         scanned = self.pending
         found, self.products = _witnesses(scanned, self.cover, self._present)
-        fails = found != 0
-        added = scanned[~fails]
-        waiters = self.waiters
-        for c, w in zip(scanned[fails].tolist(), found[fails].tolist()):
-            waiters.setdefault(w, []).append(c)
+        joins, waiters = [], self.waiters
+        for c, w in zip(scanned.tolist(), found.tolist()):
+            (waiters.setdefault(w, []) if w else joins).append(c)
+        added = np.array(joins, dtype=np.int64)
         self.i += 1
         self.joined[added] = self.i
-        self.log2_order += added.size
+        self.log2_order += len(joins)
         # the term only grows, so a covered member stays covered and the old
         # cover plus the joins still generates the term; prune once it doubles
         self.cover = np.concatenate((self.cover, added))
         if len(self.cover) >= 2 * self.pruned:
             self.cover = _uncovered(self.cover, self._present, self.n)
             self.pruned = len(self.cover)
-        joins = added.tolist()
         pending = _parked(joins)
         for a in joins:
             pending += waiters.pop(a, ())
-        self.pending = np.sort(np.array(pending, dtype=np.int64))
+        pending.sort()
+        self.pending = np.array(pending, dtype=np.int64)
         return added
 
 

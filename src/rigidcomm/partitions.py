@@ -141,8 +141,13 @@ def _predicted_joins(n: int, last: int) -> dict[int, int]:
         full = (1 << b) - 1
         joins[full] = -1
         joins.update((full & ~(1 << (j - 1)), 0) for j in range(1, b))
+        # totals are at most n <= 63 < PARTITION_MAX_TOTAL, so no cap can trip
         for total in range(3, last + 3 - (n - b)):
             step = total - 2 + n - b
-            for p in distinct_partitions(total, max_part=b - 1):
-                joins[full & ~sum(1 << (k - 1) for k in p)] = step
+            for p in _distinct_desc(total, min(b - 1, total)):
+                if len(p) > 1:
+                    holes = 0
+                    for k in p:
+                        holes |= 1 << (k - 1)
+                    joins[full & ~holes] = step
     return joins

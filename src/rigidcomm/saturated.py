@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -32,6 +32,8 @@ _PAIR_BLOCK = 1 << 14  # mask products per kernel call, which bounds its tempora
 # above it they binary-search the sorted members
 _DENSE_MAX_RANK = 20
 _POWERS = np.left_shift(np.int64(1), np.arange(63, dtype=np.int64))  # 2^k, each bit an int64 holds
+_TOPS = np.insert(_POWERS, 0, 0)  # the top bit 2^(b-1) of a base-b mask, 0 for the identity
+_LOWS = _POWERS - 1  # 2^k - 1, the bits below 2^k
 
 __all__ = [
     "FACTORIZE_MAX_RANK",
@@ -143,7 +145,7 @@ def _membership(members: np.ndarray, n: int) -> Callable[[np.ndarray], np.ndarra
 
 def _top_bits(masks: np.ndarray) -> np.ndarray:
     """The top bit 2^(b-1) of each nonzero int64 mask, b its base, in any order or shape."""
-    return _POWERS.take(_POWERS.searchsorted(masks, "right") - 1)
+    return _TOPS.take(_POWERS.searchsorted(masks, "right"))
 
 
 def _uncovered(
@@ -166,12 +168,11 @@ def _uncovered(
     need meet only them.  Each mask takes n - 1 pairs of lookups, all
     in one block.
     """
-    bits = _POWERS[:n - 1]  # 2^(b-1), b = 1..n-1
     x = masks[:, None]
-    z = x & (_POWERS[1:n] - 1)
-    y = x - z + (bits - 1)  # x - z keeps x's bits from b up
+    z = x & _LOWS[1:n]  # b = 1..n-1
+    y = x - z + _LOWS[:n - 1]  # x - z keeps x's bits from b up
     # z has bit b - 1 when z >= 2^(b-1), and b is below x's base when z != x
-    covered = (z >= bits) & (z != x) & present(z) & present(y)
+    covered = (z >= _POWERS[:n - 1]) & (z != x) & present(z) & present(y)
     return masks[~covered.any(axis=1)]
 
 
@@ -386,21 +387,22 @@ def _witnesses(
     ``_PAIR_BLOCK // len(members)`` candidates, at least one, so a block
     holds at most ``max(_PAIR_BLOCK, len(members))`` products.  Each block
     is one call of :func:`_products` on the smaller and larger factors,
-    with the smaller top bit read off :func:`_top_bits`; pairs whose
-    larger factor has it make no product.  The block zeroes those pairs
-    and the products inside the set, so a row's witness is its largest
-    product outside the set.
+    with the smaller top bit read off :func:`_top_bits`, once per
+    candidate and once per member; pairs whose larger factor has it make
+    no product.  The block zeroes those pairs and the products inside the
+    set, so a row's witness is its largest product outside the set.  The
+    row maxima gather in a list of blocks, seeded empty for a scan of none.
     """
-    found = np.zeros(len(cands), dtype=np.int64)
     cand_tops, y, y_top = _top_bits(cands)[:, None], members[None, :], _top_bits(members)[None, :]
     rows = max(1, _PAIR_BLOCK // len(members))
+    found = [cands[:0]]
     for i in range(0, len(cands), rows):
         x = cands[i:i + rows, None]
         hi, top = np.maximum(x, y), np.minimum(cand_tops[i:i + rows], y_top)
         prod = _products(np.minimum(x, y), hi, top)
         prod[present(prod) | ((hi & top) != 0)] = 0
-        found[i:i + rows] = prod.max(axis=1)
-    return found, len(cands) * len(members)
+        found.append(prod.max(axis=1))
+    return np.concatenate(found), len(cands) * len(members)
 
 
 def normalizing_step(M: SaturatedSet) -> SaturatedSet:
@@ -568,7 +570,9 @@ class Factorization:
 
     def exponent(self, c: RigidCommutator) -> int:
         """1 if ``c`` is a factor, else 0; a non-commutator or another rank is refused."""
-        return 1 if self._checked(c) in set(self.factors) else 0
+        return 1 if self._checked(c) in self._factor_set else 0
+
+    _factor_set = cached_property(lambda self: frozenset(self.factors))  # once per object
 
     def _checked(self, c) -> RigidCommutator:
         if not isinstance(c, RigidCommutator):

@@ -117,6 +117,24 @@ def test_translation_sets():
         assert translation_normalizer_set(n).log2_order == n * (n + 1) // 2
 
 
+def test_translation_sets_closed_by_construction():
+    # both sets skip the closure check; the checked constructor accepts the same masks
+    for n in (*range(1, 21), 40):
+        for make in (translation_set, translation_normalizer_set):
+            built = make(n)
+            assert built == SaturatedSet(n, built.masks), (make.__name__, n)
+    # the second set is the normalizer of the first
+    for n in range(3, 15):
+        assert translation_normalizer_set(n) == normalizing_step(translation_set(n)), n
+
+
+@pytest.mark.parametrize("n", [0, True, -1, 64, 2.0])
+def test_translation_sets_check_their_rank(n):
+    for make in (translation_set, translation_normalizer_set):
+        with pytest.raises(ValueError, match="rank must be an integer"):
+            make(n)
+
+
 def test_rank6_chain_full_table():
     report = run_chain(6)
     assert report.n == 6

@@ -1,5 +1,7 @@
 """Partition counts, the punctured families, and the closed-form chain terms."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -183,6 +185,22 @@ def test_predicted_methods_agree():
         # the closed form's join steps; the translations' -1 reads as step 0
         joins = partitions._predicted_joins(n, n - 2)
         assert {m: max(step, 0) for m, step in joins.items()} == first, n
+
+
+# sha256 of repr(sorted(_predicted_joins(n, n - 2).items())), recorded from the
+# enumeration that went through the checked distinct_partitions
+PREDICTED_JOINS_SHA256 = {
+    20: "32eac6f36955a23c31ac230b8e05138c184d7ca2e89e9602790fefea49079d09",
+    24: "971f88ab25f6d8ba241b0c3b12f6b5a20e2acb484493aaab26a23d34a6e33618",
+    30: "f07d13532200e8fefbc535c5813e5082cefe049506e5df410ed6de4f64f9d986",
+    40: "480ac3705eefcb96e2e3376cb20ed6fb208d7934d555f1b8815fd3f6c9dcac54",
+}
+
+
+@pytest.mark.parametrize("n", sorted(PREDICTED_JOINS_SHA256))
+def test_predicted_joins_frozen(n):
+    joins = sorted(partitions._predicted_joins(n, n - 2).items())
+    assert hashlib.sha256(repr(joins).encode()).hexdigest() == PREDICTED_JOINS_SHA256[n]
 
 
 def test_predicted_sets_are_saturated():

@@ -4,6 +4,7 @@ Derived expectations are recomputed on the permutation oracle inside the
 tests where that is cheap, so the two layers certify each other.
 """
 
+import functools
 import itertools
 import json
 import random
@@ -1124,6 +1125,20 @@ def test_factorize_exponent_lookup():
             fac.exponent(bad)
     with pytest.raises(ValueError, match="rank mismatch"):
         factorize(expand(C([3, 2], 3))).exponent(C([4, 2], n))
+
+
+def test_factorize_exponent_matches_factor_list():
+    # the lookup set is built once per factorization; it must answer as the tuple does
+    rng = random.Random(25)
+    for n in range(1, 7):
+        every = [RigidCommutator(m, n) for m in range(1 << n)]
+        for _ in range(4):
+            picked = rng.choices(every, k=rng.randrange(2 * len(every)))  # repeats included
+            for fac in (Factorization(n, tuple(picked), True),
+                        factorize(functools.reduce(compose, map(expand, picked), identity(n)))):
+                for c in every:
+                    assert fac.exponent(c) == (c in fac.factors), (n, fac, c)
+                    assert fac.exponent(c) == (c in fac.factors)  # a second read, cached
 
 
 def test_factorize_rejects_foreign_permutations():
