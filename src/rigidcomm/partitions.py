@@ -124,7 +124,9 @@ def predicted_chain_set(n: int, i: int) -> SaturatedSet:
     base therefore contributes its full interval, its b-1 single
     punctures, and the punctured family of every total from 3 up to that
     bound.  Only the members are enumerated, so the rank may pass the
-    chain's cap.
+    chain's cap, but not the checked set's cap on members: term n-2 has
+    15148 at rank 31 and 17912 at rank 32, which raises ``ScaleGuardError``
+    before any product.  Item 17 of ROADMAP.md lifts that limit.
     """
     _check_rank(n)
     if isinstance(i, bool) or not isinstance(i, int) or not 0 <= i <= n - 2:

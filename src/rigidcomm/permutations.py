@@ -254,10 +254,12 @@ class LevelFlipPattern:
 def level_flip_pattern(p: TreePermutation, level: int) -> LevelFlipPattern:
     """Read the letter-``level`` flip behaviour of p.
 
-    Samples, for every prefix, the word with that prefix and zeros
-    elsewhere.  Faithful for permutations that fix all letters below
-    ``level`` and act on letter ``level`` per prefix (residuals during
-    factorization are of this shape).
+    Reads, for every prefix of ``level`` - 1 letters, letter ``level``
+    of the image of the word with that prefix and zeros elsewhere, and
+    records the prefixes where it is 1.  Faithful for permutations that
+    fix all letters below ``level`` and act on letter ``level`` per
+    prefix, such as a product of rigid commutators based at ``level``;
+    :func:`flip_pattern_permutation` builds the permutation back.
     """
     n = p.n
     if not 1 <= level <= n:

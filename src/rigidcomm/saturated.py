@@ -176,17 +176,46 @@ def _uncovered(
     return masks[~covered.any(axis=1)]
 
 
-def _closure_defect(masks: frozenset[int]) -> tuple[int, int] | None:
-    """A pair of members whose commutator is nonzero and not a member, if any."""
-    arr = np.sort(np.fromiter(masks, dtype=np.int64, count=len(masks)))
-    # a product lies below the larger factor's top bit, so the top member bounds the lookup
-    present = _membership(arr, int(arr[-1]).bit_length() if arr.size else 0)
-    for lo, hi, prod in _pair_products(arr, arr, both=False):
-        bad = np.flatnonzero(~present(prod))
-        if bad.size:
-            r, c = divmod(int(bad[0]), prod.shape[1])
-            return int(lo[r]), int(hi[c])
-    return None
+def _close(masks: np.ndarray, n: int, ambient: np.ndarray | None = None) -> np.ndarray:
+    """The closure of sorted nonzero int64 ``masks`` under products, as a sorted int64 array.
+
+    With no ``ambient`` the set is closed under products of its members.
+    With one, a sorted int64 array holding ``masks``, it is closed under
+    products with the ambient's members, and a product outside the
+    ambient raises ``ValueError`` naming its pair, so ``ambient`` =
+    ``masks`` checks a set for closure.  Each round multiplies the
+    members found in the round before by the partners (the members, or
+    the ambient) that can give a nonzero product, meeting each pair once
+    when the two are the same set.  Each block's new products join the
+    round's lookup before the next block, so every find is new, and a
+    closure past 2^``CLOSURE_MAX_RANK`` - 1 members raises
+    :class:`~rigidcomm.permutations.ScaleGuardError`, the seed's size
+    before any product.
+    """
+    cap = (1 << CLOSURE_MAX_RANK) - 1
+    perm.check_cap("saturated set of size", masks.size, cap)
+    frontier = masks
+    while frontier.size:
+        partners = masks if ambient is None else ambient
+        # a product lies below the larger factor's top bit, so the top partner bounds the lookups
+        bits = int(partners[-1]).bit_length()
+        inside = None if ambient is None else _membership(ambient, bits)
+        present, found = _membership(masks, bits), [masks[:0]]  # a round may make no product
+        for lo, hi, prod in _pair_products(frontier, partners, both=frontier.size < partners.size):
+            pos = np.flatnonzero(~present(prod))
+            if not pos.size:
+                continue
+            new = prod.ravel()[pos]
+            if inside is not None and not inside(new).all():
+                r, c = divmod(int(pos[~inside(new)][0]), prod.shape[1])
+                x, y, z = (RigidCommutator(int(v), n) for v in (lo[r], hi[c], prod[r, c]))
+                raise ValueError(f"set is not closed under commutation: {x} with {y} gives {z}")
+            found.append(np.unique(new))
+            masks = np.insert(masks, np.searchsorted(masks, found[-1]), found[-1])
+            perm.check_cap("saturated set of size", masks.size, cap)
+            present = _membership(masks, bits)
+        frontier = np.sort(np.concatenate(found))
+    return masks
 
 
 class SaturatedSet:
@@ -201,15 +230,8 @@ class SaturatedSet:
 
     def __init__(self, n: int, members: Iterable = ()) -> None:
         masks = _coerce_masks(members, n)
-        perm.check_cap("saturated set of size", len(masks), (1 << CLOSURE_MAX_RANK) - 1)
-        defect = _closure_defect(masks)
-        if defect is not None:
-            x, y = defect
-            raise ValueError(
-                "set is not closed under commutation: "
-                f"{RigidCommutator(x, n)} with {RigidCommutator(y, n)} "
-                f"gives {RigidCommutator(commutator_mask(x, y), n)}"
-            )
+        arr = np.sort(np.fromiter(masks, dtype=np.int64, count=len(masks)))
+        _close(arr, n, arr)
         self.n = n
         self.masks = masks
 
@@ -325,35 +347,21 @@ def saturate(members: Iterable[RigidCommutator], n: int | None = None) -> Satura
     """Smallest saturated set containing the given commutators.
 
     Generates the same subgroup as the seed.  Rank is taken from the
-    members when not given.  Each round multiplies the members found in
-    the round before by the members that can give a nonzero product, so
-    no pair of older members is evaluated again.  A set that would pass
-    2^``CLOSURE_MAX_RANK`` - 1 members, which no set at that rank or
-    below can, raises
+    members when not given; a seed whose first item is not a
+    :class:`~rigidcomm.rigid.RigidCommutator` then raises ``ValueError``
+    before any work.  The set is closed by :func:`_close`, which meets
+    each pair of seed members once and never meets a pair of older
+    members again.  A set that would pass 2^``CLOSURE_MAX_RANK`` - 1
+    members, which no set at that rank or below can, raises
     :class:`~rigidcomm.permutations.ScaleGuardError`.
     """
     seed = list(members)
     if n is None:
-        if not seed:
-            raise ValueError("cannot infer rank from an empty seed")
+        if not seed or not isinstance(seed[0], RigidCommutator):
+            raise ValueError("cannot infer the rank from an empty seed or an int mask: pass n")
         n = seed[0].n
-    cap = (1 << CLOSURE_MAX_RANK) - 1
     masks = np.array(sorted(_coerce_masks(seed, n)), dtype=np.int64)
-    frontier = masks
-    while frontier.size:
-        found, pending = [frontier[:0]], 0  # a round may make no product
-        # a product lies below the larger factor's top bit, as in _closure_defect
-        present = _membership(masks, int(masks[-1]).bit_length())
-        for _, _, prod in _pair_products(frontier, masks):
-            found.append(np.unique(prod[~present(prod)]))
-            pending += found[-1].size
-            if pending > cap:  # merge early, so that a runaway round stays small
-                found, pending = [np.unique(np.concatenate(found))], 0
-                perm.check_cap("saturated set of size", masks.size + found[0].size, cap)
-        frontier = np.unique(np.concatenate(found))
-        perm.check_cap("saturated set of size", masks.size + frontier.size, cap)
-        masks = np.union1d(masks, frontier)
-    return SaturatedSet._make(n, frozenset(masks.tolist()))
+    return SaturatedSet._make(n, frozenset(_close(masks, n).tolist()))
 
 
 # ── normalizer machinery ─────────────────────────────────────────────────────
@@ -478,7 +486,7 @@ def normal_closure(A: SaturatedSet, B: SaturatedSet) -> SaturatedSet:
        a saturated set is exactly the member set of the subgroup it
        spans.
 
-    Any other B takes :func:`_normal_closure_rounds`.  Ranks above
+    Any other B takes :func:`_close` within B.  Ranks above
     ``CLOSURE_MAX_RANK`` raise
     :class:`~rigidcomm.permutations.ScaleGuardError` and an A outside B
     raises ``ValueError``, both before any work.
@@ -487,7 +495,8 @@ def normal_closure(A: SaturatedSet, B: SaturatedSet) -> SaturatedSet:
     if not A.issubset(B):
         raise ValueError("A must be a subset of B (same rank, members contained)")
     if len(B.masks) < (1 << B.n) - 1:
-        return _normal_closure_rounds(A, B)
+        seed, ambient = (np.array(sorted(S.masks), dtype=np.int64) for S in (A, B))
+        return SaturatedSet._make(B.n, frozenset(_close(seed, B.n, ambient).tolist()))
     least = {}  # the smallest member of A at each base
     for m in sorted(A.masks, reverse=True):
         least[m.bit_length()] = m
@@ -500,36 +509,6 @@ def normal_closure(A: SaturatedSet, B: SaturatedSet) -> SaturatedSet:
                 t = min(t, (1 << (b - 1)) | (1 << (a0 - 1)))
             members.extend(range(t, 1 << b))
     return SaturatedSet._make(B.n, frozenset(members))
-
-
-def _normal_closure_rounds(A: SaturatedSet, B: SaturatedSet) -> SaturatedSet:
-    """:func:`normal_closure` of A, a subset of B, by rounds of products.
-
-    Each round multiplies the members found in the round before by those
-    of B that can give a nonzero product, and finds the products in a
-    table of positions in B, 2^n entries.  B must be closed: a product
-    outside it raises ``ValueError``.
-    """
-    pool = sorted(B.masks)  # the result reuses these int objects
-    ambient = np.array(pool, dtype=np.int64)
-    where = np.full(1 << B.n, -1)  # the position of each mask in ambient, or -1
-    where[ambient] = np.arange(len(pool))
-    inside = np.zeros(len(pool), dtype=bool)
-    inside[where[np.fromiter(A.masks, dtype=np.int64, count=len(A.masks))]] = True
-    frontier = np.flatnonzero(inside)
-    while frontier.size:
-        found = [frontier[:0]]  # a round may make no product
-        for _, _, prod in _pair_products(ambient[frontier], ambient):
-            pos = where[prod]
-            if (pos < 0).any():
-                missing = RigidCommutator(int(prod[pos < 0][0]), B.n)
-                raise ValueError(f"B is not closed under commutation: it lacks {missing}")
-            new = np.unique(pos[~inside[pos]])
-            inside[new] = True
-            found.append(new)
-        frontier = np.sort(np.concatenate(found))
-    members = frozenset(pool[i] for i in np.flatnonzero(inside).tolist())
-    return SaturatedSet._make(B.n, members)
 
 
 # ── unique factorization over rigid commutators ──────────────────────────────

@@ -429,7 +429,7 @@ def test_closure_scale_guard(tmp_path, capsys, monkeypatch):
     assert main(["closure", str(seed)]) == 3
     # an ambient past the cap is refused before its closure is checked,
     # which for these 2^14 - 1 members would take seconds
-    monkeypatch.setattr(saturated, "_closure_defect", lambda masks: pytest.fail("closure checked"))
+    monkeypatch.setattr(saturated, "_close", lambda *args: pytest.fail("closure checked"))
     seed.write_text('{"n": 3, "members": [[3]]}')
     ambient = tmp_path / "ambient.json"
     ambient.write_text(json.dumps({"n": 20, "members": [hex(m) for m in range(1, 1 << 14)]}))
@@ -496,7 +496,7 @@ def test_factorize_with_membership(tmp_path, capsys):
 def test_factorize_set_rank_checked_before_closure(tmp_path, capsys, monkeypatch):
     # a set of another rank is refused before its closure is checked,
     # which for these 2^14 - 1 members would take seconds
-    monkeypatch.setattr(saturated, "_closure_defect", lambda masks: pytest.fail("closure checked"))
+    monkeypatch.setattr(saturated, "_close", lambda *args: pytest.fail("closure checked"))
     path = tmp_path / "id.json"
     path.write_text('{"n": 3, "images": [1, 2, 3, 4, 5, 6, 7, 8]}')
     sett = tmp_path / "set.json"

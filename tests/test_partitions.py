@@ -17,7 +17,7 @@ from rigidcomm import (
     run_chain,
     translation_normalizer_set,
 )
-from rigidcomm import partitions
+from rigidcomm import partitions, saturated
 from rigidcomm.partitions import PARTITION_MAX_TOTAL
 
 # partitions of j into at least two distinct parts, and their partial
@@ -207,6 +207,14 @@ def test_predicted_sets_are_saturated():
     # the constructor re-verifies closure, so rebuilding one is the check
     s = predicted_chain_set(9, 5)
     assert SaturatedSet(9, s.masks) == s and s.contains_translations
+
+
+def test_predicted_set_stops_at_the_member_cap(monkeypatch):
+    # term n-2 has 15148 members at rank 31 and 17912 at rank 32, past 2^14 - 1
+    assert len(predicted_chain_set(31, 29)) == 15148
+    monkeypatch.setattr(saturated, "_pair_products", lambda *args, **kw: pytest.fail("product made"))
+    with pytest.raises(ScaleGuardError, match="saturated set of size 17912 exceeds the cap 16383"):
+        predicted_chain_set(32, 30)
 
 
 def test_predicted_rejects_out_of_range():

@@ -8,6 +8,7 @@ import functools
 import itertools
 import json
 import random
+import re
 import tracemalloc
 from unittest import mock
 
@@ -151,6 +152,10 @@ def test_saturate_empty_needs_rank():
     assert saturate([], 3).log2_order == 0
     with pytest.raises(ValueError):
         saturate([])
+    # an int mask carries no rank, also as the first item of a mixed seed
+    for seed in ([3], [True], [3, C([2], 3)]):
+        with pytest.raises(ValueError, match="pass n"):
+            saturate(seed)
 
 
 @given(st.integers(2, 8), st.data())
@@ -196,7 +201,7 @@ def test_saturate_matches_reference_loop(n, data):
 
 
 def test_saturate_blocks_and_early_merges(monkeypatch):
-    # tiny blocks, and a cap small enough that rounds merge their finds early
+    # tiny blocks, and a cap of the rank's full set, checked on each block's finds
     rng = random.Random(7)
     cases = [(n, [rng.randrange(1, 1 << n) for _ in range(k)]) for n in (3, 5, 6) for k in (1, 2, 3, n)]
     cases.append((6, [1 << i for i in range(6)]))
@@ -208,6 +213,27 @@ def test_saturate_blocks_and_early_merges(monkeypatch):
             monkeypatch.setattr(saturated, "CLOSURE_MAX_RANK", n)
             got.append(saturate([RigidCommutator(m, n) for m in seed], n).masks)
         assert got == expected
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+def test_saturate_of_a_closed_seed_makes_the_closure_checks_products(n, monkeypatch):
+    # the first round meets each pair of seed members with a nonzero product once,
+    # and finds nothing new
+    counts = []
+    pair_products = saturated._pair_products
+
+    def counting(*args, **kw):
+        for lo, hi, block in pair_products(*args, **kw):
+            counts[-1] += block.size
+            yield lo, hi, block
+
+    monkeypatch.setattr(saturated, "_pair_products", counting)
+    full = full_rigid_set(n)
+    for build in (lambda: saturate(full.members, n), lambda: SaturatedSet(n, full.masks)):
+        counts.append(0)
+        assert build() == full
+    pairs = itertools.combinations(range(1, 1 << n), 2)
+    assert counts[0] == counts[1] == sum(1 for x, y in pairs if commutator_mask(x, y))
 
 
 def test_saturate_scale_guard(monkeypatch):
@@ -472,6 +498,12 @@ def _normalizer_in_loop(B, A):
     return frozenset(b for b in B.masks if not _witness_loop(b, A.masks))
 
 
+def _close_within(A, B):
+    """The loop's closure of A within B, as a frozenset, whatever B is."""
+    a, b = (np.array(sorted(S.masks), dtype=np.int64) for S in (A, B))
+    return frozenset(saturated._close(a, B.n, b).tolist())
+
+
 def _ambient(n, term):
     """The full set when term is None, else chain term number term modulo the chain length."""
     if term is None:
@@ -494,7 +526,7 @@ def test_normal_closure_matches_reference_loop(n, term, picks):
     want = _normal_closure_loop(A, B)
     assert normal_closure(A, B).masks == want
     # the whole group takes the closed form, so its rounds are checked on their own
-    assert saturated._normal_closure_rounds(A, B).masks == want
+    assert _close_within(A, B) == want
 
 
 def test_normal_closure_blocks_split_rows_and_columns(monkeypatch):
@@ -511,7 +543,7 @@ def test_normal_closure_blocks_split_rows_and_columns(monkeypatch):
     expected = [_normal_closure_loop(A, B) for A, B in cases]
     for block in (1, 7, 64):
         monkeypatch.setattr(saturated, "_PAIR_BLOCK", block)
-        got = [saturated._normal_closure_rounds(A, B).masks for A, B in cases]
+        got = [_close_within(A, B) for A, B in cases]
         assert got == expected
 
 
@@ -570,7 +602,7 @@ def test_whole_group_closure_matches_rounds(n, data):
     A = saturate([RigidCommutator(m, n) for m in seed], n)
     B = full_rigid_set(n)
     got = normal_closure(A, B)
-    assert got == saturated._normal_closure_rounds(A, B)
+    assert got.masks == _close_within(A, B)
     if n <= 10:
         assert A.masks <= got.masks and _normal_in_whole_group(got.masks, n)
 
@@ -710,8 +742,9 @@ def test_normal_closure_rejects_an_ambient_that_is_not_closed():
     n = 3
     B = SaturatedSet._make(n, frozenset({C([3, 1], n).mask, C([2], n).mask}))
     A = SaturatedSet(n, [C([2], n)])
-    with pytest.raises(ValueError, match="not closed"):
+    with pytest.raises(ValueError, match="not closed") as err:
         normal_closure(A, B)
+    assert str(err.value) == "set is not closed under commutation: [2] with [3,1] gives [3,2]"
 
 
 def test_normal_closure_scale_guard(monkeypatch):
@@ -767,18 +800,23 @@ def test_normalizer_scan_builds_no_ambient_and_checks_no_rank(monkeypatch):
         assert term.masks == report.member_masks_at(i)
 
 
+_NAMED_PAIR = re.compile(r"set is not closed under commutation: (\[.*\]) with (\[.*\]) gives (\[.*\])")
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.integers(2, 7), st.data())
 def test_closure_defect_matches_reference_loop(n, data):
     masks = frozenset(data.draw(st.lists(st.integers(1, (1 << n) - 1), max_size=24)))
     if data.draw(st.booleans()):
         masks = saturate([RigidCommutator(m, n) for m in masks], n).masks
-    defect = saturated._closure_defect(masks)
-    assert (defect is None) == (_closure_defect_loop(masks) is None)
-    if defect is not None:
-        x, y = defect
-        assert x in masks and y in masks
-        assert commutator_mask(x, y) not in masks | {0}
+    if _closure_defect_loop(masks) is None:
+        assert SaturatedSet(n, masks).masks == masks
+        return
+    with pytest.raises(ValueError, match="not closed") as err:
+        SaturatedSet(n, masks)
+    x, y, z = (C(json.loads(e), n).mask for e in _NAMED_PAIR.fullmatch(str(err.value)).groups())
+    assert x in masks and y in masks
+    assert z == commutator_mask(x, y) and z not in masks | {0}
 
 
 def _product_table(values):
@@ -919,11 +957,11 @@ def test_pair_products_matches_reference_on_random_subsets(n, block, both, data)
 
 
 def test_saturated_set_member_cap(monkeypatch):
-    # 2^CLOSURE_MAX_RANK - 1 members at most, refused before the closure check
+    # 2^CLOSURE_MAX_RANK - 1 members at most, refused before the closure check makes a product
     full_json = full_rigid_set(3).to_json()  # full_rigid_set checks the rank cap too
     monkeypatch.setattr(saturated, "CLOSURE_MAX_RANK", 2)
     assert len(SaturatedSet(3, [0, 1, 2, 3])) == 3  # the identity is not a member
-    monkeypatch.setattr(saturated, "_closure_defect", lambda masks: pytest.fail("closure checked"))
+    monkeypatch.setattr(saturated, "_pair_products", lambda *args, **kw: pytest.fail("product made"))
     with pytest.raises(ScaleGuardError, match="saturated set of size 4 exceeds the cap 3"):
         SaturatedSet(3, [1, 2, 3, 4])
     with pytest.raises(ScaleGuardError):
