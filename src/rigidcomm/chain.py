@@ -39,7 +39,7 @@ from functools import cached_property
 import numpy as np
 
 from .permutations import check_cap
-from .rigid import RigidCommutator, _check_rank
+from .rigid import RigidCommutator, _check_int, _check_rank
 from .saturated import SaturatedSet, _parked, _uncovered, _witnesses
 from . import partitions
 
@@ -170,7 +170,7 @@ class ChainReport:
         were never computed.  A count past 2^``CHAIN_MAX_RANK``, which no
         chain reaches, raises ``ScaleGuardError`` before any padding.
         """
-        partitions._check_count("step count", count)
+        _check_int("step count", count, 0)
         check_cap("step count", count, 1 << CHAIN_MAX_RANK)
         joined = self.joined
         have = tuple(np.bincount(
@@ -185,9 +185,7 @@ class ChainReport:
 
     def member_masks_at(self, i: int) -> frozenset[int]:
         """Member set of the i-th term, the translations included."""
-        partitions._check_count("step", i)
-        if i > self.terminated_at:
-            raise ValueError(f"step {i} outside 0..{self.terminated_at}")
+        _check_int("step", i, 0, self.terminated_at)
         return frozenset((np.flatnonzero(self.joined[1:] <= i) + 1).tolist())
 
     def to_json_dict(self) -> dict:
@@ -315,7 +313,10 @@ class _IncrementalChain:
 
 
 def check_chain_rank(n: int) -> None:
-    """Refuse a chain whose 2^n-slot join steps would pass ``CHAIN_MAX_RANK``."""
+    """Refuse a rank that is not an integer >= 1 with ``ValueError``, and a chain
+    whose 2^n-slot join steps would pass ``CHAIN_MAX_RANK`` with ``ScaleGuardError``.
+    """
+    _check_int("rank", n, 1)
     check_cap("chain at rank", n, CHAIN_MAX_RANK)
 
 
@@ -336,12 +337,8 @@ def run_chain(n: int, max_steps: int | None = None) -> ChainReport:
     ``CHAIN_MAX_RANK`` raise
     :class:`~rigidcomm.permutations.ScaleGuardError` before any work.
     """
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise ValueError(f"rank must be a positive integer, got {n!r}")
-    if max_steps is not None and (
-        isinstance(max_steps, bool) or not isinstance(max_steps, int) or max_steps < 0
-    ):
-        raise ValueError(f"step budget must be a non-negative integer, got {max_steps!r}")
+    if max_steps is not None:
+        _check_int("step budget", max_steps, 0)
     check_chain_rank(n)
     budget = (1 << n) if max_steps is None else max_steps
     full_log2 = (1 << n) - 1

@@ -66,17 +66,13 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _emit(command: str, text: str, out_path: str | None) -> int:
-    """Write to ``out_path`` or stdout; the exit code, 2 if the file cannot be written."""
+def _emit(text: str, out_path: str | None) -> int:
+    """Write to ``out_path``, or to stdout when there is none; exit code 0."""
     if not out_path:
         sys.stdout.write(text)
         return 0
-    try:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-    except OSError as exc:
-        print(f"{command}: {exc}", file=sys.stderr)
-        return 2
+    with open(out_path, "w") as fh:
+        fh.write(text)
     return 0
 
 
@@ -106,30 +102,22 @@ def _print_timings(report, prefix: str = "") -> None:
 
 def _cmd_chain(args) -> int:
     if (args.n is None) == (args.n_range is None):
-        print("chain: exactly one of --n / --n-range is required", file=sys.stderr)
-        return 2
-    if args.n_range:
-        try:
-            lo_s, hi_s = args.n_range.split("..")
-            lo, hi = int(lo_s), int(hi_s)
-        except ValueError:
-            print(f"chain: bad --n-range {args.n_range!r}, expected like 3..15", file=sys.stderr)
-            return 2
+        raise ValueError("exactly one of --n / --n-range is required")
+    if args.n_range is not None:
+        lo_s, dots, hi_s = args.n_range.partition("..")
+        if not (dots and lo_s.strip().isdecimal() and hi_s.strip().isdecimal()):
+            raise ValueError(f"bad --n-range {args.n_range!r}, expected like 3..15")
+        lo, hi = int(lo_s), int(hi_s)
         if lo > hi:
-            print(f"chain: empty --n-range {args.n_range!r}", file=sys.stderr)
-            return 2
+            raise ValueError(f"empty --n-range {args.n_range!r}")
         steps = args.steps if args.steps is not None else 14
         chainmod.check_chain_rank(hi)  # refuse before computing the low rows
         rows = []
-        try:
-            for n in range(lo, hi + 1):
-                report = chainmod.run_chain(n, max_steps=steps)
-                if args.timings:
-                    _print_timings(report, f"n={n} ")
-                rows.append((n, report.index_sequence(steps)))
-        except ValueError as exc:
-            print(f"chain: {exc}", file=sys.stderr)
-            return 2
+        for n in range(lo, hi + 1):
+            report = chainmod.run_chain(n, max_steps=steps)
+            if args.timings:
+                _print_timings(report, f"n={n} ")
+            rows.append((n, report.index_sequence(steps)))
         if args.format == "json":
             import json as _json
             text = _json.dumps(
@@ -140,12 +128,8 @@ def _cmd_chain(args) -> int:
             step_label = "i={}" if args.format == "md" else "i{}"
             header = ["n", *(step_label.format(i) for i in range(1, steps + 1))]
             text = _table(args.format, header, [[n, *seq] for n, seq in rows])
-        return _emit("chain", text, args.out)
-    try:
-        report = chainmod.run_chain(args.n, max_steps=args.steps)
-    except ValueError as exc:
-        print(f"chain: {exc}", file=sys.stderr)
-        return 2
+        return _emit(text, args.out)
+    report = chainmod.run_chain(args.n, max_steps=args.steps)
     if args.timings:
         _print_timings(report)
     n = report.n
@@ -160,7 +144,7 @@ def _cmd_chain(args) -> int:
         header = ["i", *(f"dim_{j}" for j in range(n, 0, -1)), "log2_order", "index_log2"]
         rows = [[s.i, *reversed(s.level_dims), s.log2_order, s.index_log2] for s in report.steps]
         text = _table("csv", header, rows)
-    return _emit("chain", text, args.out)
+    return _emit(text, args.out)
 
 
 def _fail(name: str, detail: str) -> int:
@@ -170,9 +154,6 @@ def _fail(name: str, detail: str) -> int:
 
 def _cmd_verify(args) -> int:
     n = args.n
-    if n < 1:
-        print("verify: rank must be at least 1", file=sys.stderr)
-        return 2
     chainmod.check_chain_rank(n)  # refuse before the oracle checks run
     if args.sym_brute:
         perm.check_cap("--sym-brute at rank", n, perm.BRUTE_MAX_RANK)
@@ -220,11 +201,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    try:
-        c = evaluate_expression(args.expr, args.n)
-    except ValueError as exc:
-        print(f"eval: {exc}", file=sys.stderr)
-        return 2
+    c = evaluate_expression(args.expr, args.n)
     lines = [format_commutator(c)]
     if args.perm:
         lines.append(perm.expand(c).cycle_string())
@@ -233,9 +210,6 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_euler(args) -> int:
-    if args.max_j < 0:
-        print("euler: --max-j must be >= 0", file=sys.stderr)
-        return 2
     table = partitions.euler_table(args.max_j)
     if args.format == "json":
         import json as _json
@@ -243,7 +217,7 @@ def _cmd_euler(args) -> int:
     else:
         b, a = ("b_j", "a_j") if args.format == "md" else ("b", "a")
         text = _table(args.format, ["j", *range(len(table.b))], [[b, *table.b], [a, *table.a]])
-    return _emit("euler", text, args.out)
+    return _emit(text, args.out)
 
 
 def _read(path: str) -> str:
@@ -252,35 +226,27 @@ def _read(path: str) -> str:
 
 
 def _cmd_closure(args) -> int:
-    try:
-        n, seed = saturated.members_from_json(_read(args.set))
-        saturated.check_closure_rank(n)  # before the seed grows
-        if args.within:
-            within_n, within = saturated.members_from_json(_read(args.within))
-            saturated.check_closure_rank(within_n)  # before the set's closure is checked
-            B = saturated.SaturatedSet(within_n, within)
-        else:
-            B = saturated.full_rigid_set(n)
-        result = saturated.normal_closure(saturated.saturate(seed, n), B)
-    except (ValueError, OSError) as exc:
-        print(f"closure: {exc}", file=sys.stderr)
-        return 2
-    return _emit("closure", result.to_json(indent=2) + "\n", args.out)
+    n, seed = saturated.members_from_json(_read(args.set))
+    saturated.check_closure_rank(n)  # before the seed grows
+    if args.within:
+        within_n, within = saturated.members_from_json(_read(args.within))
+        saturated.check_closure_rank(within_n)  # before the set's closure is checked
+        B = saturated.SaturatedSet(within_n, within)
+    else:
+        B = saturated.full_rigid_set(n)
+    result = saturated.normal_closure(saturated.saturate(seed, n), B)
+    return _emit(result.to_json(indent=2) + "\n", args.out)
 
 
 def _cmd_factorize(args) -> int:
-    try:
-        g = perm.perm_from_json(_read(args.perm))
-        within = None
-        if args.set_path:
-            set_n, members = saturated.members_from_json(_read(args.set_path))
-            if set_n != g.n:  # before the set's closure is checked
-                raise ValueError(f"rank mismatch: permutation has rank {g.n}, set has {set_n}")
-            within = saturated.SaturatedSet(set_n, members)
-        fac = saturated.factorize(g, within)
-    except (ValueError, OSError) as exc:
-        print(f"factorize: {exc}", file=sys.stderr)
-        return 2
+    g = perm.perm_from_json(_read(args.perm))
+    within = None
+    if args.set_path:
+        set_n, members = saturated.members_from_json(_read(args.set_path))
+        if set_n != g.n:  # before the set's closure is checked
+            raise ValueError(f"rank mismatch: permutation has rank {g.n}, set has {set_n}")
+        within = saturated.SaturatedSet(set_n, members)
+    fac = saturated.factorize(g, within)
     print(f"factors: {fac}")
     if within is not None:
         print(f"member: {'true' if fac.member else 'false'}")
@@ -305,6 +271,9 @@ def main(argv=None) -> int:
     except ScaleGuardError as exc:
         print(f"scale guard: {exc}", file=sys.stderr)
         return 3
+    except (ValueError, OSError) as exc:  # bad input, or a file that cannot be read or written
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

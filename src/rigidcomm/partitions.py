@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .permutations import check_cap
-from .rigid import RigidCommutator, _check_rank, punctured_commutator
+from .rigid import RigidCommutator, _check_int, _check_rank, punctured_commutator
 from .saturated import SaturatedSet
 
 # the cache of partitions up to this total peaked at 56 MB RSS (27 MB above
@@ -28,12 +28,6 @@ __all__ = [
     "punctured_family",
     "predicted_chain_set",
 ]
-
-
-def _check_count(name: str, value) -> None:
-    """Refuse a bool, a non-int or a negative value, before any work."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
 
 
 @lru_cache(maxsize=None)
@@ -59,10 +53,10 @@ def distinct_partitions(
     :class:`~rigidcomm.permutations.ScaleGuardError`; a bool, a non-int
     or a negative argument raises ``ValueError``, both before any work.
     """
-    _check_count("total", total)
-    _check_count("min_parts", min_parts)
+    _check_int("total", total, 0)
+    _check_int("min_parts", min_parts, 0)
     if max_part is not None:
-        _check_count("max_part", max_part)
+        _check_int("max_part", max_part, 0)
     check_cap("partitions of total", total, PARTITION_MAX_TOTAL)
     cap = total if max_part is None else min(max_part, total)
     return [p for p in _distinct_desc(total, cap) if len(p) >= min_parts]
@@ -85,7 +79,7 @@ class PartitionTable:
 
 def euler_table(max_total: int) -> PartitionTable:
     """Tabulate b_j and a_j for j = 0..max_total."""
-    _check_count("max_total", max_total)
+    _check_int("max_total", max_total, 0)
     # before the smaller totals fill the cache
     check_cap("partitions of total", max_total, PARTITION_MAX_TOTAL)
     b = [len(distinct_partitions(j)) for j in range(max_total + 1)]
@@ -106,9 +100,8 @@ def punctured_family(base: int, total: int, n: int) -> frozenset[RigidCommutator
     ``ValueError`` before any work.
     """
     _check_rank(n)
-    _check_count("total", total)
-    if isinstance(base, bool) or not isinstance(base, int) or not 1 <= base <= n:
-        raise ValueError(f"base must be an integer in 1..{n}, got {base!r}")
+    _check_int("total", total, 0)
+    _check_int("base", base, 1, n)
     return frozenset(
         punctured_commutator(base, p, n)
         for p in distinct_partitions(total, max_part=base - 1)
@@ -129,8 +122,7 @@ def predicted_chain_set(n: int, i: int) -> SaturatedSet:
     before any product.  Item 17 of ROADMAP.md lifts that limit.
     """
     _check_rank(n)
-    if isinstance(i, bool) or not isinstance(i, int) or not 0 <= i <= n - 2:
-        raise ValueError(f"step must be an integer in 0..n-2 = {n - 2}, got {i!r}")
+    _check_int("step", i, 0, n - 2)
     return SaturatedSet(n, _predicted_joins(n, i))
 
 

@@ -19,7 +19,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .rigid import MAX_RANK, RigidCommutator
+from .rigid import MAX_RANK, RigidCommutator, _check_int
 
 EXPAND_MAX_RANK = 12    # 2^12-point arrays
 BRUTE_MAX_RANK = 3      # exhaustive Sym(2^n) scans stop at 8 points
@@ -72,12 +72,11 @@ class TreePermutation:
     __slots__ = ("n", "_img", "_hash")
 
     def __init__(self, images: Iterable[int], n: int | None = None) -> None:
-        if n is not None and (isinstance(n, bool) or not isinstance(n, int) or n < 0):
-            raise ValueError(f"rank must be a nonnegative integer, got {n!r}")
+        if n is not None:
+            _check_int("rank", n, 0)
         images = list(images)
         for v in images:  # before numpy truncates a float or parses a string
-            if isinstance(v, bool) or not isinstance(v, int):
-                raise ValueError(f"images must be integers, got {v!r}")
+            _check_int("image", v, 1, len(images))
         arr = np.asarray(images, dtype=np.int64)
         size = arr.shape[0]
         if n is None:
@@ -113,10 +112,7 @@ class TreePermutation:
         return bool(np.array_equal(self._img, np.arange(1 << self.n)))
 
     def __call__(self, point: int) -> int:
-        if isinstance(point, bool) or not isinstance(point, int):  # before numpy indexes it
-            raise ValueError(f"point must be an integer, got {point!r}")
-        if not 1 <= point <= (1 << self.n):
-            raise ValueError(f"point {point} outside 1..2^{self.n}")
+        _check_int("point", point, 1, 1 << self.n)  # before numpy indexes it
         return int(self._img[point - 1]) + 1
 
     def __mul__(self, other: "TreePermutation") -> "TreePermutation":
@@ -170,8 +166,7 @@ class TreePermutation:
 
 def identity(n: int) -> TreePermutation:
     """The identity at rank n; ranks above ``EXPAND_MAX_RANK`` raise :class:`ScaleGuardError`."""
-    if isinstance(n, bool) or not isinstance(n, int) or n < 0:
-        raise ValueError(f"rank must be a non-negative integer, got {n!r}")
+    _check_int("rank", n, 0)
     check_cap("permutation at rank", n, EXPAND_MAX_RANK)
     return TreePermutation._from0(np.arange(1 << n), n)
 
@@ -183,8 +178,7 @@ def generator(i: int, n: int) -> TreePermutation:
     with support {1, ..., 2^(n-i+1)}.  The rank is checked as by :func:`identity`.
     """
     img = np.array(identity(n)._img)  # a writable copy
-    if isinstance(i, bool) or not isinstance(i, int) or not 1 <= i <= n:
-        raise ValueError(f"generator index {i!r} outside 1..{n}")
+    _check_int("generator index", i, 1, n)
     step = 1 << (n - i)
     img[: 2 * step] ^= step
     return TreePermutation._from0(img, n)
@@ -232,22 +226,18 @@ class LevelFlipPattern:
     """Which (level-1)-bit prefixes see their next letter flipped.
 
     Prefixes are integers with w1 as the most significant bit.  Elements
-    that only touch letter ``level`` are exactly determined by such a
-    pattern.
+    that only touch letter ``level``, in 1..``MAX_RANK``, are exactly
+    determined by such a pattern.
     """
 
     level: int
     flips: frozenset[int]
 
     def __post_init__(self) -> None:
+        _check_int("level", self.level, 1, MAX_RANK)  # before 2^(level-1) is built
         flips = tuple(self.flips)
-        for v in (self.level, *flips):
-            if isinstance(v, bool) or not isinstance(v, int):
-                raise ValueError(f"level and flip prefixes must be integers, got {v!r}")
-        if self.level < 1:
-            raise ValueError("level must be >= 1")
-        if any(f < 0 or f.bit_length() >= self.level for f in flips):  # f < 2^(level-1)
-            raise ValueError("flip prefixes out of range for this level")
+        for f in flips:  # before a frozenset merges True into 1
+            _check_int("flip prefixes", f, 0, (1 << (self.level - 1)) - 1)
         object.__setattr__(self, "flips", frozenset(flips))
 
 
@@ -262,8 +252,7 @@ def level_flip_pattern(p: TreePermutation, level: int) -> LevelFlipPattern:
     :func:`flip_pattern_permutation` builds the permutation back.
     """
     n = p.n
-    if not 1 <= level <= n:
-        raise ValueError(f"level {level} outside 1..{n}")
+    _check_int("level", level, 1, n)
     shift = n - level
     prefixes = np.arange(1 << (level - 1))
     points = prefixes << (shift + 1)
@@ -272,10 +261,13 @@ def level_flip_pattern(p: TreePermutation, level: int) -> LevelFlipPattern:
 
 
 def flip_pattern_permutation(pattern: LevelFlipPattern, n: int) -> TreePermutation:
-    """The permutation that flips letter ``pattern.level`` on exactly those prefixes."""
+    """The permutation that flips letter ``pattern.level`` on exactly those prefixes.
+
+    The rank is checked as by :func:`identity`, and must reach the level.
+    """
     level = pattern.level
-    if level > n:
-        raise ValueError(f"level {level} exceeds rank {n}")
+    _check_int("rank", n, level)
+    check_cap("permutation at rank", n, EXPAND_MAX_RANK)
     shift = n - level
     flags = np.zeros(1 << (level - 1), dtype=np.int32)
     for q in pattern.flips:
@@ -361,6 +353,7 @@ def brute_normalizer_in_sym(group_elements: Iterable[TreePermutation], n: int) -
     Scans every permutation of {1..2^n}; n is capped hard at
     ``BRUTE_MAX_RANK`` because the scan is factorial in 2^n.
     """
+    _check_int("rank", n, 0)
     check_cap("exhaustive Sym(2^n) scan at rank", n, BRUTE_MAX_RANK)
     elems = [tuple(int(v) for v in p._img) for p in group_elements]
     if not elems:
@@ -404,10 +397,8 @@ def _json_fields(text: str, field: str) -> tuple[object, object]:
 
 def perm_from_json(text: str) -> TreePermutation:
     n, images = _json_fields(text, "images")
-    if isinstance(n, bool) or not isinstance(n, int) or not 0 <= n <= MAX_RANK:
-        raise ValueError(f"rank must be an integer in 0..{MAX_RANK}, got {n!r}")
-    # the length first: at rank 63 an image may be 2^63, past int64
-    if (not isinstance(images, list) or len(images) != 1 << n
-            or not all(type(v) is int and 1 <= v <= 1 << n for v in images)):
-        raise ValueError(f'"images" must be a list of {1 << n} integers in 1..{1 << n}')
+    _check_int("rank", n, 0, MAX_RANK)
+    # the length first: the constructor then checks each image against it
+    if not isinstance(images, list) or len(images) != 1 << n:
+        raise ValueError(f'"images" must be a list of {1 << n} integers')
     return TreePermutation(images, n)

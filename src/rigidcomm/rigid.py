@@ -38,9 +38,19 @@ __all__ = [
 ]
 
 
+def _check_int(name: str, value, lo: int, hi: int | None = None) -> None:
+    """Refuse a bool, a non-int, or a value outside lo..hi (no upper end when ``hi`` is None).
+
+    Every integer argument of the public entry points is checked here,
+    before any work, with a ``ValueError`` that names the argument.
+    """
+    if isinstance(value, bool) or not isinstance(value, int) or value < lo or (hi is not None and value > hi):
+        span = f">= {lo}" if hi is None else f"in {lo}..{hi}"
+        raise ValueError(f"{name} must be an integer {span}, got {value!r}")
+
+
 def _check_rank(n: int) -> None:
-    if isinstance(n, bool) or not isinstance(n, int) or not 1 <= n <= MAX_RANK:
-        raise ValueError(f"rank must be an integer in 1..{MAX_RANK}, got {n!r}")
+    _check_int("rank", n, 1, MAX_RANK)
 
 
 @dataclass(frozen=True)
@@ -56,9 +66,7 @@ class RigidCommutator:
 
     def __post_init__(self) -> None:
         _check_rank(self.n)
-        mask = self.mask
-        if isinstance(mask, bool) or not isinstance(mask, int) or not 0 <= mask < (1 << self.n):
-            raise ValueError(f"mask must be an integer in 0..2^{self.n}-1, got {mask!r}")
+        _check_int("mask", self.mask, 0, (1 << self.n) - 1)
 
     @classmethod
     def _trusted(cls, mask: int, n: int) -> "RigidCommutator":
@@ -79,8 +87,7 @@ class RigidCommutator:
         _check_rank(top)
         mask = 0
         for k in elements:
-            if isinstance(k, bool) or not isinstance(k, int) or not 1 <= k <= top:  # before 1 << (k - 1) is built
-                raise ValueError(f"indices must be integers in 1..{top}, got {k!r}")
+            _check_int("index", k, 1, top)  # before 1 << (k - 1) is built
             mask |= 1 << (k - 1)
         if n is None:
             n = max(1, mask.bit_length())
@@ -152,16 +159,14 @@ def reduce_left_normed(word: Sequence[int], n: int | None = None) -> RigidCommut
     """
     if len(word) == 0:
         raise ValueError("word must have length >= 1")
-    if n is None:
-        n = max(word)
-    _check_rank(n)
+    top = MAX_RANK if n is None else n
+    _check_rank(top)
     for k in word:
-        if not 1 <= k <= n:
-            raise ValueError(f"index {k} outside 1..{n}")
+        _check_int("index", k, 1, top)  # before 1 << (k - 1) is built
     mask = 1 << (word[0] - 1)
     for k in word[1:]:
         mask = commutator_mask(mask, 1 << (k - 1))
-    return RigidCommutator(mask, n)
+    return RigidCommutator(mask, max(word) if n is None else n)
 
 
 # ── punctured view ───────────────────────────────────────────────────────────
@@ -182,13 +187,11 @@ class PuncturedForm:
 
     def __post_init__(self) -> None:
         _check_rank(self.n)
-        b = self.base
-        if isinstance(b, bool) or not isinstance(b, int) or not 1 <= b <= self.n:
-            raise ValueError(f"base must be an integer in 1..{self.n}, got {b!r}")
-        object.__setattr__(self, "punctures", frozenset(self.punctures))
-        for p in self.punctures:  # before from_punctured shifts by them
-            if isinstance(p, bool) or not isinstance(p, int) or not 1 <= p < b:
-                raise ValueError(f"punctures must be integers strictly below the base {b}, got {p!r}")
+        _check_int("base", self.base, 1, self.n)
+        punctures = tuple(self.punctures)
+        for p in punctures:  # before from_punctured shifts by them, and a frozenset merges True into 1
+            _check_int("puncture", p, 1, self.base - 1)
+        object.__setattr__(self, "punctures", frozenset(punctures))
 
     def __str__(self) -> str:
         inner = ",".join(str(p) for p in sorted(self.punctures, reverse=True))
@@ -215,7 +218,7 @@ def punctured_commutator(base: int, punctures: Iterable[int], n: int | None = No
     """Convenience builder: the commutator with index set {1..base} minus punctures."""
     if n is None:
         n = base
-    return from_punctured(PuncturedForm(base, frozenset(punctures), n))
+    return from_punctured(PuncturedForm(base, tuple(punctures), n))
 
 
 # ── canonical order ──────────────────────────────────────────────────────────

@@ -332,6 +332,13 @@ def members_from_json(text: str) -> tuple[int, tuple[RigidCommutator, ...]]:
     return n, tuple(out)
 
 
+def _check_sets(**sets) -> None:
+    """Refuse an argument that is not a :class:`SaturatedSet` with ``TypeError`` naming it."""
+    for name, S in sets.items():
+        if not isinstance(S, SaturatedSet):
+            raise TypeError(f"{name} must be a SaturatedSet, got {type(S)!r}")
+
+
 def full_rigid_set(n: int) -> SaturatedSet:
     """All 2^n - 1 nonempty rigid commutators; generates the whole group.
 
@@ -423,8 +430,10 @@ def normalizing_step(M: SaturatedSet) -> SaturatedSet:
     gives for M's members are scanned, with no ambient set, against M's
     :func:`_uncovered` members, which generate <M>.  A scan of more than
     (2^``CLOSURE_MAX_RANK`` - 1)^2 candidate-member pairs raises
-    :class:`~rigidcomm.permutations.ScaleGuardError` before any product.
+    :class:`~rigidcomm.permutations.ScaleGuardError` before any product,
+    and an ``M`` that is not a :class:`SaturatedSet` raises ``TypeError``.
     """
+    _check_sets(M=M)
     if not M.contains_translations:
         raise ValueError("the set must contain all full-interval commutators t_1..t_n")
     members = np.array(sorted(M.masks), dtype=np.int64)
@@ -446,7 +455,9 @@ def normalizer_in(B: SaturatedSet, A: SaturatedSet) -> SaturatedSet:
     saturated sets meet in a saturated set, so this is the
     :func:`normalizing_step` of A met with B: a member c of B outside A,
     lowest hole k, fails when [c, t_k] = c | (c + 1) lies outside A.
+    An argument that is not a :class:`SaturatedSet` raises ``TypeError``.
     """
+    _check_sets(B=B, A=A)
     if not A.issubset(B):
         raise ValueError("A must be a subset of B (same rank, members contained)")
     return SaturatedSet._make(B.n, normalizing_step(A).masks & B.masks)
@@ -488,9 +499,11 @@ def normal_closure(A: SaturatedSet, B: SaturatedSet) -> SaturatedSet:
 
     Any other B takes :func:`_close` within B.  Ranks above
     ``CLOSURE_MAX_RANK`` raise
-    :class:`~rigidcomm.permutations.ScaleGuardError` and an A outside B
-    raises ``ValueError``, both before any work.
+    :class:`~rigidcomm.permutations.ScaleGuardError`, an argument that is
+    not a :class:`SaturatedSet` raises ``TypeError`` and an A outside B
+    raises ``ValueError``, all before any work.
     """
+    _check_sets(A=A, B=B)
     check_closure_rank(B.n)
     if not A.issubset(B):
         raise ValueError("A must be a subset of B (same rank, members contained)")
@@ -563,22 +576,24 @@ class Factorization:
     def to_permutation(self) -> perm.TreePermutation:
         """Re-expand the product of the factors, taken in canonical order.
 
-        The factors based at a level commute, so their product flips that
-        level's letter on the superset-sum XOR transform of the level's
-        exponents (see :func:`factorize`): one transform of the factors'
-        exponent vector for all levels, then one flip per level.  A
-        factor that is not a :class:`~rigidcomm.rigid.RigidCommutator`
+        The inverse of :func:`factorize`: the superset-sum XOR transform
+        of the factors' exponents, in point order, is the portrait that
+        :func:`factorize` reads, each point p 1 0...0 holding the inverse's
+        flip of its level's letter at prefix p.  One gather over all
+        levels builds the inverse from it, and one scatter inverts that.
+        A factor that is not a :class:`~rigidcomm.rigid.RigidCommutator`
         raises ``TypeError``.  Ranks above ``FACTORIZE_MAX_RANK`` raise
         :class:`~rigidcomm.permutations.ScaleGuardError`.
         """
         n = self.n
         perm.check_cap("to_permutation at rank", n, FACTORIZE_MAX_RANK)
-        exps = _superset_xor_levels(  # a repeated factor cancels in pairs
-            np.bincount([self._checked(c).mask for c in self.factors], minlength=1 << n) & 1)
-        img = np.arange(1 << n)
-        for level in range(1, n + 1):  # flip bit n - level where the bits above are in `flips`
-            flips = _reverse_bits(exps[1 << (level - 1):1 << level])
-            img ^= flips[img >> (n - level + 1)] << (n - level)
+        exps = np.bincount([self._checked(c).mask for c in self.factors], minlength=1 << n) & 1
+        portrait = _reverse_bits(_superset_xor_levels(exps))  # a repeated factor cancels in pairs
+        pts, k = np.arange(1 << n), np.arange(n)[:, None]
+        # bit k of inv[x] is bit k of x flipped by the portrait at x's bits above k, then a 1, then zeros
+        inv = pts ^ (portrait[((pts >> k) | 1) << k] << k).sum(axis=0)
+        img = np.empty_like(inv)
+        img[inv] = pts
         return perm.TreePermutation._from0(img, n)
 
     def __str__(self) -> str:
@@ -607,8 +622,8 @@ def factorize(g: perm.TreePermutation, within: SaturatedSet | None = None) -> Fa
     """
     if not isinstance(g, perm.TreePermutation):
         raise TypeError(f"g must be a TreePermutation, got {type(g)!r}")
-    if within is not None and not isinstance(within, SaturatedSet):
-        raise TypeError(f"within must be a SaturatedSet or None, got {type(within)!r}")
+    if within is not None:
+        _check_sets(within=within)
     n = g.n
     perm.check_cap("factorize at rank", n, FACTORIZE_MAX_RANK)
     if within is not None and within.n != n:

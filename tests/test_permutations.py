@@ -30,6 +30,8 @@ from rigidcomm import (
     perm_commutator,
     perm_from_json,
     perm_to_json,
+    punctured_commutator,
+    reduce_left_normed,
     translation_checks,
 )
 from rigidcomm import permutations
@@ -61,7 +63,7 @@ def test_generator_is_involution_with_prefix_support():
 
 def test_tree_permutation_checks_its_rank():
     for bad in (True, 1.0, -1, "1"):
-        with pytest.raises(ValueError, match="rank must be a nonnegative integer"):
+        with pytest.raises(ValueError, match="rank must be an integer >= 0"):
             TreePermutation([1, 2], bad)
     assert TreePermutation([2, 1]).n == TreePermutation([2, 1], 1).n == 1
     assert TreePermutation([1], 0).n == TreePermutation([1]).n == 0
@@ -70,9 +72,9 @@ def test_tree_permutation_checks_its_rank():
 def test_tree_permutation_refuses_non_integer_images():
     # numpy would truncate or parse each of these into the identity (1, 2)
     for bad in ([1.9, 2.2], ["1", "2"], [True, 2], [1, 2.0], [np.int64(1), 2]):
-        with pytest.raises(ValueError, match="images must be integers"):
+        with pytest.raises(ValueError, match="image must be an integer"):
             TreePermutation(bad)
-        with pytest.raises(ValueError, match="images must be integers"):
+        with pytest.raises(ValueError, match="image must be an integer"):
             TreePermutation(iter(bad), 1)
     assert TreePermutation(range(1, 3)).images == TreePermutation([1, 2], 1).images == (1, 2)
 
@@ -113,7 +115,7 @@ def test_call_refuses_non_integer_points():
         with pytest.raises(ValueError, match="point must be an integer"):
             g(bad)
     for bad in (0, 5):
-        with pytest.raises(ValueError, match="outside"):
+        with pytest.raises(ValueError, match=r"point must be an integer in 1\.\.4"):
             g(bad)
     assert [g(p) for p in range(1, 5)] == [3, 4, 1, 2]
 
@@ -361,6 +363,34 @@ def test_flip_pattern_validation():
     assert hash(pat) == hash(LevelFlipPattern(3, frozenset({0, 3})))
     with pytest.raises(ValueError):
         level_flip_pattern(identity(3), 4)
+
+
+_LEVEL2 = LevelFlipPattern(2, frozenset({1}))
+
+
+@pytest.mark.parametrize("call, error", [
+    # the rank is capped before the 2^n-point array is built, not by a MemoryError
+    pytest.param(lambda: flip_pattern_permutation(_LEVEL2, 40), ScaleGuardError, id="flip-rank-40"),
+    pytest.param(lambda: flip_pattern_permutation(LevelFlipPattern(1, frozenset()), True), ValueError,
+                 id="flip-rank-bool"),
+    pytest.param(lambda: flip_pattern_permutation(_LEVEL2, 2.5), ValueError, id="flip-rank-float"),
+    pytest.param(lambda: level_flip_pattern(generator(1, 3), 1.5), ValueError, id="level-float"),
+    # a level no tree permutation has, refused before its 2^(level-1) prefix bound is built
+    pytest.param(lambda: LevelFlipPattern(10**9, frozenset({0})), ValueError, id="pattern-level-huge"),
+    # True is not index 1, and a float or a string never reaches the shift
+    pytest.param(lambda: reduce_left_normed([2, True]), ValueError, id="word-bool"),
+    pytest.param(lambda: reduce_left_normed([2, 1.0]), ValueError, id="word-float"),
+    pytest.param(lambda: reduce_left_normed(["2"], 3), ValueError, id="word-str"),
+    pytest.param(lambda: punctured_commutator(3, [1, True]), ValueError, id="puncture-bool-beside-1"),
+    pytest.param(lambda: brute_normalizer_in_sym([identity(2)], 2.0), ValueError, id="brute-rank-float"),
+])
+def test_integer_arguments_are_checked_before_any_work(call, error):
+    with pytest.raises(error):
+        call()
+    # the same calls with good arguments: letter 2 flips under prefix 1
+    assert flip_pattern_permutation(_LEVEL2, 2).images == (1, 2, 4, 3)
+    assert level_flip_pattern(flip_pattern_permutation(_LEVEL2, 3), 2) == _LEVEL2
+    assert reduce_left_normed([2, 1]).mask == 3
 
 
 # ── brute-force group machinery ──────────────────────────────────────────────

@@ -211,9 +211,9 @@ def test_punctured_validation():
         with pytest.raises(ValueError, match="base must be an integer"):
             PuncturedForm(base, frozenset(), 3)
     for hole in (True, 1.0):
-        with pytest.raises(ValueError, match="punctures must be integers"):
+        with pytest.raises(ValueError, match="puncture must be an integer"):
             PuncturedForm(3, frozenset([hole]), 3)
-        with pytest.raises(ValueError, match="punctures must be integers"):
+        with pytest.raises(ValueError, match="puncture must be an integer"):
             punctured_commutator(3, [hole])
     assert punctured_commutator(3, [1]).elements == (3, 2)
 

@@ -295,6 +295,17 @@ def test_normalizing_step_monotone():
     assert m.issubset(stepped)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(3, 9), st.data())
+def test_normalizing_step_returns_a_saturated_set(n, data):
+    # a saturated start with the translations; its step passes the checked constructor
+    picks = data.draw(st.lists(st.integers(1, (1 << n) - 1), max_size=4))
+    M = saturate([RigidCommutator(m, n) for m in (*translation_set(n).masks, *picks)], n)
+    step = normalizing_step(M)
+    assert SaturatedSet(n, step.masks) == step
+    assert step.masks == _normalizer_in_loop(full_rigid_set(n), M)
+
+
 def test_normalizing_step_without_translations_flags():
     # without the translations the scan is no normalizer, so it refuses
     n = 4
@@ -394,6 +405,23 @@ def test_normalizing_step_agrees_with_tree_group_normalizer_at_rank_4():
 
 
 # ── normalizer_in and normal_closure ─────────────────────────────────────────
+
+@pytest.mark.parametrize("call, name", [
+    pytest.param(lambda bad, good: normalizing_step(bad), "M", id="step"),
+    pytest.param(lambda bad, good: normalizer_in(bad, good), "B", id="normalizer_in-B"),
+    pytest.param(lambda bad, good: normalizer_in(good, bad), "A", id="normalizer_in-A"),
+    pytest.param(lambda bad, good: normal_closure(bad, good), "A", id="closure-A"),
+    pytest.param(lambda bad, good: normal_closure(good, bad), "B", id="closure-B"),
+])
+def test_normalizer_functions_refuse_a_non_set(call, name):
+    u = translation_normalizer_set(4)
+    for bad in (sorted(u.masks), list(u), u.masks):
+        with pytest.raises(TypeError, match=f"{name} must be a SaturatedSet"):
+            call(bad, u)
+    # before any work: a rank-15 set would trip the closure-rank guard
+    with pytest.raises(TypeError, match=f"{name} must be a SaturatedSet"):
+        call(list(translation_set(15)), translation_set(15))
+
 
 def test_normalizer_in_requires_containment_and_translations():
     r = full_rigid_set(4)
