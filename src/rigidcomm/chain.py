@@ -121,8 +121,8 @@ class ChainReport:
     group was reached, or the step budget if that ran out first;
     ``reached_full`` says which.  ``diagnostics`` holds each step's
     :class:`ChainStep` diagnostics as a (seconds, rescanned, cover,
-    products) tuple, which :func:`run_chain` keeps in flat typed
-    arrays, and takes no part in comparisons.
+    products) tuple, which each step of :func:`run_chain` writes into
+    flat typed arrays, and takes no part in comparisons.
     """
 
     n: int
@@ -210,15 +210,15 @@ class ChainReport:
 
 
 class _Diagnostics(Sequence):
-    """Each step's (seconds, rescanned, cover, products), kept in flat typed arrays."""
+    """Each step's (seconds, rescanned, cover, products), kept in flat typed arrays.
+
+    The chain writes each step's row straight into ``seconds`` and
+    ``counts``, three counts a step.
+    """
 
     def __init__(self) -> None:
         self.seconds = array("d")
-        self.counts = array("q")  # three per step
-
-    def append(self, seconds: float, rescanned: int, cover: int, products: int) -> None:
-        self.seconds.append(seconds)
-        self.counts.extend((rescanned, cover, products))
+        self.counts = array("q")
 
     def __len__(self) -> int:
         return len(self.seconds)
@@ -266,9 +266,13 @@ class _IncrementalChain:
     contains the set itself.  A saturated set with the translations
     holds the fill-ins of its members, so a parked candidate is never a
     member, and a candidate that has met a scan is never parked.
+
+    ``diagnostics`` holds a row per step, each written by the step
+    itself; row 0 times ``__init__``, which scans nothing.
     """
 
     def __init__(self, start: SaturatedSet) -> None:
+        t0 = time.perf_counter()
         n = self.n = start.n
         members = np.fromiter(start.masks, dtype=np.int64)
         self.joined = np.full(1 << n, _NEVER, dtype=np.int32)
@@ -282,33 +286,44 @@ class _IncrementalChain:
         parked = np.array(_parked(start.masks), dtype=np.int64)
         self.pending = np.sort(parked[~self._present(parked)])
         self.waiters: dict[int, list[int]] = {}
-        self.products = 0  # mask products the last step evaluated
+        self.diagnostics = _Diagnostics()
+        self.diagnostics.seconds.append(time.perf_counter() - t0)
+        self.diagnostics.counts.extend((0, 0, 0))
 
     def _present(self, masks: np.ndarray) -> np.ndarray:
         return self.joined[masks] != _NEVER
 
     def step(self) -> np.ndarray:
-        """Grow the term to its normalizer; return the masks that joined."""
-        scanned = self.pending
-        found, self.products = _witnesses(scanned, self.cover, self._present)
-        joins, waiters = [], self.waiters
+        """Grow the term to its normalizer; return the masks that joined.
+
+        The step writes its row of ``diagnostics``: its seconds, the
+        candidates it rescanned, the cover it met them against and the
+        products it evaluated.
+        """
+        t0 = time.perf_counter()
+        scanned, cover, waiters, present = self.pending, self.cover, self.waiters, self._present
+        found, products = _witnesses(scanned, cover, present)
+        joins = []
         for c, w in zip(scanned.tolist(), found.tolist()):
             (waiters.setdefault(w, []) if w else joins).append(c)
         added = np.array(joins, dtype=np.int64)
-        self.i += 1
-        self.joined[added] = self.i
+        i = self.i = self.i + 1
+        self.joined[added] = i
         self.log2_order += len(joins)
         # the term only grows, so a covered member stays covered and the old
         # cover plus the joins still generates the term; prune once it doubles
-        self.cover = np.concatenate((self.cover, added))
-        if len(self.cover) >= 2 * self.pruned:
-            self.cover = _uncovered(self.cover, self._present, self.n)
-            self.pruned = len(self.cover)
+        grown = np.concatenate((cover, added))
+        if len(grown) >= 2 * self.pruned:
+            grown = _uncovered(grown, present, self.n)
+            self.pruned = len(grown)
+        self.cover = grown
         pending = _parked(joins)
         for a in joins:
             pending += waiters.pop(a, ())
         pending.sort()
         self.pending = np.array(pending, dtype=np.int64)
+        self.diagnostics.seconds.append(time.perf_counter() - t0)
+        self.diagnostics.counts.extend((len(scanned), len(cover), products))
         return added
 
 
@@ -342,16 +357,13 @@ def run_chain(n: int, max_steps: int | None = None) -> ChainReport:
     check_chain_rank(n)
     budget = (1 << n) if max_steps is None else max_steps
     full_log2 = (1 << n) - 1
-    t0 = time.perf_counter()
     chain = _IncrementalChain(translation_normalizer_set(n))
-    diagnostics = _Diagnostics()
-    diagnostics.append(time.perf_counter() - t0, 0, 0, 0)
-    while chain.i < budget and chain.log2_order < full_log2:
-        t0 = time.perf_counter()
-        rescanned, cover = len(chain.pending), len(chain.cover)
-        chain.step()
-        diagnostics.append(time.perf_counter() - t0, rescanned, cover, chain.products)
-    return ChainReport(n, chain.joined, chain.i, chain.log2_order == full_log2, diagnostics)
+    step = chain.step
+    for _ in range(budget):
+        if chain.log2_order == full_log2:
+            break
+        step()
+    return ChainReport(n, chain.joined, chain.i, chain.log2_order == full_log2, chain.diagnostics)
 
 
 def verify_theoretical(report: ChainReport) -> list[tuple[int, bool]]:

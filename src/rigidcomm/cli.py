@@ -9,6 +9,7 @@ mismatch, 2 usage or input error, 3 scale guard trip.
 from __future__ import annotations
 
 import argparse
+import resource
 import sys
 
 from . import chain as chainmod
@@ -37,7 +38,8 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--format", choices=("csv", "json", "md"), default="md")
     c.add_argument("--timings", action="store_true",
                    help="print per-step seconds, rescanned candidates, the cover they met and "
-                        "mask products to stderr, prefixed with the rank under --n-range")
+                        "mask products to stderr, then a line of the run's totals and peak RSS, "
+                        "prefixed with the rank under --n-range")
     c.add_argument("--out", help="write to this file instead of stdout")
 
     v = sub.add_parser("verify", help="run the self-check suite at a given rank")
@@ -90,12 +92,22 @@ def _table(fmt: str, header: list, rows: list) -> str:
 
 
 def _print_timings(report, prefix: str = "") -> None:
-    for s in report.steps:
+    """Each step's diagnostics on stderr, then one line for the run: its seconds,
+    steps, rescanned candidates and mask products, and this process's peak RSS."""
+    steps = report.steps
+    for s in steps:
         print(
             f"{prefix}step {s.i}: {s.seconds:.4f}s, {s.rescanned} rescanned, {s.cover} cover, "
             f"{s.products} products",
             file=sys.stderr,
         )
+    peak_mib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
+    print(
+        f"{prefix}total: {sum(s.seconds for s in steps):.4f}s, {report.terminated_at} steps, "
+        f"{sum(s.rescanned for s in steps)} rescanned, {sum(s.products for s in steps)} products, "
+        f"peak RSS {peak_mib:.1f} MiB",
+        file=sys.stderr,
+    )
 
 
 # ── subcommands ──────────────────────────────────────────────────────────────

@@ -75,16 +75,22 @@ def _level_cuts(masks: np.ndarray, levels: int) -> list[int]:
     return [*np.searchsorted(masks, _POWERS[:levels]).tolist(), masks.size]
 
 
-def _products(lo: np.ndarray, hi: np.ndarray, top) -> np.ndarray:
-    """:func:`~rigidcomm.rigid.commutator_mask` of masks ``lo`` <= ``hi``, elementwise.
+def _products(x: np.ndarray, y: np.ndarray, t) -> tuple[np.ndarray, np.ndarray]:
+    """The bits masks ``x`` and ``y`` share, and their products, elementwise.
 
-    ``top`` is the top bit of ``lo``, the smaller top bit, since a larger
-    base means a larger mask.  The product keeps that bit, the bits the
-    two share below it, and ``hi`` above it.  Where ``hi`` has ``top``,
-    equal bases included, the product is 0 but the expression is not, so
-    the callers leave those pairs out.
+    ``t`` is the smaller top bit of the two.  The product, as
+    :func:`~rigidcomm.rigid.commutator_mask` makes it, keeps the bits
+    the two share below ``t``, ``t`` itself, and the larger factor's bits
+    above it: ``(x & y) | ((x ^ y) & -t)``, the same in either order, as
+    the smaller factor has no bit above ``t``.  Where ``x & y >= t`` the
+    two share ``t``, equal bases included, and the product is 0 but the
+    expression is not, so the callers zero those pairs from the shared
+    bits, or pass none.
     """
-    return (hi & (lo | -(top << 1))) | top
+    shared, prod = x & y, x ^ y
+    prod &= -t  # in place: a block of products is at most _PAIR_BLOCK int64s, fresh ones cost page faults
+    prod |= shared
+    return shared, prod
 
 
 def _pair_products(
@@ -120,7 +126,7 @@ def _pair_products(
                 part = lo[i:i + rows]
                 for j in range(0, hi.size, _PAIR_BLOCK):
                     h = hi[j:j + _PAIR_BLOCK]
-                    yield part, h, _products(part[:, None], h[None, :], top)
+                    yield part, h, _products(part[:, None], h[None, :], top)[1]
 
 
 def _membership(members: np.ndarray, n: int) -> Callable[[np.ndarray], np.ndarray]:
@@ -400,24 +406,26 @@ def _witnesses(
 
     The candidates meet all the members in row blocks of
     ``_PAIR_BLOCK // len(members)`` candidates, at least one, so a block
-    holds at most ``max(_PAIR_BLOCK, len(members))`` products.  Each block
-    is one call of :func:`_products` on the smaller and larger factors,
-    with the smaller top bit read off :func:`_top_bits`, once per
-    candidate and once per member; pairs whose larger factor has it make
-    no product.  The block zeroes those pairs and the products inside the
-    set, so a row's witness is its largest product outside the set.  The
-    row maxima gather in a list of blocks, seeded empty for a scan of none.
+    holds at most ``max(_PAIR_BLOCK, len(members))`` products.  One
+    :func:`_top_bits` call reads the top bits of candidates and members
+    together, and each block is one call of :func:`_products` with the
+    smaller top bit t of each pair.  One masked assignment zeroes the
+    pairs whose shared bits reach t, which make no product, and the
+    products inside the set, 0 among them, so a row's witness is its
+    largest product outside the set.  A scan of one block returns its
+    row maxima as they are.
     """
-    cand_tops, y, y_top = _top_bits(cands)[:, None], members[None, :], _top_bits(members)[None, :]
+    k = len(cands)
+    tops = _top_bits(np.concatenate((cands, members)))
+    x, x_tops, y_tops = cands[:, None], tops[:k, None], tops[k:]
     rows = max(1, _PAIR_BLOCK // len(members))
     found = [cands[:0]]
-    for i in range(0, len(cands), rows):
-        x = cands[i:i + rows, None]
-        hi, top = np.maximum(x, y), np.minimum(cand_tops[i:i + rows], y_top)
-        prod = _products(np.minimum(x, y), hi, top)
-        prod[present(prod) | ((hi & top) != 0)] = 0
+    for i in range(0, k, rows):
+        t = np.minimum(x_tops[i:i + rows], y_tops)
+        shared, prod = _products(x[i:i + rows], members, t)
+        prod[(shared >= t) | present(prod)] = 0
         found.append(prod.max(axis=1))
-    return np.concatenate(found), len(cands) * len(members)
+    return found[1] if len(found) == 2 else np.concatenate(found), k * len(members)
 
 
 def normalizing_step(M: SaturatedSet) -> SaturatedSet:
@@ -553,12 +561,15 @@ class Factorization:
     ``factors`` lists the exponent-1 commutators in canonical order; all
     other rigid commutators have exponent 0.  ``member`` reports whether
     every factor lay in the queried set (always True against the full
-    set).
+    set).  A rank that is not an integer in 1..63 raises ``ValueError``.
     """
 
     n: int
     factors: tuple[RigidCommutator, ...]
     member: bool
+
+    def __post_init__(self) -> None:
+        _check_rank(self.n)
 
     def exponent(self, c: RigidCommutator) -> int:
         """1 if ``c`` is a factor, else 0; a non-commutator or another rank is refused."""

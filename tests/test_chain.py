@@ -549,6 +549,27 @@ def test_rank16_prefix_rescans_only_woken_candidates():
     assert sum(s.rescanned for s in run_chain(16, 14).steps) < 2000
 
 
+# the sums of ChainStep.products, .rescanned and .cover over run_chain(n) at
+# ranks 9..14, and over run_chain(16, 14): each candidate waits on its largest
+# product outside the term, and the members that join wake the next scan
+COUNTER_SUMS = {
+    (9, None): (16580, 872, 2719),
+    (10, None): (39961, 1771, 6115),
+    (11, None): (88620, 3502, 13353),
+    (12, None): (197673, 6894, 29062),
+    (13, None): (454988, 13880, 63563),
+    (14, None): (1090134, 27567, 135455),
+    (16, 14): (92160, 1399, 798),
+}
+
+
+@pytest.mark.parametrize("n, max_steps", COUNTER_SUMS)
+def test_chain_counters_are_frozen(n, max_steps):
+    steps = run_chain(n, max_steps).steps
+    sums = tuple(sum(getattr(s, name) for s in steps) for name in ("products", "rescanned", "cover"))
+    assert sums == COUNTER_SUMS[n, max_steps]
+
+
 def test_rank20_chain_holds_no_table_besides_its_join_steps():
     # joined takes 4 MiB at rank 20; finding the first scan by reading all 2^n
     # masks would make int64 arrays of 8 MiB each, and a table of bases 1 MiB more

@@ -259,10 +259,13 @@ def test_chain_timings_leave_stdout_unchanged(capsys):
 
 
 def test_chain_range_timings_print_every_step_of_every_rank(capsys):
-    # the lines of --n, each prefixed with its rank, in rank order
-    line = re.compile(r"n=(\d+) step (\d+): \d+\.\d{4}s, \d+ rescanned, \d+ cover, \d+ products")
-    want = [(n, s.i) for n in (3, 4, 5) for s in chainmod.run_chain(n, 4).steps]
-    assert len(want) == 2 + 5 + 5  # rank 3 is full after one step, rank 4 after four
+    # the lines of --n, each prefixed with its rank, in rank order, and each
+    # rank's summary line, its step "total", after its steps
+    line = re.compile(r"n=(\d+) (?:step (\d+): \d+\.\d{4}s, \d+ rescanned, \d+ cover, \d+ products"
+                      r"|(total): \d+\.\d{4}s, \d+ steps, \d+ rescanned, \d+ products, "
+                      r"peak RSS \d+\.\d MiB)")
+    want = [(n, str(i)) for n in (3, 4, 5) for i in [*range(chainmod.run_chain(n, 4).terminated_at + 1), "total"]]
+    assert len(want) == 3 + 6 + 6  # rank 3 is full after one step, rank 4 after four
     for fmt in ("md", "json"):
         argv = ["chain", "--n-range", "3..5", "--steps", "4", "--format", fmt]
         assert main(argv) == 0
@@ -273,7 +276,30 @@ def test_chain_range_timings_print_every_step_of_every_rank(capsys):
         assert plain.err == ""
         matches = [line.fullmatch(text) for text in timed.err.splitlines()]
         assert all(matches), timed.err
-        assert [(int(m[1]), int(m[2])) for m in matches] == want
+        assert [(int(m[1]), m[2] or m[3]) for m in matches] == want
+
+
+@pytest.mark.parametrize("fmt", ["csv", "md", "json"])
+def test_chain_timings_end_with_a_summary_line(fmt, capsys):
+    # stdout is byte for byte the same; stderr ends with the run's totals
+    assert main(["chain", "--n", "7", "--format", fmt]) == 0
+    plain = capsys.readouterr()
+    assert main(["chain", "--n", "7", "--format", fmt, "--timings"]) == 0
+    timed = capsys.readouterr()
+    assert timed.out == plain.out and plain.err == ""
+    *step_lines, last = timed.err.splitlines()
+    report = chainmod.run_chain(7)
+    assert len(step_lines) == report.terminated_at + 1 == 44
+    summary = re.fullmatch(
+        r"total: (\d+\.\d{4})s, (\d+) steps, (\d+) rescanned, (\d+) products, peak RSS (\d+\.\d) MiB", last
+    )
+    assert summary, last
+    seconds = sum(float(text.split(": ")[1].split("s,")[0]) for text in step_lines)
+    assert abs(float(summary[1]) - seconds) <= 1e-4 * len(step_lines)
+    assert [int(v) for v in summary.groups()[1:4]] == [
+        43, sum(s.rescanned for s in report.steps), sum(s.products for s in report.steps)
+    ]
+    assert float(summary[5]) > 1  # the interpreter and numpy alone take more
 
 
 def test_chain_and_verify_scale_guard(capsys):

@@ -851,9 +851,35 @@ def _product_table(values):
     """The products of all pairs of nonzero masks, as ``_witnesses`` makes them."""
     arr = np.array(values, dtype=np.int64)
     tops = saturated._top_bits(arr)
-    x, y = arr[:, None], arr[None, :]
-    hi, top = np.maximum(x, y), np.minimum(tops[:, None], tops[None, :])
-    return np.where((hi & top) == 0, saturated._products(np.minimum(x, y), hi, top), 0)
+    t = np.minimum(tops[:, None], tops[None, :])
+    shared, prod = saturated._products(arr[:, None], arr[None, :], t)
+    return np.where(shared >= t, 0, prod)
+
+
+def _check_product_rule(x, y):
+    """``_products`` is ``commutator_mask`` on every pair of nonzero masks ``x``, ``y``, in
+    both orders, where ``x & y`` stays below the smaller top bit, and 0 exactly where not."""
+    t = np.minimum(saturated._top_bits(x), saturated._top_bits(y))
+    want = np.array([commutator_mask(a, b) for a, b in zip(x.tolist(), y.tolist())], dtype=np.int64)
+    for shared, prod in (saturated._products(x, y, t), saturated._products(y, x, t)):
+        zero = shared >= t
+        assert (zero == (want == 0)).all()
+        assert (prod[~zero] == want[~zero]).all()
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_product_rule_is_the_commutator_on_every_pair(n):
+    masks = np.arange(1, 1 << n, dtype=np.int64)
+    x, y = np.meshgrid(masks, masks)
+    _check_product_rule(x.ravel(), y.ravel())
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, (1 << 40) - 1), st.integers(1, (1 << 40) - 1)),
+                min_size=1, max_size=20))
+def test_product_rule_is_the_commutator_at_rank_40(pairs):
+    x, y = (np.array(side, dtype=np.int64) for side in zip(*pairs))
+    _check_product_rule(x, y)
 
 
 def test_level_cuts_give_top_bits():
@@ -1266,6 +1292,12 @@ def test_to_permutation_rejects_a_non_commutator_factor(monkeypatch):
         Factorization(3, (C([3], 3), 1), True).to_permutation()
     with pytest.raises(TypeError, match="RigidCommutator"):
         Factorization(3, ("[3]",), True).to_permutation()
+
+
+@pytest.mark.parametrize("n", [True, 2.0, -1, 0, MAX_RANK + 1])
+def test_factorization_checks_its_rank(n):
+    with pytest.raises(ValueError, match="rank must be an integer"):
+        Factorization(n, (), True)
 
 
 def test_factorize_accepts_exactly_the_tree_group():
