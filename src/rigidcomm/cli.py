@@ -9,6 +9,8 @@ mismatch, 2 usage or input error, 3 scale guard trip.
 from __future__ import annotations
 
 import argparse
+import functools
+import random
 import resource
 import sys
 
@@ -182,6 +184,17 @@ def _cmd_verify(args) -> int:
                     f"masks {x} and {y} disagree at rank {m}",
                 )
     print(f"ok: oracle-equivalence (exhaustive pairs, rank {m})")
+
+    # every commutator factors as itself, and a seeded product re-expands to itself
+    for x in range(1, 1 << m):
+        fac = saturated.factorize(perms[x])
+        if fac.factors != (RigidCommutator(x, m),):
+            return _fail("factorize-round-trip", f"mask {x} factors as {fac} at rank {m}")
+    rng = random.Random(m)
+    g = functools.reduce(perm.compose, (perms[rng.randrange(1 << m)] for _ in range(4 * m)))
+    if saturated.factorize(g).to_permutation() != g:
+        return _fail("factorize-round-trip", f"a product of {4 * m} commutators differs at rank {m}")
+    print(f"ok: factorize-round-trip (rank {m})")
 
     # chain terms match the closed-form prediction, which covers steps
     # 0..n-2; only the symmetric-group check needs the full chain

@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -535,17 +536,51 @@ def normal_closure(A: SaturatedSet, B: SaturatedSet) -> SaturatedSet:
 # ── unique factorization over rigid commutators ──────────────────────────────
 
 def _superset_xor_levels(exps: np.ndarray) -> np.ndarray:
-    """Each level block exps[2^(l-1):2^l] taken to its superset-sum XOR over the bits below 2^(l-1)."""
-    exps = exps.copy()
-    for j in range(len(exps).bit_length() - 2):  # from 2^(j+1) up, the levels have bit j below the top
-        pairs = exps[2 << j:].reshape(-1, 2, 1 << j)  # axis 1 is bit j of the index
-        pairs[:, 0] ^= pairs[:, 1]
-    return exps
+    """Each level block exps[2^(l-1):2^l] taken to its superset-sum XOR over the bits below 2^(l-1).
+
+    ``exps`` is a 0/1 vector of length 2^w; the result is a new 0/1 vector
+    of the same length.  The vector is packed into one integer, bit k the
+    entry at k, and pass j = 0..w-2 folds each entry whose index has
+    bit j clear with its partner at bit j set, over the levels that have
+    bit j below their top bit: one shift, mask and XOR of the whole
+    integer, with the masks built once per width by :func:`_pass_masks`.
+    """
+    size = len(exps)
+    x = int.from_bytes(np.packbits(exps, bitorder="little"), "little")
+    for j, mask in enumerate(_pass_masks(size.bit_length() - 1)):
+        x ^= (x >> (1 << j)) & mask
+    packed = np.frombuffer(x.to_bytes((size + 7) >> 3, "little"), dtype=np.uint8)
+    return np.unpackbits(packed, count=size, bitorder="little")
+
+
+@lru_cache(maxsize=None)
+def _pass_masks(width: int) -> tuple[int, ...]:
+    """Pass j's mask over 2^width bits, j = 0..width-2: the indices k >= 2^(j+1) with bit j clear."""
+    size = 1 << width
+    masks = []
+    for j in range(width - 1):
+        period = 2 << j
+        every = ((1 << size) - 1) // ((1 << period) - 1)  # bit 0 of each period-long run
+        masks.append(every * ((1 << (1 << j)) - 1) & ~((1 << period) - 1))
+    return tuple(masks)
 
 
 def _reverse_bits(v: np.ndarray) -> np.ndarray:
     """``v`` by bit-reversed index: a level's MSB-first prefixes to mask order and back."""
     return v.reshape((2,) * (len(v).bit_length() - 1)).T.ravel()
+
+
+@lru_cache(maxsize=None)
+def _portrait_reads(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Rank n's reads of a portrait, built once and shared: the points, x ^ (x - 1) for x >= 1,
+    and in mask order each level's prefix points p 0...0 with the bit that level flips."""
+    pts = np.arange(1 << n, dtype=np.int32)
+    low = pts & -pts  # point x at prefix p of level l is p 1 0...0; x ^ low is p 0 0...0
+    rev = _reverse_bits(pts)
+    reads = (pts, pts[1:] ^ pts[:-1], (pts ^ low)[rev], low[rev])
+    for a in reads:
+        a.flags.writeable = False
+    return reads
 
 
 @lru_cache(maxsize=None)
@@ -590,8 +625,11 @@ class Factorization:
         The inverse of :func:`factorize`: the superset-sum XOR transform
         of the factors' exponents, in point order, is the portrait that
         :func:`factorize` reads, each point p 1 0...0 holding the inverse's
-        flip of its level's letter at prefix p.  One gather over all
-        levels builds the inverse from it, and one scatter inverts that.
+        flip of its level's letter at prefix p.  The transform is
+        :func:`_superset_xor_levels`, w - 1 shift-and-mask passes over
+        the exponents packed into one integer.  One gather over all
+        levels builds the inverse from the portrait, and one scatter
+        inverts that.
         A factor that is not a :class:`~rigidcomm.rigid.RigidCommutator`
         raises ``TypeError``.  Ranks above ``FACTORIZE_MAX_RANK`` raise
         :class:`~rigidcomm.permutations.ScaleGuardError`.
@@ -626,7 +664,12 @@ def factorize(g: perm.TreePermutation, within: SaturatedSet | None = None) -> Fa
     prefixes (in mask order) that are submasks of its index set below l,
     so a level's flips are the superset-sum XOR transform of its
     exponents; mod 2 the transform is its own inverse, so one transform
-    of all levels' flips gives every exponent.  With ``within`` given,
+    of all levels' flips gives every exponent.  The reads go through
+    gather indices cached per rank (:func:`_portrait_reads`), with the
+    bit reversal from point order to mask order folded in; g^-1 is one
+    scatter, the transform is shift-and-mask passes over one integer
+    (:func:`_superset_xor_levels`) and the factors are one gather from the
+    shared per-rank table.  With ``within`` given,
     ``member`` reports whether every factor lies in that set.  A ``g`` or
     ``within`` of the wrong type raises ``TypeError``, and ranks above
     ``FACTORIZE_MAX_RANK`` raise :class:`~rigidcomm.permutations.ScaleGuardError`.
@@ -640,13 +683,16 @@ def factorize(g: perm.TreePermutation, within: SaturatedSet | None = None) -> Fa
     if within is not None and within.n != n:
         raise ValueError(f"rank mismatch: permutation has rank {n}, set has {within.n}")
     img = g._img
-    pts = np.arange(1 << n, dtype=img.dtype)
-    if np.any((img[1:] ^ img[:-1]) > (pts[1:] ^ pts[:-1])):
+    pts, steps, prefixes, lows = _portrait_reads(n)
+    if np.any((img[1:] ^ img[:-1]) > steps):
         raise ValueError("permutation is not an element of the rank-n tree group "
                          "(the images of x - 1 and x differ above the lowest set bit of x)")
-    inv = perm.inverse(g)._img
-    low = pts & -pts  # point x at prefix p of level l is p 1 0...0; x ^ low is p 0 0...0
-    exps = _reverse_bits((inv[pts ^ low] & low) != 0)  # level l's flips in its mask-order block
-    masks = np.flatnonzero(_superset_xor_levels(exps)).tolist()  # mask order is canonical order
+    inv = np.empty_like(img)
+    inv[img] = pts
+    flips = (inv[prefixes] & lows) != 0  # level l's flips in its mask-order block
+    masks = np.flatnonzero(_superset_xor_levels(flips)).tolist()  # mask order is canonical order
     member = True if within is None else within.masks.issuperset(masks)
-    return Factorization(n, tuple(map(_commutators(n).__getitem__, masks)), member)
+    table = _commutators(n)
+    # itemgetter returns a bare entry for one key and refuses none
+    factors = itemgetter(*masks)(table) if len(masks) > 1 else tuple(table[m] for m in masks)
+    return Factorization(n, factors, member)

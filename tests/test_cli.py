@@ -558,6 +558,18 @@ def test_verify_small_rank(capsys):
     assert out.rstrip().endswith("all checks passed")
 
 
+def test_verify_fails_on_a_factorization_that_drops_a_pass(monkeypatch, capsys):
+    assert main(["verify", "--n", "4"]) == 0
+    assert "ok: factorize-round-trip (rank 4)" in capsys.readouterr().out
+    pass_masks = saturated._pass_masks
+    monkeypatch.setattr(saturated, "_pass_masks", lambda width: pass_masks(width)[:-1])
+    assert main(["verify", "--n", "4"]) == 1
+    out = capsys.readouterr().out
+    assert "ok: oracle-equivalence (exhaustive pairs, rank 4)" in out
+    assert re.search(r"^fail: factorize-round-trip: mask \d+ factors as .* at rank 4$", out, re.M)
+    assert "all checks passed" not in out
+
+
 def test_verify_sym_brute_rank3(capsys):
     assert main(["verify", "--n", "3", "--sym-brute"]) == 0
     out = capsys.readouterr().out
