@@ -23,8 +23,11 @@ term, a generating set: the members that no product of two smaller
 members yields, as last found, plus those that joined since, found
 again once the cover has doubled.  A candidate that keeps it inside the
 term normalizes it; one that fails waits on its largest product outside.
-A commutator joins the chain once, so the chain and its report keep one
-array, each mask's join step, and no other of its size.
+The climb also saves scans: a proper term's normalizer has more
+members, and only a woken candidate can be one of them, so a lone woken
+candidate joins without a scan.  A commutator joins the chain once, so
+the chain and its report keep one array, each mask's join step, and no
+other of its size.
 """
 
 from __future__ import annotations
@@ -96,7 +99,9 @@ class ChainStep:
     ``rescanned`` (candidates re-examined in the step), ``cover`` (the
     size of the generating set of the previous term the step scanned
     them against) and ``products`` (mask products evaluated in the step) are
-    diagnostics and take no part in comparisons or JSON.
+    diagnostics and take no part in comparisons or JSON.  A step that
+    rescans one candidate joins it with no products: it is the only mask
+    that can join, and the normalizer of a proper term is larger.
     """
 
     i: int
@@ -267,6 +272,12 @@ class _IncrementalChain:
     holds the fill-ins of its members, so a parked candidate is never a
     member, and a candidate that has met a scan is never parked.
 
+    So every mask that can join the next term is in ``pending``.  When it
+    holds one candidate, the step joins it with no scan: ``pending``
+    is not empty, so the term is a proper subgroup of a 2-group, and
+    its normalizer, saturated, has more members, which only that
+    candidate can be.
+
     ``diagnostics`` holds a row per step, each written by the step
     itself; row 0 times ``__init__``, which scans nothing.
     """
@@ -302,10 +313,13 @@ class _IncrementalChain:
         """
         t0 = time.perf_counter()
         scanned, cover, waiters, present = self.pending, self.cover, self.waiters, self._present
-        found, products = _witnesses(scanned, cover, present)
-        joins = []
-        for c, w in zip(scanned.tolist(), found.tolist()):
-            (waiters.setdefault(w, []) if w else joins).append(c)
+        if len(scanned) == 1:  # the one mask that can join the larger normalizer
+            joins, products = scanned.tolist(), 0
+        else:
+            found, products = _witnesses(scanned, cover, present)
+            joins = []
+            for c, w in zip(scanned.tolist(), found.tolist()):
+                (waiters.setdefault(w, []) if w else joins).append(c)
         added = np.array(joins, dtype=np.int64)
         i = self.i = self.i + 1
         self.joined[added] = i

@@ -40,7 +40,8 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--format", choices=("csv", "json", "md"), default="md")
     c.add_argument("--timings", action="store_true",
                    help="print per-step seconds, rescanned candidates, the cover they met and "
-                        "mask products to stderr, then a line of the run's totals and peak RSS, "
+                        "mask products (0 where one candidate joins unscanned) to stderr, "
+                        "then a line of the run's totals and peak RSS, "
                         "prefixed with the rank under --n-range")
     c.add_argument("--out", help="write to this file instead of stdout")
 

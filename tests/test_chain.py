@@ -470,7 +470,9 @@ def test_rescanned_counts_candidates_reexamined():
         assert 0 < s.rescanned <= (1 << 6) - 1 - prev.log2_order
         # each candidate meets each member of the cover of the term before at most once
         assert 0 < s.cover < prev.log2_order
-        assert 0 < s.products <= s.rescanned * s.cover
+        # a scan meets all of the cover in one row block, and a lone candidate joins unscanned
+        assert s.products == (0 if s.rescanned == 1 else s.rescanned * s.cover)
+        assert (s.products == 0) == (s.rescanned == 1)
     assert report.steps[0].cover == 0
     assert report == run_chain(6)  # a diagnostic, not part of equality
     # every rescanned candidate meets all of the cover in one row block, also
@@ -478,6 +480,18 @@ def test_rescanned_counts_candidates_reexamined():
     for _, rescanned, cover, products in run_chain(16, 14).diagnostics:
         assert cover < 1 << 14
         assert products == rescanned * cover
+
+
+def test_a_lone_woken_candidate_joins_without_products():
+    # a proper term's normalizer is larger and only woken candidates can join it,
+    # so a step that wakes one joins it without a scan
+    lone = 0
+    for n in range(3, 13):
+        for s in run_chain(n).steps[1:]:
+            if s.rescanned == 1:
+                lone += 1
+                assert (s.index_log2, s.products) == (1, 0), (n, s.i)
+    assert lone > 0
 
 
 def test_first_step_rescans_the_two_hole_masks():
@@ -551,14 +565,15 @@ def test_rank16_prefix_rescans_only_woken_candidates():
 
 # the sums of ChainStep.products, .rescanned and .cover over run_chain(n) at
 # ranks 9..14, and over run_chain(16, 14): each candidate waits on its largest
-# product outside the term, and the members that join wake the next scan
+# product outside the term, the members that join wake the next scan, and a
+# lone woken candidate joins with no products
 COUNTER_SUMS = {
-    (9, None): (16580, 872, 2719),
-    (10, None): (39961, 1771, 6115),
-    (11, None): (88620, 3502, 13353),
-    (12, None): (197673, 6894, 29062),
-    (13, None): (454988, 13880, 63563),
-    (14, None): (1090134, 27567, 135455),
+    (9, None): (15808, 872, 2719),
+    (10, None): (38197, 1771, 6115),
+    (11, None): (84715, 3502, 13353),
+    (12, None): (189190, 6894, 29062),
+    (13, None): (436426, 13880, 63563),
+    (14, None): (1049995, 27567, 135455),
     (16, 14): (92160, 1399, 798),
 }
 

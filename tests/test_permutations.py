@@ -273,6 +273,40 @@ def test_oracle_equivalence_exhaustive_n8():
             assert lhs == perms[commutator_mask(x, y)]
 
 
+def check_oracle_at_base(b, count, rng):
+    """Check ``count`` pairs at rank b against the oracle, each with a factor based at b.
+
+    Every other pair has a lower base whose top bit the base-b factor
+    lacks, so its product is not 0; the rest are drawn uniformly.
+    """
+    nonzero = 0
+    for k in range(count):
+        x = 1 << (b - 1) | rng.getrandbits(b - 1)
+        if k % 2:
+            y = rng.randrange(1, 1 << b)
+        else:
+            a = rng.randrange(1, b)
+            x &= ~(1 << (a - 1))
+            y = 1 << (a - 1) | rng.getrandbits(a - 1)
+        if rng.getrandbits(1):
+            x, y = y, x
+        product = commutator_mask(x, y)
+        nonzero += product != 0
+        lhs = perm_commutator(expand(RigidCommutator(x, b)), expand(RigidCommutator(y, b)))
+        assert lhs == expand(RigidCommutator(product, b)), (b, x, y)
+    assert 2 * nonzero >= count, b
+
+
+def test_oracle_equivalence_sampled_at_bases_11_to_16(monkeypatch):
+    # a commutator based at b acts on letter b according to the letters before
+    # it, so a pair is checked at the rank of its larger base; the cap is raised
+    # for this test only
+    monkeypatch.setattr(permutations, "EXPAND_MAX_RANK", 16)
+    rng = random.Random(22)
+    for b in range(11, 17):
+        check_oracle_at_base(b, 20, rng)
+
+
 # ── the six product clauses, sampled ─────────────────────────────────────────
 
 def _mask_to_desc(mask):
