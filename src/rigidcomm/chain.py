@@ -5,8 +5,8 @@ regular elementary abelian subgroup spanned by the full-interval
 commutators, and repeatedly takes normalizers, each term being the set
 that :func:`rigidcomm.saturated.normalizing_step` would return for the
 one before.  In a 2-group every proper subgroup is properly contained in
-its normalizer, so the log2 orders climb strictly until the full group
-is reached, after which the chain is a fixpoint.
+its normalizer, so the log2 orders climb strictly, as each step checks,
+until the full group is reached, after which the chain is a fixpoint.
 
 The driver does not rescan every candidate at every step.  Each
 candidate outside the term waits on one witness: a commutator [c, m]
@@ -76,17 +76,13 @@ def translation_set(n: int) -> SaturatedSet:
 
 def translation_normalizer_set(n: int) -> SaturatedSet:
     """Members of the normalizer of the translation span: the t_i plus
-    every full interval with a single puncture.
+    every full interval with a single puncture, the closed form's term 0.
 
     Has n(n+1)/2 members, so the subgroup has order 2^(n(n+1)/2).  A
     normalizer's member set, it is closed by construction and skips the check.
     """
     _check_rank(n)
-    masks = [(1 << i) - 1 for i in range(1, n + 1)]
-    for i in range(2, n + 1):
-        ti = (1 << i) - 1
-        masks.extend(ti & ~(1 << (j - 1)) for j in range(1, i))
-    return SaturatedSet._make(n, frozenset(masks))
+    return SaturatedSet._make(n, frozenset(partitions._predicted_joins(n, 0)))
 
 
 @dataclass(frozen=True)
@@ -98,8 +94,8 @@ class ChainStep:
     0 it is reported against the translation span.  ``seconds``,
     ``rescanned`` (candidates re-examined in the step), ``cover`` (the
     size of the generating set of the previous term the step scanned
-    them against) and ``products`` (mask products evaluated in the step) are
-    diagnostics and take no part in comparisons or JSON.  A step that
+    them against) and ``products`` (mask products, rescanned times cover)
+    are diagnostics and take no part in comparisons or JSON.  A step that
     rescans one candidate joins it with no products: it is the only mask
     that can join, and the normalizer of a proper term is larger.
     """
@@ -272,11 +268,10 @@ class _IncrementalChain:
     holds the fill-ins of its members, so a parked candidate is never a
     member, and a candidate that has met a scan is never parked.
 
-    So every mask that can join the next term is in ``pending``.  When it
-    holds one candidate, the step joins it with no scan: ``pending``
-    is not empty, so the term is a proper subgroup of a 2-group, and
-    its normalizer, saturated, has more members, which only that
-    candidate can be.
+    So every mask that can join the next term is in ``pending``, and
+    while the term is proper, a proper subgroup of a 2-group, its
+    normalizer is larger, so one of them joins: a lone candidate joins
+    with no scan, and a step that joins nothing to a proper term raises.
 
     ``diagnostics`` holds a row per step, each written by the step
     itself; row 0 times ``__init__``, which scans nothing.
@@ -309,17 +304,19 @@ class _IncrementalChain:
 
         The step writes its row of ``diagnostics``: its seconds, the
         candidates it rescanned, the cover it met them against and the
-        products it evaluated.
+        products, rescanned times cover or 0 for a lone candidate.  A
+        step that joins nothing to a proper term raises ``RuntimeError``.
         """
         t0 = time.perf_counter()
         scanned, cover, waiters, present = self.pending, self.cover, self.waiters, self._present
         if len(scanned) == 1:  # the one mask that can join the larger normalizer
             joins, products = scanned.tolist(), 0
         else:
-            found, products = _witnesses(scanned, cover, present)
-            joins = []
-            for c, w in zip(scanned.tolist(), found.tolist()):
+            joins, products = [], len(scanned) * len(cover)
+            for c, w in zip(scanned.tolist(), _witnesses(scanned, cover, present).tolist()):
                 (waiters.setdefault(w, []) if w else joins).append(c)
+        if not joins and self.log2_order < (1 << self.n) - 1:  # a proper term's normalizer is larger
+            raise RuntimeError(f"step {self.i + 1} at rank {self.n} joined nothing to a proper term")
         added = np.array(joins, dtype=np.int64)
         i = self.i = self.i + 1
         self.joined[added] = i
@@ -354,9 +351,11 @@ def run_chain(n: int, max_steps: int | None = None) -> ChainReport:
 
     Step 0 is the translation-normalizer baseline, its index reported
     against the translation span (n(n-1)/2).  Subsequent steps take
-    normalizers until the full group or the step budget (default 2^n) is
-    reached.  Past the full group the chain is constant, and
-    :meth:`ChainReport.index_sequence` pads it with zero indices.
+    normalizers until the full group, or ``max_steps`` steps, is reached;
+    a step that adds nothing to a proper term, which in a 2-group is
+    smaller than its normalizer, raises ``RuntimeError``.  Past the full
+    group the chain is constant, and :meth:`ChainReport.index_sequence`
+    pads it with zero indices.
 
     Each step rescans only the candidates whose cached witness joined the
     chain in the step before, against the term's cover; the baseline is
@@ -369,14 +368,10 @@ def run_chain(n: int, max_steps: int | None = None) -> ChainReport:
     if max_steps is not None:
         _check_int("step budget", max_steps, 0)
     check_chain_rank(n)
-    budget = (1 << n) if max_steps is None else max_steps
     full_log2 = (1 << n) - 1
     chain = _IncrementalChain(translation_normalizer_set(n))
-    step = chain.step
-    for _ in range(budget):
-        if chain.log2_order == full_log2:
-            break
-        step()
+    while chain.log2_order < full_log2 and chain.i != max_steps:
+        chain.step()
     return ChainReport(n, chain.joined, chain.i, chain.log2_order == full_log2, chain.diagnostics)
 
 

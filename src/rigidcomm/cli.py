@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import argparse
 import functools
+import json
 import random
 import resource
 import sys
+import time
 
 from . import chain as chainmod
 from . import partitions
@@ -134,11 +136,8 @@ def _cmd_chain(args) -> int:
                 _print_timings(report, f"n={n} ")
             rows.append((n, report.index_sequence(steps)))
         if args.format == "json":
-            import json as _json
-            text = _json.dumps(
-                {"steps": steps, "rows": {str(n): list(seq) for n, seq in rows}},
-                indent=2,
-            ) + "\n"
+            matrix = {"steps": steps, "rows": {str(n): list(seq) for n, seq in rows}}
+            text = json.dumps(matrix, indent=2) + "\n"
         else:
             step_label = "i={}" if args.format == "md" else "i{}"
             header = ["n", *(step_label.format(i) for i in range(1, steps + 1))]
@@ -167,8 +166,15 @@ def _fail(name: str, detail: str) -> int:
     return 1
 
 
+def _ok(name: str, detail: str, since: float) -> float:
+    """Print a passed check, then its seconds since ``since`` on stderr; return the time now."""
+    print(f"ok: {name} ({detail})")
+    print(f"{name}: {time.perf_counter() - since:.4f}s", file=sys.stderr)
+    return time.perf_counter()
+
+
 def _cmd_verify(args) -> int:
-    n = args.n
+    n, t0 = args.n, time.perf_counter()
     chainmod.check_chain_rank(n)  # refuse before the oracle checks run
     if args.sym_brute:
         perm.check_cap("--sym-brute at rank", n, perm.BRUTE_MAX_RANK)
@@ -180,11 +186,8 @@ def _cmd_verify(args) -> int:
         for y in range(1 << m):
             lhs = perm.perm_commutator(perms[x], perms[y])
             if lhs != perms[commutator_mask(x, y)]:
-                return _fail(
-                    "oracle-equivalence",
-                    f"masks {x} and {y} disagree at rank {m}",
-                )
-    print(f"ok: oracle-equivalence (exhaustive pairs, rank {m})")
+                return _fail("oracle-equivalence", f"masks {x} and {y} disagree at rank {m}")
+    t0 = _ok("oracle-equivalence", f"exhaustive pairs, rank {m}", t0)
 
     # every commutator factors as itself, and a seeded product re-expands to itself
     for x in range(1, 1 << m):
@@ -195,7 +198,7 @@ def _cmd_verify(args) -> int:
     g = functools.reduce(perm.compose, (perms[rng.randrange(1 << m)] for _ in range(4 * m)))
     if saturated.factorize(g).to_permutation() != g:
         return _fail("factorize-round-trip", f"a product of {4 * m} commutators differs at rank {m}")
-    print(f"ok: factorize-round-trip (rank {m})")
+    t0 = _ok("factorize-round-trip", f"rank {m}", t0)
 
     # chain terms match the closed-form prediction, which covers steps
     # 0..n-2; only the symmetric-group check needs the full chain
@@ -203,13 +206,13 @@ def _cmd_verify(args) -> int:
     for i, good in chainmod.verify_theoretical(report):
         if not good:
             return _fail("chain-vs-closed-form", f"step {i} differs at rank {n}")
-    print(f"ok: chain-vs-closed-form (steps 0..{max(n - 2, 0)}, rank {n})")
+    t0 = _ok("chain-vs-closed-form", f"steps 0..{max(n - 2, 0)}, rank {n}", t0)
 
     checks = perm.translation_checks(min(n, perm.EXPAND_MAX_RANK))
     bad = [k for k, v in checks.items() if v is False]
     if bad:
         return _fail("translation-checks", ", ".join(bad))
-    print(f"ok: translation-checks (rank {min(n, perm.EXPAND_MAX_RANK)})")
+    t0 = _ok("translation-checks", f"rank {min(n, perm.EXPAND_MAX_RANK)}", t0)
 
     if args.sym_brute:
         spans = [
@@ -220,7 +223,7 @@ def _cmd_verify(args) -> int:
         for i, term in enumerate(spans):
             if perm.brute_normalizer_in_sym(term, n) != spans[min(i + 1, len(spans) - 1)]:
                 return _fail("sym-brute", f"term {i} normalizer differs at rank {n}")
-        print(f"ok: sym-brute (all {report.terminated_at + 1} terms, rank {n})")
+        _ok("sym-brute", f"all {report.terminated_at + 1} terms, rank {n}", t0)
 
     print("all checks passed")
     return 0
@@ -238,8 +241,7 @@ def _cmd_eval(args) -> int:
 def _cmd_euler(args) -> int:
     table = partitions.euler_table(args.max_j)
     if args.format == "json":
-        import json as _json
-        text = _json.dumps({"b": list(table.b), "a": list(table.a)}, indent=2) + "\n"
+        text = json.dumps({"b": list(table.b), "a": list(table.a)}, indent=2) + "\n"
     else:
         b, a = ("b_j", "a_j") if args.format == "md" else ("b", "a")
         text = _table(args.format, ["j", *range(len(table.b))], [[b, *table.b], [a, *table.a]])

@@ -11,9 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
+from typing import Iterator
 
 from .permutations import check_cap
-from .rigid import RigidCommutator, _check_int, _check_rank, punctured_commutator
+from .rigid import RigidCommutator, _check_int, _check_rank
 from .saturated import SaturatedSet
 
 # the cache of partitions up to this total peaked at 56 MB RSS (27 MB above
@@ -83,12 +85,7 @@ def euler_table(max_total: int) -> PartitionTable:
     # before the smaller totals fill the cache
     check_cap("partitions of total", max_total, PARTITION_MAX_TOTAL)
     b = [len(distinct_partitions(j)) for j in range(max_total + 1)]
-    a = []
-    run = 0
-    for count in b:
-        run += count
-        a.append(run)
-    return PartitionTable(tuple(b), tuple(a))
+    return PartitionTable(tuple(b), tuple(accumulate(b)))
 
 
 def punctured_family(base: int, total: int, n: int) -> frozenset[RigidCommutator]:
@@ -96,16 +93,15 @@ def punctured_family(base: int, total: int, n: int) -> frozenset[RigidCommutator
     parts summing to ``total``.
 
     These are the sets {1..base} minus I with |I| >= 2, sum(I) = total,
-    I inside {1..base-1}.  A bool or a non-int argument raises
-    ``ValueError`` before any work.
+    I inside {1..base-1}, the family the chain's closed form reads.  A bool
+    or a non-int raises ``ValueError`` and a total past ``PARTITION_MAX_TOTAL``
+    :class:`~rigidcomm.permutations.ScaleGuardError`, both before any work.
     """
     _check_rank(n)
     _check_int("total", total, 0)
     _check_int("base", base, 1, n)
-    return frozenset(
-        punctured_commutator(base, p, n)
-        for p in distinct_partitions(total, max_part=base - 1)
-    )
+    check_cap("partitions of total", total, PARTITION_MAX_TOTAL)
+    return frozenset(RigidCommutator._trusted(m, n) for m in _family(base, total))
 
 
 def predicted_chain_set(n: int, i: int) -> SaturatedSet:
@@ -134,14 +130,22 @@ def _predicted_joins(n: int, last: int) -> dict[int, int]:
     for b in range(1, n + 1):
         full = (1 << b) - 1
         joins[full] = -1
-        joins.update((full & ~(1 << (j - 1)), 0) for j in range(1, b))
+        for j in range(1, b):  # plain loops: on Python 3.11 a generator of pairs took 3x as long
+            joins[full & ~(1 << (j - 1))] = 0
         # totals are at most n <= 63 < PARTITION_MAX_TOTAL, so no cap can trip
         for total in range(3, last + 3 - (n - b)):
             step = total - 2 + n - b
-            for p in _distinct_desc(total, min(b - 1, total)):
-                if len(p) > 1:
-                    holes = 0
-                    for k in p:
-                        holes |= 1 << (k - 1)
-                    joins[full & ~holes] = step
+            for m in _family(b, total):
+                joins[m] = step
     return joins
+
+
+def _family(base: int, total: int) -> Iterator[int]:
+    # {1..base} minus each partition of total into >= 2 distinct parts below base
+    full = (1 << base) - 1
+    for p in _distinct_desc(total, min(base - 1, total)):
+        if len(p) > 1:
+            holes = 0
+            for k in p:
+                holes |= 1 << (k - 1)
+            yield full & ~holes

@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from . import permutations as perm
-from .rigid import RigidCommutator, _check_rank, commutator_mask
+from .rigid import RigidCommutator, _check_rank
 
 FACTORIZE_MAX_RANK = 12
 # the closure check of the full set took 0.13-0.17 s at rank 14 on a 2-vCPU host;
@@ -394,16 +394,15 @@ def _parked(masks: Iterable[int]) -> list[int]:
 
 def _witnesses(
     cands: np.ndarray, members: np.ndarray, present: Callable[[np.ndarray], np.ndarray]
-) -> tuple[np.ndarray, int]:
+) -> np.ndarray:
     """Why each candidate fails to normalize a set, found in row blocks of products.
 
     ``cands`` and ``members`` are nonzero int64 arrays, in any order, the
     latter a nonempty generating set of a saturated set, such as its
     :func:`_uncovered` members; ``present`` is the set's lookup, as
-    :func:`_membership` makes it.  Entry k of the first result is the
-    largest nonzero product [cands[k], m], m in ``members``, that lies
-    outside the set, or 0 when cands[k] normalizes the span of the set;
-    the second result counts the products evaluated.
+    :func:`_membership` makes it.  Entry k of the result is the largest
+    nonzero product [cands[k], m], m in ``members``, that lies outside
+    the set, or 0 when cands[k] normalizes the span of the set.
 
     The candidates meet all the members in row blocks of
     ``_PAIR_BLOCK // len(members)`` candidates, at least one, so a block
@@ -426,7 +425,7 @@ def _witnesses(
         shared, prod = _products(x[i:i + rows], members, t)
         prod[(shared >= t) | present(prod)] = 0
         found.append(prod.max(axis=1))
-    return found[1] if len(found) == 2 else np.concatenate(found), k * len(members)
+    return found[1] if len(found) == 2 else np.concatenate(found)
 
 
 def normalizing_step(M: SaturatedSet) -> SaturatedSet:
@@ -452,7 +451,7 @@ def normalizing_step(M: SaturatedSet) -> SaturatedSet:
     cover = _uncovered(members, present, M.n)
     cap = (1 << CLOSURE_MAX_RANK) - 1
     perm.check_cap("normalizer scan of pairs", len(pool) * len(cover), cap * cap)
-    found, _ = _witnesses(pool, cover, present)
+    found = _witnesses(pool, cover, present)
     return SaturatedSet._make(M.n, M.masks | frozenset(pool[found == 0].tolist()))
 
 

@@ -10,6 +10,7 @@ of them.
 import hashlib
 import json
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -418,6 +419,58 @@ def test_incremental_step_matches_normalizing_step(n, data):
         else:
             assert cover == before + added.tolist()
         current = nxt
+
+
+# extra masks that, with the translations and saturated, start the chains below;
+# a lone-candidate shortcut widened to two candidates gets every one of them wrong
+# but (5,) and (2, 6) at rank 3, where no saturated start but (2,) exposes it
+FIXED_STARTS = {
+    3: [(2,), (5,), (2, 6)],
+    4: [(4,), (5,), (6, 11)],
+    5: [(13,), (25,), (9, 12, 24)],
+    6: [(18,), (13, 52), (21, 24, 50)],
+    7: [(12,), (9, 54), (5, 12, 28)],
+    8: [(95,), (33, 50), (12, 22, 36)],
+}
+
+
+@pytest.mark.parametrize("n, extra", [
+    pytest.param(n, extra, id=f"{n}-{'-'.join(map(str, extra))}")
+    for n, starts in FIXED_STARTS.items() for extra in starts
+])
+def test_incremental_chain_from_fixed_starts_matches_iterated_normalizing_step(n, extra):
+    start = saturate([RigidCommutator(m, n) for m in (*translation_set(n).masks, *extra)], n)
+    chain = _IncrementalChain(start)
+    term = start
+    while len(term) < (1 << n) - 1:
+        added = chain.step().tolist()
+        nxt = normalizing_step(term)
+        assert sorted(added) == sorted(nxt.masks - term.masks), chain.i
+        assert chain.log2_order == len(nxt), chain.i
+        term = nxt
+    assert (chain.joined[1:] <= chain.i).all()
+
+
+def test_a_step_that_joins_nothing_to_a_proper_term_raises(monkeypatch):
+    # a wake rule that loses each joined mask's last trailing one wakes no candidate
+    # from the translation normalizer at rank 14; the chain stops at that step
+    # instead of taking 2^14 empty ones, or, with no budget, spinning
+    calls = iter(range(64))
+
+    def lossy(masks):
+        if next(calls, None) is None:
+            pytest.fail("the chain kept stepping on a proper term")
+        return [a ^ (1 << k) for a in masks for k in range((a & ~(a + 1)).bit_length() - 1)]
+
+    monkeypatch.setattr(chain, "_parked", lossy)
+    t0 = time.perf_counter()
+    with pytest.raises(RuntimeError, match="^step 1 at rank 14 joined nothing to a proper term$"):
+        run_chain(14)
+    assert time.perf_counter() - t0 < 1
+    monkeypatch.undo()
+    # the full group is its own normalizer: a step there joins nothing and raises nothing
+    full = _IncrementalChain(full_rigid_set(5))
+    assert full.step().size == 0 and full.i == 1
 
 
 @pytest.mark.parametrize("n", range(3, 11))

@@ -5,6 +5,8 @@ compared against frozen renderings, including the exit-code contract
 (0 ok, 1 mismatch, 2 bad input, 3 scale guard).
 """
 
+import functools
+import hashlib
 import json
 import re
 
@@ -622,6 +624,91 @@ def test_verify_runs_only_the_steps_it_checks(monkeypatch, capsys, argv, calls):
     assert main(argv) == 0
     assert seen == calls
     assert capsys.readouterr().out.rstrip().endswith("all checks passed")
+
+
+@pytest.mark.parametrize("argv, want", [
+    pytest.param(["verify", "--n", "6"], """\
+ok: oracle-equivalence (exhaustive pairs, rank 6)
+ok: factorize-round-trip (rank 6)
+ok: chain-vs-closed-form (steps 0..4, rank 6)
+ok: translation-checks (rank 6)
+all checks passed
+""", id="n6"),
+    pytest.param(["verify", "--n", "3", "--sym-brute"], """\
+ok: oracle-equivalence (exhaustive pairs, rank 3)
+ok: factorize-round-trip (rank 3)
+ok: chain-vs-closed-form (steps 0..1, rank 3)
+ok: translation-checks (rank 3)
+ok: sym-brute (all 2 terms, rank 3)
+all checks passed
+""", id="n3-sym-brute"),
+])
+def test_verify_times_each_check_on_stderr(capsys, argv, want):
+    # stdout is byte for byte the same; stderr has one line of seconds per check
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert out == want
+    checks = [line.split()[1] for line in out.splitlines()[:-1]]
+    timed = [re.fullmatch(r"([a-z-]+): \d+\.\d{4}s", line) for line in err.splitlines()]
+    assert all(timed), err
+    assert [m[1] for m in timed] == checks
+
+
+# ── the console outputs frozen in .github/workflows/tests.yml ────────────────
+
+def _ci_perm(n: int, top: int, stride: int) -> str:
+    """The product of the rank-n commutators top, top - stride, ... above 4, as CI writes it."""
+    product = functools.reduce(compose, (expand(RigidCommutator(m, n)) for m in range(top, 4, -stride)))
+    return perm_to_json(product) + "\n"
+
+
+# a file that an earlier command's stdout makes: the command, the file and the
+# member count CI checks of it, if any
+SET10 = (["closure", "seed10.json"], "set10.json", None)
+AMB12 = (["closure", "seed12.json"], "amb12.json", 4055)
+CI_TIMINGS12 = re.compile(
+    r"total: [0-9]+\.[0-9]{4}s, 1395 steps, 6894 rescanned, 189190 products, peak RSS [0-9]+\.[0-9] MiB"
+)
+CHAIN12_SHA = "8b7f11759e8bf022291f72b60ea7c83743e97c77ca12504c4746e613e2181fd5"
+
+
+@pytest.mark.parametrize("made, argv, sha", [
+    pytest.param((), ["chain", "--n", "9", "--format", "json"],
+                 "0bf16a365c2e0a0d2ccf3694608f57ce94051ac133a86b996212e171206e55c5", id="chain_sha"),
+    pytest.param((), ["chain", "--n", "12", "--format", "json"], CHAIN12_SHA, id="chain12_sha"),
+    pytest.param((), ["chain", "--n", "12", "--format", "json", "--timings"], CHAIN12_SHA,
+                 id="chain12_sha-timings"),
+    pytest.param((), ["chain", "--n-range", "3..12", "--format", "csv"],
+                 "1fe2ba784b57adcb2eb83c5860f09d769e37bb86d7a3e06c6773bb217e397211", id="matrix_sha"),
+    pytest.param((), ["chain", "--n", "16", "--steps", "14", "--format", "json"],
+                 "94fbea8455ff265e253dd86f35f1c26145c5db7383e0ac1c5e64897699aa33e9", id="prefix_sha"),
+    pytest.param((SET10,), ["factorize", "perm10.json", "--set", "set10.json"],
+                 "f1d5358505933f762caf448d628df90641ad48ebc08b2a0602a1b0ba511de57e", id="factorize_sha"),
+    pytest.param((), ["factorize", "perm12.json"],
+                 "23bca334ba4b1fe0ff626a3c42641a286ddb75cd98baa9e30c9bf6b70f420f9a", id="factorize12_sha"),
+    pytest.param((AMB12,), ["closure", "top12.json", "--within", "amb12.json"],
+                 "33d31f14e22442d0f18f8e7852176ba6356f671c6f8b78132c645b62f866c5c4", id="within_sha"),
+])
+def test_console_outputs_match_the_ci_digests(tmp_path, monkeypatch, capsys, made, argv, sha):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "seed10.json").write_text('{"n": 10, "members": [[3, 1]]}\n')
+    (tmp_path / "seed12.json").write_text('{"n": 12, "members": [[3, 1]]}\n')
+    (tmp_path / "top12.json").write_text('{"n": 12, "members": [[12, 5, 1]]}\n')
+    (tmp_path / "perm10.json").write_text(_ci_perm(10, 1021, 37))
+    (tmp_path / "perm12.json").write_text(_ci_perm(12, 4093, 41))
+    for command, name, members in made:
+        assert main(command) == 0
+        text = capsys.readouterr().out
+        (tmp_path / name).write_text(text)
+        if members is not None:
+            assert len(json.loads(text)["members"]) == members
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert hashlib.sha256(out.encode()).hexdigest() == sha
+    if "--timings" in argv:
+        assert CI_TIMINGS12.fullmatch(err.splitlines()[-1]), err
+    else:
+        assert err == ""
 
 
 def test_unknown_command_exits_two(capsys):

@@ -684,13 +684,12 @@ def _check_witnesses(A, B):
     cover = saturated._uncovered(members, present, A.n)
     # every member in mask order, and the cover, which generates A, in reverse order
     for gens in (members, cover[::-1]):
-        found, products = saturated._witnesses(cands, gens, present)
+        found = saturated._witnesses(cands, gens, present)
         for c, w in zip(cands.tolist(), found.tolist()):
             assert (w == 0) == (_witness_loop(c, A.masks) == 0), c
             if w:
                 assert w not in A.masks
                 assert w in {commutator_mask(c, m) for m in gens.tolist()}
-        assert 0 < products <= len(cands) * len(gens)
     pool, got = _scanned_pool(B, A)
     # [c, t_k] fills c's lowest hole k, so c fails unless c | (c + 1) is in A;
     # the scan has no ambient, so B does not narrow it
