@@ -109,7 +109,7 @@ class TreePermutation:
 
     @property
     def is_identity(self) -> bool:
-        return bool(np.array_equal(self._img, np.arange(1 << self.n)))
+        return bool((self._img == np.arange(self._img.size, dtype=np.int32)).all())
 
     def __call__(self, point: int) -> int:
         _check_int("point", point, 1, 1 << self.n)  # before numpy indexes it
@@ -121,7 +121,7 @@ class TreePermutation:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TreePermutation):
             return NotImplemented
-        return self.n == other.n and np.array_equal(self._img, other._img)
+        return self.n == other.n and self._img.tobytes() == other._img.tobytes()
 
     def __hash__(self) -> int:
         if self._hash is None:
@@ -168,7 +168,7 @@ def identity(n: int) -> TreePermutation:
     """The identity at rank n; ranks above ``EXPAND_MAX_RANK`` raise :class:`ScaleGuardError`."""
     _check_int("rank", n, 0)
     check_cap("permutation at rank", n, EXPAND_MAX_RANK)
-    return TreePermutation._from0(np.arange(1 << n), n)
+    return TreePermutation._from0(np.arange(1 << n, dtype=np.int32), n)
 
 
 def generator(i: int, n: int) -> TreePermutation:
@@ -177,8 +177,10 @@ def generator(i: int, n: int) -> TreePermutation:
     As a permutation it is the involution (1, 1+2^(n-i))(2, 2+2^(n-i))...
     with support {1, ..., 2^(n-i+1)}.  The rank is checked as by :func:`identity`.
     """
-    img = np.array(identity(n)._img)  # a writable copy
+    _check_int("rank", n, 0)
+    check_cap("permutation at rank", n, EXPAND_MAX_RANK)
     _check_int("generator index", i, 1, n)
+    img = np.arange(1 << n, dtype=np.int32)
     step = 1 << (n - i)
     img[: 2 * step] ^= step
     return TreePermutation._from0(img, n)
@@ -188,18 +190,32 @@ def compose(p: TreePermutation, q: TreePermutation) -> TreePermutation:
     """Right-action product: apply p first, then q."""
     if p.n != q.n:
         raise ValueError(f"rank mismatch: {p.n} != {q.n}")
-    return TreePermutation._from0(q._img[p._img], p.n)
+    return TreePermutation._from0(q._img.take(p._img), p.n)
+
+
+def _inverted(img: np.ndarray) -> np.ndarray:
+    """The inverse of a 0-based image array, by one scatter."""
+    inv = np.empty_like(img)
+    inv[img] = np.arange(img.size, dtype=img.dtype)
+    return inv
 
 
 def inverse(p: TreePermutation) -> TreePermutation:
-    inv = np.empty_like(p._img)
-    inv[p._img] = np.arange(p._img.shape[0], dtype=np.int32)
-    return TreePermutation._from0(inv, p.n)
+    return TreePermutation._from0(_inverted(p._img), p.n)
 
 
 def perm_commutator(p: TreePermutation, q: TreePermutation) -> TreePermutation:
-    """Group commutator p^-1 q^-1 p q on explicit images."""
-    return compose(compose(inverse(p), inverse(q)), compose(p, q))
+    """Group commutator p^-1 q^-1 p q on explicit images.
+
+    The gathers and scatters of ``compose(compose(inverse(p),
+    inverse(q)), compose(p, q))``, on the image arrays, with one
+    permutation built for the result.
+    """
+    if p.n != q.n:
+        raise ValueError(f"rank mismatch: {p.n} != {q.n}")
+    # take() gathers faster than indexing by an int32 array
+    pq, inv = q._img.take(p._img), _inverted(q._img).take(_inverted(p._img))
+    return TreePermutation._from0(pq.take(inv), p.n)
 
 
 def expand(c: RigidCommutator) -> TreePermutation:

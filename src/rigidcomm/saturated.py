@@ -73,7 +73,7 @@ def _coerce_masks(members: Iterable, n: int) -> frozenset[int]:
 
 def _level_cuts(masks: np.ndarray, levels: int) -> list[int]:
     """Level ``a`` of sorted nonzero int64 ``masks``, top bit 2^(a-1), is masks[cuts[a-1]:cuts[a]]."""
-    return [*np.searchsorted(masks, _POWERS[:levels]).tolist(), masks.size]
+    return [*masks.searchsorted(_POWERS[:levels]).tolist(), masks.size]
 
 
 def _products(x: np.ndarray, y: np.ndarray, t) -> tuple[np.ndarray, np.ndarray]:
@@ -207,21 +207,22 @@ def _close(masks: np.ndarray, n: int, ambient: np.ndarray | None = None) -> np.n
         # a product lies below the larger factor's top bit, so the top partner bounds the lookups
         bits = int(partners[-1]).bit_length()
         inside = None if ambient is None else _membership(ambient, bits)
-        present, found = _membership(masks, bits), [masks[:0]]  # a round may make no product
+        present = before = _membership(masks, bits)
         for lo, hi, prod in _pair_products(frontier, partners, both=frontier.size < partners.size):
-            pos = np.flatnonzero(~present(prod))
-            if not pos.size:
+            miss = ~present(prod)
+            if not miss.any():
                 continue
-            new = prod.ravel()[pos]
+            new = prod[miss]  # in C order, so entry k is the k-th miss of the block
             if inside is not None and not inside(new).all():
-                r, c = divmod(int(pos[~inside(new)][0]), prod.shape[1])
+                r, c = (ix[(~inside(new)).argmax()] for ix in miss.nonzero())
                 x, y, z = (RigidCommutator(int(v), n) for v in (lo[r], hi[c], prod[r, c]))
                 raise ValueError(f"set is not closed under commutation: {x} with {y} gives {z}")
-            found.append(np.unique(new))
-            masks = np.insert(masks, np.searchsorted(masks, found[-1]), found[-1])
+            new.sort()  # a repeat follows its first; np.unique imports numpy.ma (1.7 MB, 17 ms)
+            masks = np.concatenate((masks, new[:1], new[1:][new[1:] != new[:-1]]))
+            masks.sort(kind="stable")  # timsort: one linear merge of the two sorted runs
             perm.check_cap("saturated set of size", masks.size, cap)
             present = _membership(masks, bits)
-        frontier = np.sort(np.concatenate(found))
+        frontier = masks[~before(masks)]  # the round's finds, in order
     return masks
 
 
@@ -640,9 +641,7 @@ class Factorization:
         pts, k = np.arange(1 << n), np.arange(n)[:, None]
         # bit k of inv[x] is bit k of x flipped by the portrait at x's bits above k, then a 1, then zeros
         inv = pts ^ (portrait[((pts >> k) | 1) << k] << k).sum(axis=0)
-        img = np.empty_like(inv)
-        img[inv] = pts
-        return perm.TreePermutation._from0(img, n)
+        return perm.TreePermutation._from0(perm._inverted(inv), n)
 
     def __str__(self) -> str:
         if not self.factors:
@@ -683,13 +682,13 @@ def factorize(g: perm.TreePermutation, within: SaturatedSet | None = None) -> Fa
         raise ValueError(f"rank mismatch: permutation has rank {n}, set has {within.n}")
     img = g._img
     pts, steps, prefixes, lows = _portrait_reads(n)
-    if np.any((img[1:] ^ img[:-1]) > steps):
+    if ((img[1:] ^ img[:-1]) > steps).any():
         raise ValueError("permutation is not an element of the rank-n tree group "
                          "(the images of x - 1 and x differ above the lowest set bit of x)")
     inv = np.empty_like(img)
     inv[img] = pts
     flips = (inv[prefixes] & lows) != 0  # level l's flips in its mask-order block
-    masks = np.flatnonzero(_superset_xor_levels(flips)).tolist()  # mask order is canonical order
+    masks = _superset_xor_levels(flips).nonzero()[0].tolist()  # mask order is canonical order
     member = True if within is None else within.masks.issuperset(masks)
     table = _commutators(n)
     # itemgetter returns a bare entry for one key and refuses none

@@ -5,6 +5,7 @@ tests pin its conventions against frozen cycle forms and then use it to
 certify the closed-form product.
 """
 
+import functools
 import itertools
 import random
 
@@ -158,11 +159,27 @@ def test_images_are_one_based():
 
 
 def test_inverse_and_commutator():
-    p = compose(generator(1, 3), generator(2, 3))
-    assert compose(p, inverse(p)).is_identity
-    q = generator(3, 3)
-    c = perm_commutator(p, q)
-    assert c == compose(compose(inverse(p), inverse(q)), compose(p, q))
+    # the commutator is its definition on random tree elements, not only on rigid commutators
+    rng = random.Random(2024)
+    for n in range(1, 11):
+        for _ in range(4):
+            p, q = (functools.reduce(compose, (generator(rng.randint(1, n), n) for _ in range(4 * n)))
+                    for _ in range(2))
+            assert compose(p, inverse(p)).is_identity and compose(inverse(q), q).is_identity
+            c = perm_commutator(p, q)
+            assert c == compose(compose(inverse(p), inverse(q)), compose(p, q))
+            for made in (c, inverse(p), compose(p, q)):
+                assert made.n == n and not made._img.flags.writeable
+    for p, q in ((generator(1, 3), generator(1, 4)), (identity(4), generator(2, 3))):
+        with pytest.raises(ValueError, match=f"^rank mismatch: {p.n} != {q.n}$"):
+            perm_commutator(p, q)
+    # the generators leave the identity's points as they were
+    for n in range(0, 7):
+        e = identity(n)
+        made = [generator(i, n) for i in range(1, n + 1)]
+        assert e.images == identity(n).images == tuple(range(1, (1 << n) + 1))
+        assert e.is_identity and not any(g.is_identity for g in made)
+        assert not any(g._img.flags.writeable for g in (e, *made))
 
 
 def test_json_round_trip():

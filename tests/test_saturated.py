@@ -7,9 +7,13 @@ tests where that is cheap, so the two layers certify each other.
 import functools
 import itertools
 import json
+import os
 import random
 import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -772,6 +776,62 @@ def test_normal_closure_rejects_an_ambient_that_is_not_closed():
     with pytest.raises(ValueError, match="not closed") as err:
         normal_closure(A, B)
     assert str(err.value) == "set is not closed under commutation: [2] with [3,1] gives [3,2]"
+
+
+def test_closure_failure_names_the_same_pair_from_any_block_row(monkeypatch):
+    # each ambient is the whole group without the masks listed; in blocks of 7 products the
+    # first product outside it lies past row 0 of a block of two or three rows
+    cases = [
+        (5, [5, 1], [[5, 4, 3, 2, 1]], "[2,1] with [5,4,3,1] gives [5,4,3,2,1]"),
+        (5, [5, 2], [[1], [5, 4, 3, 2]], "[3,2] with [5,4,2] gives [5,4,3,2]"),
+        (5, [4, 1], [[2], [5, 4, 3, 1]], "[3,1] with [5,4,1] gives [5,4,3,1]"),
+        (6, [6, 1], [[6, 5, 4, 3, 2, 1]], "[2,1] with [6,5,4,3,1] gives [6,5,4,3,2,1]"),
+    ]
+    for block in (7, 64):
+        monkeypatch.setattr(saturated, "_PAIR_BLOCK", block)
+        for n, seed, missing, pair in cases:
+            B = SaturatedSet._make(n, frozenset(range(1, 1 << n)) - {C(m, n).mask for m in missing})
+            with pytest.raises(ValueError) as err:
+                normal_closure(saturate([C(seed, n)], n), B)
+            assert str(err.value) == f"set is not closed under commutation: {pair}"
+
+
+@pytest.mark.parametrize("n", [12, 14])
+def test_saturate_of_the_single_bit_generators_is_the_whole_group(n):
+    # merges of blocks with thousands of finds into thousands of members
+    got = saturate([RigidCommutator(1 << i, n) for i in range(n)], n)
+    assert got.masks == frozenset(range(1, 1 << n))
+
+
+def test_closure_queries_do_not_import_numpy_ma():
+    # np.unique imports numpy.ma on its first call (numpy 2.x): 1.7 MB and 17 ms a process
+    script = """
+import sys
+import rigidcomm as rc
+print("numpy.ma" in sys.modules)  # numpy 1.x imports it with numpy itself
+C = rc.RigidCommutator.from_elements
+n = 8
+S = rc.saturate([C([5, 2], n), C([7, 3, 1], n), C([8, 4], n)], n)
+assert len(S) > 3
+whole = rc.full_rigid_set(n)
+ambient = rc.normal_closure(rc.saturate([C([6, 1], n)], n), whole)
+assert len(ambient) < len(whole)
+rc.normal_closure(rc.saturate([C([7, 6, 1], n)], n), ambient)
+rc.normal_closure(S, whole)
+rc.SaturatedSet(n, S.masks)
+g = rc.expand(C([5, 3, 2], n))
+rc.factorize(g, within=S)
+rc.perm_commutator(g, rc.expand(C([7, 6], n)))
+print("numpy.ma" in sys.modules)
+"""
+    src = Path(saturated.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    if done.stdout.startswith("True"):
+        pytest.skip("this numpy imports numpy.ma with numpy itself")
+    assert done.stdout == "False\nFalse\n"
 
 
 def test_normal_closure_scale_guard(monkeypatch):
