@@ -71,7 +71,7 @@ def translation_set(n: int) -> SaturatedSet:
     t_i commute, so the set is closed by construction and skips the check.
     """
     _check_rank(n)
-    return SaturatedSet._make(n, frozenset((1 << i) - 1 for i in range(1, n + 1)))
+    return SaturatedSet._make(n, np.array([(1 << i) - 1 for i in range(1, n + 1)], dtype=np.int64))
 
 
 def translation_normalizer_set(n: int) -> SaturatedSet:
@@ -82,7 +82,7 @@ def translation_normalizer_set(n: int) -> SaturatedSet:
     normalizer's member set, it is closed by construction and skips the check.
     """
     _check_rank(n)
-    return SaturatedSet._make(n, frozenset(partitions._predicted_joins(n, 0)))
+    return SaturatedSet._make(n, np.array(sorted(partitions._predicted_joins(n, 0)), dtype=np.int64))
 
 
 @dataclass(frozen=True)
@@ -280,7 +280,7 @@ class _IncrementalChain:
     def __init__(self, start: SaturatedSet) -> None:
         t0 = time.perf_counter()
         n = self.n = start.n
-        members = np.fromiter(start.masks, dtype=np.int64)
+        members = start._sorted
         self.joined = np.full(1 << n, _NEVER, dtype=np.int32)
         self.joined[members] = 0
         self.joined[(1 << np.arange(n + 1)) - 1] = -1  # the identity and the t_i
@@ -289,7 +289,7 @@ class _IncrementalChain:
         self.pruned = len(self.cover)  # the cover's size when _uncovered last made it
         self.log2_order = start.log2_order
         # each member wakes the masks parked on it, as if it had just joined
-        parked = np.array(_parked(start.masks), dtype=np.int64)
+        parked = np.array(_parked(members.tolist()), dtype=np.int64)
         self.pending = np.sort(parked[~self._present(parked)])
         self.waiters: dict[int, list[int]] = {}
         self.diagnostics = _Diagnostics()

@@ -77,7 +77,7 @@ class TreePermutation:
         images = list(images)
         for v in images:  # before numpy truncates a float or parses a string
             _check_int("image", v, 1, len(images))
-        arr = np.asarray(images, dtype=np.int64)
+        arr = np.asarray(images, dtype=np.intp)
         size = arr.shape[0]
         if n is None:
             n = max(size.bit_length() - 1, 0)
@@ -87,7 +87,7 @@ class TreePermutation:
         if not np.array_equal(np.sort(arr), np.arange(size)):
             raise ValueError("images are not a permutation of 1..2^n")
         self.n = n
-        self._img = arr.astype(np.int32)
+        self._img = arr
         self._img.flags.writeable = False
         self._hash = None
 
@@ -96,7 +96,7 @@ class TreePermutation:
         # trusted constructor: arr is a 0-based permutation array
         self = object.__new__(cls)
         self.n = n
-        img = np.ascontiguousarray(arr, dtype=np.int32)
+        img = np.ascontiguousarray(arr, dtype=np.intp)
         img.flags.writeable = False
         self._img = img
         self._hash = None
@@ -109,7 +109,7 @@ class TreePermutation:
 
     @property
     def is_identity(self) -> bool:
-        return bool((self._img == np.arange(self._img.size, dtype=np.int32)).all())
+        return bool((self._img == np.arange(self._img.size)).all())
 
     def __call__(self, point: int) -> int:
         _check_int("point", point, 1, 1 << self.n)  # before numpy indexes it
@@ -168,7 +168,7 @@ def identity(n: int) -> TreePermutation:
     """The identity at rank n; ranks above ``EXPAND_MAX_RANK`` raise :class:`ScaleGuardError`."""
     _check_int("rank", n, 0)
     check_cap("permutation at rank", n, EXPAND_MAX_RANK)
-    return TreePermutation._from0(np.arange(1 << n, dtype=np.int32), n)
+    return TreePermutation._from0(np.arange(1 << n, dtype=np.intp), n)
 
 
 def generator(i: int, n: int) -> TreePermutation:
@@ -180,7 +180,7 @@ def generator(i: int, n: int) -> TreePermutation:
     _check_int("rank", n, 0)
     check_cap("permutation at rank", n, EXPAND_MAX_RANK)
     _check_int("generator index", i, 1, n)
-    img = np.arange(1 << n, dtype=np.int32)
+    img = np.arange(1 << n, dtype=np.intp)
     step = 1 << (n - i)
     img[: 2 * step] ^= step
     return TreePermutation._from0(img, n)
@@ -213,7 +213,6 @@ def perm_commutator(p: TreePermutation, q: TreePermutation) -> TreePermutation:
     """
     if p.n != q.n:
         raise ValueError(f"rank mismatch: {p.n} != {q.n}")
-    # take() gathers faster than indexing by an int32 array
     pq, inv = q._img.take(p._img), _inverted(q._img).take(_inverted(p._img))
     return TreePermutation._from0(pq.take(inv), p.n)
 
@@ -285,7 +284,7 @@ def flip_pattern_permutation(pattern: LevelFlipPattern, n: int) -> TreePermutati
     _check_int("rank", n, level)
     check_cap("permutation at rank", n, EXPAND_MAX_RANK)
     shift = n - level
-    flags = np.zeros(1 << (level - 1), dtype=np.int32)
+    flags = np.zeros(1 << (level - 1), dtype=np.intp)
     for q in pattern.flips:
         flags[q] = 1
     pts = np.arange(1 << n)
@@ -389,7 +388,7 @@ def brute_normalizer_in_sym(group_elements: Iterable[TreePermutation], n: int) -
                 ok = False
                 break
         if ok:
-            out.add(TreePermutation._from0(np.array(sigma, dtype=np.int32), n))
+            out.add(TreePermutation._from0(np.array(sigma), n))
     return out
 
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from operator import itemgetter
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -52,7 +51,8 @@ __all__ = [
 ]
 
 
-def _coerce_masks(members: Iterable, n: int) -> frozenset[int]:
+def _coerce_masks(members: Iterable, n: int) -> np.ndarray:
+    """The distinct nonzero masks of ``members``, checked, as a sorted int64 array."""
     _check_rank(n)
     masks = set()
     for m in members:
@@ -68,7 +68,7 @@ def _coerce_masks(members: Iterable, n: int) -> frozenset[int]:
             raise ValueError(f"mask {mask} out of range for rank {n}")
         if mask:
             masks.add(mask)  # the identity is implicit, never stored
-    return frozenset(masks)
+    return np.array(sorted(masks), dtype=np.int64)
 
 
 def _level_cuts(masks: np.ndarray, levels: int) -> list[int]:
@@ -148,6 +148,12 @@ def _membership(members: np.ndarray, n: int) -> Callable[[np.ndarray], np.ndarra
         pos = np.minimum(np.searchsorted(members, masks), len(members) - 1)
         return (masks == 0) | (members[pos] == masks)
     return present
+
+
+def _within(masks: np.ndarray, S: "SaturatedSet") -> bool:
+    """Whether distinct nonzero int64 ``masks`` are all members of ``S``; the whole group holds every mask."""
+    return masks.size <= len(S) and (
+        len(S) == (1 << S.n) - 1 or bool(_membership(S._sorted, S.n)(masks).all()))
 
 
 def _top_bits(masks: np.ndarray) -> np.ndarray:
@@ -232,23 +238,25 @@ class SaturatedSet:
     The constructor verifies closure and raises if it fails; operations
     whose result is closed by construction skip the check.  More than
     2^``CLOSURE_MAX_RANK`` - 1 members raise ``ScaleGuardError`` first.
+    The set stores one read-only sorted int64 array of its masks;
+    :attr:`masks` is a frozenset built from it on first read.
     """
-
-    __slots__ = ("n", "masks")
 
     def __init__(self, n: int, members: Iterable = ()) -> None:
         masks = _coerce_masks(members, n)
-        arr = np.sort(np.fromiter(masks, dtype=np.int64, count=len(masks)))
-        _close(arr, n, arr)
-        self.n = n
-        self.masks = masks
+        _close(masks, n, masks)
+        masks.flags.writeable = False
+        self.n, self._sorted = n, masks
 
     @classmethod
-    def _make(cls, n: int, masks: frozenset[int]) -> "SaturatedSet":
+    def _make(cls, n: int, masks: np.ndarray) -> "SaturatedSet":
+        # trusted: masks holds a saturated set's distinct nonzero masks, sorted, as int64
         self = object.__new__(cls)
-        self.n = n
-        self.masks = frozenset(masks)
+        masks.flags.writeable = False  # the set's only stored form, shared by sets built from it
+        self.n, self._sorted = n, masks
         return self
+
+    masks = cached_property(lambda self: frozenset(self._sorted.tolist()))  # the members' masks
 
     @property
     def contains_translations(self) -> bool:
@@ -258,13 +266,13 @@ class SaturatedSet:
     @property
     def log2_order(self) -> int:
         """log2 of the order of the generated subgroup (= member count)."""
-        return len(self.masks)
+        return self._sorted.size
 
     @property
     def members(self) -> tuple[RigidCommutator, ...]:
         """Members in canonical order (base ascending, then mask value)."""
         # a larger base means a larger mask, so canonical order is mask order
-        return tuple(RigidCommutator(m, self.n) for m in sorted(self.masks))
+        return tuple(RigidCommutator._trusted(m, self.n) for m in self._sorted.tolist())
 
     def level_dims(self) -> tuple[int, ...]:
         """Member count per base, levels 1..n ascending.
@@ -272,10 +280,7 @@ class SaturatedSet:
         Level j contributes an elementary abelian block of this rank to
         the generated subgroup.
         """
-        dims = [0] * self.n
-        for m in self.masks:
-            dims[m.bit_length() - 1] += 1
-        return tuple(dims)
+        return tuple(np.diff(_level_cuts(self._sorted, self.n)).tolist())
 
     def __contains__(self, item) -> bool:
         if isinstance(item, RigidCommutator) and item.n == self.n:
@@ -288,18 +293,18 @@ class SaturatedSet:
         return iter(self.members)
 
     def __len__(self) -> int:
-        return len(self.masks)
+        return self._sorted.size
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SaturatedSet):
             return NotImplemented
-        return self.n == other.n and self.masks == other.masks
+        return self.n == other.n and self._sorted.tobytes() == other._sorted.tobytes()
 
     def __hash__(self) -> int:
-        return hash((self.n, self.masks))
+        return hash((self.n, self._sorted.tobytes()))
 
     def issubset(self, other: "SaturatedSet") -> bool:
-        return self.n == other.n and self.masks <= other.masks
+        return self.n == other.n and _within(self._sorted, other)
 
     def __repr__(self) -> str:
         return f"SaturatedSet(n={self.n}, log2_order={self.log2_order})"
@@ -355,7 +360,7 @@ def full_rigid_set(n: int) -> SaturatedSet:
     _check_rank(n)
     check_closure_rank(n)
     # closed by construction: commutators of rigid commutators are rigid
-    return SaturatedSet._make(n, frozenset(range(1, 1 << n)))
+    return SaturatedSet._make(n, np.arange(1, 1 << n, dtype=np.int64))
 
 
 def saturate(members: Iterable[RigidCommutator], n: int | None = None) -> SaturatedSet:
@@ -375,8 +380,7 @@ def saturate(members: Iterable[RigidCommutator], n: int | None = None) -> Satura
         if not seed or not isinstance(seed[0], RigidCommutator):
             raise ValueError("cannot infer the rank from an empty seed or an int mask: pass n")
         n = seed[0].n
-    masks = np.array(sorted(_coerce_masks(seed, n)), dtype=np.int64)
-    return SaturatedSet._make(n, frozenset(_close(masks, n).tolist()))
+    return SaturatedSet._make(n, _close(_coerce_masks(seed, n), n))
 
 
 # ── normalizer machinery ─────────────────────────────────────────────────────
@@ -445,15 +449,15 @@ def normalizing_step(M: SaturatedSet) -> SaturatedSet:
     _check_sets(M=M)
     if not M.contains_translations:
         raise ValueError("the set must contain all full-interval commutators t_1..t_n")
-    members = np.array(sorted(M.masks), dtype=np.int64)
+    members = M._sorted
     present = _membership(members, M.n)
-    parked = np.array(_parked(M.masks), dtype=np.int64)
+    parked = np.array(_parked(members.tolist()), dtype=np.int64)
     pool = parked[~present(parked)]
     cover = _uncovered(members, present, M.n)
     cap = (1 << CLOSURE_MAX_RANK) - 1
     perm.check_cap("normalizer scan of pairs", len(pool) * len(cover), cap * cap)
     found = _witnesses(pool, cover, present)
-    return SaturatedSet._make(M.n, M.masks | frozenset(pool[found == 0].tolist()))
+    return SaturatedSet._make(M.n, np.sort(np.concatenate((members, pool[found == 0]))))
 
 
 def normalizer_in(B: SaturatedSet, A: SaturatedSet) -> SaturatedSet:
@@ -469,7 +473,8 @@ def normalizer_in(B: SaturatedSet, A: SaturatedSet) -> SaturatedSet:
     _check_sets(B=B, A=A)
     if not A.issubset(B):
         raise ValueError("A must be a subset of B (same rank, members contained)")
-    return SaturatedSet._make(B.n, normalizing_step(A).masks & B.masks)
+    step = normalizing_step(A)._sorted
+    return SaturatedSet._make(B.n, step[_membership(B._sorted, B.n)(step)])
 
 
 def check_closure_rank(n: int) -> None:
@@ -516,21 +521,19 @@ def normal_closure(A: SaturatedSet, B: SaturatedSet) -> SaturatedSet:
     check_closure_rank(B.n)
     if not A.issubset(B):
         raise ValueError("A must be a subset of B (same rank, members contained)")
-    if len(B.masks) < (1 << B.n) - 1:
-        seed, ambient = (np.array(sorted(S.masks), dtype=np.int64) for S in (A, B))
-        return SaturatedSet._make(B.n, frozenset(_close(seed, B.n, ambient).tolist()))
-    least = {}  # the smallest member of A at each base
-    for m in sorted(A.masks, reverse=True):
-        least[m.bit_length()] = m
-    members = []
-    if least:
-        a0 = min(least)
-        for b in range(a0, B.n + 1):
-            t = least.get(b, 1 << b)  # 2^b, past the level, when A has no member here
-            if b > a0:
-                t = min(t, (1 << (b - 1)) | (1 << (a0 - 1)))
-            members.extend(range(t, 1 << b))
-    return SaturatedSet._make(B.n, frozenset(members))
+    n, seed = B.n, A._sorted
+    if len(B) < (1 << n) - 1:
+        return SaturatedSet._make(n, _close(seed, n, B._sorted))
+    if not seed.size:
+        return A
+    cuts, a0, runs = _level_cuts(seed, n), int(seed[0]).bit_length(), []
+    for b in range(a0, n + 1):
+        # the smallest member of A based at b, else 2^b, past the level
+        t = int(seed[cuts[b - 1]]) if cuts[b - 1] < cuts[b] else 1 << b
+        if b > a0:
+            t = min(t, (1 << (b - 1)) | (1 << (a0 - 1)))
+        runs.append(np.arange(t, 1 << b, dtype=np.int64))
+    return SaturatedSet._make(n, np.concatenate(runs))
 
 
 # ── unique factorization over rigid commutators ──────────────────────────────
@@ -571,22 +574,24 @@ def _reverse_bits(v: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _portrait_reads(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Rank n's reads of a portrait, built once and shared: the points, x ^ (x - 1) for x >= 1,
+def _portrait_reads(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rank n's reads of a portrait, built once and shared: x ^ (x - 1) for x >= 1,
     and in mask order each level's prefix points p 0...0 with the bit that level flips."""
-    pts = np.arange(1 << n, dtype=np.int32)
+    pts = np.arange(1 << n, dtype=np.intp)
     low = pts & -pts  # point x at prefix p of level l is p 1 0...0; x ^ low is p 0 0...0
     rev = _reverse_bits(pts)
-    reads = (pts, pts[1:] ^ pts[:-1], (pts ^ low)[rev], low[rev])
+    reads = (pts[1:] ^ pts[:-1], (pts ^ low)[rev], low[rev])
     for a in reads:
         a.flags.writeable = False
     return reads
 
 
 @lru_cache(maxsize=None)
-def _commutators(n: int) -> tuple[RigidCommutator, ...]:
-    """The 2^n rigid commutators of rank ``n`` by mask, built once and shared: they are immutable."""
-    return tuple(RigidCommutator._trusted(m, n) for m in range(1 << n))
+def _commutators(n: int) -> np.ndarray:
+    """The 2^n rigid commutators of rank ``n`` by mask, a read-only object array built once and shared."""
+    table = np.array([RigidCommutator._trusted(m, n) for m in range(1 << n)], dtype=object)
+    table.flags.writeable = False
+    return table
 
 
 @dataclass(frozen=True)
@@ -636,7 +641,7 @@ class Factorization:
         """
         n = self.n
         perm.check_cap("to_permutation at rank", n, FACTORIZE_MAX_RANK)
-        exps = np.bincount([self._checked(c).mask for c in self.factors], minlength=1 << n) & 1
+        exps = np.bincount([self._checked(c).mask for c in self.factors], minlength=1 << n) % 2 == 1
         portrait = _reverse_bits(_superset_xor_levels(exps))  # a repeated factor cancels in pairs
         pts, k = np.arange(1 << n), np.arange(n)[:, None]
         # bit k of inv[x] is bit k of x flipped by the portrait at x's bits above k, then a 1, then zeros
@@ -664,13 +669,11 @@ def factorize(g: perm.TreePermutation, within: SaturatedSet | None = None) -> Fa
     exponents; mod 2 the transform is its own inverse, so one transform
     of all levels' flips gives every exponent.  The reads go through
     gather indices cached per rank (:func:`_portrait_reads`), with the
-    bit reversal from point order to mask order folded in; g^-1 is one
-    scatter, the transform is shift-and-mask passes over one integer
-    (:func:`_superset_xor_levels`) and the factors are one gather from the
-    shared per-rank table.  With ``within`` given,
-    ``member`` reports whether every factor lies in that set.  A ``g`` or
-    ``within`` of the wrong type raises ``TypeError``, and ranks above
-    ``FACTORIZE_MAX_RANK`` raise :class:`~rigidcomm.permutations.ScaleGuardError`.
+    bit reversal from point order to mask order folded in.  With
+    ``within`` given, ``member`` reports whether every factor lies in
+    that set.  A ``g`` or ``within`` of the wrong type raises
+    ``TypeError``, and ranks above ``FACTORIZE_MAX_RANK`` raise
+    :class:`~rigidcomm.permutations.ScaleGuardError`.
     """
     if not isinstance(g, perm.TreePermutation):
         raise TypeError(f"g must be a TreePermutation, got {type(g)!r}")
@@ -681,16 +684,12 @@ def factorize(g: perm.TreePermutation, within: SaturatedSet | None = None) -> Fa
     if within is not None and within.n != n:
         raise ValueError(f"rank mismatch: permutation has rank {n}, set has {within.n}")
     img = g._img
-    pts, steps, prefixes, lows = _portrait_reads(n)
+    steps, prefixes, lows = _portrait_reads(n)
     if ((img[1:] ^ img[:-1]) > steps).any():
         raise ValueError("permutation is not an element of the rank-n tree group "
                          "(the images of x - 1 and x differ above the lowest set bit of x)")
-    inv = np.empty_like(img)
-    inv[img] = pts
+    inv = perm._inverted(img)
     flips = (inv[prefixes] & lows) != 0  # level l's flips in its mask-order block
-    masks = _superset_xor_levels(flips).nonzero()[0].tolist()  # mask order is canonical order
-    member = True if within is None else within.masks.issuperset(masks)
-    table = _commutators(n)
-    # itemgetter returns a bare entry for one key and refuses none
-    factors = itemgetter(*masks)(table) if len(masks) > 1 else tuple(table[m] for m in masks)
-    return Factorization(n, factors, member)
+    masks = _superset_xor_levels(flips).nonzero()[0]  # mask order is canonical order
+    member = within is None or _within(masks, within)
+    return Factorization(n, tuple(_commutators(n)[masks].tolist()), member)

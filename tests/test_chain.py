@@ -33,7 +33,7 @@ from rigidcomm import (
 from rigidcomm import chain, partitions, saturated
 from rigidcomm.chain import _NEVER, CHAIN_MAX_RANK, _IncrementalChain
 from rigidcomm.rigid import commutator_mask
-from test_saturated import _normalizer_in_loop
+from test_saturated import _normalizer_in_loop, _trusted
 
 # rank 6: 21 growth steps then the fixpoint, log2 sizes and index jumps
 N6_LOG2_SIZES = [
@@ -376,7 +376,7 @@ def _naive_chain(n: int) -> ChainReport:
     joined[[0, *translation_set(n).masks]] = -1
     step = 0
     while current.log2_order < (1 << n) - 1:
-        nxt = SaturatedSet._make(n, _normalizer_in_loop(full, current))
+        nxt = _trusted(n, _normalizer_in_loop(full, current))
         step += 1
         joined[sorted(nxt.masks - current.masks)] = step
         current = nxt

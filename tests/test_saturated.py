@@ -14,6 +14,7 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -50,6 +51,11 @@ from rigidcomm.permutations import ScaleGuardError
 from rigidcomm.rigid import MAX_RANK, commutator_mask
 
 C = RigidCommutator.from_elements
+
+
+def _trusted(n, masks):
+    """A set built unchecked from masks, as the engine's producers hand it a sorted int64 array."""
+    return SaturatedSet._make(n, np.array(sorted(masks), dtype=np.int64))
 
 
 # ── the type and its invariants ──────────────────────────────────────────────
@@ -601,7 +607,7 @@ def test_whole_group_closure_matches_scalar_loop_exhaustively():
         sets = _saturated_sets(n)
         counts.append(len(sets))
         for masks in sets:
-            A = SaturatedSet._make(n, masks)
+            A = _trusted(n, masks)
             assert normal_closure(A, B).masks == _normal_closure_loop(A, B), sorted(masks)
     assert counts == [2, 7, 63, 2876]  # the empty set included
 
@@ -654,6 +660,57 @@ def test_whole_group_closure_makes_no_product(monkeypatch):
     assert normal_closure(seed, B).log2_order == 3 + sum((1 << (b - 1)) - 4 for b in range(4, n + 1))
     with pytest.raises(AssertionError, match="no product"):  # a proper ambient takes the rounds
         normal_closure(seed, proper)
+
+
+def _check_stored_form(S, want, n, others):
+    """Every reading of S agrees with ``want``, its frozenset of masks, and with the other sets."""
+    assert isinstance(S.masks, frozenset) and S.masks == want
+    assert not S._sorted.flags.writeable
+    assert len(S) == S.log2_order == len(want)
+    assert S.level_dims() == tuple(sum(m.bit_length() == b for m in want) for b in range(1, n + 1))
+    assert [(c.mask, c.n) for c in S.members] == [(m, n) for m in sorted(want)]
+    for m in range(1 << n):
+        assert (m in S) == (RigidCommutator(m, n) in S) == (m == 0 or m in want), m
+    twin = SaturatedSet(n, want)
+    assert S == twin and hash(S) == hash(twin)
+    members = [list(RigidCommutator(m, n).elements) for m in sorted(want)]
+    assert json.loads(S.to_json()) == {"n": n, "members": members}
+    for T, other in others:
+        assert (S == T) == (want == other)
+        assert S.issubset(T) == (want <= other), (sorted(want), sorted(other))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 8), st.data())
+def test_every_producer_stores_the_set_its_frozenset_reads(n, data):
+    # each way the engine builds a set, against scalar loops over plain frozensets
+    seed = data.draw(st.lists(st.integers(1, (1 << n) - 1), min_size=1, max_size=3))
+    plain = lambda masks: SimpleNamespace(masks=frozenset(masks))
+    full = frozenset(range(1, 1 << n))
+    trans = frozenset((1 << i) - 1 for i in range(1, n + 1))
+    u0 = _normalizer_in_loop(plain(full), plain(trans))
+    inner = [sorted(u0)[m % len(u0)] for m in seed]  # the seed moved into the proper ambient
+    with_t = _saturate_loop([*trans, *seed], n)
+    closed_t = _normal_closure_loop(plain(with_t), plain(full))
+    sat, sat_inner = _saturate_loop(seed, n), _saturate_loop(inner, n)
+    M = saturate([RigidCommutator(m, n) for m in with_t], n)
+    cases = [
+        (SaturatedSet(n, [RigidCommutator(m, n) for m in sat]), sat),
+        (saturate([RigidCommutator(m, n) for m in seed], n), sat),
+        (normal_closure(SaturatedSet(n, sat), full_rigid_set(n)),
+         _normal_closure_loop(plain(sat), plain(full))),
+        (normal_closure(SaturatedSet(n, sat_inner), translation_normalizer_set(n)),
+         _normal_closure_loop(plain(sat_inner), plain(u0))),
+        (normalizing_step(M), _normalizer_in_loop(plain(full), plain(with_t))),
+        (normalizer_in(normal_closure(M, full_rigid_set(n)), M),
+         _normalizer_in_loop(plain(closed_t), plain(with_t))),
+        (full_rigid_set(n), full),
+        (translation_set(n), trans),
+        (translation_normalizer_set(n), u0),
+        (SaturatedSet(n), frozenset()),
+    ]
+    for S, want in cases:
+        _check_stored_form(S, want, n, cases)
 
 
 def _with_translations(n, B, picks):
@@ -771,7 +828,7 @@ def test_high_ranks_look_members_up_without_a_dense_table():
 def test_normal_closure_rejects_an_ambient_that_is_not_closed():
     # {[3,1],[2]} commutes into [3,2], which the ambient lacks
     n = 3
-    B = SaturatedSet._make(n, frozenset({C([3, 1], n).mask, C([2], n).mask}))
+    B = _trusted(n, {C([3, 1], n).mask, C([2], n).mask})
     A = SaturatedSet(n, [C([2], n)])
     with pytest.raises(ValueError, match="not closed") as err:
         normal_closure(A, B)
@@ -790,7 +847,7 @@ def test_closure_failure_names_the_same_pair_from_any_block_row(monkeypatch):
     for block in (7, 64):
         monkeypatch.setattr(saturated, "_PAIR_BLOCK", block)
         for n, seed, missing, pair in cases:
-            B = SaturatedSet._make(n, frozenset(range(1, 1 << n)) - {C(m, n).mask for m in missing})
+            B = _trusted(n, frozenset(range(1, 1 << n)) - {C(m, n).mask for m in missing})
             with pytest.raises(ValueError) as err:
                 normal_closure(saturate([C(seed, n)], n), B)
             assert str(err.value) == f"set is not closed under commutation: {pair}"
@@ -819,6 +876,8 @@ assert len(ambient) < len(whole)
 rc.normal_closure(rc.saturate([C([7, 6, 1], n)], n), ambient)
 rc.normal_closure(S, whole)
 rc.SaturatedSet(n, S.masks)
+T = rc.translation_normalizer_set(n)
+rc.normalizer_in(rc.normalizing_step(T), T)
 g = rc.expand(C([5, 3, 2], n))
 rc.factorize(g, within=S)
 rc.perm_commutator(g, rc.expand(C([7, 6], n)))
@@ -1280,6 +1339,23 @@ def test_factorize_membership_verdicts():
     assert factorize(inside, u6).member
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 10), st.data())
+def test_factorize_member_verdict_on_every_kind_of_within(n, data):
+    seed = data.draw(st.lists(st.integers(1, (1 << n) - 1), min_size=1, max_size=3))
+    A = saturate([RigidCommutator(m, n) for m in seed], n)
+    full = full_rigid_set(n)
+    withins = [SaturatedSet(n), SaturatedSet(n, seed[:1]), A, normal_closure(A, full), full]
+    for within in withins:
+        # factors from within's members, and some from anywhere; 1 keeps the empty set's pool nonempty
+        inside = data.draw(st.sets(st.sampled_from(sorted(within.masks | {1})), max_size=6))
+        anywhere = data.draw(st.sets(st.integers(1, (1 << n) - 1), max_size=2))
+        factors = tuple(RigidCommutator(m, n) for m in sorted(inside | anywhere))
+        fac = factorize(Factorization(n, factors, True).to_permutation(), within)
+        assert fac.factors == factors
+        assert fac.member == frozenset(within.masks).issuperset(c.mask for c in factors)
+
+
 def test_factorize_exponent_lookup():
     n = 4
     c = C([4, 2], n)
@@ -1335,8 +1411,8 @@ def test_factorize_scale_guard_comes_before_the_commutator_table(monkeypatch):
 def test_commutator_table_is_every_commutator_by_mask():
     for n in range(1, 7):
         table = saturated._commutators(n)
-        assert table == tuple(RigidCommutator(m, n) for m in range(1 << n))
-        assert saturated._commutators(n) is table
+        assert table.tolist() == [RigidCommutator(m, n) for m in range(1 << n)]
+        assert saturated._commutators(n) is table and not table.flags.writeable
     # factors are the shared table entries
     fac = factorize(expand(C([4, 2], 4)))
     assert fac.factors[0] is saturated._commutators(4)[0b1010]
