@@ -201,12 +201,14 @@ def _cmd_verify(args) -> int:
     t0 = _ok("factorize-round-trip", f"rank {m}", t0)
 
     # chain terms match the closed-form prediction, which covers steps
-    # 0..n-2; only the symmetric-group check needs the full chain
+    # 0..n-2 (none at rank 1); only the symmetric-group check needs the full chain
     report = chainmod.run_chain(n, None if args.sym_brute else max(n - 2, 0))
-    for i, good in chainmod.verify_theoretical(report):
+    verdicts = chainmod.verify_theoretical(report)
+    for i, good in verdicts:
         if not good:
             return _fail("chain-vs-closed-form", f"step {i} differs at rank {n}")
-    t0 = _ok("chain-vs-closed-form", f"steps 0..{max(n - 2, 0)}, rank {n}", t0)
+    steps = f"steps {verdicts[0][0]}..{verdicts[-1][0]}" if verdicts else "no steps"
+    t0 = _ok("chain-vs-closed-form", f"{steps}, rank {n}", t0)
 
     checks = perm.translation_checks(min(n, perm.EXPAND_MAX_RANK))
     bad = [k for k, v in checks.items() if v is False]

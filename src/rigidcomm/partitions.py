@@ -115,7 +115,7 @@ def predicted_chain_set(n: int, i: int) -> SaturatedSet:
     bound.  Only the members are enumerated, so the rank may pass the
     chain's cap, but not the checked set's cap on members: term n-2 has
     15148 at rank 31 and 17912 at rank 32, which raises ``ScaleGuardError``
-    before any product.  Item 17 of ROADMAP.md lifts that limit.
+    before any product.
     """
     _check_rank(n)
     _check_int("step", i, 0, n - 2)

@@ -12,6 +12,7 @@ arrays, never through the closed-form product.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass
@@ -69,7 +70,7 @@ class TreePermutation:
     Instances are immutable, hashable, and compare by value.
     """
 
-    __slots__ = ("n", "_img", "_hash")
+    __slots__ = ("n", "_img")
 
     def __init__(self, images: Iterable[int], n: int | None = None) -> None:
         if n is not None:
@@ -89,7 +90,6 @@ class TreePermutation:
         self.n = n
         self._img = arr
         self._img.flags.writeable = False
-        self._hash = None
 
     @classmethod
     def _from0(cls, arr: np.ndarray, n: int) -> "TreePermutation":
@@ -99,7 +99,6 @@ class TreePermutation:
         img = np.ascontiguousarray(arr, dtype=np.intp)
         img.flags.writeable = False
         self._img = img
-        self._hash = None
         return self
 
     @property
@@ -124,9 +123,7 @@ class TreePermutation:
         return self.n == other.n and self._img.tobytes() == other._img.tobytes()
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self.n, self._img.tobytes()))
-        return self._hash
+        return hash((self.n, self._img.tobytes()))
 
     def cycles(self) -> tuple[tuple[int, ...], ...]:
         """Disjoint cycles on 1-based points, fixed points omitted.
@@ -316,6 +313,12 @@ def generate_group(generators: Iterable[TreePermutation]) -> set[TreePermutation
     return elems
 
 
+def _involutions_commute(gens: list[TreePermutation]) -> tuple[bool, bool]:
+    """Whether each generator is an involution, and whether they commute pairwise."""
+    involutions = all(compose(g, g).is_identity for g in gens)
+    return involutions, all(compose(a, b) == compose(b, a) for a, b in itertools.combinations(gens, 2))
+
+
 def elementary_abelian_order(generators: Iterable[TreePermutation]) -> int:
     """Order of the group generated by commuting involutions.
 
@@ -325,15 +328,13 @@ def elementary_abelian_order(generators: Iterable[TreePermutation]) -> int:
     gens = list(generators)
     if not gens:
         raise ValueError("need at least one generator")
-    n = gens[0].n
-    for g in gens:
-        if g.n != n:
-            raise ValueError("rank mismatch among generators")
-        if not compose(g, g).is_identity:
-            raise ValueError("generators must be involutions")
-    for a, b in itertools.combinations(gens, 2):
-        if compose(a, b) != compose(b, a):
-            raise ValueError("generators must commute pairwise")
+    if any(g.n != gens[0].n for g in gens):
+        raise ValueError("rank mismatch among generators")
+    involutions, commute = _involutions_commute(gens)
+    if not involutions:
+        raise ValueError("generators must be involutions")
+    if not commute:
+        raise ValueError("generators must commute pairwise")
     return len(generate_group(gens))
 
 
@@ -342,17 +343,21 @@ def translation_checks(n: int) -> dict:
 
     Verifies that each is an involution, that they commute pairwise,
     that the orbit of point 1 under the group they generate is all of
-    {1..2^n}, and that the stabilizer of point 1 is trivial.  Both are
-    read off one enumeration of that group.
+    {1..2^n}, and that the stabilizer of point 1 is trivial.  Commuting
+    involutions generate just their 2^n subset products, and one doubling
+    pass reads point 1's image under each, entry k for the t_i with bit
+    i - 1 set in k; the products that fix point 1 must be the identity.
     """
     ts = [expand(RigidCommutator((1 << i) - 1, n)) for i in range(1, n + 1)]
-    involutions = all(compose(t, t).is_identity for t in ts)
-    commute = all(
-        compose(a, b) == compose(b, a) for a, b in itertools.combinations(ts, 2)
+    involutions, commute = _involutions_commute(ts)
+    images = np.zeros(1, dtype=np.intp)
+    for t in ts:
+        images = np.concatenate([images, t._img[images]])
+    orbit_size = int(np.count_nonzero(np.bincount(images)))
+    stabilizer_trivial = all(
+        functools.reduce(compose, (t for i, t in enumerate(ts) if k >> i & 1), identity(n)).is_identity
+        for k in np.flatnonzero(images == 0).tolist()
     )
-    images_of_1 = [int(g._img[0]) for g in generate_group(ts)]
-    orbit_size = len(set(images_of_1))
-    stabilizer_trivial = images_of_1.count(0) == 1
     return {
         "involutions": involutions,
         "pairwise_commute": commute,

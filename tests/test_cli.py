@@ -627,6 +627,29 @@ def test_verify_runs_only_the_steps_it_checks(monkeypatch, capsys, argv, calls):
 
 
 @pytest.mark.parametrize("argv, want", [
+    # the closed form covers steps 0..n-2, so none at rank 1
+    pytest.param(["verify", "--n", "1"], """\
+ok: oracle-equivalence (exhaustive pairs, rank 1)
+ok: factorize-round-trip (rank 1)
+ok: chain-vs-closed-form (no steps, rank 1)
+ok: translation-checks (rank 1)
+all checks passed
+""", id="n1"),
+    pytest.param(["verify", "--n", "1", "--sym-brute"], """\
+ok: oracle-equivalence (exhaustive pairs, rank 1)
+ok: factorize-round-trip (rank 1)
+ok: chain-vs-closed-form (no steps, rank 1)
+ok: translation-checks (rank 1)
+ok: sym-brute (all 1 terms, rank 1)
+all checks passed
+""", id="n1-sym-brute"),
+    pytest.param(["verify", "--n", "2"], """\
+ok: oracle-equivalence (exhaustive pairs, rank 2)
+ok: factorize-round-trip (rank 2)
+ok: chain-vs-closed-form (steps 0..0, rank 2)
+ok: translation-checks (rank 2)
+all checks passed
+""", id="n2"),
     pytest.param(["verify", "--n", "6"], """\
 ok: oracle-equivalence (exhaustive pairs, rank 6)
 ok: factorize-round-trip (rank 6)
@@ -688,12 +711,15 @@ CHAIN12_SHA = "8b7f11759e8bf022291f72b60ea7c83743e97c77ca12504c4746e613e2181fd5"
                  "23bca334ba4b1fe0ff626a3c42641a286ddb75cd98baa9e30c9bf6b70f420f9a", id="factorize12_sha"),
     pytest.param((AMB12,), ["closure", "top12.json", "--within", "amb12.json"],
                  "33d31f14e22442d0f18f8e7852176ba6356f671c6f8b78132c645b62f866c5c4", id="within_sha"),
+    pytest.param((), ["closure", "seed14.json"],
+                 "ea9e7dba54c9695ba17e9ca1b2804b277db7f05e0d65a194d39f2a5c8ad42050", id="closure14_sha"),
 ])
 def test_console_outputs_match_the_ci_digests(tmp_path, monkeypatch, capsys, made, argv, sha):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "seed10.json").write_text('{"n": 10, "members": [[3, 1]]}\n')
     (tmp_path / "seed12.json").write_text('{"n": 12, "members": [[3, 1]]}\n')
     (tmp_path / "top12.json").write_text('{"n": 12, "members": [[12, 5, 1]]}\n')
+    (tmp_path / "seed14.json").write_text('{"n": 14, "members": [[3, 1]]}\n')
     (tmp_path / "perm10.json").write_text(_ci_perm(10, 1021, 37))
     (tmp_path / "perm12.json").write_text(_ci_perm(12, 4093, 41))
     for command, name, members in made:

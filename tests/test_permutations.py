@@ -146,6 +146,9 @@ def test_permutation_value_semantics():
     assert a == b and hash(a) == hash(b)
     assert a != generator(1, 3)
     assert len({a, b}) == 1
+    # the hash is read from the images on demand, like ==, with no cached copy
+    assert TreePermutation.__slots__ == ("n", "_img")
+    assert hash(a) == hash((a.n, a._img.tobytes()))
 
 
 def test_images_are_one_based():
@@ -459,8 +462,10 @@ def test_elementary_abelian_order_examples():
     # all four commutators based at level 3 are independent
     base3 = [expand(RigidCommutator(m, n)) for m in (0b100, 0b101, 0b110, 0b111)]
     assert elementary_abelian_order(base3) == 2 ** 4
-    with pytest.raises(ValueError):
-        elementary_abelian_order([generator(1, 2), generator(2, 2)])  # don't commute
+    with pytest.raises(ValueError, match="generators must commute pairwise"):
+        elementary_abelian_order([generator(1, 2), generator(2, 2)])
+    with pytest.raises(ValueError, match="generators must be involutions"):
+        elementary_abelian_order([compose(generator(1, 2), generator(2, 2))])  # of order 4
 
 
 def test_translation_checks_small():
@@ -471,6 +476,34 @@ def test_translation_checks_small():
         assert report["orbit_size"] == 1 << n
         assert report["orbit_full"]
         assert report["stabilizer_trivial"]
+
+
+@pytest.mark.parametrize("n", [3, 6, 9])
+@pytest.mark.parametrize("last", ["identity", "t1*t2"])
+def test_translation_checks_on_degenerate_commuting_generators(monkeypatch, n, last):
+    # t_n replaced by an element the others already generate: the group has
+    # order 2^(n-1), still acts freely, and two subset products fix point 1
+    real = permutations.expand
+    stand_in = identity(n) if last == "identity" else compose(real(interval(1, n)), real(interval(2, n)))
+    monkeypatch.setattr(permutations, "expand",
+                        lambda c: stand_in if c == interval(n, n) else real(c))
+    assert translation_checks(n) == {
+        "involutions": True,
+        "pairwise_commute": True,
+        "orbit_size": 1 << (n - 1),
+        "orbit_full": False,
+        "stabilizer_trivial": True,
+    }
+
+
+def test_translation_checks_enumerate_no_group(monkeypatch):
+    def refused(generators):
+        raise AssertionError("translation_checks enumerated a group")
+
+    monkeypatch.setattr(permutations, "generate_group", refused)
+    report = translation_checks(12)
+    assert report["orbit_size"] == 1 << 12
+    assert all(report[k] for k in ("involutions", "pairwise_commute", "orbit_full", "stabilizer_trivial"))
 
 
 def test_brute_normalizer_of_baseline_n2():
