@@ -82,7 +82,7 @@ def translation_normalizer_set(n: int) -> SaturatedSet:
     normalizer's member set, it is closed by construction and skips the check.
     """
     _check_rank(n)
-    return SaturatedSet._make(n, np.array(sorted(partitions._predicted_joins(n, 0)), dtype=np.int64))
+    return SaturatedSet._make(n, np.sort(partitions._predicted_joins(n, 0)[0]))
 
 
 @dataclass(frozen=True)
@@ -379,10 +379,12 @@ def verify_theoretical(report: ChainReport) -> list[tuple[int, bool]]:
     """Compare each computed term against the closed-form prediction.
 
     Valid for steps 0..n-2; returns (step, matches) pairs.  The closed
-    form is enumerated once, as each member's predicted join step in the
-    conventions of :attr:`ChainReport.joined`, and term i holds exactly
+    form comes as two arrays, its members' masks and their predicted
+    join steps in the conventions of :attr:`ChainReport.joined`, read
+    from one cached hole array per partition total; ``joined`` is
+    indexed with those masks and nothing else, and term i holds exactly
     when both terms have as many members and no predicted member due by
-    step i joined later; only the predicted masks of ``joined`` are read.
+    step i joined later.
     No closure check is needed: a prediction equal to the engine's term,
     a normalizer and so saturated, is itself closed.
     """
@@ -390,11 +392,10 @@ def verify_theoretical(report: ChainReport) -> list[tuple[int, bool]]:
         raise TypeError(f"expected a ChainReport, got {type(report).__name__}")
     n = report.n
     last = min(n - 2, report.terminated_at)
-    joins = partitions._predicted_joins(n, last)
-    joins[0] = -1  # the identity
-    want = np.array(list(joins.values()))
+    masks, want = partitions._predicted_joins(n, last)
+    masks, want = np.append(masks, 0), np.append(want, -1)  # the identity
     joined = report.joined
-    got = np.minimum(joined[list(joins)], last + 1)  # past `last` all steps look alike
+    got = np.minimum(joined[masks], last + 1)  # past `last` all steps look alike
     late = got > want  # missing from the terms want..got-1
     # entry i + 1 counts the steps <= i: of each term's members, and of the late ones due and joined
     size, want_size, due, arrived = (np.bincount(s + 1, minlength=last + 3).cumsum()

@@ -12,14 +12,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
-from typing import Iterator
+
+import numpy as np
 
 from .permutations import check_cap
 from .rigid import RigidCommutator, _check_int, _check_rank
 from .saturated import SaturatedSet
 
-# the cache of partitions up to this total peaked at 56 MB RSS (27 MB above
-# the import) in 0.09 s on a 2-vCPU host; euler_table(80) reached 185 MB
+# the cache of partitions up to this total peaks at 56 MB RSS (27 MB above
+# the import), built in 0.09 s on a 2-vCPU host, whatever max_part or base is
+# asked: both read the listing of their total, and all 65 hole arrays take
+# 1.2 MiB (59 MB peak); euler_table(80) reached 185 MB
 PARTITION_MAX_TOTAL = 64
 
 __all__ = [
@@ -60,8 +63,8 @@ def distinct_partitions(
     if max_part is not None:
         _check_int("max_part", max_part, 0)
     check_cap("partitions of total", total, PARTITION_MAX_TOTAL)
-    cap = total if max_part is None else min(max_part, total)
-    return [p for p in _distinct_desc(total, cap) if len(p) >= min_parts]
+    cap = (total if max_part is None else max_part,)  # () <= cap: the empty partition of 0
+    return [p for p in _distinct_desc(total, total) if len(p) >= min_parts and p[:1] <= cap]
 
 
 @dataclass(frozen=True)
@@ -101,7 +104,9 @@ def punctured_family(base: int, total: int, n: int) -> frozenset[RigidCommutator
     _check_int("total", total, 0)
     _check_int("base", base, 1, n)
     check_cap("partitions of total", total, PARTITION_MAX_TOTAL)
-    return frozenset(RigidCommutator._trusted(m, n) for m in _family(base, total))
+    full, holes = (1 << base) - 1, _hole_masks(total)
+    below = holes[:holes.searchsorted(1 << (base - 1))].tolist()
+    return frozenset(RigidCommutator._trusted(full ^ h, n) for h in below)
 
 
 def predicted_chain_set(n: int, i: int) -> SaturatedSet:
@@ -119,33 +124,39 @@ def predicted_chain_set(n: int, i: int) -> SaturatedSet:
     """
     _check_rank(n)
     _check_int("step", i, 0, n - 2)
-    return SaturatedSet(n, _predicted_joins(n, i))
+    return SaturatedSet(n, _predicted_joins(n, i)[0].tolist())
 
 
-def _predicted_joins(n: int, last: int) -> dict[int, int]:
-    # each member of closed-form term `last`, as a mask, mapped to the step it
-    # joins at: -1 for t_b, 0 for a single puncture, t - 2 + n - b for a
-    # partition of total t at base b; the holes lie below bit b-1
-    joins = {}
+def _predicted_joins(n: int, last: int) -> tuple[np.ndarray, np.ndarray]:
+    # each member of closed-form term `last` as a read-only int64 mask, beside
+    # the step it joins at: -1 for t_b, 0 for a single puncture, t - 2 + n - b
+    # for a partition of total t at base b; each family is 2^b - 1 XOR its holes
+    ones = np.left_shift(1, np.arange(n, dtype=np.int64)) >> 1  # no hole, then one hole at each bit
+    fulls, holes, steps = [], [], []
     for b in range(1, n + 1):
-        full = (1 << b) - 1
-        joins[full] = -1
-        for j in range(1, b):  # plain loops: on Python 3.11 a generator of pairs took 3x as long
-            joins[full & ~(1 << (j - 1))] = 0
-        # totals are at most n <= 63 < PARTITION_MAX_TOTAL, so no cap can trip
+        holes.append(ones[:b])
+        steps.append(0)
+        # last <= n - 2 keeps a total at most b <= 63 < PARTITION_MAX_TOTAL: no cap
+        # trips, and every part is below b, so the family is all of _hole_masks(total)
         for total in range(3, last + 3 - (n - b)):
-            step = total - 2 + n - b
-            for m in _family(b, total):
-                joins[m] = step
-    return joins
+            holes.append(_hole_masks(total))
+            steps.append(total - 2 + n - b)
+        fulls += [(1 << b) - 1] * (len(holes) - len(fulls))
+    counts = [h.size for h in holes]
+    holes = np.concatenate(holes)
+    masks = np.repeat(np.array(fulls, np.int64), counts) ^ holes
+    masks.flags.writeable = False
+    steps = np.repeat(np.array(steps, np.int64), counts)
+    steps[holes == 0] = -1  # t_b, the one member with no hole
+    return masks, steps
 
 
-def _family(base: int, total: int) -> Iterator[int]:
-    # {1..base} minus each partition of total into >= 2 distinct parts below base
-    full = (1 << base) - 1
-    for p in _distinct_desc(total, min(base - 1, total)):
-        if len(p) > 1:
-            holes = 0
-            for k in p:
-                holes |= 1 << (k - 1)
-            yield full & ~holes
+@lru_cache(maxsize=None)
+def _hole_masks(total: int) -> np.ndarray:
+    # one mask per partition of total into >= 2 distinct parts, part k at bit
+    # k - 1, ascending: the listing's descending parts give descending masks,
+    # so the partitions with every part below b are the prefix under 2^(b-1)
+    parts = reversed(_distinct_desc(total, total))
+    masks = np.array([sum(1 << (k - 1) for k in p) for p in parts if len(p) > 1], dtype=np.int64)
+    masks.flags.writeable = False
+    return masks

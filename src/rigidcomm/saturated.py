@@ -389,11 +389,10 @@ def _parked(masks: Iterable[int]) -> list[int]:
     """The masks whose lowest fill-in is in ``masks``: a ^ 2^j for each trailing one 2^j of each a."""
     out = []  # a whole step's joins in one call: a call per mask cost more than its wake
     for a in masks:
-        ones = a & ~(a + 1)
-        while ones:
-            bit = ones & -ones
+        bit = 1
+        while a & bit:
             out.append(a ^ bit)
-            ones ^= bit
+            bit <<= 1
     return out
 
 

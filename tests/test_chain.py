@@ -506,7 +506,7 @@ def test_iterated_normalizing_step_is_the_chain_past_its_cap():
         for i in range(n - 1):
             if i:
                 term = normalizing_step(term)
-            assert term.masks == partitions._predicted_joins(n, i).keys(), (n, i)
+            assert term.masks == set(partitions._predicted_joins(n, i)[0].tolist()), (n, i)
     step = normalizing_step(translation_normalizer_set(40))
     digest = hashlib.sha256(np.array(sorted(step.masks), dtype=np.int64).tobytes()).hexdigest()
     assert (len(step), digest) == RANK40_STEP

@@ -705,6 +705,10 @@ CHAIN12_SHA = "8b7f11759e8bf022291f72b60ea7c83743e97c77ca12504c4746e613e2181fd5"
                  "1fe2ba784b57adcb2eb83c5860f09d769e37bb86d7a3e06c6773bb217e397211", id="matrix_sha"),
     pytest.param((), ["chain", "--n", "16", "--steps", "14", "--format", "json"],
                  "94fbea8455ff265e253dd86f35f1c26145c5db7383e0ac1c5e64897699aa33e9", id="prefix_sha"),
+    pytest.param((), ["chain", "--n-range", "3..16", "--steps", "14", "--format", "csv"],
+                 "68062eddfc5557626d9890e48d5bdf5c49d441b8b89d9185a65c33782dee51bd", id="sweep_sha"),
+    pytest.param((), ["verify", "--n", "20"],
+                 "99b56d120ff505d2d1d7eacbe465d5b1c862bdc8849311cacd0a4cfffad3a7b8", id="verify20_sha"),
     pytest.param((SET10,), ["factorize", "perm10.json", "--set", "set10.json"],
                  "f1d5358505933f762caf448d628df90641ad48ebc08b2a0602a1b0ba511de57e", id="factorize_sha"),
     pytest.param((), ["factorize", "perm12.json"],
@@ -733,6 +737,8 @@ def test_console_outputs_match_the_ci_digests(tmp_path, monkeypatch, capsys, mad
     assert hashlib.sha256(out.encode()).hexdigest() == sha
     if "--timings" in argv:
         assert CI_TIMINGS12.fullmatch(err.splitlines()[-1]), err
+    elif argv[0] == "verify":  # one stderr line of seconds per check, the checks and a verdict on stdout
+        assert len(err.splitlines()) == len(out.splitlines()) - 1, err
     else:
         assert err == ""
 

@@ -2,6 +2,7 @@
 
 import hashlib
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -183,12 +184,58 @@ def test_predicted_methods_agree():
             for m in literal:
                 first.setdefault(m, i)
         # the closed form's join steps; the translations' -1 reads as step 0
-        joins = partitions._predicted_joins(n, n - 2)
-        assert {m: max(step, 0) for m, step in joins.items()} == first, n
+        masks, steps = partitions._predicted_joins(n, n - 2)
+        assert {m: max(step, 0) for m, step in zip(masks.tolist(), steps.tolist())} == first, n
 
 
-# sha256 of repr(sorted(_predicted_joins(n, n - 2).items())), recorded from the
-# enumeration that went through the checked distinct_partitions
+def _reference_joins(n: int, last: int) -> dict[int, int]:
+    """Each member of closed-form term ``last`` mapped to its join step, member by member."""
+    joins = {}
+    for b in range(1, n + 1):
+        full = (1 << b) - 1
+        joins[full] = -1
+        for j in range(1, b):
+            joins[full & ~(1 << (j - 1))] = 0
+        for total in range(3, last + 3 - (n - b)):
+            for parts in distinct_partitions(total, max_part=b - 1):
+                joins[full & ~sum(1 << (k - 1) for k in parts)] = total - 2 + n - b
+    return joins
+
+
+def _sorted_joins(n: int, last: int) -> list[tuple[int, int]]:
+    """The closed form's (mask, step) pairs as Python ints, sorted."""
+    return sorted(zip(*(a.tolist() for a in partitions._predicted_joins(n, last))))
+
+
+def test_predicted_joins_are_the_member_by_member_enumeration():
+    for n in range(1, 25):
+        for last in range(-1, n - 1):
+            masks, steps = partitions._predicted_joins(n, last)
+            assert masks.dtype == steps.dtype == np.int64 and not masks.flags.writeable
+            assert masks.all() and np.unique(masks).size == masks.size, (n, last)
+            assert _sorted_joins(n, last) == sorted(_reference_joins(n, last).items()), (n, last)
+
+
+def test_hole_masks_list_each_partition_once_ascending():
+    for total in range(PARTITION_MAX_TOTAL + 1):
+        holes = partitions._hole_masks(total)
+        assert not holes.flags.writeable and (np.diff(holes) > 0).all(), total
+        assert holes.tolist() == sorted(sum(1 << (k - 1) for k in p) for p in distinct_partitions(total))
+
+
+def test_a_max_part_or_a_base_adds_no_partition_cache_key():
+    euler_table(PARTITION_MAX_TOTAL)
+    keys = partitions._distinct_desc.cache_info().currsize
+    for c in range(PARTITION_MAX_TOTAL + 1):
+        distinct_partitions(PARTITION_MAX_TOTAL, max_part=c)
+    for b in range(1, 64):
+        family = punctured_family(b, PARTITION_MAX_TOTAL, 63)
+        assert len(family) == len(distinct_partitions(PARTITION_MAX_TOTAL, max_part=b - 1)), b
+    assert partitions._distinct_desc.cache_info().currsize == keys
+
+
+# sha256 of the repr of the sorted (mask, step) pairs of _predicted_joins(n, n - 2),
+# recorded from the enumeration that went through the checked distinct_partitions
 PREDICTED_JOINS_SHA256 = {
     20: "32eac6f36955a23c31ac230b8e05138c184d7ca2e89e9602790fefea49079d09",
     24: "971f88ab25f6d8ba241b0c3b12f6b5a20e2acb484493aaab26a23d34a6e33618",
@@ -199,7 +246,7 @@ PREDICTED_JOINS_SHA256 = {
 
 @pytest.mark.parametrize("n", sorted(PREDICTED_JOINS_SHA256))
 def test_predicted_joins_frozen(n):
-    joins = sorted(partitions._predicted_joins(n, n - 2).items())
+    joins = _sorted_joins(n, n - 2)
     assert hashlib.sha256(repr(joins).encode()).hexdigest() == PREDICTED_JOINS_SHA256[n]
 
 
