@@ -1,0 +1,78 @@
+"""The chain's largest admitted outputs, each in a child process with a memory limit.
+
+Every case runs ``rigidcomm chain`` with ``--out FILE`` in a fresh child
+whose address space is limited to 1 GiB (``RLIMIT_AS``, set on that child
+only), then checks the file's sha256 and the child's peak RSS, read as
+``RUSAGE_CHILDREN`` by a small measuring process that runs nothing else.
+Wall times are printed, not asserted: on a shared 2-vCPU host they spread
+by about 2x, and the five cases take about 150 s together.
+
+Run with ``python -m pytest -q slow`` (``-s`` shows the measurements).
+"""
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import rigidcomm
+
+SRC = Path(rigidcomm.__file__).resolve().parents[1]
+ADDRESS_LIMIT = 1 << 30
+
+# runs argv[2:] with an RLIMIT_AS of argv[1] bytes, then prints its exit code,
+# stdout length, stderr, wall seconds and peak RSS as one JSON line
+MEASURE = """
+import json, resource, subprocess, sys, time
+limit = int(sys.argv[1])
+t0 = time.perf_counter()
+done = subprocess.run(sys.argv[2:], capture_output=True, text=True,
+                      preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+print(json.dumps({"code": done.returncode, "stdout": len(done.stdout), "stderr": done.stderr,
+                  "wall_s": time.perf_counter() - t0,
+                  "peak_mib": resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024}))
+"""
+
+# chain arguments: (sha256 of the --out file, peak RSS budget in MiB); rank 20 is
+# CHAIN_MAX_RANK and 2^20 the largest step count index_sequence admits, so each
+# --n-range row is padded to 1048576 indices
+BUDGETS = {
+    ("--n", "20", "--format", "md"): (
+        "bbb6ff230293277fd2c4b180259b50b07fba2aa8ffc168187d493ee910ebd132", 150),
+    ("--n", "20", "--format", "csv"): (
+        "82a5d544966ad0dc90c513d66fda2bbcac5bf98d5447af0298fb42de3562de1f", 150),
+    ("--n", "20", "--format", "json"): (
+        "bc5b40631d22bb0cb5ffa7e6af38ade0dcc84c02cc5f5912f0ead2e7d73de0bc", 150),
+    ("--n-range", "3..20", "--steps", "1048576", "--format", "md"): (
+        "23045937169e5cff899f378c2bcdd80760e21e08cc3ce14f9de4ed822dd9ca33", 512),
+    ("--n-range", "3..20", "--steps", "1048576", "--format", "json"): (
+        "3050d44895a4cd106bcc2544b4ac4198eddd27a9bb9a8a5838a88a38cb86237e", 512),
+}
+
+
+def _sha256(path: Path) -> str:
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(block)
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("args", BUDGETS, ids=lambda args: "-".join(a.lstrip("-") for a in args))
+def test_chain_output_within_budget(tmp_path, args):
+    sha, budget_mib = BUDGETS[args]
+    target = tmp_path / "chain.out"
+    cli = [sys.executable, "-m", "rigidcomm.cli", "chain", *args, "--out", str(target)]
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run([sys.executable, "-c", MEASURE, str(ADDRESS_LIMIT), *cli],
+                          env=env, capture_output=True, text=True, check=True)
+    run = json.loads(done.stdout)
+    print(f"chain {' '.join(args)}: {run['wall_s']:.1f} s, peak RSS {run['peak_mib']:.1f} MiB")
+    assert run["code"] == 0, run["stderr"]
+    assert run["stdout"] == 0
+    assert _sha256(target) == sha
+    assert run["peak_mib"] < budget_mib, run

@@ -145,24 +145,28 @@ class ChainReport:
     def __hash__(self) -> int:
         return hash((self.n, self.terminated_at, self.reached_full, self.joined.tobytes()))
 
-    @cached_property
-    def steps(self) -> tuple[ChainStep, ...]:
-        """The terms 0..terminated_at, built on first read from one sort of ``joined``."""
-        n = self.n
-        # a stable sort keeps each step's new members in mask order, their canonical order
+    def _rows(self):
+        """Each step's (i, log2_order, index_log2, level_dims, new member masks, diagnostics row).
+
+        Every output reads this walk; its stable sort of ``joined``, 2^n int64 while it
+        runs, keeps each step's new members in mask order, their canonical order."""
         order = np.argsort(self.joined, kind="stable")
         cuts = np.searchsorted(self.joined[order], np.arange(self.terminated_at + 2)).tolist()
-        dims = [1] * n  # the translations, one per level
-        steps = []
+        dims = [1] * self.n  # the translations, one per level
         for i, diagnostics in enumerate(self.diagnostics):
             new = order[cuts[i]:cuts[i + 1]].tolist()
             for m in new:
                 dims[m.bit_length() - 1] += 1
-            steps.append(ChainStep(
-                i, sum(dims), len(new), tuple(dims),
-                tuple(RigidCommutator._trusted(m, n) for m in new), *diagnostics,
-            ))
-        return tuple(steps)
+            yield i, sum(dims), len(new), tuple(dims), new, diagnostics
+
+    @cached_property
+    def steps(self) -> tuple[ChainStep, ...]:
+        """The terms 0..terminated_at as records, built from :meth:`_rows` on first read."""
+        n = self.n
+        return tuple(
+            ChainStep(i, order, index, dims, tuple(RigidCommutator._trusted(m, n) for m in new), *diagnostics)
+            for i, order, index, dims, new, diagnostics in self._rows()
+        )
 
     def index_sequence(self, count: int) -> tuple[int, ...]:
         """log2 indices for steps 1..count, padding a full-group fixpoint with zeros.
@@ -189,25 +193,20 @@ class ChainReport:
         _check_int("step", i, 0, self.terminated_at)
         return frozenset((np.flatnonzero(self.joined[1:] <= i) + 1).tolist())
 
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "terminated_at": self.terminated_at,
-            "reached_full": self.reached_full,
-            "steps": [
-                {
-                    "i": s.i,
-                    "log2_order": s.log2_order,
-                    "index_log2": s.index_log2,
-                    "level_dims": list(s.level_dims),
-                    "new_members": [list(c.elements) for c in s.new_members],
-                }
-                for s in self.steps
-            ],
-        }
-
     def to_json(self, *, indent: int | None = None) -> str:
-        return json.dumps(self.to_json_dict(), indent=indent)
+        """The report as JSON: n, terminated_at, reached_full and each step's record, without diagnostics."""
+        return "".join(self._json_chunks(indent))
+
+    def _json_chunks(self, indent: int | None):
+        """:meth:`to_json`'s text, a step a chunk."""
+        fields = {"n": self.n, "terminated_at": self.terminated_at, "reached_full": self.reached_full}
+        head, tail = json.dumps({**fields, "steps": [None]}, indent=indent).split("null")
+        pad = head[head.rindex("\n"):] if indent is not None else " "  # a step's place in the list
+        for i, order, index, dims, new, _ in self._rows():
+            step = {"i": i, "log2_order": order, "index_log2": index, "level_dims": list(dims),
+                    "new_members": [list(RigidCommutator._trusted(m, self.n).elements) for m in new]}
+            yield ("," + pad if i else head) + json.dumps(step, indent=indent).replace("\n", pad)
+        yield tail
 
 
 class _Diagnostics(Sequence):

@@ -9,7 +9,9 @@ mismatch, 2 usage or input error, 3 scale guard trip.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
+import itertools
 import json
 import random
 import resource
@@ -73,46 +75,59 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _emit(text: str, out_path: str | None) -> int:
-    """Write to ``out_path``, or to stdout when there is none; exit code 0."""
-    if not out_path:
-        sys.stdout.write(text)
-        return 0
-    with open(out_path, "w") as fh:
-        fh.write(text)
+def _emit(chunks, out_path: str | None) -> int:
+    """Write the chunks to ``out_path``, or to stdout when there is none; exit code 0.
+    A run refused while making the first chunk writes nothing and leaves no file."""
+    chunks = iter(chunks)
+    first = next(chunks, "")
+    with open(out_path, "w") if out_path else contextlib.nullcontext(sys.stdout) as fh:
+        fh.write(first)
+        fh.writelines(chunks)
     return 0
 
 
 # ── table layouts ────────────────────────────────────────────────────────────
 
-def _table(fmt: str, header: list, rows: list) -> str:
-    """The header and rows as a markdown table (``md``) or as csv lines."""
-    if fmt == "csv":
-        lines = [",".join(str(v) for v in row) for row in (header, *rows)]
-    else:
-        def cells(row):
-            return "| " + " | ".join(str(v) for v in row) + " |"
-        lines = [cells(header), "|---" * len(header) + "|", *map(cells, rows)]
-    return "\n".join(lines) + "\n"
+def _table(fmt: str, header: list, rows):
+    """The header and rows as the lines of a markdown table (``md``) or of csv."""
+    def line(row):
+        return ",".join(map(str, row)) + "\n" if fmt == "csv" else "| " + " | ".join(map(str, row)) + " |\n"
+    yield line(header)
+    if fmt == "md":
+        yield "|---" * len(header) + "|\n"
+    yield from map(line, rows)
 
 
 def _print_timings(report, prefix: str = "") -> None:
     """Each step's diagnostics on stderr, then one line for the run: its seconds,
     steps, rescanned candidates and mask products, and this process's peak RSS."""
-    steps = report.steps
-    for s in steps:
-        print(
-            f"{prefix}step {s.i}: {s.seconds:.4f}s, {s.rescanned} rescanned, {s.cover} cover, "
-            f"{s.products} products",
-            file=sys.stderr,
-        )
+    seconds = rescanned = products = 0
+    for i, row in enumerate(report.diagnostics):
+        print(f"{prefix}step {i}: {row[0]:.4f}s, {row[1]} rescanned, {row[2]} cover, {row[3]} products",
+              file=sys.stderr)
+        seconds, rescanned, products = seconds + row[0], rescanned + row[1], products + row[3]
     peak_mib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
-    print(
-        f"{prefix}total: {sum(s.seconds for s in steps):.4f}s, {report.terminated_at} steps, "
-        f"{sum(s.rescanned for s in steps)} rescanned, {sum(s.products for s in steps)} products, "
-        f"peak RSS {peak_mib:.1f} MiB",
-        file=sys.stderr,
-    )
+    print(f"{prefix}total: {seconds:.4f}s, {report.terminated_at} steps, {rescanned} rescanned, "
+          f"{products} products, peak RSS {peak_mib:.1f} MiB", file=sys.stderr)
+
+
+def _matrix(args, ranks: range, steps: int):
+    """The index matrix of ``ranks``, a row a chunk, each rank's chain run as its row is written."""
+    def row(n):
+        report = chainmod.run_chain(n, max_steps=steps)
+        if args.timings:
+            _print_timings(report, f"n={n} ")
+        return [n, *report.index_sequence(steps)]
+    # the first row is made before the header, so a bad rank or step count writes nothing
+    rows = itertools.chain((row(ranks[0]),), map(row, ranks[1:]))
+    if args.format == "json":  # json.dumps(..., indent=2) of the whole matrix, a row at a time
+        yield f'{{\n  "steps": {steps},\n  "rows": {{'
+        for k, (n, *seq) in enumerate(rows):
+            yield f'{"," if k else ""}\n    "{n}": ' + json.dumps(seq, indent=2).replace("\n", "\n    ")
+        yield "\n  }\n}\n"
+    else:
+        step_label = "i={}" if args.format == "md" else "i{}"
+        yield from _table(args.format, ["n", *(step_label.format(i) for i in range(1, steps + 1))], rows)
 
 
 # ── subcommands ──────────────────────────────────────────────────────────────
@@ -129,36 +144,21 @@ def _cmd_chain(args) -> int:
             raise ValueError(f"empty --n-range {args.n_range!r}")
         steps = args.steps if args.steps is not None else 14
         chainmod.check_chain_rank(hi)  # refuse before computing the low rows
-        rows = []
-        for n in range(lo, hi + 1):
-            report = chainmod.run_chain(n, max_steps=steps)
-            if args.timings:
-                _print_timings(report, f"n={n} ")
-            rows.append((n, report.index_sequence(steps)))
-        if args.format == "json":
-            matrix = {"steps": steps, "rows": {str(n): list(seq) for n, seq in rows}}
-            text = json.dumps(matrix, indent=2) + "\n"
-        else:
-            step_label = "i={}" if args.format == "md" else "i{}"
-            header = ["n", *(step_label.format(i) for i in range(1, steps + 1))]
-            text = _table(args.format, header, [[n, *seq] for n, seq in rows])
-        return _emit(text, args.out)
+        return _emit(_matrix(args, range(lo, hi + 1), steps), args.out)
     report = chainmod.run_chain(args.n, max_steps=args.steps)
     if args.timings:
         _print_timings(report)
-    n = report.n
     if args.format == "json":
-        text = report.to_json(indent=2) + "\n"
+        chunks = itertools.chain(report._json_chunks(2), ("\n",))
     elif args.format == "md":
-        header = ["i", f"dims (levels {n}..1)", "log2 order", "log2 index"]
-        rows = [[s.i, ", ".join(str(d) for d in reversed(s.level_dims)), s.log2_order, s.index_log2]
-                for s in report.steps]
-        text = _table("md", header, rows)
+        header = ["i", f"dims (levels {args.n}..1)", "log2 order", "log2 index"]
+        chunks = _table("md", header, ([i, ", ".join(map(str, reversed(dims))), order, index]
+                                       for i, order, index, dims, *_ in report._rows()))
     else:
-        header = ["i", *(f"dim_{j}" for j in range(n, 0, -1)), "log2_order", "index_log2"]
-        rows = [[s.i, *reversed(s.level_dims), s.log2_order, s.index_log2] for s in report.steps]
-        text = _table("csv", header, rows)
-    return _emit(text, args.out)
+        header = ["i", *(f"dim_{j}" for j in range(args.n, 0, -1)), "log2_order", "index_log2"]
+        chunks = _table("csv", header, ([i, *reversed(dims), order, index]
+                                        for i, order, index, dims, *_ in report._rows()))
+    return _emit(chunks, args.out)
 
 
 def _fail(name: str, detail: str) -> int:
@@ -243,11 +243,11 @@ def _cmd_eval(args) -> int:
 def _cmd_euler(args) -> int:
     table = partitions.euler_table(args.max_j)
     if args.format == "json":
-        text = json.dumps({"b": list(table.b), "a": list(table.a)}, indent=2) + "\n"
+        chunks = (json.dumps({"b": list(table.b), "a": list(table.a)}, indent=2) + "\n",)
     else:
         b, a = ("b_j", "a_j") if args.format == "md" else ("b", "a")
-        text = _table(args.format, ["j", *range(len(table.b))], [[b, *table.b], [a, *table.a]])
-    return _emit(text, args.out)
+        chunks = _table(args.format, ["j", *range(len(table.b))], [[b, *table.b], [a, *table.a]])
+    return _emit(chunks, args.out)
 
 
 def _read(path: str) -> str:
@@ -265,7 +265,7 @@ def _cmd_closure(args) -> int:
     else:
         B = saturated.full_rigid_set(n)
     result = saturated.normal_closure(saturated.saturate(seed, n), B)
-    return _emit(result.to_json(indent=2) + "\n", args.out)
+    return _emit((result.to_json(indent=2) + "\n",), args.out)
 
 
 def _cmd_factorize(args) -> int:

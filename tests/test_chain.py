@@ -321,7 +321,7 @@ def test_verify_theoretical_flags_a_swap_that_keeps_every_count(n):
 
 def test_report_json_shape():
     report = run_chain(3)
-    d = report.to_json_dict()
+    d = json.loads(report.to_json())
     assert d["n"] == 3
     assert d["reached_full"] is True
     assert d["terminated_at"] == 1
@@ -330,7 +330,36 @@ def test_report_json_shape():
     assert d["steps"][1]["new_members"] == [[3]]
     # byte-for-byte deterministic
     assert report.to_json() == run_chain(3).to_json()
-    assert json.loads(report.to_json()) == d
+
+
+def _json_object_from_steps(report):
+    """The report as one object built from its step records, the layout to_json writes."""
+    return {
+        "n": report.n,
+        "terminated_at": report.terminated_at,
+        "reached_full": report.reached_full,
+        "steps": [
+            {
+                "i": s.i,
+                "log2_order": s.log2_order,
+                "index_log2": s.index_log2,
+                "level_dims": list(s.level_dims),
+                "new_members": [list(c.elements) for c in s.new_members],
+            }
+            for s in report.steps
+        ],
+    }
+
+
+# full chains at ranks 1..12, the 14-step prefix at rank 16 and a chain cut by its budget
+@pytest.mark.parametrize("n, max_steps", [*((n, None) for n in range(1, 13)), (16, 14), (8, 3)])
+def test_streamed_json_is_json_dumps_of_the_step_records(n, max_steps):
+    report = run_chain(n, max_steps)
+    indents = (None, 0, 2, 4)
+    streamed = [report.to_json(indent=indent) for indent in indents]
+    assert "steps" not in report.__dict__  # the text is written from the row walk, not the records
+    whole = _json_object_from_steps(report)
+    assert streamed == [json.dumps(whole, indent=indent) for indent in indents]
 
 
 def test_full_chain_lengths_frozen():

@@ -220,18 +220,24 @@ def test_chain_timings_go_to_stderr(capsys):
     assert "step" not in captured.out
 
 
+# chain arguments that exit 2
+BAD_CHAIN_ARGS = (
+    [],
+    ["--n", "3", "--n-range", "3..4"],
+    ["--n-range", "nonsense"],
+    ["--n", "0"],
+    ["--n", "-2"],
+    ["--n-range", "0..3"],
+    ["--n-range", "5..3"],
+    ["--n", "5", "--steps", "-1"],
+    ["--n-range", "3..5", "--steps", "-1"],
+)
+
+
 def test_chain_argument_errors(capsys):
     # bad input exits 2 with one line on stderr and nothing on stdout
     for argv in (
-        ["chain"],
-        ["chain", "--n", "3", "--n-range", "3..4"],
-        ["chain", "--n-range", "nonsense"],
-        ["chain", "--n", "0"],
-        ["chain", "--n", "-2"],
-        ["chain", "--n-range", "0..3"],
-        ["chain", "--n-range", "5..3"],
-        ["chain", "--n", "5", "--steps", "-1"],
-        ["chain", "--n-range", "3..5", "--steps", "-1"],
+        *(["chain", *args] for args in BAD_CHAIN_ARGS),
         ["verify", "--n", "0"],
         ["verify", "--n", "-1"],
     ):
@@ -239,6 +245,67 @@ def test_chain_argument_errors(capsys):
         captured = capsys.readouterr()
         assert captured.out == "", argv
         assert captured.err.count("\n") == 1, argv
+
+
+@pytest.mark.parametrize("fmt", ["md", "csv", "json"])
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+def test_a_refused_chain_writes_nothing(tmp_path, capsys, fmt, to_file):
+    # the output is opened, and its first line made, only after the first chain ran:
+    # a bad argument, a bad lowest rank or a step count past every chain writes nothing
+    target = tmp_path / "chain.out"
+    out = ["--out", str(target)] if to_file else []
+    refused = [*((args, 2) for args in BAD_CHAIN_ARGS), (["--n-range", "3..4", "--steps", str(10**12)], 3)]
+    for args, code in refused:
+        assert main(["chain", *args, "--format", fmt, *out]) == code, args
+        captured = capsys.readouterr()
+        assert captured.out == "", args
+        assert captured.err.count("\n") == 1, args
+        assert not target.exists(), args
+
+
+def _tables_from_steps(report):
+    """The md and csv tables of ``chain --n``, built from the report's step records."""
+    n = report.n
+    md = [["i", f"dims (levels {n}..1)", "log2 order", "log2 index"]]
+    md += [[s.i, ", ".join(str(d) for d in reversed(s.level_dims)), s.log2_order, s.index_log2]
+           for s in report.steps]
+    csv = [["i", *(f"dim_{j}" for j in range(n, 0, -1)), "log2_order", "index_log2"]]
+    csv += [[s.i, *reversed(s.level_dims), s.log2_order, s.index_log2] for s in report.steps]
+    md_lines = ["| " + " | ".join(map(str, row)) + " |" for row in md]
+    md_lines.insert(1, "|---" * 4 + "|")
+    return "".join(line + "\n" for line in md_lines), "".join(",".join(map(str, row)) + "\n" for row in csv)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_chain_tables_match_the_step_records(n, capsys):
+    outputs = []
+    for fmt in ("md", "csv"):
+        assert main(["chain", "--n", str(n), "--format", fmt]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert tuple(outputs) == _tables_from_steps(chainmod.run_chain(n))
+
+
+@pytest.mark.parametrize("argv", [
+    ["--n", "7", "--format", "md"],
+    ["--n", "7", "--format", "csv"],
+    ["--n", "7", "--format", "json"],
+    ["--n", "7", "--timings"],
+    ["--n-range", "3..6", "--format", "md"],
+    ["--n-range", "3..6", "--format", "json", "--timings"],
+])
+def test_chain_outputs_build_no_step_records(monkeypatch, capsys, argv):
+    reports = []
+    run_chain = chainmod.run_chain
+
+    def recording_run_chain(*args, **kwargs):
+        reports.append(run_chain(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(chainmod, "run_chain", recording_run_chain)
+    assert main(["chain", *argv]) == 0
+    assert capsys.readouterr().out
+    assert reports
+    assert all("steps" not in report.__dict__ for report in reports)
 
 
 def test_chain_timings_leave_stdout_unchanged(capsys):
@@ -717,6 +784,16 @@ CHAIN12_SHA = "8b7f11759e8bf022291f72b60ea7c83743e97c77ca12504c4746e613e2181fd5"
                  "33d31f14e22442d0f18f8e7852176ba6356f671c6f8b78132c645b62f866c5c4", id="within_sha"),
     pytest.param((), ["closure", "seed14.json"],
                  "ea9e7dba54c9695ba17e9ca1b2804b277db7f05e0d65a194d39f2a5c8ad42050", id="closure14_sha"),
+    pytest.param((), ["chain", "--n", "12", "--format", "md"],
+                 "c2dc26216b03709c9b3bad349bc46bf78193ac15cf1fa27a3a96a95dca423d8a", id="chain12_md_sha"),
+    pytest.param((), ["chain", "--n", "12", "--format", "csv"],
+                 "20e08b48f025d37509cd22ef30b7eedab8ca53188ec40aff7c6a6a9b23405cba", id="chain12_csv_sha"),
+    pytest.param((), ["chain", "--n-range", "3..12", "--format", "json"],
+                 "4a05e0a9af38f55a164af29b88fef3e1982ee6ef2713e76d38133a0b17c5fd6e", id="matrix_json_sha"),
+    pytest.param((), ["chain", "--n-range", "3..12", "--format", "md"],
+                 "ea2c2d25bac8ab9e8a24ec1af7cfc50c076dbae41dfbabc6737c9d82117997b0", id="matrix_md_sha"),
+    pytest.param((), ["chain", "--n", "12", "--format", "json", "--out", "chain12.json"], CHAIN12_SHA,
+                 id="chain12_sha-out"),
 ])
 def test_console_outputs_match_the_ci_digests(tmp_path, monkeypatch, capsys, made, argv, sha):
     monkeypatch.chdir(tmp_path)
@@ -734,6 +811,9 @@ def test_console_outputs_match_the_ci_digests(tmp_path, monkeypatch, capsys, mad
             assert len(json.loads(text)["members"]) == members
     assert main(argv) == 0
     out, err = capsys.readouterr()
+    if "--out" in argv:  # the file holds what stdout would
+        assert out == ""
+        out = (tmp_path / argv[argv.index("--out") + 1]).read_text()
     assert hashlib.sha256(out.encode()).hexdigest() == sha
     if "--timings" in argv:
         assert CI_TIMINGS12.fullmatch(err.splitlines()[-1]), err
