@@ -1,11 +1,13 @@
-"""The chain's largest admitted outputs, each in a child process with a memory limit.
+"""The largest admitted inputs of ``chain`` and ``verify``, each in a memory-limited child.
 
-Every case runs ``rigidcomm chain`` with ``--out FILE`` in a fresh child
-whose address space is limited to 1 GiB (``RLIMIT_AS``, set on that child
-only), then checks the file's sha256 and the child's peak RSS, read as
-``RUSAGE_CHILDREN`` by a small measuring process that runs nothing else.
-Wall times are printed, not asserted: on a shared 2-vCPU host they spread
-by about 2x, and the five cases take about 150 s together.
+Every case runs ``rigidcomm`` in a fresh child whose address space is
+limited to 1 GiB (``RLIMIT_AS``, set on that child only), then checks its
+exit code and its peak RSS, read as ``RUSAGE_CHILDREN`` by a small
+measuring process that runs nothing else; a ``chain`` case writes
+``--out FILE``, whose sha256 is checked too.  Wall times are printed, not
+asserted: on a shared 2-vCPU host they spread by about 2x, and the five
+``chain`` cases take about 150 s together, the three ``verify`` cases
+about 3 s.
 
 Run with ``python -m pytest -q slow`` (``-s`` shows the measurements).
 """
@@ -54,6 +56,31 @@ BUDGETS = {
 }
 
 
+# verify arguments: peak RSS budget in MiB.  Rank 20 is CHAIN_MAX_RANK and rank 3
+# BRUTE_MAX_RANK; verify --n 12 peaked at 159 MiB while translation-checks stored
+# the 4096 elements of the rank-12 translation group, and at about 30 MiB since
+VERIFY_BUDGETS = {
+    ("--n", "12"): 96,
+    ("--n", "20"): 512,
+    ("--n", "3", "--sym-brute"): 512,
+}
+
+
+def _measure(command: str, args: tuple, *extra: str) -> dict:
+    """``python -m rigidcomm.cli command *args *extra`` under the address limit, as MEASURE reports it."""
+    cli = [sys.executable, "-m", "rigidcomm.cli", command, *args, *extra]
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run([sys.executable, "-c", MEASURE, str(ADDRESS_LIMIT), *cli],
+                          env=env, capture_output=True, text=True, check=True)
+    run = json.loads(done.stdout)
+    print(f"{command} {' '.join(args)}: {run['wall_s']:.1f} s, peak RSS {run['peak_mib']:.1f} MiB")
+    return run
+
+
+def _ids(args) -> str:
+    return "-".join(a.lstrip("-") for a in args)
+
+
 def _sha256(path: Path) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -62,17 +89,19 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-@pytest.mark.parametrize("args", BUDGETS, ids=lambda args: "-".join(a.lstrip("-") for a in args))
+@pytest.mark.parametrize("args", BUDGETS, ids=_ids)
 def test_chain_output_within_budget(tmp_path, args):
     sha, budget_mib = BUDGETS[args]
     target = tmp_path / "chain.out"
-    cli = [sys.executable, "-m", "rigidcomm.cli", "chain", *args, "--out", str(target)]
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    done = subprocess.run([sys.executable, "-c", MEASURE, str(ADDRESS_LIMIT), *cli],
-                          env=env, capture_output=True, text=True, check=True)
-    run = json.loads(done.stdout)
-    print(f"chain {' '.join(args)}: {run['wall_s']:.1f} s, peak RSS {run['peak_mib']:.1f} MiB")
+    run = _measure("chain", args, "--out", str(target))
     assert run["code"] == 0, run["stderr"]
     assert run["stdout"] == 0
     assert _sha256(target) == sha
     assert run["peak_mib"] < budget_mib, run
+
+
+@pytest.mark.parametrize("args", VERIFY_BUDGETS, ids=_ids)
+def test_verify_within_budget(args):
+    run = _measure("verify", args)
+    assert run["code"] == 0, run["stderr"]
+    assert run["peak_mib"] < VERIFY_BUDGETS[args], run

@@ -311,11 +311,8 @@ class SaturatedSet:
 
     # ── serialization ────────────────────────────────────────────────
 
-    def to_json_dict(self) -> dict:
-        return {"n": self.n, "members": [list(c.elements) for c in self.members]}
-
     def to_json(self, *, indent: int | None = None) -> str:
-        return json.dumps(self.to_json_dict(), indent=indent)
+        return json.dumps({"n": self.n, "members": [list(c.elements) for c in self.members]}, indent=indent)
 
     @classmethod
     def from_json(cls, text: str) -> "SaturatedSet":
@@ -327,7 +324,7 @@ def members_from_json(text: str) -> tuple[int, tuple[RigidCommutator, ...]]:
     """Read {"n": ..., "members": [...]} without requiring closure.
 
     Member entries may be descending integer lists like [6,5,4,3] or hex
-    bitmask strings like "0x3c".
+    bitmask strings like "0x3c" (ASCII letters and digits only).
     """
     n, members = perm._json_fields(text, "members")
     _check_rank(n)
@@ -336,8 +333,9 @@ def members_from_json(text: str) -> tuple[int, tuple[RigidCommutator, ...]]:
     out = []
     for entry in members:
         if isinstance(entry, str):
-            mask = int(entry, 16)
-            out.append(RigidCommutator(mask, n))
+            if not (entry.isascii() and entry.isalnum()):  # int() reads signs, "_", spaces, non-ASCII digits
+                raise ValueError(f"bad hex member {entry!r}")
+            out.append(RigidCommutator(int(entry, 16), n))
         elif isinstance(entry, list):
             out.append(RigidCommutator.from_elements(entry, n))
         else:

@@ -2,17 +2,25 @@
 
 Everything goes through main(argv) in-process; stdout is captured and
 compared against frozen renderings, including the exit-code contract
-(0 ok, 1 mismatch, 2 bad input, 3 scale guard).
+(0 ok, 1 mismatch, 2 bad input, 3 scale guard).  The one exception is a
+step count past every chain, which runs in a child process with a memory
+limit, so a regression that pads the rows fails the child, not pytest.
 """
 
 import functools
 import hashlib
 import json
+import os
 import re
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rigidcomm
 from rigidcomm import (
     RigidCommutator,
     compose,
@@ -220,6 +228,15 @@ def test_chain_timings_go_to_stderr(capsys):
     assert "step" not in captured.out
 
 
+# integer arguments out of their range, which exit 2 with "<command>: ... must be an integer"
+BAD_INTEGERS = (
+    ["chain", "--n", "5", "--steps", "-1"],
+    ["eval", "[2,1]", "--n", "0"],
+    ["euler", "--max-j", "-1"],
+    ["verify", "--n", "0"],
+    ["verify", "--n", "-1"],
+)
+
 # chain arguments that exit 2
 BAD_CHAIN_ARGS = (
     [],
@@ -236,27 +253,25 @@ BAD_CHAIN_ARGS = (
 
 def test_chain_argument_errors(capsys):
     # bad input exits 2 with one line on stderr and nothing on stdout
-    for argv in (
-        *(["chain", *args] for args in BAD_CHAIN_ARGS),
-        ["verify", "--n", "0"],
-        ["verify", "--n", "-1"],
-    ):
+    for argv in (*(["chain", *args] for args in BAD_CHAIN_ARGS), *BAD_INTEGERS):
         assert main(argv) == 2, argv
         captured = capsys.readouterr()
         assert captured.out == "", argv
         assert captured.err.count("\n") == 1, argv
+        if argv in BAD_INTEGERS:
+            assert re.match(rf"{argv[0]}: .*must be an integer", captured.err), captured.err
 
 
 @pytest.mark.parametrize("fmt", ["md", "csv", "json"])
 @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
 def test_a_refused_chain_writes_nothing(tmp_path, capsys, fmt, to_file):
     # the output is opened, and its first line made, only after the first chain ran:
-    # a bad argument, a bad lowest rank or a step count past every chain writes nothing
+    # a bad argument or a bad lowest rank writes nothing (a step count past every
+    # chain is refused in a child, below)
     target = tmp_path / "chain.out"
     out = ["--out", str(target)] if to_file else []
-    refused = [*((args, 2) for args in BAD_CHAIN_ARGS), (["--n-range", "3..4", "--steps", str(10**12)], 3)]
-    for args, code in refused:
-        assert main(["chain", *args, "--format", fmt, *out]) == code, args
+    for args in BAD_CHAIN_ARGS:
+        assert main(["chain", *args, "--format", fmt, *out]) == 2, args
         captured = capsys.readouterr()
         assert captured.out == "", args
         assert captured.err.count("\n") == 1, args
@@ -381,12 +396,32 @@ def test_chain_and_verify_scale_guard(capsys):
     assert captured.err.count("scale guard") == 3
 
 
-def test_chain_matrix_refuses_a_step_count_past_every_chain(capsys):
-    # the rows would be padded with 10^12 zeros; the guard trips first
-    assert main(["chain", "--n-range", "3..4", "--steps", str(10**12)]) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "scale guard: step count" in captured.err
+SRC = Path(rigidcomm.__file__).resolve().parents[1]
+ADDRESS_LIMIT = 1 << 30
+
+
+def _run_limited(argv):
+    """``python -m rigidcomm.cli`` with ``argv`` in a child whose address space is limited
+    to 1 GiB (``RLIMIT_AS``, set on the child only), as ``slow/test_budgets.py`` runs it."""
+    return subprocess.run(
+        [sys.executable, "-m", "rigidcomm.cli", *argv], env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True, text=True, timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_LIMIT, ADDRESS_LIMIT)),
+    )
+
+
+def test_chain_matrix_refuses_a_step_count_past_every_chain(tmp_path):
+    # the rows would be padded with 10^12 zeros; the guard trips before anything is
+    # written, and a regression that pads them fails the child instead of exhausting pytest
+    target = tmp_path / "chain.out"
+    for fmt in ("md", "csv", "json"):
+        for out in ([], ["--out", str(target)]):
+            done = _run_limited(["chain", "--n-range", "3..4", "--steps", str(10**12), "--format", fmt, *out])
+            assert done.returncode == 3, (fmt, out, done.stderr)
+            assert done.stdout == "", (fmt, out)
+            assert done.stderr.count("\n") == 1, (fmt, out, done.stderr)
+            assert done.stderr.startswith("scale guard: step count"), (fmt, out, done.stderr)
+            assert not target.exists(), (fmt, out)
 
 
 # ── eval ─────────────────────────────────────────────────────────────────────
@@ -475,21 +510,33 @@ def test_euler_scale_guard(capsys):
 
 def test_closure_default_ambient(tmp_path, capsys):
     seed = tmp_path / "seed.json"
-    seed.write_text('{"n": 3, "members": [[3]]}')
-    assert main(["closure", str(seed)]) == 0
-    d = json.loads(capsys.readouterr().out)
-    assert d["n"] == 3
-    assert d["members"] == [[3], [3, 1], [3, 2], [3, 2, 1]]
+    for n, members, want in (
+        (3, [[3]], [[3], [3, 1], [3, 2], [3, 2, 1]]),
+        (4, [[3, 1]], [[3, 1], [3, 2], [3, 2, 1], [4, 3], [4, 3, 1], [4, 3, 2], [4, 3, 2, 1]]),
+    ):
+        seed.write_text(json.dumps({"n": n, "members": members}))
+        assert main(["closure", str(seed)]) == 0
+        d = json.loads(capsys.readouterr().out)
+        assert d["n"] == n
+        assert d["members"] == want
 
 
 def test_closure_within_smaller_ambient(tmp_path, capsys):
     seed = tmp_path / "seed.json"
-    seed.write_text('{"n": 4, "members": [[4,3,2,1]]}')
     ambient = tmp_path / "ambient.json"
-    ambient.write_text(translation_normalizer_set(4).to_json())
-    assert main(["closure", str(seed), "--within", str(ambient)]) == 0
-    d = json.loads(capsys.readouterr().out)
-    assert d["members"] == [[4, 3, 2, 1]]
+    # the rank-4 translation normalizer: a proper ambient is checked for closure, and
+    # the closure of [3, 1] inside it takes rounds of products
+    normalizer = [[1], [2], [2, 1], [3, 2], [3, 1], [3, 2, 1], [4, 3, 2], [4, 3, 1], [4, 2, 1], [4, 3, 2, 1]]
+    for members, within, want in (
+        ([[4, 3, 2, 1]], translation_normalizer_set(4).to_json(), [[4, 3, 2, 1]]),
+        ([[3, 1]], json.dumps({"n": 4, "members": normalizer}),
+         [[3, 1], [3, 2], [3, 2, 1], [4, 3, 1], [4, 3, 2], [4, 3, 2, 1]]),
+    ):
+        seed.write_text(json.dumps({"n": 4, "members": members}))
+        ambient.write_text(within)
+        assert main(["closure", str(seed), "--within", str(ambient)]) == 0
+        d = json.loads(capsys.readouterr().out)
+        assert d["members"] == want
 
 
 def test_closure_seed_outside_ambient(tmp_path, capsys):
@@ -549,6 +596,21 @@ def test_closure_rejects_malformed_json(tmp_path, capsys, text):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("closure: ")
+
+
+# a hex member with a sign, "_", spaces or a non-ASCII digit, which int(entry, 16) would read
+@pytest.mark.parametrize("entry", ["\u0663", "0x1_0", " 0x3 ", "+0x3"],
+                         ids=["arabic-indic-digit", "underscore", "spaces", "sign"])
+def test_set_files_refuse_loose_hex_members(tmp_path, capsys, entry):
+    sett = tmp_path / "set.json"
+    sett.write_text(json.dumps({"n": 5, "members": [entry]}))
+    path = tmp_path / "id.json"
+    path.write_text(json.dumps({"n": 5, "images": list(range(1, 33))}))
+    for argv in (["closure", str(sett)], ["factorize", str(path), "--set", str(sett)]):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"{argv[0]}: bad hex member {entry!r}\n"
 
 
 # ── factorize ────────────────────────────────────────────────────────────────
@@ -611,9 +673,11 @@ def test_factorize_identity(tmp_path, capsys):
 
 def test_factorize_foreign_permutation(tmp_path, capsys):
     path = tmp_path / "odd.json"
-    path.write_text('{"n": 2, "images": [2, 3, 1, 4]}')
+    path.write_text('{"n": 2, "images": [2, 3, 1, 4]}')  # a 3-cycle of four points
     assert main(["factorize", str(path)]) == 2
-    assert "factorize:" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("factorize: ") and "not an element" in captured.err
 
 
 # ── verify ───────────────────────────────────────────────────────────────────
@@ -744,19 +808,20 @@ def test_verify_times_each_check_on_stderr(capsys, argv, want):
     assert [m[1] for m in timed] == checks
 
 
-# ── the console outputs frozen in .github/workflows/tests.yml ────────────────
+# ── the console outputs, frozen here byte for byte by their sha256 ───────────
+# CI's console step runs only the installed entry points; these are the digests.
 
-def _ci_perm(n: int, top: int, stride: int) -> str:
-    """The product of the rank-n commutators top, top - stride, ... above 4, as CI writes it."""
+def _perm_file(n: int, top: int, stride: int) -> str:
+    """The product of the rank-n commutators top, top - stride, ... above 4, as a permutation file."""
     product = functools.reduce(compose, (expand(RigidCommutator(m, n)) for m in range(top, 4, -stride)))
     return perm_to_json(product) + "\n"
 
 
 # a file that an earlier command's stdout makes: the command, the file and the
-# member count CI checks of it, if any
+# member count checked of it, if any
 SET10 = (["closure", "seed10.json"], "set10.json", None)
 AMB12 = (["closure", "seed12.json"], "amb12.json", 4055)
-CI_TIMINGS12 = re.compile(
+TIMINGS12 = re.compile(
     r"total: [0-9]+\.[0-9]{4}s, 1395 steps, 6894 rescanned, 189190 products, peak RSS [0-9]+\.[0-9] MiB"
 )
 CHAIN12_SHA = "8b7f11759e8bf022291f72b60ea7c83743e97c77ca12504c4746e613e2181fd5"
@@ -801,8 +866,8 @@ def test_console_outputs_match_the_ci_digests(tmp_path, monkeypatch, capsys, mad
     (tmp_path / "seed12.json").write_text('{"n": 12, "members": [[3, 1]]}\n')
     (tmp_path / "top12.json").write_text('{"n": 12, "members": [[12, 5, 1]]}\n')
     (tmp_path / "seed14.json").write_text('{"n": 14, "members": [[3, 1]]}\n')
-    (tmp_path / "perm10.json").write_text(_ci_perm(10, 1021, 37))
-    (tmp_path / "perm12.json").write_text(_ci_perm(12, 4093, 41))
+    (tmp_path / "perm10.json").write_text(_perm_file(10, 1021, 37))
+    (tmp_path / "perm12.json").write_text(_perm_file(12, 4093, 41))
     for command, name, members in made:
         assert main(command) == 0
         text = capsys.readouterr().out
@@ -816,7 +881,7 @@ def test_console_outputs_match_the_ci_digests(tmp_path, monkeypatch, capsys, mad
         out = (tmp_path / argv[argv.index("--out") + 1]).read_text()
     assert hashlib.sha256(out.encode()).hexdigest() == sha
     if "--timings" in argv:
-        assert CI_TIMINGS12.fullmatch(err.splitlines()[-1]), err
+        assert TIMINGS12.fullmatch(err.splitlines()[-1]), err
     elif argv[0] == "verify":  # one stderr line of seconds per check, the checks and a verdict on stdout
         assert len(err.splitlines()) == len(out.splitlines()) - 1, err
     else:

@@ -1163,6 +1163,10 @@ def test_json_accepts_hex_masks():
     n, members = members_from_json('{"n": 3, "members": ["0x7", [2]]}')
     assert n == 3
     assert {c.mask for c in members} == {7, 2}
+    # every mask as hex() writes it reads back
+    masks = list(range(1 << 8))
+    n, members = members_from_json(json.dumps({"n": 8, "members": [hex(m) for m in masks]}))
+    assert [c.mask for c in members] == masks
 
 
 def test_json_rejects_garbage():
@@ -1181,6 +1185,10 @@ def test_json_rejects_garbage():
     ):
         with pytest.raises(ValueError):
             members_from_json(text)
+    # int(entry, 16) reads these as 3, 16, 3 and 3; a hex member is ASCII letters and digits only
+    for entry in ("\u0663", "0x1_0", " 0x3 ", "+0x3"):
+        with pytest.raises(ValueError, match="bad hex member"):
+            members_from_json(json.dumps({"n": 5, "members": [entry]}))
     # the index is checked before 1 << (k - 1) is built
     with pytest.raises(ValueError, match=r"1\.\.3, got 1000000$"):
         members_from_json('{"n": 3, "members": [[1000000]]}')
