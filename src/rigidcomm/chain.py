@@ -28,6 +28,15 @@ members, and only a woken candidate can be one of them, so a lone woken
 candidate joins without a scan.  A commutator joins the chain once, so
 the chain and its report keep one array, each mask's join step, and no
 other of its size.
+
+The scan has two kernels for the one witness rule of
+:func:`~rigidcomm.saturated._witnesses`, and they give the same
+witnesses.  Most scans are small, a few candidates against a cover of
+tens of members, and one numpy block scan costs tens of microseconds
+whatever its size, so a block of at most ``_SCALAR_PAIRS``
+candidate-cover pairs is scanned in a Python loop over the cover's ints,
+reading the join steps through a ``memoryview``; a larger block goes to
+``_witnesses``.
 """
 
 from __future__ import annotations
@@ -51,6 +60,11 @@ from . import partitions
 # those that failed a scan are kept, keyed by their witness
 CHAIN_MAX_RANK = 20
 _NEVER = np.iinfo(np.int32).max  # the join step of a mask outside every computed term
+# a step scans a block of at most this many candidate-cover pairs in a Python
+# loop, a larger one in _witnesses' numpy blocks; in-process against numpy alone,
+# cutoffs 64, 128, 256 and 512 ran full chains in 0.80, 0.76, 0.78 and 0.85 of
+# the time at rank 9, 0.87, 0.82, 0.85 and 0.92 at rank 12 (2-vCPU host)
+_SCALAR_PAIRS = 128
 
 __all__ = [
     "CHAIN_MAX_RANK",
@@ -198,14 +212,30 @@ class ChainReport:
         return "".join(self._json_chunks(indent))
 
     def _json_chunks(self, indent: int | None):
-        """:meth:`to_json`'s text, a step a chunk."""
+        """:meth:`to_json`'s text, a step a chunk.
+
+        Each step's text is joined as ``json.dumps`` lays the record out,
+        whose indented encoder is pure Python and several times slower.
+        """
         fields = {"n": self.n, "terminated_at": self.terminated_at, "reached_full": self.reached_full}
         head, tail = json.dumps({**fields, "steps": [None]}, indent=indent).split("null")
-        pad = head[head.rindex("\n"):] if indent is not None else " "  # a step's place in the list
+        if indent is None:
+            sep, pad = ", ", ("", "", "", "")
+        else:  # a step's place in the list, then each level inside it
+            sep, base = ",", head[head.rindex("\n"):]
+            pad = tuple(base + " " * (indent * k) for k in range(4))
+
+        def array(items: list[str], level: int) -> str:  # a list whose items sit at pad[level]
+            inner = pad[level]
+            return "[" + inner + (sep + inner).join(items) + pad[level - 1] + "]" if items else "[]"
+
         for i, order, index, dims, new, _ in self._rows():
-            step = {"i": i, "log2_order": order, "index_log2": index, "level_dims": list(dims),
-                    "new_members": [list(RigidCommutator._trusted(m, self.n).elements) for m in new]}
-            yield ("," + pad if i else head) + json.dumps(step, indent=indent).replace("\n", pad)
+            members = [array([str(k) for k in RigidCommutator._trusted(m, self.n).elements], 3) for m in new]
+            yield "".join((
+                sep + pad[0] if i else head, "{", pad[1], '"i": ', str(i), sep, pad[1],
+                '"log2_order": ', str(order), sep, pad[1], '"index_log2": ', str(index), sep, pad[1],
+                '"level_dims": ', array([str(d) for d in dims], 2), sep, pad[1],
+                '"new_members": ', array(members, 2), pad[0], "}"))
         yield tail
 
 
@@ -235,19 +265,22 @@ class _IncrementalChain:
 
     ``joined`` is the term's only copy, as :attr:`ChainReport.joined`
     reads it, with the other members of ``start`` at step 0 and ``i``
-    the last step taken; ``log2_order`` counts its members.  ``cover``
-    generates the term but is not :func:`~rigidcomm.saturated._uncovered`'s
-    exact output: it holds the members kept when that last ran, as it does
-    again once the cover has doubled, and every member joined since; no
-    other array of the chain grows with 2^n.
+    the last step taken; ``log2_order`` counts its members.  The steps
+    read and write it through ``view``, a ``memoryview``, which the
+    caller releases before a report makes ``joined`` read-only.
+    ``cover``, a list of ints, generates the term but is not
+    :func:`~rigidcomm.saturated._uncovered`'s exact output: it holds the
+    members kept when that last ran, as it does again once the cover
+    has doubled, and every member joined since; no other array of the
+    chain grows with 2^n.
     Every candidate outside the term waits on a witness, a commutator
     [c, m], m a member, that lay outside the term when it was recorded;
-    ``pending`` holds, sorted, the candidates to scan at the next step, those
-    whose witness has joined since, and one call of the block scan
-    :func:`~rigidcomm.saturated._witnesses` scans them all against the
-    cover.  One Python pass over the scanned masks and their witnesses
-    splits the joins from the failures; the joins wake the next scan,
-    sorted as a list before one conversion to an array.
+    ``pending`` holds, as a sorted list, the candidates to scan at the
+    next step, those whose witness has joined since, and one scan meets
+    them all with the cover: :func:`_scan` for at most ``_SCALAR_PAIRS``
+    pairs, else :func:`~rigidcomm.saturated._witnesses`.  One Python
+    pass over the scanned masks and their witnesses splits the joins
+    from the failures; the joins wake the next scan.
 
     A candidate c with base b and a hole k < b has [c, t_k] = [t_k, c]
     = c | 2^(k-1), so its lowest fill-in c | (c + 1) is a witness
@@ -283,13 +316,13 @@ class _IncrementalChain:
         self.joined = np.full(1 << n, _NEVER, dtype=np.int32)
         self.joined[members] = 0
         self.joined[(1 << np.arange(n + 1)) - 1] = -1  # the identity and the t_i
+        self.view = view = memoryview(self.joined)
         self.i = 0
-        self.cover = _uncovered(members, self._present, n)
+        self.cover = _uncovered(members, self._present, n).tolist()
         self.pruned = len(self.cover)  # the cover's size when _uncovered last made it
         self.log2_order = start.log2_order
         # each member wakes the masks parked on it, as if it had just joined
-        parked = np.array(_parked(members.tolist()), dtype=np.int64)
-        self.pending = np.sort(parked[~self._present(parked)])
+        self.pending = sorted(c for c in _parked(members.tolist()) if view[c] == _NEVER)
         self.waiters: dict[int, list[int]] = {}
         self.diagnostics = _Diagnostics()
         self.diagnostics.seconds.append(time.perf_counter() - t0)
@@ -298,7 +331,7 @@ class _IncrementalChain:
     def _present(self, masks: np.ndarray) -> np.ndarray:
         return self.joined[masks] != _NEVER
 
-    def step(self) -> np.ndarray:
+    def step(self) -> list[int]:
         """Grow the term to its normalizer; return the masks that joined.
 
         The step writes its row of ``diagnostics``: its seconds, the
@@ -307,34 +340,61 @@ class _IncrementalChain:
         step that joins nothing to a proper term raises ``RuntimeError``.
         """
         t0 = time.perf_counter()
-        scanned, cover, waiters, present = self.pending, self.cover, self.waiters, self._present
-        if len(scanned) == 1:  # the one mask that can join the larger normalizer
-            joins, products = scanned.tolist(), 0
+        scanned, cover, waiters = self.pending, self.cover, self.waiters
+        if len(scanned) <= 1:  # the one mask that can join the larger normalizer, if any
+            joins, products = scanned, 0
         else:
             joins, products = [], len(scanned) * len(cover)
-            for c, w in zip(scanned.tolist(), _witnesses(scanned, cover, present).tolist()):
+            if products <= _SCALAR_PAIRS:
+                found = _scan(scanned, cover, self.view)
+            else:
+                found = _witnesses(np.array(scanned, dtype=np.int64), np.array(cover, dtype=np.int64),
+                                   self._present).tolist()
+            for c, w in zip(scanned, found):
                 (waiters.setdefault(w, []) if w else joins).append(c)
         if not joins and self.log2_order < (1 << self.n) - 1:  # a proper term's normalizer is larger
             raise RuntimeError(f"step {self.i + 1} at rank {self.n} joined nothing to a proper term")
-        added = np.array(joins, dtype=np.int64)
         i = self.i = self.i + 1
-        self.joined[added] = i
+        view = self.view
+        for a in joins:
+            view[a] = i
         self.log2_order += len(joins)
         # the term only grows, so a covered member stays covered and the old
         # cover plus the joins still generates the term; prune once it doubles
-        grown = np.concatenate((cover, added))
+        grown = cover + joins
         if len(grown) >= 2 * self.pruned:
-            grown = _uncovered(grown, present, self.n)
+            grown = _uncovered(np.array(grown, dtype=np.int64), self._present, self.n).tolist()
             self.pruned = len(grown)
         self.cover = grown
         pending = _parked(joins)
         for a in joins:
             pending += waiters.pop(a, ())
         pending.sort()
-        self.pending = np.array(pending, dtype=np.int64)
+        self.pending = pending
         self.diagnostics.seconds.append(time.perf_counter() - t0)
         self.diagnostics.counts.extend((len(scanned), len(cover), products))
-        return added
+        return joins
+
+
+def _scan(cands: list[int], cover: list[int], joined: memoryview) -> list[int]:
+    """:func:`~rigidcomm.saturated._witnesses`' witnesses, by its rule, a pair at a time on ints.
+
+    ``joined`` reads each mask's join step, ``_NEVER`` outside the term
+    that ``cover`` generates.
+    """
+    found = []
+    for x in cands:
+        tx = 1 << (x.bit_length() - 1)
+        w = 0
+        for m in cover:
+            t = tx if m >= tx else 1 << (m.bit_length() - 1)
+            if x & m & t:
+                continue
+            p = (x & m) | ((x ^ m) & -t)
+            if p > w and joined[p] == _NEVER:
+                w = p
+        found.append(w)
+    return found
 
 
 def check_chain_rank(n: int) -> None:
@@ -371,6 +431,7 @@ def run_chain(n: int, max_steps: int | None = None) -> ChainReport:
     chain = _IncrementalChain(translation_normalizer_set(n))
     while chain.log2_order < full_log2 and chain.i != max_steps:
         chain.step()
+    chain.view.release()  # before the report makes joined read-only
     return ChainReport(n, chain.joined, chain.i, chain.log2_order == full_log2, chain.diagnostics)
 
 

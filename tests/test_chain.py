@@ -33,7 +33,7 @@ from rigidcomm import (
 from rigidcomm import chain, partitions, saturated
 from rigidcomm.chain import _NEVER, CHAIN_MAX_RANK, _IncrementalChain
 from rigidcomm.rigid import commutator_mask
-from test_saturated import _normalizer_in_loop, _trusted
+from test_saturated import _ambient, _normalizer_in_loop, _trusted, _with_translations
 
 # rank 6: 21 growth steps then the fixpoint, log2 sizes and index jumps
 N6_LOG2_SIZES = [
@@ -430,7 +430,7 @@ def test_incremental_step_matches_normalizing_step(n, data):
     )
     current = start
     for _ in range(data.draw(st.integers(1, 6))):
-        before, pruned = chain.cover.tolist(), chain.pruned
+        before, pruned = list(chain.cover), chain.pruned
         added = chain.step()
         nxt = normalizing_step(current)
         assert chain.log2_order == len(nxt.masks)
@@ -440,13 +440,13 @@ def test_incremental_step_matches_normalizing_step(n, data):
         # so it generates the term, and is that cover right after a re-prune
         members = np.array(sorted(nxt.masks), dtype=np.int64)
         fresh = saturated._uncovered(members, saturated._membership(members, n), n)
-        cover = chain.cover.tolist()
+        cover = chain.cover
         assert set(fresh.tolist()) <= set(cover) <= nxt.masks
         assert len(set(cover)) == len(cover)
         if len(before) + len(added) >= 2 * pruned:
             assert sorted(cover) == fresh.tolist()
         else:
-            assert cover == before + added.tolist()
+            assert cover == before + added
         current = nxt
 
 
@@ -472,7 +472,7 @@ def test_incremental_chain_from_fixed_starts_matches_iterated_normalizing_step(n
     chain = _IncrementalChain(start)
     term = start
     while len(term) < (1 << n) - 1:
-        added = chain.step().tolist()
+        added = chain.step()
         nxt = normalizing_step(term)
         assert sorted(added) == sorted(nxt.masks - term.masks), chain.i
         assert chain.log2_order == len(nxt), chain.i
@@ -499,7 +499,7 @@ def test_a_step_that_joins_nothing_to_a_proper_term_raises(monkeypatch):
     monkeypatch.undo()
     # the full group is its own normalizer: a step there joins nothing and raises nothing
     full = _IncrementalChain(full_rigid_set(5))
-    assert full.step().size == 0 and full.i == 1
+    assert full.step() == [] and full.i == 1
 
 
 @pytest.mark.parametrize("n", range(3, 11))
@@ -665,6 +665,63 @@ def test_chain_counters_are_frozen(n, max_steps):
     steps = run_chain(n, max_steps).steps
     sums = tuple(sum(getattr(s, name) for s in steps) for name in ("products", "rescanned", "cover"))
     assert sums == COUNTER_SUMS[n, max_steps]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(3, 12),
+    st.one_of(st.none(), st.integers(0, 1000)),
+    st.lists(st.integers(0, 1 << 20), max_size=4),
+    st.data(),
+)
+def test_scalar_scan_matches_block_scan(n, term, picks, data):
+    # the chain scans a small block in chain._scan and a large one in _witnesses;
+    # both read the same term, as a join-step table and as a membership lookup
+    A = _with_translations(n, _ambient(n, term), picks)
+    members = np.array(sorted(A.masks), dtype=np.int64)
+    present = saturated._membership(members, n)
+    joined = np.full(1 << n, _NEVER, dtype=np.int32)
+    joined[members] = 0
+    joined[0] = -1
+    # t_n, every bit set, shares the top bit of each member: a row of no products
+    cands = [(1 << n) - 1, *data.draw(st.lists(st.integers(1, (1 << n) - 1), min_size=1, max_size=40))]
+    cover = saturated._uncovered(members, present, n)
+    for gens in (cover, members[::-1]):
+        want = saturated._witnesses(np.array(cands, dtype=np.int64), gens, present).tolist()
+        assert chain._scan(cands, gens.tolist(), memoryview(joined)) == want
+    assert want[0] == 0
+
+
+def _counter_sums(report: ChainReport) -> tuple[int, int, int]:
+    return tuple(sum(getattr(s, name) for s in report.steps) for name in ("products", "rescanned", "cover"))
+
+
+@pytest.fixture(scope="module")
+def mixed_scan_runs():
+    """(to_json, joined bytes, counter sums) of each chain the kernel test reruns, as run_chain makes them."""
+    runs = {}
+    for key in [*((n, None) for n in range(3, 15)), (16, 14)]:
+        report = run_chain(*key)
+        runs[key] = (report.to_json(), report.joined.tobytes(), _counter_sums(report))
+    return runs
+
+
+@pytest.mark.parametrize("cutoff", [0, 1 << 62], ids=["block-scan", "scalar-scan"])
+def test_each_scan_kernel_alone_gives_the_frozen_chains(monkeypatch, mixed_scan_runs, cutoff):
+    # every scan goes to _witnesses (0) or to the Python loop (2^62): the same
+    # witnesses, so the same join steps, JSON and counters as the two together
+    monkeypatch.setattr(chain, "_SCALAR_PAIRS", cutoff)
+    for (n, max_steps), (text, joined, sums) in mixed_scan_runs.items():
+        report = run_chain(n, max_steps)
+        assert (report.to_json(), report.joined.tobytes(), _counter_sums(report)) == (text, joined, sums), n
+        assert sums == COUNTER_SUMS.get((n, max_steps), sums)
+        if n in FULL_CHAIN_SHA256:
+            assert hashlib.sha256(text.encode()).hexdigest() == FULL_CHAIN_SHA256[n]
+        if max_steps is None:
+            assert report.terminated_at == FULL_CHAIN_LENGTHS.get(n, report.terminated_at)
+    report = run_chain(15)
+    digest = hashlib.sha256(report.joined.tobytes()).hexdigest()
+    assert (digest, report.terminated_at) == FULL_CHAIN_JOINED_SHA256[15]
 
 
 def test_rank20_chain_holds_no_table_besides_its_join_steps():
