@@ -70,8 +70,8 @@ VERIFY_BUDGETS = {
 
 # the other commands at their caps: arguments, with input files named as the
 # inputs fixture writes them, then (sha256 of stdout, peak RSS budget in MiB).
-# Rank 14 is CLOSURE_MAX_RANK, where t_1's normal closure is the whole group,
-# rank 12 FACTORIZE_MAX_RANK and 64 PARTITION_MAX_TOTAL
+# Rank 14 is CLOSURE_MAX_RANK, where t_1's normal closure is the whole group less
+# its 13 single-bit masks above level 1, rank 12 FACTORIZE_MAX_RANK and 64 PARTITION_MAX_TOTAL
 OTHER_BUDGETS = {
     ("closure", "seed14.json"): (
         "2859966daed65e092ade6ad3bd0bcbeb50b0fe60afb205b2bd7b4c1e3deb7bd1", 512),

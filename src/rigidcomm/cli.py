@@ -32,6 +32,12 @@ from .rigid import (
 
 __all__ = ["main", "build_parser"]
 
+# a file argument is read to at most this many bytes, and refused past them: the
+# largest file a guard admits as the engine writes it, all 16383 members of rank
+# 14 (CLOSURE_MAX_RANK) as `closure` prints them, takes 1269781 bytes, and this is
+# the next power of two; the rank-12 permutation's 4096 images take 23-40 KB
+_READ_CAP = 1 << 21
+
 
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="rigidcomm", description=__doc__)
@@ -99,16 +105,29 @@ def _table(fmt: str, header: list, rows):
 
 
 def _print_timings(report, prefix: str = "") -> None:
-    """Each step's diagnostics on stderr, then one line for the run: its seconds,
-    steps, rescanned candidates and mask products, and this process's peak RSS."""
-    seconds = rescanned = products = 0
+    """Each step's diagnostics on stderr, then one line for the run: its seconds and
+    steps, each split by kernel, rescanned candidates and mask products, and this
+    process's peak RSS.
+
+    The split reads each row's counts as the chain's step chose its kernel: step 0
+    starts the chain and scans nothing, a lone step rescans at most one candidate,
+    a scalar step makes at most ``_SCALAR_PAIRS`` products and a block step more.
+    """
+    seconds, steps = [0.0] * 4, [0] * 4  # start, lone, scalar, block
+    rescanned = products = 0
     for i, row in enumerate(report.diagnostics):
         print(f"{prefix}step {i}: {row[0]:.4f}s, {row[1]} rescanned, {row[2]} cover, {row[3]} products",
               file=sys.stderr)
-        seconds, rescanned, products = seconds + row[0], rescanned + row[1], products + row[3]
+        kernel = 0 if i == 0 else 1 if row[1] <= 1 else 2 if row[3] <= chainmod._SCALAR_PAIRS else 3
+        seconds[kernel] += row[0]
+        steps[kernel] += 1
+        rescanned, products = rescanned + row[1], products + row[3]
     peak_mib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
-    print(f"{prefix}total: {seconds:.4f}s, {report.terminated_at} steps, {rescanned} rescanned, "
-          f"{products} products, peak RSS {peak_mib:.1f} MiB", file=sys.stderr)
+    start, lone, scalar, block = seconds
+    print(f"{prefix}total: {sum(seconds):.4f}s (start {start:.4f}s, lone {lone:.4f}s, scalar {scalar:.4f}s, "
+          f"block {block:.4f}s), {report.terminated_at} steps (lone {steps[1]}, scalar {steps[2]}, "
+          f"block {steps[3]}), {rescanned} rescanned, {products} products, peak RSS {peak_mib:.1f} MiB",
+          file=sys.stderr)
 
 
 def _matrix(args, ranks: range, steps: int):
@@ -251,8 +270,11 @@ def _cmd_euler(args) -> int:
 
 
 def _read(path: str) -> str:
-    with open(path) as fh:
-        return fh.read()
+    """The text of the file at ``path``, refused past ``_READ_CAP`` bytes before it is parsed."""
+    with open(path, "rb") as fh:
+        data = fh.read(_READ_CAP + 1)
+    perm.check_cap(f"file {path} at byte", len(data), _READ_CAP)
+    return data.decode()
 
 
 def _cmd_closure(args) -> int:

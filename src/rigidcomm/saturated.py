@@ -21,13 +21,20 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from . import permutations as perm
-from .rigid import RigidCommutator, _check_rank
+from .rigid import RigidCommutator, _check_rank, commutator_mask
 
 FACTORIZE_MAX_RANK = 12
 # the closure check of the full set took 0.13-0.17 s at rank 14 on a 2-vCPU host;
 # each rank above the cap costs four times more
 CLOSURE_MAX_RANK = 14
 _PAIR_BLOCK = 1 << 14  # mask products per kernel call, which bounds its temporaries
+# saturate closes a seed on Python ints while it has at most this many members,
+# then hands what it found to the numpy rounds; in-process medians over random
+# seeds at ranks 10, 12 and 14 (2-vCPU host), ints alone took 0.11-0.14 of the
+# numpy rounds' time on closures of up to 8 members, 0.31-0.34 at 25-32,
+# 0.72-0.82 at 49-64 and 1.09-1.35 at 65-96; closures past 64 members then ran
+# 0.71-0.99 of the numpy rounds' time, the rank-14 group 184-234 ms against 220-259
+_SCALAR_MEMBERS = 64
 # membership lookups index a 2^n bool table up to this rank, 1 MiB at rank 20;
 # above it they binary-search the sorted members
 _DENSE_MAX_RANK = 20
@@ -189,16 +196,46 @@ def _uncovered(
     return masks[~covered.any(axis=1)]
 
 
+def _close_ints(seed: list[int], cap: int) -> list[int]:
+    """The closure of distinct nonzero masks ``seed`` under products, on Python ints.
+
+    Works in rounds, as the numpy rounds do: each member, in the order
+    found, meets every member found before it through
+    :func:`~rigidcomm.rigid.commutator_mask`, so the seed's pairs meet
+    first, then each round's finds meet the members and each other, and
+    every pair meets once.  A set that passes 2^``CLOSURE_MAX_RANK`` - 1
+    members, ``cap``, raises
+    :class:`~rigidcomm.permutations.ScaleGuardError`; one that passes
+    ``_SCALAR_MEMBERS`` first is returned as found, with more members
+    than that, and its closure is the seed's.
+    """
+    members, order = set(seed), list(seed)
+    bound = min(_SCALAR_MEMBERS, cap)
+    for i, x in enumerate(order):  # order grows as the rounds find members
+        for y in order[:i]:
+            z = commutator_mask(x, y)
+            if z and z not in members:
+                members.add(z)
+                order.append(z)
+                if len(order) > bound:
+                    perm.check_cap("saturated set of size", len(order), cap)
+                    return order
+    return order
+
+
 def _close(masks: np.ndarray, n: int, ambient: np.ndarray | None = None) -> np.ndarray:
     """The closure of sorted nonzero int64 ``masks`` under products, as a sorted int64 array.
 
-    With no ``ambient`` the set is closed under products of its members.
-    With one, a sorted int64 array holding ``masks``, it is closed under
-    products with the ambient's members, and a product outside the
-    ambient raises ``ValueError`` naming its pair, so ``ambient`` =
-    ``masks`` checks a set for closure.  Each round multiplies the
-    members found in the round before by the partners (the members, or
-    the ambient) that can give a nonzero product, meeting each pair once
+    With no ``ambient`` the set is closed under products of its members,
+    first on Python ints by :func:`_close_ints` while it has at most
+    ``_SCALAR_MEMBERS`` members, then, past that, by numpy rounds from
+    what the ints found.  With an ``ambient``, a sorted int64 array
+    holding ``masks``, it is closed under products with the ambient's
+    members in numpy rounds alone, and a product outside the ambient
+    raises ``ValueError`` naming its pair, so ``ambient`` = ``masks``
+    checks a set for closure.  Each numpy round multiplies the members
+    found in the round before by the partners (the members, or the
+    ambient) that can give a nonzero product, meeting each pair once
     when the two are the same set.  Each block's new products join the
     round's lookup before the next block, so every find is new, and a
     closure past 2^``CLOSURE_MAX_RANK`` - 1 members raises
@@ -207,6 +244,11 @@ def _close(masks: np.ndarray, n: int, ambient: np.ndarray | None = None) -> np.n
     """
     cap = (1 << CLOSURE_MAX_RANK) - 1
     perm.check_cap("saturated set of size", masks.size, cap)
+    if ambient is None and masks.size <= _SCALAR_MEMBERS:
+        found = _close_ints(masks.tolist(), cap)
+        masks = np.array(sorted(found), dtype=np.int64)
+        if len(found) <= _SCALAR_MEMBERS:
+            return masks
     frontier = masks
     while frontier.size:
         partners = masks if ambient is None else ambient
@@ -367,9 +409,12 @@ def saturate(members: Iterable[RigidCommutator], n: int | None = None) -> Satura
     Generates the same subgroup as the seed.  Rank is taken from the
     members when not given; a seed whose first item is not a
     :class:`~rigidcomm.rigid.RigidCommutator` then raises ``ValueError``
-    before any work.  The set is closed by :func:`_close`, which meets
-    each pair of seed members once and never meets a pair of older
-    members again.  A set that would pass 2^``CLOSURE_MAX_RANK`` - 1
+    before any work.  The set is closed by :func:`_close`: on Python
+    ints while it has at most ``_SCALAR_MEMBERS`` members, as most seeds'
+    closures do, and past that in numpy rounds from what the ints found.
+    Each kernel meets each pair of its members once; the numpy rounds
+    meet the pairs of the members handed to them once more.  A set that
+    would pass 2^``CLOSURE_MAX_RANK`` - 1
     members, which no set at that rank or below can, raises
     :class:`~rigidcomm.permutations.ScaleGuardError`.
     """

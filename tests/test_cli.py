@@ -25,11 +25,12 @@ from rigidcomm import (
     RigidCommutator,
     compose,
     expand,
+    full_rigid_set,
     perm_to_json,
     translation_normalizer_set,
 )
 from rigidcomm import chain as chainmod
-from rigidcomm import saturated
+from rigidcomm import cli, saturated
 from rigidcomm.cli import main
 
 C = RigidCommutator.from_elements
@@ -346,8 +347,9 @@ def test_chain_range_timings_print_every_step_of_every_rank(capsys):
     # the lines of --n, each prefixed with its rank, in rank order, and each
     # rank's summary line, its step "total", after its steps
     line = re.compile(r"n=(\d+) (?:step (\d+): \d+\.\d{4}s, \d+ rescanned, \d+ cover, \d+ products"
-                      r"|(total): \d+\.\d{4}s, \d+ steps, \d+ rescanned, \d+ products, "
-                      r"peak RSS \d+\.\d MiB)")
+                      r"|(total): \d+\.\d{4}s \(start \d+\.\d{4}s, lone \d+\.\d{4}s, scalar \d+\.\d{4}s, "
+                      r"block \d+\.\d{4}s\), \d+ steps \(lone \d+, scalar \d+, block \d+\), \d+ rescanned, "
+                      r"\d+ products, peak RSS \d+\.\d MiB)")
     want = [(n, str(i)) for n in (3, 4, 5) for i in [*range(chainmod.run_chain(n, 4).terminated_at + 1), "total"]]
     assert len(want) == 3 + 6 + 6  # rank 3 is full after one step, rank 4 after four
     for fmt in ("md", "json"):
@@ -363,6 +365,15 @@ def test_chain_range_timings_print_every_step_of_every_rank(capsys):
         assert [(int(m[1]), m[2] or m[3]) for m in matches] == want
 
 
+# the totals line of --timings, its seconds and steps split by kernel
+SUMMARY = re.compile(
+    r"total: (?P<seconds>\d+\.\d{4})s \(start (?P<start_s>\d+\.\d{4})s, lone (?P<lone_s>\d+\.\d{4})s, "
+    r"scalar (?P<scalar_s>\d+\.\d{4})s, block (?P<block_s>\d+\.\d{4})s\), (?P<steps>\d+) steps "
+    r"\(lone (?P<lone>\d+), scalar (?P<scalar>\d+), block (?P<block>\d+)\), (?P<rescanned>\d+) rescanned, "
+    r"(?P<products>\d+) products, peak RSS (?P<peak_mib>\d+\.\d) MiB"
+)
+
+
 @pytest.mark.parametrize("fmt", ["csv", "md", "json"])
 def test_chain_timings_end_with_a_summary_line(fmt, capsys):
     # stdout is byte for byte the same; stderr ends with the run's totals
@@ -374,16 +385,30 @@ def test_chain_timings_end_with_a_summary_line(fmt, capsys):
     *step_lines, last = timed.err.splitlines()
     report = chainmod.run_chain(7)
     assert len(step_lines) == report.terminated_at + 1 == 44
-    summary = re.fullmatch(
-        r"total: (\d+\.\d{4})s, (\d+) steps, (\d+) rescanned, (\d+) products, peak RSS (\d+\.\d) MiB", last
-    )
+    summary = SUMMARY.fullmatch(last)
     assert summary, last
     seconds = sum(float(text.split(": ")[1].split("s,")[0]) for text in step_lines)
-    assert abs(float(summary[1]) - seconds) <= 1e-4 * len(step_lines)
-    assert [int(v) for v in summary.groups()[1:4]] == [
+    assert abs(float(summary["seconds"]) - seconds) <= 1e-4 * len(step_lines)
+    assert [int(summary[k]) for k in ("steps", "rescanned", "products")] == [
         43, sum(s.rescanned for s in report.steps), sum(s.products for s in report.steps)
     ]
-    assert float(summary[5]) > 1  # the interpreter and numpy alone take more
+    assert float(summary["peak_mib"]) > 1  # the interpreter and numpy alone take more
+
+
+def test_chain_timings_split_the_totals_by_kernel(capsys):
+    # each step is counted once, by the kernel its counts name, and the seconds
+    # of the start and the three kernels sum to the total
+    assert main(["chain", "--n", "7", "--format", "csv", "--timings"]) == 0
+    summary = SUMMARY.fullmatch(capsys.readouterr().err.splitlines()[-1])
+    assert summary
+    steps = chainmod.run_chain(7).steps[1:]
+    lone = sum(s.rescanned <= 1 for s in steps)
+    scalar = sum(s.rescanned > 1 and s.products <= chainmod._SCALAR_PAIRS for s in steps)
+    assert [int(summary[k]) for k in ("lone", "scalar", "block")] == [lone, scalar, len(steps) - lone - scalar]
+    assert int(summary["lone"]) + int(summary["scalar"]) + int(summary["block"]) == int(summary["steps"])
+    split = sum(float(summary[k]) for k in ("start_s", "lone_s", "scalar_s", "block_s"))
+    assert abs(split - float(summary["seconds"])) <= 2e-4  # each figure is rounded to 0.1 ms
+    assert min(lone, scalar, len(steps) - lone - scalar) > 0
 
 
 def test_chain_and_verify_scale_guard(capsys):
@@ -596,6 +621,44 @@ def test_closure_rejects_malformed_json(tmp_path, capsys, text):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("closure: ")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")
+@pytest.mark.parametrize("argv", [
+    ["closure", "/dev/zero"],
+    ["closure", "seed.json", "--within", "/dev/zero"],
+    ["factorize", "/dev/zero"],
+    ["factorize", "id.json", "--set", "/dev/zero"],
+    ["closure", "past.json"],
+    ["closure", "seed.json", "--within", "past.json"],
+    ["factorize", "id.json", "--set", "past.json"],
+], ids=["closure-zero", "within-zero", "factorize-zero", "set-zero", "closure-past", "within-past", "set-past"])
+def test_a_file_past_the_read_cap_exits_3(tmp_path, monkeypatch, capsys, argv):
+    # read to one byte past the cap and refused before parsing, with nothing on stdout
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "seed.json").write_text('{"n": 3, "members": [[3]]}')
+    (tmp_path / "id.json").write_text('{"n": 2, "images": [1, 2, 3, 4]}')
+    text = '{"n": 3, "members": []}'
+    (tmp_path / "past.json").write_text(text + " " * (cli._READ_CAP + 1 - len(text)))
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"scale guard: file {argv[-1]} at byte {cli._READ_CAP + 1} exceeds the cap {cli._READ_CAP}\n"
+
+
+def test_the_largest_admitted_set_file_is_read(tmp_path, monkeypatch, capsys):
+    # the whole rank-14 group as closure writes it is the largest set file a guard
+    # admits, and a file of exactly the cap's bytes is read too
+    monkeypatch.chdir(tmp_path)
+    largest = full_rigid_set(saturated.CLOSURE_MAX_RANK).to_json(indent=2) + "\n"
+    assert len(largest) <= cli._READ_CAP < 2 * len(largest)
+    (tmp_path / "full.json").write_text(largest)
+    assert main(["closure", "full.json"]) == 0
+    assert capsys.readouterr().out == largest  # the whole group is its own closure
+    text = '{"n": 3, "members": []}'
+    (tmp_path / "at.json").write_text(text + " " * (cli._READ_CAP - len(text)))
+    assert main(["closure", "at.json"]) == 0
+    assert capsys.readouterr().out == saturated.SaturatedSet(3).to_json(indent=2) + "\n"
 
 
 # a hex member with a sign, "_", spaces or a non-ASCII digit, which int(entry, 16) would read
@@ -821,9 +884,9 @@ def _perm_file(n: int, top: int, stride: int) -> str:
 # member count checked of it, if any
 SET10 = (["closure", "seed10.json"], "set10.json", None)
 AMB12 = (["closure", "seed12.json"], "amb12.json", 4055)
-TIMINGS12 = re.compile(
-    r"total: [0-9]+\.[0-9]{4}s, 1395 steps, 6894 rescanned, 189190 products, peak RSS [0-9]+\.[0-9] MiB"
-)
+# the --timings totals of chain --n 12, as SUMMARY reads them
+TIMINGS12 = {"steps": "1395", "lone": "479", "scalar": "633", "block": "283", "rescanned": "6894",
+             "products": "189190"}
 CHAIN12_SHA = "8b7f11759e8bf022291f72b60ea7c83743e97c77ca12504c4746e613e2181fd5"
 
 
@@ -881,7 +944,8 @@ def test_console_outputs_match_the_ci_digests(tmp_path, monkeypatch, capsys, mad
         out = (tmp_path / argv[argv.index("--out") + 1]).read_text()
     assert hashlib.sha256(out.encode()).hexdigest() == sha
     if "--timings" in argv:
-        assert TIMINGS12.fullmatch(err.splitlines()[-1]), err
+        summary = SUMMARY.fullmatch(err.splitlines()[-1])
+        assert summary and {k: summary[k] for k in TIMINGS12} == TIMINGS12, err
     elif argv[0] == "verify":  # one stderr line of seconds per check, the checks and a verdict on stdout
         assert len(err.splitlines()) == len(out.splitlines()) - 1, err
     else:

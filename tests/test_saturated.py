@@ -211,7 +211,9 @@ def test_saturate_matches_reference_loop(n, data):
 
 
 def test_saturate_blocks_and_early_merges(monkeypatch):
-    # tiny blocks, and a cap of the rank's full set, checked on each block's finds
+    # tiny blocks, and a cap of the rank's full set, checked on each block's finds,
+    # in the numpy rounds alone
+    monkeypatch.setattr(saturated, "_SCALAR_MEMBERS", 0)
     rng = random.Random(7)
     cases = [(n, [rng.randrange(1, 1 << n) for _ in range(k)]) for n in (3, 5, 6) for k in (1, 2, 3, n)]
     cases.append((6, [1 << i for i in range(6)]))
@@ -227,8 +229,9 @@ def test_saturate_blocks_and_early_merges(monkeypatch):
 
 @pytest.mark.parametrize("n", range(3, 7))
 def test_saturate_of_a_closed_seed_makes_the_closure_checks_products(n, monkeypatch):
-    # the first round meets each pair of seed members with a nonzero product once,
-    # and finds nothing new
+    # the first numpy round meets each pair of seed members with a nonzero product
+    # once, and finds nothing new
+    monkeypatch.setattr(saturated, "_SCALAR_MEMBERS", 0)
     counts = []
     pair_products = saturated._pair_products
 
@@ -254,6 +257,25 @@ def test_saturate_scale_guard(monkeypatch):
         saturate([C([3], 3), C([2], 3), C([1], 3)])
     with pytest.raises(ScaleGuardError):
         saturate([C([3, 2, 1], 3), C([3, 2], 3), C([3, 1], 3), C([3], 3)])
+
+
+@pytest.mark.parametrize("scalar_members", [0, 3, 1 << 15], ids=["numpy", "handoff", "ints"])
+def test_each_closure_path_matches_the_reference_loop(scalar_members, monkeypatch):
+    # 0 sends every nonempty seed to the numpy rounds, 2^15, past the member cap,
+    # keeps every closure on ints, and 3 hands the ints' finds to the numpy rounds
+    monkeypatch.setattr(saturated, "_SCALAR_MEMBERS", scalar_members)
+    unused = {0: "commutator_mask", 3: None}.get(scalar_members, "_pair_products")
+    rng = random.Random(11)
+    cases = [(n, [rng.randrange(1 << n) for _ in range(k)]) for n in (1, 3, 5, 8) for k in (0, 1, 2, 3, n)]
+    cases += [(n, [1 << i for i in range(n)]) for n in (6, 8)]  # the whole group
+    with monkeypatch.context() as only:
+        if unused:  # the other path's kernel
+            only.setattr(saturated, unused, lambda *a, **kw: pytest.fail(f"{unused} called"))
+        got = [saturate([RigidCommutator(m, n) for m in seed], n).masks for n, seed in cases]
+    assert got == [_saturate_loop(seed, n) for n, seed in cases]
+    test_saturate_example()
+    test_saturate_of_saturated_is_identity_map()
+    test_saturate_scale_guard(monkeypatch)
 
 
 # ── order and dimension against the oracle ───────────────────────────────────
@@ -542,11 +564,17 @@ def _close_within(A, B):
     return frozenset(saturated._close(a, B.n, b).tolist())
 
 
+@functools.lru_cache(maxsize=None)
+def _chain(n):
+    """The full chain at rank n, run once per rank so hypothesis examples share it."""
+    return run_chain(n)
+
+
 def _ambient(n, term):
     """The full set when term is None, else chain term number term modulo the chain length."""
     if term is None:
         return full_rigid_set(n)
-    report = run_chain(n)
+    report = _chain(n)
     return SaturatedSet(n, report.member_masks_at(term % (report.terminated_at + 1)))
 
 
