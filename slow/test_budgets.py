@@ -5,10 +5,11 @@ limited to 1 GiB (``RLIMIT_AS``, set on that child only), then checks its
 exit code and its peak RSS, read as ``RUSAGE_CHILDREN`` by a small
 measuring process that runs nothing else; a ``chain`` case writes
 ``--out FILE``, whose sha256 is checked too, and a ``closure``,
-``factorize`` or ``euler`` case its stdout's sha256.  Wall times are
-printed, not asserted: on a shared 2-vCPU host they spread by about 2x,
-and the five ``chain`` cases take about 110 s together, the others
-under 1 s each.
+``factorize``, ``euler`` or ``eval`` case its stdout's sha256.  A file
+past the read cap, ``/dev/zero`` among them, must exit 3 with an empty
+stdout.  Wall times are printed, not asserted: on a shared 2-vCPU host
+they spread by about 2x, and the five ``chain`` cases take about 110 s
+together, the others under 1 s each.
 
 Run with ``python -m pytest -q slow`` (``-s`` shows the measurements).
 """
@@ -24,6 +25,7 @@ import pytest
 
 import rigidcomm
 from rigidcomm import RigidCommutator, compose, expand, full_rigid_set, perm_to_json
+from rigidcomm.cli import _READ_CAP
 
 SRC = Path(rigidcomm.__file__).resolve().parents[1]
 ADDRESS_LIMIT = 1 << 30
@@ -84,6 +86,25 @@ OTHER_BUDGETS = {
 }
 
 
+# files past _READ_CAP, each refused with exit 3 before it is parsed, in a
+# peak RSS of at most this many MiB; the input files are named as the inputs
+# fixture writes them, and past.json holds one byte past the cap
+PAST_CAP_MIB = 64
+PAST_CAP = {
+    ("closure", "/dev/zero"): "closure-zero",
+    ("closure", "seed14.json", "--within", "/dev/zero"): "within-zero",
+    ("factorize", "/dev/zero"): "factorize-zero",
+    ("factorize", "perm12.json", "--set", "/dev/zero"): "set-zero",
+    ("closure", "past.json"): "closure-past",
+}
+
+# eval's expression is one argument, and Linux refuses an argument of 128 KiB or
+# more (MAX_ARG_STRLEN, its NUL included); its length, its stdout's sha256 and
+# its peak RSS budget in MiB
+EVAL_LENGTH = 131069
+EVAL_BUDGET = ("38dc9265ec366cf6ad95874d7596002a94c0c97f0309e83cf84dbbe4a03b0216", 64)
+
+
 def _measure(command: str, args: tuple, *extra: str) -> dict:
     """``python -m rigidcomm.cli command *args *extra`` under the address limit, as MEASURE reports it."""
     cli = [sys.executable, "-m", "rigidcomm.cli", command, *args, *extra]
@@ -91,7 +112,9 @@ def _measure(command: str, args: tuple, *extra: str) -> dict:
     done = subprocess.run([sys.executable, "-c", MEASURE, str(ADDRESS_LIMIT), *cli],
                           env=env, capture_output=True, text=True, check=True)
     run = json.loads(done.stdout)
-    shown = " ".join(Path(a).name if os.sep in a else a for a in args)  # input files by name
+    # input files by name, and a long argument by its length
+    shown = " ".join(Path(a).name if os.sep in a else a if len(a) <= 40 else f"<{len(a)} characters>"
+                     for a in args)
     print(f"{command} {shown}: {run['wall_s']:.1f} s, peak RSS {run['peak_mib']:.1f} MiB")
     return run
 
@@ -128,9 +151,12 @@ def test_verify_within_budget(args):
 
 @pytest.fixture(scope="module")
 def inputs(tmp_path_factory) -> Path:
-    """The input files of OTHER_BUDGETS: t_1 and the whole group at rank 14, and
-    at rank 12 the whole group and the product of the t_k and of the {k, 1}, k >= 3."""
+    """The input files of OTHER_BUDGETS and PAST_CAP: t_1 and the whole group at
+    rank 14, at rank 12 the whole group and the product of the t_k and of the
+    {k, 1}, k >= 3, and an empty rank-3 set padded with spaces past the read cap."""
     root = tmp_path_factory.mktemp("inputs")
+    text = '{"n": 3, "members": []}'
+    (root / "past.json").write_text(text + " " * (_READ_CAP + 1 - len(text)))
     (root / "seed14.json").write_text(json.dumps({"n": 14, "members": [[1]]}))
     for n in (14, 12):
         (root / f"full{n}.json").write_text(full_rigid_set(n).to_json())
@@ -141,10 +167,15 @@ def inputs(tmp_path_factory) -> Path:
     return root
 
 
+def _inputs(inputs: Path, args: tuple) -> tuple:
+    """``args`` with each input file named as the inputs fixture wrote it."""
+    return tuple(str(inputs / a) if a.endswith(".json") else a for a in args)
+
+
 @pytest.mark.parametrize("argv", OTHER_BUDGETS, ids=_ids)
 def test_other_commands_within_budget(inputs, argv):
     sha, budget_mib = OTHER_BUDGETS[argv]
-    run = _measure(argv[0], tuple(str(inputs / a) if a.endswith(".json") else a for a in argv[1:]))
+    run = _measure(argv[0], _inputs(inputs, argv[1:]))
     assert run["code"] == 0, run["stderr"]
     assert run["sha256"] == sha
     assert run["peak_mib"] < budget_mib, run
@@ -153,3 +184,42 @@ def test_other_commands_within_budget(inputs, argv):
 def test_euler_past_its_cap_exits_3():
     run = _measure("euler", ("--max-j", "65"))
     assert (run["code"], run["stdout"]) == (3, 0), run
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")
+@pytest.mark.parametrize("argv", PAST_CAP, ids=PAST_CAP.values())
+def test_a_file_past_the_read_cap_exits_3_within_budget(inputs, argv):
+    run = _measure(argv[0], _inputs(inputs, argv[1:]))
+    assert (run["code"], run["stdout"]) == (3, 0), run
+    assert run["peak_mib"] < PAST_CAP_MIB, run
+
+
+def _ruler_expression(length: int) -> str:
+    """A bracket list of ``length`` characters: 63, then 1, 2, 1, 3, 1, 2, 1, 4, ...
+
+    The list folds left-normed.  With [63] and S below it, the next
+    generator k is the lowest index outside S, and the product keeps the
+    indices of S above k and adds k: read as a binary number, S counts
+    the generators after 63, so no product vanishes.  Spaces before the
+    closing bracket pad the list to ``length``.
+    """
+    items, count = ["63"], 1
+    size = len("[63]")
+    while True:
+        k = str((count & -count).bit_length())  # count's trailing zeros, plus one
+        if size + 1 + len(k) > length:
+            break
+        items.append(k)
+        size += 1 + len(k)
+        count += 1
+    return "[" + ",".join(items) + " " * (length - size) + "]"
+
+
+def test_eval_of_the_longest_argument_within_budget():
+    text = _ruler_expression(EVAL_LENGTH)
+    assert len(text) == EVAL_LENGTH
+    sha, budget_mib = EVAL_BUDGET
+    run = _measure("eval", (text,))
+    assert run["code"] == 0, run["stderr"]
+    assert run["sha256"] == sha
+    assert run["peak_mib"] < budget_mib, run

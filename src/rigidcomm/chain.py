@@ -36,7 +36,10 @@ tens of members, and one numpy block scan costs tens of microseconds
 whatever its size, so a block of at most ``_SCALAR_PAIRS``
 candidate-cover pairs is scanned in a Python loop over the cover's ints,
 reading the join steps through a ``memoryview``; a larger block goes to
-``_witnesses``.
+``_witnesses``.  The cover's prune has two paths for the one rule of
+:func:`~rigidcomm.saturated._uncovered` in the same way: a cover whose
+members times n - 1 lookup pairs number at most ``_SCALAR_PRUNE`` is
+pruned a member at a time on ints, a larger one in ``_uncovered``.
 """
 
 from __future__ import annotations
@@ -65,6 +68,14 @@ _NEVER = np.iinfo(np.int32).max  # the join step of a mask outside every compute
 # cutoffs 64, 128, 256 and 512 ran full chains in 0.80, 0.76, 0.78 and 0.85 of
 # the time at rank 9, 0.87, 0.82, 0.85 and 0.92 at rank 12 (2-vCPU host)
 _SCALAR_PAIRS = 128
+# a cover prune of at most this many lookup pairs, members times n - 1, runs on
+# ints, a larger one in _uncovered's numpy block: the largest cutoff below which
+# no rank from 9 to 16 loses.  In-process on the prunes of run_chain(n) (2-vCPU
+# host, three runs), a line fitted to ints' time less numpy's, per prune, crossed
+# zero at 324-404 pairs at rank 9 (40-50 members), 434-498 at rank 12 and 662-712
+# at rank 16; below the cutoff, rank 9's covers of 18-36 members took 10-21
+# against 25-27 us on average
+_SCALAR_PRUNE = 320
 
 __all__ = [
     "CHAIN_MAX_RANK",
@@ -215,7 +226,8 @@ class ChainReport:
         """:meth:`to_json`'s text, a step a chunk.
 
         Each step's text is joined as ``json.dumps`` lays the record out,
-        whose indented encoder is pure Python and several times slower.
+        whose indented encoder is pure Python and several times slower, and
+        each member's elements are read from :func:`_elements_text`'s tables.
         """
         fields = {"n": self.n, "terminated_at": self.terminated_at, "reached_full": self.reached_full}
         head, tail = json.dumps({**fields, "steps": [None]}, indent=indent).split("null")
@@ -229,14 +241,35 @@ class ChainReport:
             inner = pad[level]
             return "[" + inner + (sep + inner).join(items) + pad[level - 1] + "]" if items else "[]"
 
+        elements = _elements_text(self.n, sep + pad[3])
         for i, order, index, dims, new, _ in self._rows():
-            members = [array([str(k) for k in RigidCommutator._trusted(m, self.n).elements], 3) for m in new]
+            members = ["[" + pad[3] + elements(m) + pad[2] + "]" for m in new]
             yield "".join((
                 sep + pad[0] if i else head, "{", pad[1], '"i": ', str(i), sep, pad[1],
                 '"log2_order": ', str(order), sep, pad[1], '"index_log2": ', str(index), sep, pad[1],
                 '"level_dims": ', array([str(d) for d in dims], 2), sep, pad[1],
                 '"new_members": ', array(members, 2), pad[0], "}"))
         yield tail
+
+
+def _elements_text(n: int, sep: str):
+    """The text of a mask's elements, as :attr:`RigidCommutator.elements` lists them, joined by ``sep``.
+
+    Returns a function of a nonzero mask that reads two tables made here,
+    2^(n - h) strings for the high bits and 2^h for the low bits, h = n // 2.
+    """
+    h = n // 2
+
+    def text(bits: int, offset: int) -> str:  # the elements of bits << offset, highest first
+        return sep.join(str(k + offset) for k in range(bits.bit_length(), 0, -1) if bits >> (k - 1) & 1)
+
+    high = [text(v, h) for v in range(1 << (n - h))]
+    low, mask = [text(v, 0) for v in range(1 << h)], (1 << h) - 1
+
+    def elements(m: int) -> str:
+        a, b = high[m >> h], low[m & mask]
+        return a + sep + b if a and b else a or b
+    return elements
 
 
 class _Diagnostics(Sequence):
@@ -270,9 +303,11 @@ class _IncrementalChain:
     caller releases before a report makes ``joined`` read-only.
     ``cover``, a list of ints, generates the term but is not
     :func:`~rigidcomm.saturated._uncovered`'s exact output: it holds the
-    members kept when that last ran, as it does again once the cover
-    has doubled, and every member joined since; no other array of the
-    chain grows with 2^n.
+    members kept when the prune last ran, as it does again once the
+    cover has doubled, and every member joined since; no other array of
+    the chain grows with 2^n.  Both prunes go through :meth:`_prune`:
+    :func:`_uncovered_ints` for at most ``_SCALAR_PRUNE`` lookup pairs,
+    else ``_uncovered``.
     Every candidate outside the term waits on a witness, a commutator
     [c, m], m a member, that lay outside the term when it was recorded;
     ``pending`` holds, as a sorted list, the candidates to scan at the
@@ -313,16 +348,17 @@ class _IncrementalChain:
         t0 = time.perf_counter()
         n = self.n = start.n
         members = start._sorted
+        ints = members.tolist()
         self.joined = np.full(1 << n, _NEVER, dtype=np.int32)
         self.joined[members] = 0
         self.joined[(1 << np.arange(n + 1)) - 1] = -1  # the identity and the t_i
         self.view = view = memoryview(self.joined)
         self.i = 0
-        self.cover = _uncovered(members, self._present, n).tolist()
-        self.pruned = len(self.cover)  # the cover's size when _uncovered last made it
+        self.cover = self._prune(ints)
+        self.pruned = len(self.cover)  # the cover's size when the prune last made it
         self.log2_order = start.log2_order
         # each member wakes the masks parked on it, as if it had just joined
-        self.pending = sorted(c for c in _parked(members.tolist()) if view[c] == _NEVER)
+        self.pending = sorted(c for c in _parked(ints) if view[c] == _NEVER)
         self.waiters: dict[int, list[int]] = {}
         self.diagnostics = _Diagnostics()
         self.diagnostics.seconds.append(time.perf_counter() - t0)
@@ -330,6 +366,17 @@ class _IncrementalChain:
 
     def _present(self, masks: np.ndarray) -> np.ndarray:
         return self.joined[masks] != _NEVER
+
+    def _prune(self, masks: list[int]) -> list[int]:
+        """The entries of ``masks``, members of the term, that no smaller pair yields.
+
+        At most ``_SCALAR_PRUNE`` lookup pairs, len(masks) times n - 1,
+        go to :func:`_uncovered_ints`, more to
+        :func:`~rigidcomm.saturated._uncovered`; both keep the order of ``masks``.
+        """
+        if len(masks) * (self.n - 1) <= _SCALAR_PRUNE:
+            return _uncovered_ints(masks, self.view)
+        return _uncovered(np.array(masks, dtype=np.int64), self._present, self.n).tolist()
 
     def step(self) -> list[int]:
         """Grow the term to its normalizer; return the masks that joined.
@@ -363,7 +410,7 @@ class _IncrementalChain:
         # cover plus the joins still generates the term; prune once it doubles
         grown = cover + joins
         if len(grown) >= 2 * self.pruned:
-            grown = _uncovered(np.array(grown, dtype=np.int64), self._present, self.n).tolist()
+            grown = self._prune(grown)
             self.pruned = len(grown)
         self.cover = grown
         pending = _parked(joins)
@@ -395,6 +442,28 @@ def _scan(cands: list[int], cover: list[int], joined: memoryview) -> list[int]:
                 w = p
         found.append(w)
     return found
+
+
+def _uncovered_ints(masks: list[int], joined: memoryview) -> list[int]:
+    """:func:`~rigidcomm.saturated._uncovered`'s members, by its rule, a member at a time on ints.
+
+    ``joined`` reads each mask's join step, ``_NEVER`` outside the term
+    that holds ``masks``.  Each member walks its bits b - 1 below its top
+    bit, lowest first, and is dropped at the first pair found in the
+    term; y_b, more often outside, is read first.
+    """
+    kept = []
+    for x in masks:
+        rest = x ^ (1 << (x.bit_length() - 1))  # the bits b - 1 with b below x's base
+        while rest:
+            low = rest ^ (rest - 1)  # 2^b - 1, b - 1 the lowest bit left
+            rest &= rest - 1
+            z = x & low
+            if joined[(x - z) | (low >> 1)] != _NEVER and joined[z] != _NEVER:
+                break
+        else:
+            kept.append(x)
+    return kept
 
 
 def check_chain_rank(n: int) -> None:

@@ -675,8 +675,10 @@ def test_chain_counters_are_frozen(n, max_steps):
     st.data(),
 )
 def test_scalar_scan_matches_block_scan(n, term, picks, data):
-    # the chain scans a small block in chain._scan and a large one in _witnesses;
-    # both read the same term, as a join-step table and as a membership lookup
+    # the chain scans a small block in chain._scan and a large one in _witnesses,
+    # and prunes a small cover in chain._uncovered_ints and a large one in
+    # _uncovered; each pair reads the same term, as a join-step table and as a
+    # membership lookup
     A = _with_translations(n, _ambient(n, term), picks)
     members = np.array(sorted(A.masks), dtype=np.int64)
     present = saturated._membership(members, n)
@@ -690,6 +692,9 @@ def test_scalar_scan_matches_block_scan(n, term, picks, data):
         want = saturated._witnesses(np.array(cands, dtype=np.int64), gens, present).tolist()
         assert chain._scan(cands, gens.tolist(), memoryview(joined)) == want
     assert want[0] == 0
+    for masks in (members, members[::-1]):  # each keeps the order it is given
+        want = saturated._uncovered(masks, present, n).tolist()
+        assert chain._uncovered_ints(masks.tolist(), memoryview(joined)) == want
 
 
 def _counter_sums(report: ChainReport) -> tuple[int, int, int]:
@@ -706,11 +711,14 @@ def mixed_scan_runs():
     return runs
 
 
+@pytest.mark.parametrize("prune", [0, 1 << 62], ids=["block-prune", "scalar-prune"])
 @pytest.mark.parametrize("cutoff", [0, 1 << 62], ids=["block-scan", "scalar-scan"])
-def test_each_scan_kernel_alone_gives_the_frozen_chains(monkeypatch, mixed_scan_runs, cutoff):
-    # every scan goes to _witnesses (0) or to the Python loop (2^62): the same
-    # witnesses, so the same join steps, JSON and counters as the two together
+def test_each_scan_kernel_alone_gives_the_frozen_chains(monkeypatch, mixed_scan_runs, cutoff, prune):
+    # every scan goes to _witnesses (0) or to the Python loop (2^62), and every
+    # cover prune to _uncovered (0) or to chain._uncovered_ints (2^62): the same
+    # witnesses and covers, so the same join steps, JSON and counters as together
     monkeypatch.setattr(chain, "_SCALAR_PAIRS", cutoff)
+    monkeypatch.setattr(chain, "_SCALAR_PRUNE", prune)
     for (n, max_steps), (text, joined, sums) in mixed_scan_runs.items():
         report = run_chain(n, max_steps)
         assert (report.to_json(), report.joined.tobytes(), _counter_sums(report)) == (text, joined, sums), n
