@@ -8,38 +8,20 @@ one before.  In a 2-group every proper subgroup is properly contained in
 its normalizer, so the log2 orders climb strictly, as each step checks,
 until the full group is reached, after which the chain is a fixpoint.
 
-The driver does not rescan every candidate at every step.  Each
-candidate outside the term waits on one witness: a commutator [c, m]
-with a member m that lies outside the term.  The terms only grow, so m
-stays a member, and c keeps failing until the witness itself joins the
-chain.  Every term contains the translations, and [c, t_k] is c with
-its hole k filled in, so a candidate's first witness is its lowest
-fill-in, found without a product.  Each step scans only the candidates
-that the members which joined in the step before woke, those parked on
-them as their lowest fill-in and those whose witness they are, all in
-one block scan; the first scan is what the first term's members wake,
-so no step reads all 2^n masks.  The scan meets only a cover of the
-term, a generating set: the members that no product of two smaller
-members yields, as last found, plus those that joined since, found
-again once the cover has doubled.  A candidate that keeps it inside the
-term normalizes it; one that fails waits on its largest product outside.
-The climb also saves scans: a proper term's normalizer has more
-members, and only a woken candidate can be one of them, so a lone woken
-candidate joins without a scan.  A commutator joins the chain once, so
-the chain and its report keep one array, each mask's join step, and no
-other of its size.
-
-The scan has two kernels for the one witness rule of
-:func:`~rigidcomm.saturated._witnesses`, and they give the same
-witnesses.  Most scans are small, a few candidates against a cover of
-tens of members, and one numpy block scan costs tens of microseconds
-whatever its size, so a block of at most ``_SCALAR_PAIRS``
-candidate-cover pairs is scanned in a Python loop over the cover's ints,
-reading the join steps through a ``memoryview``; a larger block goes to
-``_witnesses``.  The cover's prune has two paths for the one rule of
-:func:`~rigidcomm.saturated._uncovered` in the same way: a cover whose
-members times n - 1 lookup pairs number at most ``_SCALAR_PRUNE`` is
-pruned a member at a time on ints, a larger one in ``_uncovered``.
+The driver does not rescan every candidate at every step.  By the
+witness, cover and wake rules of :mod:`rigidcomm._kernel`, which holds
+each scan and prune kernel too, a candidate outside the term waits on a
+witness until that joins, starting at its lowest fill-in, found without
+a product.  Each step scans only the candidates that the members which
+joined in the step before woke, those parked on them and those whose
+witness they are, all in one scan; the first scan is what the first
+term's members wake, so no step reads all 2^n masks.  The scan meets
+only a cover of the term, as last pruned, plus the members that joined
+since, pruned again once it has doubled.  The climb also saves scans: a
+proper term's normalizer has more members, and only a woken candidate
+can be one of them, so a lone woken candidate joins without a scan.  A
+commutator joins the chain once, so the chain and its report keep one
+array, each mask's join step, and no other of its size.
 """
 
 from __future__ import annotations
@@ -55,27 +37,13 @@ import numpy as np
 
 from .permutations import check_cap
 from .rigid import RigidCommutator, _check_int, _check_rank
-from .saturated import SaturatedSet, _parked, _uncovered, _witnesses
-from . import partitions
+from .saturated import SaturatedSet
+from . import _kernel, partitions
 
 # the join steps take 2^n int32 slots, 4 MiB at rank 20, the chain's only table
 # of that size; a candidate waits on its lowest fill-in with no state, and only
 # those that failed a scan are kept, keyed by their witness
 CHAIN_MAX_RANK = 20
-_NEVER = np.iinfo(np.int32).max  # the join step of a mask outside every computed term
-# a step scans a block of at most this many candidate-cover pairs in a Python
-# loop, a larger one in _witnesses' numpy blocks; in-process against numpy alone,
-# cutoffs 64, 128, 256 and 512 ran full chains in 0.80, 0.76, 0.78 and 0.85 of
-# the time at rank 9, 0.87, 0.82, 0.85 and 0.92 at rank 12 (2-vCPU host)
-_SCALAR_PAIRS = 128
-# a cover prune of at most this many lookup pairs, members times n - 1, runs on
-# ints, a larger one in _uncovered's numpy block: the largest cutoff below which
-# no rank from 9 to 16 loses.  In-process on the prunes of run_chain(n) (2-vCPU
-# host, three runs), a line fitted to ints' time less numpy's, per prune, crossed
-# zero at 324-404 pairs at rank 9 (40-50 members), 434-498 at rank 12 and 662-712
-# at rank 16; below the cutoff, rank 9's covers of 18-36 members took 10-21
-# against 25-27 us on average
-_SCALAR_PRUNE = 320
 
 __all__ = [
     "CHAIN_MAX_RANK",
@@ -204,7 +172,7 @@ class ChainReport:
         check_cap("step count", count, 1 << CHAIN_MAX_RANK)
         joined = self.joined
         have = tuple(np.bincount(
-            joined[(joined > 0) & (joined != _NEVER)], minlength=self.terminated_at + 1
+            joined[(joined > 0) & (joined != _kernel._NEVER)], minlength=self.terminated_at + 1
         )[1:].tolist())
         if count > len(have) and not self.reached_full:
             raise ValueError(
@@ -219,7 +187,12 @@ class ChainReport:
         return frozenset((np.flatnonzero(self.joined[1:] <= i) + 1).tolist())
 
     def to_json(self, *, indent: int | None = None) -> str:
-        """The report as JSON: n, terminated_at, reached_full and each step's record, without diagnostics."""
+        """The report as JSON: n, terminated_at, reached_full and each step's record, without diagnostics.
+
+        ``"".join`` holds every chunk beside the text, so the call peaks at about
+        285 MiB for the 109 MB of text at rank 20; ``chain --out`` and stdout
+        stream the same chunks instead.
+        """
         return "".join(self._json_chunks(indent))
 
     def _json_chunks(self, indent: int | None):
@@ -301,31 +274,26 @@ class _IncrementalChain:
     the last step taken; ``log2_order`` counts its members.  The steps
     read and write it through ``view``, a ``memoryview``, which the
     caller releases before a report makes ``joined`` read-only.
-    ``cover``, a list of ints, generates the term but is not
-    :func:`~rigidcomm.saturated._uncovered`'s exact output: it holds the
-    members kept when the prune last ran, as it does again once the
-    cover has doubled, and every member joined since; no other array of
-    the chain grows with 2^n.  Both prunes go through :meth:`_prune`:
-    :func:`_uncovered_ints` for at most ``_SCALAR_PRUNE`` lookup pairs,
-    else ``_uncovered``.
+    ``cover``, a list of ints, generates the term but is not the cover
+    rule's exact output: it holds the members kept when the prune last
+    ran, as it does again once the cover has doubled, and every member
+    joined since; no other array of the chain grows with 2^n.  Both
+    prunes go through :func:`~rigidcomm._kernel._chain_cover`.
     Every candidate outside the term waits on a witness, a commutator
     [c, m], m a member, that lay outside the term when it was recorded;
     ``pending`` holds, as a sorted list, the candidates to scan at the
-    next step, those whose witness has joined since, and one scan meets
-    them all with the cover: :func:`_scan` for at most ``_SCALAR_PAIRS``
-    pairs, else :func:`~rigidcomm.saturated._witnesses`.  One Python
-    pass over the scanned masks and their witnesses splits the joins
-    from the failures; the joins wake the next scan.
+    next step, those whose witness has joined since, and one scan,
+    :func:`~rigidcomm._kernel._chain_witnesses`, meets them all with the
+    cover.  One Python pass over the scanned masks and their witnesses
+    splits the joins from the failures; the joins wake the next scan.
 
-    A candidate c with base b and a hole k < b has [c, t_k] = [t_k, c]
-    = c | 2^(k-1), so its lowest fill-in c | (c + 1) is a witness
-    whenever it is not a member.  Every candidate starts parked there,
-    with no stored state: the masks that join a step wake those that
-    :func:`~rigidcomm.saturated._parked` gives for them.  ``__init__``
-    wakes those parked on the members of ``start`` outside the term, so
-    the first scan meets the candidates whose lowest fill-in is a
-    member, as in ``normalizing_step``.  A candidate that fails a scan
-    waits in ``waiters`` under the witness the scan found, until it joins.
+    By the wake rule, every candidate starts parked on its lowest
+    fill-in, with no stored state: the masks that join a step wake those
+    parked on them.  ``__init__`` wakes those parked on the members of
+    ``start`` outside the term, so the first scan meets the candidates
+    whose lowest fill-in is a member, as in ``normalizing_step``.  A
+    candidate that fails a scan waits in ``waiters`` under the witness
+    the scan found, until it joins.
 
     The cache is sound only while every term is saturated, contains the
     translations t_1..t_n, and contains the term before it.  A start
@@ -349,34 +317,20 @@ class _IncrementalChain:
         n = self.n = start.n
         members = start._sorted
         ints = members.tolist()
-        self.joined = np.full(1 << n, _NEVER, dtype=np.int32)
+        self.joined = np.full(1 << n, _kernel._NEVER, dtype=np.int32)
         self.joined[members] = 0
         self.joined[(1 << np.arange(n + 1)) - 1] = -1  # the identity and the t_i
         self.view = view = memoryview(self.joined)
         self.i = 0
-        self.cover = self._prune(ints)
+        self.cover = _kernel._chain_cover(ints, n, self.joined, view)
         self.pruned = len(self.cover)  # the cover's size when the prune last made it
         self.log2_order = start.log2_order
         # each member wakes the masks parked on it, as if it had just joined
-        self.pending = sorted(c for c in _parked(ints) if view[c] == _NEVER)
+        self.pending = sorted(c for c in _kernel._parked(ints) if view[c] == _kernel._NEVER)
         self.waiters: dict[int, list[int]] = {}
         self.diagnostics = _Diagnostics()
         self.diagnostics.seconds.append(time.perf_counter() - t0)
         self.diagnostics.counts.extend((0, 0, 0))
-
-    def _present(self, masks: np.ndarray) -> np.ndarray:
-        return self.joined[masks] != _NEVER
-
-    def _prune(self, masks: list[int]) -> list[int]:
-        """The entries of ``masks``, members of the term, that no smaller pair yields.
-
-        At most ``_SCALAR_PRUNE`` lookup pairs, len(masks) times n - 1,
-        go to :func:`_uncovered_ints`, more to
-        :func:`~rigidcomm.saturated._uncovered`; both keep the order of ``masks``.
-        """
-        if len(masks) * (self.n - 1) <= _SCALAR_PRUNE:
-            return _uncovered_ints(masks, self.view)
-        return _uncovered(np.array(masks, dtype=np.int64), self._present, self.n).tolist()
 
     def step(self) -> list[int]:
         """Grow the term to its normalizer; return the masks that joined.
@@ -392,12 +346,7 @@ class _IncrementalChain:
             joins, products = scanned, 0
         else:
             joins, products = [], len(scanned) * len(cover)
-            if products <= _SCALAR_PAIRS:
-                found = _scan(scanned, cover, self.view)
-            else:
-                found = _witnesses(np.array(scanned, dtype=np.int64), np.array(cover, dtype=np.int64),
-                                   self._present).tolist()
-            for c, w in zip(scanned, found):
+            for c, w in zip(scanned, _kernel._chain_witnesses(scanned, cover, self.joined, self.view)):
                 (waiters.setdefault(w, []) if w else joins).append(c)
         if not joins and self.log2_order < (1 << self.n) - 1:  # a proper term's normalizer is larger
             raise RuntimeError(f"step {self.i + 1} at rank {self.n} joined nothing to a proper term")
@@ -410,10 +359,10 @@ class _IncrementalChain:
         # cover plus the joins still generates the term; prune once it doubles
         grown = cover + joins
         if len(grown) >= 2 * self.pruned:
-            grown = self._prune(grown)
+            grown = _kernel._chain_cover(grown, self.n, self.joined, view)
             self.pruned = len(grown)
         self.cover = grown
-        pending = _parked(joins)
+        pending = _kernel._parked(joins)
         for a in joins:
             pending += waiters.pop(a, ())
         pending.sort()
@@ -421,49 +370,6 @@ class _IncrementalChain:
         self.diagnostics.seconds.append(time.perf_counter() - t0)
         self.diagnostics.counts.extend((len(scanned), len(cover), products))
         return joins
-
-
-def _scan(cands: list[int], cover: list[int], joined: memoryview) -> list[int]:
-    """:func:`~rigidcomm.saturated._witnesses`' witnesses, by its rule, a pair at a time on ints.
-
-    ``joined`` reads each mask's join step, ``_NEVER`` outside the term
-    that ``cover`` generates.
-    """
-    found = []
-    for x in cands:
-        tx = 1 << (x.bit_length() - 1)
-        w = 0
-        for m in cover:
-            t = tx if m >= tx else 1 << (m.bit_length() - 1)
-            if x & m & t:
-                continue
-            p = (x & m) | ((x ^ m) & -t)
-            if p > w and joined[p] == _NEVER:
-                w = p
-        found.append(w)
-    return found
-
-
-def _uncovered_ints(masks: list[int], joined: memoryview) -> list[int]:
-    """:func:`~rigidcomm.saturated._uncovered`'s members, by its rule, a member at a time on ints.
-
-    ``joined`` reads each mask's join step, ``_NEVER`` outside the term
-    that holds ``masks``.  Each member walks its bits b - 1 below its top
-    bit, lowest first, and is dropped at the first pair found in the
-    term; y_b, more often outside, is read first.
-    """
-    kept = []
-    for x in masks:
-        rest = x ^ (1 << (x.bit_length() - 1))  # the bits b - 1 with b below x's base
-        while rest:
-            low = rest ^ (rest - 1)  # 2^b - 1, b - 1 the lowest bit left
-            rest &= rest - 1
-            z = x & low
-            if joined[(x - z) | (low >> 1)] != _NEVER and joined[z] != _NEVER:
-                break
-        else:
-            kept.append(x)
-    return kept
 
 
 def check_chain_rank(n: int) -> None:

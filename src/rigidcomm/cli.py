@@ -18,6 +18,7 @@ import resource
 import sys
 import time
 
+from . import _kernel
 from . import chain as chainmod
 from . import partitions
 from . import permutations as perm
@@ -109,25 +110,24 @@ def _print_timings(report, prefix: str = "") -> None:
     steps, each split by kernel, rescanned candidates and mask products, and this
     process's peak RSS.
 
-    The split reads each row's counts as the chain's step chose its kernel: step 0
-    starts the chain and scans nothing, a lone step rescans at most one candidate,
-    a scalar step makes at most ``_SCALAR_PAIRS`` products and a block step more.
+    Each row is split by the kernel that :func:`~rigidcomm._kernel._step_kernel` names.
     """
-    seconds, steps = [0.0] * 4, [0] * 4  # start, lone, scalar, block
+    seconds = dict.fromkeys(("start", "lone", "scalar", "block"), 0.0)
+    steps = dict.fromkeys(seconds, 0)
     rescanned = products = 0
     for i, row in enumerate(report.diagnostics):
         print(f"{prefix}step {i}: {row[0]:.4f}s, {row[1]} rescanned, {row[2]} cover, {row[3]} products",
               file=sys.stderr)
-        kernel = 0 if i == 0 else 1 if row[1] <= 1 else 2 if row[3] <= chainmod._SCALAR_PAIRS else 3
+        kernel = _kernel._step_kernel(i, row[1], row[3])
         seconds[kernel] += row[0]
         steps[kernel] += 1
         rescanned, products = rescanned + row[1], products + row[3]
     peak_mib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
-    start, lone, scalar, block = seconds
-    print(f"{prefix}total: {sum(seconds):.4f}s (start {start:.4f}s, lone {lone:.4f}s, scalar {scalar:.4f}s, "
-          f"block {block:.4f}s), {report.terminated_at} steps (lone {steps[1]}, scalar {steps[2]}, "
-          f"block {steps[3]}), {rescanned} rescanned, {products} products, peak RSS {peak_mib:.1f} MiB",
-          file=sys.stderr)
+    start, lone, scalar, block = seconds.values()
+    print(f"{prefix}total: {sum(seconds.values()):.4f}s (start {start:.4f}s, lone {lone:.4f}s, "
+          f"scalar {scalar:.4f}s, block {block:.4f}s), {report.terminated_at} steps (lone {steps['lone']}, "
+          f"scalar {steps['scalar']}, block {steps['block']}), {rescanned} rescanned, {products} products, "
+          f"peak RSS {peak_mib:.1f} MiB", file=sys.stderr)
 
 
 def _matrix(args, ranks: range, steps: int):

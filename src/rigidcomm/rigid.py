@@ -9,7 +9,7 @@ rigid or trivial and is given by a closed-form mask expression, so every
 product in this module is O(1).
 
 This is the scalar calculus, on plain Python ints with no numpy; the
-same product over arrays of masks lives in :mod:`rigidcomm.saturated`.
+same product over arrays of masks lives in :mod:`rigidcomm._kernel`.
 All values are immutable and every function is pure.
 """
 

@@ -16,31 +16,18 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
+from . import _kernel
 from . import permutations as perm
-from .rigid import RigidCommutator, _check_rank, commutator_mask
+from .rigid import RigidCommutator, _check_rank
 
 FACTORIZE_MAX_RANK = 12
 # the closure check of the full set took 0.13-0.17 s at rank 14 on a 2-vCPU host;
 # each rank above the cap costs four times more
 CLOSURE_MAX_RANK = 14
-_PAIR_BLOCK = 1 << 14  # mask products per kernel call, which bounds its temporaries
-# saturate closes a seed on Python ints while it has at most this many members,
-# then hands what it found to the numpy rounds; in-process medians over random
-# seeds at ranks 10, 12 and 14 (2-vCPU host), ints alone took 0.11-0.14 of the
-# numpy rounds' time on closures of up to 8 members, 0.31-0.34 at 25-32,
-# 0.72-0.82 at 49-64 and 1.09-1.35 at 65-96; closures past 64 members then ran
-# 0.71-0.99 of the numpy rounds' time, the rank-14 group 184-234 ms against 220-259
-_SCALAR_MEMBERS = 64
-# membership lookups index a 2^n bool table up to this rank, 1 MiB at rank 20;
-# above it they binary-search the sorted members
-_DENSE_MAX_RANK = 20
-_POWERS = np.left_shift(np.int64(1), np.arange(63, dtype=np.int64))  # 2^k, each bit an int64 holds
-_TOPS = np.insert(_POWERS, 0, 0)  # the top bit 2^(b-1) of a base-b mask, 0 for the identity
-_LOWS = _POWERS - 1  # 2^k - 1, the bits below 2^k
 
 __all__ = [
     "FACTORIZE_MAX_RANK",
@@ -78,200 +65,10 @@ def _coerce_masks(members: Iterable, n: int) -> np.ndarray:
     return np.array(sorted(masks), dtype=np.int64)
 
 
-def _level_cuts(masks: np.ndarray, levels: int) -> list[int]:
-    """Level ``a`` of sorted nonzero int64 ``masks``, top bit 2^(a-1), is masks[cuts[a-1]:cuts[a]]."""
-    return [*masks.searchsorted(_POWERS[:levels]).tolist(), masks.size]
-
-
-def _products(x: np.ndarray, y: np.ndarray, t) -> tuple[np.ndarray, np.ndarray]:
-    """The bits masks ``x`` and ``y`` share, and their products, elementwise.
-
-    ``t`` is the smaller top bit of the two.  The product, as
-    :func:`~rigidcomm.rigid.commutator_mask` makes it, keeps the bits
-    the two share below ``t``, ``t`` itself, and the larger factor's bits
-    above it: ``(x & y) | ((x ^ y) & -t)``, the same in either order, as
-    the smaller factor has no bit above ``t``.  Where ``x & y >= t`` the
-    two share ``t``, equal bases included, and the product is 0 but the
-    expression is not, so the callers zero those pairs from the shared
-    bits, or pass none.
-    """
-    shared, prod = x & y, x ^ y
-    prod &= -t  # in place: a block of products is at most _PAIR_BLOCK int64s, fresh ones cost page faults
-    prod |= shared
-    return shared, prod
-
-
-def _pair_products(
-    x: np.ndarray, y: np.ndarray, *, both: bool = True
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """The nonzero products of members of ``x`` with members of ``y``.
-
-    ``x`` and ``y`` are sorted nonzero int64 masks.  A product is nonzero
-    only when the bases differ and the higher-based factor lacks the
-    lower base, so for each level ``a`` the members of ``x`` based at
-    ``a`` meet the members of ``y`` based above it with bit ``a - 1``
-    clear, and with ``both`` also the other way round.  Yields
-    ``(lo, hi, block)``, ``block[r, c]`` the product of ``lo[r]`` with
-    ``hi[c]``, at most ``_PAIR_BLOCK`` products each.
-    """
-    top_level = max(int(x[-1]) if x.size else 0, int(y[-1]) if y.size else 0).bit_length()
-    x_cuts, y_cuts = _level_cuts(x, top_level), _level_cuts(y, top_level)
-    sides = [(x, x_cuts, y, y_cuts)]
-    if both:
-        sides.append((y, y_cuts, x, x_cuts))
-    for a in range(1, top_level + 1):
-        top = 1 << (a - 1)
-        for lows, low_cuts, highs, high_cuts in sides:
-            if low_cuts[a - 1] == low_cuts[a] or high_cuts[a] == highs.size:
-                continue
-            hi = highs[high_cuts[a]:]
-            hi = hi[(hi & top) == 0]
-            if not hi.size:
-                continue
-            lo = lows[low_cuts[a - 1]:low_cuts[a]]
-            rows = max(1, _PAIR_BLOCK // hi.size)  # one row is split when hi is longer
-            for i in range(0, lo.size, rows):
-                part = lo[i:i + rows]
-                for j in range(0, hi.size, _PAIR_BLOCK):
-                    h = hi[j:j + _PAIR_BLOCK]
-                    yield part, h, _products(part[:, None], h[None, :], top)[1]
-
-
-def _membership(members: np.ndarray, n: int) -> Callable[[np.ndarray], np.ndarray]:
-    """A lookup: which entries of an array of masks below 2^n are 0 or members.
-
-    ``members`` is a sorted int64 array, nonempty above rank
-    ``_DENSE_MAX_RANK``.  Up to that rank the lookup indexes a table of
-    2^n bools, with entry 0 set; above it the table would not fit, so
-    the lookup binary-searches ``members``.
-    """
-    if n <= _DENSE_MAX_RANK:
-        table = np.zeros(1 << n, dtype=bool)
-        table[0] = True
-        table[members] = True
-        return table.__getitem__
-
-    def present(masks: np.ndarray) -> np.ndarray:
-        pos = np.minimum(np.searchsorted(members, masks), len(members) - 1)
-        return (masks == 0) | (members[pos] == masks)
-    return present
-
-
 def _within(masks: np.ndarray, S: "SaturatedSet") -> bool:
     """Whether distinct nonzero int64 ``masks`` are all members of ``S``; the whole group holds every mask."""
     return masks.size <= len(S) and (
-        len(S) == (1 << S.n) - 1 or bool(_membership(S._sorted, S.n)(masks).all()))
-
-
-def _top_bits(masks: np.ndarray) -> np.ndarray:
-    """The top bit 2^(b-1) of each nonzero int64 mask, b its base, in any order or shape."""
-    return _TOPS.take(_POWERS.searchsorted(masks, "right"))
-
-
-def _uncovered(
-    masks: np.ndarray, present: Callable[[np.ndarray], np.ndarray], n: int
-) -> np.ndarray:
-    """The entries of ``masks``, members of a saturated set, that no smaller pair yields.
-
-    ``present`` is the set's lookup, as :func:`_membership` makes it.
-    A member x based at a is covered when some b < a with bit b - 1 in
-    x has both of these as members:
-
-    - z_b = x & (2^b - 1), based at b;
-    - y_b = (x & ~(2^b - 1)) | (2^(b-1) - 1), based at a and without bit b - 1.
-
-    Then :func:`~rigidcomm.rigid.commutator_mask` (y_b, z_b) is x: it
-    keeps bit b - 1, the bits the two share below it, which are z_b's,
-    and y_b's bits above it, which are x's.  Both factors are smaller
-    masks than x, so by induction on the mask the uncovered members
-    generate the subgroup the set generates, and a normalizer test
-    need meet only them.  Each mask takes n - 1 pairs of lookups, all
-    in one block.
-    """
-    x = masks[:, None]
-    z = x & _LOWS[1:n]  # b = 1..n-1
-    y = x - z + _LOWS[:n - 1]  # x - z keeps x's bits from b up
-    # z has bit b - 1 when z >= 2^(b-1), and b is below x's base when z != x
-    covered = (z >= _POWERS[:n - 1]) & (z != x) & present(z) & present(y)
-    return masks[~covered.any(axis=1)]
-
-
-def _close_ints(seed: list[int], cap: int) -> list[int]:
-    """The closure of distinct nonzero masks ``seed`` under products, on Python ints.
-
-    Works in rounds, as the numpy rounds do: each member, in the order
-    found, meets every member found before it through
-    :func:`~rigidcomm.rigid.commutator_mask`, so the seed's pairs meet
-    first, then each round's finds meet the members and each other, and
-    every pair meets once.  A set that passes 2^``CLOSURE_MAX_RANK`` - 1
-    members, ``cap``, raises
-    :class:`~rigidcomm.permutations.ScaleGuardError`; one that passes
-    ``_SCALAR_MEMBERS`` first is returned as found, with more members
-    than that, and its closure is the seed's.
-    """
-    members, order = set(seed), list(seed)
-    bound = min(_SCALAR_MEMBERS, cap)
-    for i, x in enumerate(order):  # order grows as the rounds find members
-        for y in order[:i]:
-            z = commutator_mask(x, y)
-            if z and z not in members:
-                members.add(z)
-                order.append(z)
-                if len(order) > bound:
-                    perm.check_cap("saturated set of size", len(order), cap)
-                    return order
-    return order
-
-
-def _close(masks: np.ndarray, n: int, ambient: np.ndarray | None = None) -> np.ndarray:
-    """The closure of sorted nonzero int64 ``masks`` under products, as a sorted int64 array.
-
-    With no ``ambient`` the set is closed under products of its members,
-    first on Python ints by :func:`_close_ints` while it has at most
-    ``_SCALAR_MEMBERS`` members, then, past that, by numpy rounds from
-    what the ints found.  With an ``ambient``, a sorted int64 array
-    holding ``masks``, it is closed under products with the ambient's
-    members in numpy rounds alone, and a product outside the ambient
-    raises ``ValueError`` naming its pair, so ``ambient`` = ``masks``
-    checks a set for closure.  Each numpy round multiplies the members
-    found in the round before by the partners (the members, or the
-    ambient) that can give a nonzero product, meeting each pair once
-    when the two are the same set.  Each block's new products join the
-    round's lookup before the next block, so every find is new, and a
-    closure past 2^``CLOSURE_MAX_RANK`` - 1 members raises
-    :class:`~rigidcomm.permutations.ScaleGuardError`, the seed's size
-    before any product.
-    """
-    cap = (1 << CLOSURE_MAX_RANK) - 1
-    perm.check_cap("saturated set of size", masks.size, cap)
-    if ambient is None and masks.size <= _SCALAR_MEMBERS:
-        found = _close_ints(masks.tolist(), cap)
-        masks = np.array(sorted(found), dtype=np.int64)
-        if len(found) <= _SCALAR_MEMBERS:
-            return masks
-    frontier = masks
-    while frontier.size:
-        partners = masks if ambient is None else ambient
-        # a product lies below the larger factor's top bit, so the top partner bounds the lookups
-        bits = int(partners[-1]).bit_length()
-        inside = None if ambient is None else _membership(ambient, bits)
-        present = before = _membership(masks, bits)
-        for lo, hi, prod in _pair_products(frontier, partners, both=frontier.size < partners.size):
-            miss = ~present(prod)
-            if not miss.any():
-                continue
-            new = prod[miss]  # in C order, so entry k is the k-th miss of the block
-            if inside is not None and not inside(new).all():
-                r, c = (ix[(~inside(new)).argmax()] for ix in miss.nonzero())
-                x, y, z = (RigidCommutator(int(v), n) for v in (lo[r], hi[c], prod[r, c]))
-                raise ValueError(f"set is not closed under commutation: {x} with {y} gives {z}")
-            new.sort()  # a repeat follows its first; np.unique imports numpy.ma (1.7 MB, 17 ms)
-            masks = np.concatenate((masks, new[:1], new[1:][new[1:] != new[:-1]]))
-            masks.sort(kind="stable")  # timsort: one linear merge of the two sorted runs
-            perm.check_cap("saturated set of size", masks.size, cap)
-            present = _membership(masks, bits)
-        frontier = masks[~before(masks)]  # the round's finds, in order
-    return masks
+        len(S) == (1 << S.n) - 1 or bool(_kernel._membership(S._sorted, S.n)(masks).all()))
 
 
 class SaturatedSet:
@@ -286,7 +83,7 @@ class SaturatedSet:
 
     def __init__(self, n: int, members: Iterable = ()) -> None:
         masks = _coerce_masks(members, n)
-        _close(masks, n, masks)
+        _kernel._close(masks, n, (1 << CLOSURE_MAX_RANK) - 1, masks)
         masks.flags.writeable = False
         self.n, self._sorted = n, masks
 
@@ -322,7 +119,7 @@ class SaturatedSet:
         Level j contributes an elementary abelian block of this rank to
         the generated subgroup.
         """
-        return tuple(np.diff(_level_cuts(self._sorted, self.n)).tolist())
+        return tuple(np.diff(_kernel._level_cuts(self._sorted, self.n)).tolist())
 
     def __contains__(self, item) -> bool:
         if isinstance(item, RigidCommutator) and item.n == self.n:
@@ -409,7 +206,7 @@ def saturate(members: Iterable[RigidCommutator], n: int | None = None) -> Satura
     Generates the same subgroup as the seed.  Rank is taken from the
     members when not given; a seed whose first item is not a
     :class:`~rigidcomm.rigid.RigidCommutator` then raises ``ValueError``
-    before any work.  The set is closed by :func:`_close`: on Python
+    before any work.  The set is closed by :func:`~rigidcomm._kernel._close`: on Python
     ints while it has at most ``_SCALAR_MEMBERS`` members, as most seeds'
     closures do, and past that in numpy rounds from what the ints found.
     Each kernel meets each pair of its members once; the numpy rounds
@@ -423,67 +220,19 @@ def saturate(members: Iterable[RigidCommutator], n: int | None = None) -> Satura
         if not seed or not isinstance(seed[0], RigidCommutator):
             raise ValueError("cannot infer the rank from an empty seed or an int mask: pass n")
         n = seed[0].n
-    return SaturatedSet._make(n, _close(_coerce_masks(seed, n), n))
+    return SaturatedSet._make(n, _kernel._close(_coerce_masks(seed, n), n, (1 << CLOSURE_MAX_RANK) - 1))
 
 
 # ── normalizer machinery ─────────────────────────────────────────────────────
-
-def _parked(masks: Iterable[int]) -> list[int]:
-    """The masks whose lowest fill-in is in ``masks``: a ^ 2^j for each trailing one 2^j of each a."""
-    out = []  # a whole step's joins in one call: a call per mask cost more than its wake
-    for a in masks:
-        bit = 1
-        while a & bit:
-            out.append(a ^ bit)
-            bit <<= 1
-    return out
-
-
-def _witnesses(
-    cands: np.ndarray, members: np.ndarray, present: Callable[[np.ndarray], np.ndarray]
-) -> np.ndarray:
-    """Why each candidate fails to normalize a set, found in row blocks of products.
-
-    ``cands`` and ``members`` are nonzero int64 arrays, in any order, the
-    latter a nonempty generating set of a saturated set, such as its
-    :func:`_uncovered` members; ``present`` is the set's lookup, as
-    :func:`_membership` makes it.  Entry k of the result is the largest
-    nonzero product [cands[k], m], m in ``members``, that lies outside
-    the set, or 0 when cands[k] normalizes the span of the set.
-
-    The candidates meet all the members in row blocks of
-    ``_PAIR_BLOCK // len(members)`` candidates, at least one, so a block
-    holds at most ``max(_PAIR_BLOCK, len(members))`` products.  One
-    :func:`_top_bits` call reads the top bits of candidates and members
-    together, and each block is one call of :func:`_products` with the
-    smaller top bit t of each pair.  One masked assignment zeroes the
-    pairs whose shared bits reach t, which make no product, and the
-    products inside the set, 0 among them, so a row's witness is its
-    largest product outside the set.  A scan of one block returns its
-    row maxima as they are.
-    """
-    k = len(cands)
-    tops = _top_bits(np.concatenate((cands, members)))
-    x, x_tops, y_tops = cands[:, None], tops[:k, None], tops[k:]
-    rows = max(1, _PAIR_BLOCK // len(members))
-    found = [cands[:0]]
-    for i in range(0, k, rows):
-        t = np.minimum(x_tops[i:i + rows], y_tops)
-        shared, prod = _products(x[i:i + rows], members, t)
-        prod[(shared >= t) | present(prod)] = 0
-        found.append(prod.max(axis=1))
-    return found[1] if len(found) == 2 else np.concatenate(found)
-
 
 def normalizing_step(M: SaturatedSet) -> SaturatedSet:
     """All rigid commutators whose commutator with every member stays inside.
 
     One step of the normalizer chain: the members of the normalizer of
-    <M>, which must contain the full-interval commutators.  A commutator
-    c outside M with lowest hole k has [c, t_k] = c | (c + 1), so it
-    fails unless that fill-in is in M: only the masks that :func:`_parked`
-    gives for M's members are scanned, with no ambient set, against M's
-    :func:`_uncovered` members, which generate <M>.  A scan of more than
+    <M>, which must contain the full-interval commutators.  By the wake
+    rule of :mod:`rigidcomm._kernel`, only the masks parked on M's
+    members can join; they are scanned, with no ambient set, against M's
+    cover, its uncovered members, which generate <M>.  A scan of more than
     (2^``CLOSURE_MAX_RANK`` - 1)^2 candidate-member pairs raises
     :class:`~rigidcomm.permutations.ScaleGuardError` before any product,
     and an ``M`` that is not a :class:`SaturatedSet` raises ``TypeError``.
@@ -492,13 +241,13 @@ def normalizing_step(M: SaturatedSet) -> SaturatedSet:
     if not M.contains_translations:
         raise ValueError("the set must contain all full-interval commutators t_1..t_n")
     members = M._sorted
-    present = _membership(members, M.n)
-    parked = np.array(_parked(members.tolist()), dtype=np.int64)
+    present = _kernel._membership(members, M.n)
+    parked = np.array(_kernel._parked(members.tolist()), dtype=np.int64)
     pool = parked[~present(parked)]
-    cover = _uncovered(members, present, M.n)
+    cover = _kernel._uncovered(members, present, M.n)
     cap = (1 << CLOSURE_MAX_RANK) - 1
     perm.check_cap("normalizer scan of pairs", len(pool) * len(cover), cap * cap)
-    found = _witnesses(pool, cover, present)
+    found = _kernel._witnesses(pool, cover, present)
     return SaturatedSet._make(M.n, np.sort(np.concatenate((members, pool[found == 0]))))
 
 
@@ -516,7 +265,7 @@ def normalizer_in(B: SaturatedSet, A: SaturatedSet) -> SaturatedSet:
     if not A.issubset(B):
         raise ValueError("A must be a subset of B (same rank, members contained)")
     step = normalizing_step(A)._sorted
-    return SaturatedSet._make(B.n, step[_membership(B._sorted, B.n)(step)])
+    return SaturatedSet._make(B.n, step[_kernel._membership(B._sorted, B.n)(step)])
 
 
 def check_closure_rank(n: int) -> None:
@@ -553,7 +302,7 @@ def normal_closure(A: SaturatedSet, B: SaturatedSet) -> SaturatedSet:
        a saturated set is exactly the member set of the subgroup it
        spans.
 
-    Any other B takes :func:`_close` within B.  Ranks above
+    Any other B takes :func:`~rigidcomm._kernel._close` within B.  Ranks above
     ``CLOSURE_MAX_RANK`` raise
     :class:`~rigidcomm.permutations.ScaleGuardError`, an argument that is
     not a :class:`SaturatedSet` raises ``TypeError`` and an A outside B
@@ -565,10 +314,10 @@ def normal_closure(A: SaturatedSet, B: SaturatedSet) -> SaturatedSet:
         raise ValueError("A must be a subset of B (same rank, members contained)")
     n, seed = B.n, A._sorted
     if len(B) < (1 << n) - 1:
-        return SaturatedSet._make(n, _close(seed, n, B._sorted))
+        return SaturatedSet._make(n, _kernel._close(seed, n, (1 << CLOSURE_MAX_RANK) - 1, B._sorted))
     if not seed.size:
         return A
-    cuts, a0, runs = _level_cuts(seed, n), int(seed[0]).bit_length(), []
+    cuts, a0, runs = _kernel._level_cuts(seed, n), int(seed[0]).bit_length(), []
     for b in range(a0, n + 1):
         # the smallest member of A based at b, else 2^b, past the level
         t = int(seed[cuts[b - 1]]) if cuts[b - 1] < cuts[b] else 1 << b

@@ -30,8 +30,9 @@ from rigidcomm import (
     translation_set,
     verify_theoretical,
 )
-from rigidcomm import chain, partitions, saturated
-from rigidcomm.chain import _NEVER, CHAIN_MAX_RANK, _IncrementalChain
+from rigidcomm import _kernel, chain, partitions
+from rigidcomm._kernel import _NEVER
+from rigidcomm.chain import CHAIN_MAX_RANK, _IncrementalChain
 from rigidcomm.rigid import commutator_mask
 from test_saturated import _ambient, _normalizer_in_loop, _trusted, _with_translations
 
@@ -265,7 +266,7 @@ def test_verify_theoretical_takes_only_a_report():
 
 def test_verify_theoretical_does_no_closure_work(monkeypatch):
     report = run_chain(8, 6)  # the chain's start is closure-checked
-    monkeypatch.setattr(saturated, "_close", lambda *args: pytest.fail("closure checked"))
+    monkeypatch.setattr(_kernel, "_close", lambda *args: pytest.fail("closure checked"))
     assert verify_theoretical(report) == [(i, True) for i in range(7)]
 
 @pytest.mark.parametrize("n", [4, 6, 8])
@@ -439,7 +440,7 @@ def test_incremental_step_matches_normalizing_step(n, data):
         # the cover kept across steps holds the cover of the term made afresh,
         # so it generates the term, and is that cover right after a re-prune
         members = np.array(sorted(nxt.masks), dtype=np.int64)
-        fresh = saturated._uncovered(members, saturated._membership(members, n), n)
+        fresh = _kernel._uncovered(members, _kernel._membership(members, n), n)
         cover = chain.cover
         assert set(fresh.tolist()) <= set(cover) <= nxt.masks
         assert len(set(cover)) == len(cover)
@@ -491,7 +492,7 @@ def test_a_step_that_joins_nothing_to_a_proper_term_raises(monkeypatch):
             pytest.fail("the chain kept stepping on a proper term")
         return [a ^ (1 << k) for a in masks for k in range((a & ~(a + 1)).bit_length() - 1)]
 
-    monkeypatch.setattr(chain, "_parked", lossy)
+    monkeypatch.setattr(_kernel, "_parked", lossy)
     t0 = time.perf_counter()
     with pytest.raises(RuntimeError, match="^step 1 at rank 14 joined nothing to a proper term$"):
         run_chain(14)
@@ -510,7 +511,7 @@ def test_lazy_cover_stays_within_twice_a_fresh_cover(n):
     largest = 0
     for s, (_, _, cover, _) in enumerate(report.diagnostics[1:], 1):
         members = np.array(sorted(report.member_masks_at(s - 1)), dtype=np.int64)
-        fresh = len(saturated._uncovered(members, saturated._membership(members, n), n))
+        fresh = len(_kernel._uncovered(members, _kernel._membership(members, n), n))
         largest = max(largest, fresh)
         assert fresh <= cover < 2 * largest, (s, fresh, cover, largest)
 
@@ -675,26 +676,26 @@ def test_chain_counters_are_frozen(n, max_steps):
     st.data(),
 )
 def test_scalar_scan_matches_block_scan(n, term, picks, data):
-    # the chain scans a small block in chain._scan and a large one in _witnesses,
-    # and prunes a small cover in chain._uncovered_ints and a large one in
+    # the chain scans a small block in _kernel._scan and a large one in _witnesses,
+    # and prunes a small cover in _uncovered_ints and a large one in
     # _uncovered; each pair reads the same term, as a join-step table and as a
     # membership lookup
     A = _with_translations(n, _ambient(n, term), picks)
     members = np.array(sorted(A.masks), dtype=np.int64)
-    present = saturated._membership(members, n)
+    present = _kernel._membership(members, n)
     joined = np.full(1 << n, _NEVER, dtype=np.int32)
     joined[members] = 0
     joined[0] = -1
     # t_n, every bit set, shares the top bit of each member: a row of no products
     cands = [(1 << n) - 1, *data.draw(st.lists(st.integers(1, (1 << n) - 1), min_size=1, max_size=40))]
-    cover = saturated._uncovered(members, present, n)
+    cover = _kernel._uncovered(members, present, n)
     for gens in (cover, members[::-1]):
-        want = saturated._witnesses(np.array(cands, dtype=np.int64), gens, present).tolist()
-        assert chain._scan(cands, gens.tolist(), memoryview(joined)) == want
+        want = _kernel._witnesses(np.array(cands, dtype=np.int64), gens, present).tolist()
+        assert _kernel._scan(cands, gens.tolist(), memoryview(joined)) == want
     assert want[0] == 0
     for masks in (members, members[::-1]):  # each keeps the order it is given
-        want = saturated._uncovered(masks, present, n).tolist()
-        assert chain._uncovered_ints(masks.tolist(), memoryview(joined)) == want
+        want = _kernel._uncovered(masks, present, n).tolist()
+        assert _kernel._uncovered_ints(masks.tolist(), memoryview(joined)) == want
 
 
 def _counter_sums(report: ChainReport) -> tuple[int, int, int]:
@@ -715,10 +716,10 @@ def mixed_scan_runs():
 @pytest.mark.parametrize("cutoff", [0, 1 << 62], ids=["block-scan", "scalar-scan"])
 def test_each_scan_kernel_alone_gives_the_frozen_chains(monkeypatch, mixed_scan_runs, cutoff, prune):
     # every scan goes to _witnesses (0) or to the Python loop (2^62), and every
-    # cover prune to _uncovered (0) or to chain._uncovered_ints (2^62): the same
+    # cover prune to _uncovered (0) or to _uncovered_ints (2^62): the same
     # witnesses and covers, so the same join steps, JSON and counters as together
-    monkeypatch.setattr(chain, "_SCALAR_PAIRS", cutoff)
-    monkeypatch.setattr(chain, "_SCALAR_PRUNE", prune)
+    monkeypatch.setattr(_kernel, "_SCALAR_PAIRS", cutoff)
+    monkeypatch.setattr(_kernel, "_SCALAR_PRUNE", prune)
     for (n, max_steps), (text, joined, sums) in mixed_scan_runs.items():
         report = run_chain(n, max_steps)
         assert (report.to_json(), report.joined.tobytes(), _counter_sums(report)) == (text, joined, sums), n

@@ -30,7 +30,7 @@ from rigidcomm import (
     translation_normalizer_set,
 )
 from rigidcomm import chain as chainmod
-from rigidcomm import cli, saturated
+from rigidcomm import _kernel, cli, saturated
 from rigidcomm.cli import main
 
 C = RigidCommutator.from_elements
@@ -402,8 +402,8 @@ def test_chain_timings_split_the_totals_by_kernel(capsys):
     summary = SUMMARY.fullmatch(capsys.readouterr().err.splitlines()[-1])
     assert summary
     steps = chainmod.run_chain(7).steps[1:]
-    lone = sum(s.rescanned <= 1 for s in steps)
-    scalar = sum(s.rescanned > 1 and s.products <= chainmod._SCALAR_PAIRS for s in steps)
+    kernels = [_kernel._step_kernel(s.i, s.rescanned, s.products) for s in steps]
+    lone, scalar = kernels.count("lone"), kernels.count("scalar")
     assert [int(summary[k]) for k in ("lone", "scalar", "block")] == [lone, scalar, len(steps) - lone - scalar]
     assert int(summary["lone"]) + int(summary["scalar"]) + int(summary["block"]) == int(summary["steps"])
     split = sum(float(summary[k]) for k in ("start_s", "lone_s", "scalar_s", "block_s"))
@@ -596,7 +596,7 @@ def test_closure_scale_guard(tmp_path, capsys, monkeypatch):
     assert main(["closure", str(seed)]) == 3
     # an ambient past the cap is refused before its closure is checked,
     # which for these 2^14 - 1 members would take seconds
-    monkeypatch.setattr(saturated, "_close", lambda *args: pytest.fail("closure checked"))
+    monkeypatch.setattr(_kernel, "_close", lambda *args: pytest.fail("closure checked"))
     seed.write_text('{"n": 3, "members": [[3]]}')
     ambient = tmp_path / "ambient.json"
     ambient.write_text(json.dumps({"n": 20, "members": [hex(m) for m in range(1, 1 << 14)]}))
@@ -716,7 +716,7 @@ def test_factorize_with_membership(tmp_path, capsys):
 def test_factorize_set_rank_checked_before_closure(tmp_path, capsys, monkeypatch):
     # a set of another rank is refused before its closure is checked,
     # which for these 2^14 - 1 members would take seconds
-    monkeypatch.setattr(saturated, "_close", lambda *args: pytest.fail("closure checked"))
+    monkeypatch.setattr(_kernel, "_close", lambda *args: pytest.fail("closure checked"))
     path = tmp_path / "id.json"
     path.write_text('{"n": 3, "images": [1, 2, 3, 4, 5, 6, 7, 8]}')
     sett = tmp_path / "set.json"
@@ -781,7 +781,7 @@ def test_verify_sym_brute_compares_with_the_next_term(monkeypatch, capsys):
     def dropping(n, max_steps=None):
         report = run_chain(n, max_steps)
         joined = report.joined.copy()
-        joined[np.flatnonzero(joined == 1)[0]] = chainmod._NEVER
+        joined[np.flatnonzero(joined == 1)[0]] = _kernel._NEVER
         return chainmod.ChainReport(n, joined, report.terminated_at, report.reached_full,
                                     report.diagnostics)
 

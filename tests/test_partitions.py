@@ -18,7 +18,7 @@ from rigidcomm import (
     run_chain,
     translation_normalizer_set,
 )
-from rigidcomm import partitions, saturated
+from rigidcomm import _kernel, partitions
 from rigidcomm.partitions import PARTITION_MAX_TOTAL
 
 # partitions of j into at least two distinct parts, and their partial
@@ -259,7 +259,7 @@ def test_predicted_sets_are_saturated():
 def test_predicted_set_stops_at_the_member_cap(monkeypatch):
     # term n-2 has 15148 members at rank 31 and 17912 at rank 32, past 2^14 - 1
     assert len(predicted_chain_set(31, 29)) == 15148
-    monkeypatch.setattr(saturated, "_pair_products", lambda *args, **kw: pytest.fail("product made"))
+    monkeypatch.setattr(_kernel, "_pair_products", lambda *args, **kw: pytest.fail("product made"))
     with pytest.raises(ScaleGuardError, match="saturated set of size 17912 exceeds the cap 16383"):
         predicted_chain_set(32, 30)
 

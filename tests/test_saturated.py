@@ -46,7 +46,7 @@ from rigidcomm import (
     translation_normalizer_set,
     translation_set,
 )
-from rigidcomm import saturated
+from rigidcomm import _kernel, saturated
 from rigidcomm.permutations import ScaleGuardError
 from rigidcomm.rigid import MAX_RANK, commutator_mask
 
@@ -213,13 +213,13 @@ def test_saturate_matches_reference_loop(n, data):
 def test_saturate_blocks_and_early_merges(monkeypatch):
     # tiny blocks, and a cap of the rank's full set, checked on each block's finds,
     # in the numpy rounds alone
-    monkeypatch.setattr(saturated, "_SCALAR_MEMBERS", 0)
+    monkeypatch.setattr(_kernel, "_SCALAR_MEMBERS", 0)
     rng = random.Random(7)
     cases = [(n, [rng.randrange(1, 1 << n) for _ in range(k)]) for n in (3, 5, 6) for k in (1, 2, 3, n)]
     cases.append((6, [1 << i for i in range(6)]))
     expected = [_saturate_loop(seed, n) for n, seed in cases]
     for block in (1, 7, 64):
-        monkeypatch.setattr(saturated, "_PAIR_BLOCK", block)
+        monkeypatch.setattr(_kernel, "_PAIR_BLOCK", block)
         got = []
         for n, seed in cases:
             monkeypatch.setattr(saturated, "CLOSURE_MAX_RANK", n)
@@ -231,16 +231,16 @@ def test_saturate_blocks_and_early_merges(monkeypatch):
 def test_saturate_of_a_closed_seed_makes_the_closure_checks_products(n, monkeypatch):
     # the first numpy round meets each pair of seed members with a nonzero product
     # once, and finds nothing new
-    monkeypatch.setattr(saturated, "_SCALAR_MEMBERS", 0)
+    monkeypatch.setattr(_kernel, "_SCALAR_MEMBERS", 0)
     counts = []
-    pair_products = saturated._pair_products
+    pair_products = _kernel._pair_products
 
     def counting(*args, **kw):
         for lo, hi, block in pair_products(*args, **kw):
             counts[-1] += block.size
             yield lo, hi, block
 
-    monkeypatch.setattr(saturated, "_pair_products", counting)
+    monkeypatch.setattr(_kernel, "_pair_products", counting)
     full = full_rigid_set(n)
     for build in (lambda: saturate(full.members, n), lambda: SaturatedSet(n, full.masks)):
         counts.append(0)
@@ -263,14 +263,14 @@ def test_saturate_scale_guard(monkeypatch):
 def test_each_closure_path_matches_the_reference_loop(scalar_members, monkeypatch):
     # 0 sends every nonempty seed to the numpy rounds, 2^15, past the member cap,
     # keeps every closure on ints, and 3 hands the ints' finds to the numpy rounds
-    monkeypatch.setattr(saturated, "_SCALAR_MEMBERS", scalar_members)
+    monkeypatch.setattr(_kernel, "_SCALAR_MEMBERS", scalar_members)
     unused = {0: "commutator_mask", 3: None}.get(scalar_members, "_pair_products")
     rng = random.Random(11)
     cases = [(n, [rng.randrange(1 << n) for _ in range(k)]) for n in (1, 3, 5, 8) for k in (0, 1, 2, 3, n)]
     cases += [(n, [1 << i for i in range(n)]) for n in (6, 8)]  # the whole group
     with monkeypatch.context() as only:
         if unused:  # the other path's kernel
-            only.setattr(saturated, unused, lambda *a, **kw: pytest.fail(f"{unused} called"))
+            only.setattr(_kernel, unused, lambda *a, **kw: pytest.fail(f"{unused} called"))
         got = [saturate([RigidCommutator(m, n) for m in seed], n).masks for n, seed in cases]
     assert got == [_saturate_loop(seed, n) for n, seed in cases]
     test_saturate_example()
@@ -561,7 +561,7 @@ def _normalizer_in_loop(B, A):
 def _close_within(A, B):
     """The loop's closure of A within B, as a frozenset, whatever B is."""
     a, b = (np.array(sorted(S.masks), dtype=np.int64) for S in (A, B))
-    return frozenset(saturated._close(a, B.n, b).tolist())
+    return frozenset(_kernel._close(a, B.n, (1 << saturated.CLOSURE_MAX_RANK) - 1, b).tolist())
 
 
 @functools.lru_cache(maxsize=None)
@@ -608,7 +608,7 @@ def test_normal_closure_blocks_split_rows_and_columns(monkeypatch):
     cases.append((full_rigid_set(n), full_rigid_set(n)))
     expected = [_normal_closure_loop(A, B) for A, B in cases]
     for block in (1, 7, 64):
-        monkeypatch.setattr(saturated, "_PAIR_BLOCK", block)
+        monkeypatch.setattr(_kernel, "_PAIR_BLOCK", block)
         got = [_close_within(A, B) for A, B in cases]
         assert got == expected
 
@@ -681,7 +681,7 @@ def test_whole_group_closure_makes_no_product(monkeypatch):
     B = full_rigid_set(n)
     empty, seed = SaturatedSet(n, []), SaturatedSet(n, [C([3, 1], n)])
     proper = saturate([C([3, 1], n), C([n], n)], n)  # built before the kernel is refused
-    monkeypatch.setattr(saturated, "_pair_products", refuse)
+    monkeypatch.setattr(_kernel, "_pair_products", refuse)
     assert normal_closure(empty, B).masks == frozenset()
     assert normal_closure(B, B) == B
     # [3,1] keeps 3 masks at base 3 and every mask >= {b, 3} at each base b above
@@ -753,14 +753,14 @@ def _with_translations(n, B, picks):
 def _scanned_pool(B, A):
     """The candidates normalizer_in(B, A) hands the witness scan, in mask order, and its masks."""
     pools = []
-    real = saturated._witnesses
+    real = _kernel._witnesses
 
     def spy(cands, members, present):
         pools.append(cands.tolist())
         return real(cands, members, present)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(saturated, "_witnesses", spy)
+        patch.setattr(_kernel, "_witnesses", spy)
         got = normalizer_in(B, A)
     assert len(pools) == 1
     return sorted(pools[0]), got.masks
@@ -769,11 +769,11 @@ def _scanned_pool(B, A):
 def _check_witnesses(A, B):
     cands = np.array(sorted(B.masks), dtype=np.int64)
     members = np.array(sorted(A.masks), dtype=np.int64)
-    present = saturated._membership(members, A.n)
-    cover = saturated._uncovered(members, present, A.n)
+    present = _kernel._membership(members, A.n)
+    cover = _kernel._uncovered(members, present, A.n)
     # every member in mask order, and the cover, which generates A, in reverse order
     for gens in (members, cover[::-1]):
-        found = saturated._witnesses(cands, gens, present)
+        found = _kernel._witnesses(cands, gens, present)
         for c, w in zip(cands.tolist(), found.tolist()):
             assert (w == 0) == (_witness_loop(c, A.masks) == 0), c
             if w:
@@ -809,7 +809,7 @@ def test_witnesses_blocks_split_rows_and_columns(monkeypatch):
         cases.append((_with_translations(n, B, [rng.randrange(1 << 20) for _ in range(2)]), B))
     cases.append((translation_set(n), full_rigid_set(n)))
     for block in (1, 7, 64):
-        monkeypatch.setattr(saturated, "_PAIR_BLOCK", block)
+        monkeypatch.setattr(_kernel, "_PAIR_BLOCK", block)
         for A, B in cases:
             _check_witnesses(A, B)
 
@@ -824,9 +824,9 @@ def test_membership_table_agrees_with_binary_search(n, data):
     masks = np.array([0, *masks], dtype=np.int64).reshape(-1, 1)  # shaped like a block
     want = [[m == 0 or m in members] for m in masks.ravel().tolist()]
     arr = np.array(members, dtype=np.int64)
-    assert saturated._membership(arr, n)(masks).tolist() == want
-    with mock.patch.object(saturated, "_DENSE_MAX_RANK", 0):  # the binary search
-        assert saturated._membership(arr, n)(masks).tolist() == want
+    assert _kernel._membership(arr, n)(masks).tolist() == want
+    with mock.patch.object(_kernel, "_DENSE_MAX_RANK", 0):  # the binary search
+        assert _kernel._membership(arr, n)(masks).tolist() == want
 
 
 def test_high_ranks_look_members_up_without_a_dense_table():
@@ -845,7 +845,7 @@ def test_high_ranks_look_members_up_without_a_dense_table():
     assert small(lambda: SaturatedSet(n, [1 << 39])).masks == {1 << 39}
     seed = [C([40], n), C([39, 1], n), C([38, 2], n)]
     assert small(lambda: saturate(seed, n)).masks == _saturate_loop([c.mask for c in seed], n)
-    n = saturated._DENSE_MAX_RANK + 1
+    n = _kernel._DENSE_MAX_RANK + 1
     A = small(lambda: translation_set(n))
     B = small(lambda: translation_normalizer_set(n))
     assert small(lambda: normalizer_in(B, A)).masks == _normalizer_in_loop(B, A) == B.masks
@@ -873,7 +873,7 @@ def test_closure_failure_names_the_same_pair_from_any_block_row(monkeypatch):
         (6, [6, 1], [[6, 5, 4, 3, 2, 1]], "[2,1] with [6,5,4,3,1] gives [6,5,4,3,2,1]"),
     ]
     for block in (7, 64):
-        monkeypatch.setattr(saturated, "_PAIR_BLOCK", block)
+        monkeypatch.setattr(_kernel, "_PAIR_BLOCK", block)
         for n, seed, missing, pair in cases:
             B = _trusted(n, frozenset(range(1, 1 << n)) - {C(m, n).mask for m in missing})
             with pytest.raises(ValueError) as err:
@@ -947,7 +947,7 @@ def test_normalizing_step_product_guard_refuses_before_any_product(monkeypatch):
 
     # rank 6 scans C(6, 3) = 20 candidates against a cover of 6 members, 120 pairs
     u, full = translation_normalizer_set(6), full_rigid_set(6)
-    monkeypatch.setattr(saturated, "_witnesses", refuse)
+    monkeypatch.setattr(_kernel, "_witnesses", refuse)
     monkeypatch.setattr(saturated, "CLOSURE_MAX_RANK", 3)  # at most 7^2 = 49 pairs
     with pytest.raises(ScaleGuardError, match="normalizer scan"):
         normalizing_step(u)
@@ -996,18 +996,18 @@ def test_closure_defect_matches_reference_loop(n, data):
 def _product_table(values):
     """The products of all pairs of nonzero masks, as ``_witnesses`` makes them."""
     arr = np.array(values, dtype=np.int64)
-    tops = saturated._top_bits(arr)
+    tops = _kernel._top_bits(arr)
     t = np.minimum(tops[:, None], tops[None, :])
-    shared, prod = saturated._products(arr[:, None], arr[None, :], t)
+    shared, prod = _kernel._products(arr[:, None], arr[None, :], t)
     return np.where(shared >= t, 0, prod)
 
 
 def _check_product_rule(x, y):
     """``_products`` is ``commutator_mask`` on every pair of nonzero masks ``x``, ``y``, in
     both orders, where ``x & y`` stays below the smaller top bit, and 0 exactly where not."""
-    t = np.minimum(saturated._top_bits(x), saturated._top_bits(y))
+    t = np.minimum(_kernel._top_bits(x), _kernel._top_bits(y))
     want = np.array([commutator_mask(a, b) for a, b in zip(x.tolist(), y.tolist())], dtype=np.int64)
-    for shared, prod in (saturated._products(x, y, t), saturated._products(y, x, t)):
+    for shared, prod in (_kernel._products(x, y, t), _kernel._products(y, x, t)):
         zero = shared >= t
         assert (zero == (want == 0)).all()
         assert (prod[~zero] == want[~zero]).all()
@@ -1032,12 +1032,12 @@ def test_level_cuts_give_top_bits():
     values = [1, 2, 3, 5, 8, 255, 256, (1 << 61) + 7, 1 << 62, (1 << 62) + 5, (1 << 63) - 1]
     arr = np.array(values, dtype=np.int64)
     tops = [1 << (v.bit_length() - 1) for v in values]
-    assert saturated._top_bits(arr).tolist() == tops
-    assert saturated._top_bits(arr[::-1]).tolist() == tops[::-1]  # in any order
+    assert _kernel._top_bits(arr).tolist() == tops
+    assert _kernel._top_bits(arr[::-1]).tolist() == tops[::-1]  # in any order
     masks = np.arange(1, 1 << 12, dtype=np.int64)  # and every mask up to rank 12, in a block
     want = [1 << (v.bit_length() - 1) for v in range(1, 1 << 12)]
-    assert saturated._top_bits(masks.reshape(63, 65)).ravel().tolist() == want
-    assert saturated._level_cuts(arr, 63) == [
+    assert _kernel._top_bits(masks.reshape(63, 65)).ravel().tolist() == want
+    assert _kernel._level_cuts(arr, 63) == [
         sum(v < (1 << a) for v in values) for a in range(63)
     ] + [len(values)]
 
@@ -1058,7 +1058,7 @@ def _covering_pairs(x, masks):
 
 def _check_cover(masks, n):
     arr = np.array(sorted(masks), dtype=np.int64)
-    cover = set(saturated._uncovered(arr, saturated._membership(arr, n), n).tolist())
+    cover = set(_kernel._uncovered(arr, _kernel._membership(arr, n), n).tolist())
     assert saturate([RigidCommutator(m, n) for m in cover], n).masks == masks
     for x in masks:
         pairs = _covering_pairs(x, masks)
@@ -1111,7 +1111,7 @@ def _pair_list(blocks):
     out = []
     for lo, hi, block in blocks:
         assert block.shape == (lo.size, hi.size)
-        assert 0 < block.size <= saturated._PAIR_BLOCK
+        assert 0 < block.size <= _kernel._PAIR_BLOCK
         out += [(x, y, int(block[r, c]))
                 for r, x in enumerate(lo.tolist()) for c, y in enumerate(hi.tolist())]
     return sorted(out)
@@ -1127,13 +1127,13 @@ def test_pair_products_matches_every_nonzero_product(n):
     # the lower-based factor is the smaller mask, so (lo, hi) is (min, max)
     arr = np.arange(1, 1 << n, dtype=np.int64)
     masks = arr.tolist()
-    got = _pair_list(saturated._pair_products(arr, arr, both=False))
+    got = _pair_list(_kernel._pair_products(arr, arr, both=False))
     assert got == _nonzero_pairs((x, y) for i, x in enumerate(masks) for y in masks[i + 1:])
     rng = random.Random(n)
     half = sorted(rng.sample(masks, len(masks) // 2))
     rest = sorted(set(masks) - set(half))
     x, y = np.array(half, dtype=np.int64), np.array(rest, dtype=np.int64)
-    got = _pair_list(saturated._pair_products(x, y))
+    got = _pair_list(_kernel._pair_products(x, y))
     assert got == _nonzero_pairs((a, b) for a in half for b in rest)
 
 
@@ -1152,8 +1152,8 @@ def test_pair_products_matches_reference_on_random_subsets(n, block, both, data)
     else:  # only x's member may be the lower-based factor
         want = _nonzero_pairs((a, b) for a in xs for b in ys if a.bit_length() < b.bit_length())
     x, y = np.array(xs, dtype=np.int64), np.array(ys, dtype=np.int64)
-    with mock.patch.object(saturated, "_PAIR_BLOCK", block):
-        assert _pair_list(saturated._pair_products(x, y, both=both)) == want
+    with mock.patch.object(_kernel, "_PAIR_BLOCK", block):
+        assert _pair_list(_kernel._pair_products(x, y, both=both)) == want
 
 
 def test_saturated_set_member_cap(monkeypatch):
@@ -1161,7 +1161,7 @@ def test_saturated_set_member_cap(monkeypatch):
     full_json = full_rigid_set(3).to_json()  # full_rigid_set checks the rank cap too
     monkeypatch.setattr(saturated, "CLOSURE_MAX_RANK", 2)
     assert len(SaturatedSet(3, [0, 1, 2, 3])) == 3  # the identity is not a member
-    monkeypatch.setattr(saturated, "_pair_products", lambda *args, **kw: pytest.fail("product made"))
+    monkeypatch.setattr(_kernel, "_pair_products", lambda *args, **kw: pytest.fail("product made"))
     with pytest.raises(ScaleGuardError, match="saturated set of size 4 exceeds the cap 3"):
         SaturatedSet(3, [1, 2, 3, 4])
     with pytest.raises(ScaleGuardError):
