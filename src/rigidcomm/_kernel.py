@@ -23,7 +23,10 @@ rules read products against S, a saturated set with the translations:
 Each rule with two kernels, Python ints for small inputs and numpy
 blocks for large ones, is selected by size in one entry, and the two
 give the same result: a numpy call costs tens of microseconds whatever
-its size, and most of a chain's scans and prunes are small.
+its size, and most of a chain's scans and prunes are small.  The chain
+goes through the two entries, :func:`_chain_witnesses` and
+:func:`_chain_cover`; ``normalizing_step``, the chain's test reference,
+calls the numpy kernels directly.
 """
 
 from __future__ import annotations
@@ -55,14 +58,13 @@ _NEVER = np.iinfo(np.int32).max  # the join step of a mask outside every compute
 # cutoffs 64, 128, 256 and 512 ran full chains in 0.80, 0.76, 0.78 and 0.85 of
 # the time at rank 9, 0.87, 0.82, 0.85 and 0.92 at rank 12 (2-vCPU host)
 _SCALAR_PAIRS = 128
-# a cover prune of at most this many lookup pairs, members times n - 1, runs on
-# ints, a larger one in _uncovered's numpy block: the largest cutoff below which
-# no rank from 9 to 16 loses.  In-process on the prunes of run_chain(n) (2-vCPU
-# host, three runs), a line fitted to ints' time less numpy's, per prune, crossed
-# zero at 324-404 pairs at rank 9 (40-50 members), 434-498 at rank 12 and 662-712
-# at rank 16; below the cutoff, rank 9's covers of 18-36 members took 10-21
-# against 25-27 us on average
-_SCALAR_PRUNE = 320
+# a cover prune of at most this many members runs on ints, a larger one in
+# _uncovered's numpy block, whatever the rank: the largest cutoff at which no
+# rank from 9 to 16 loses.  In-process on every prune of run_chain(n) (2-vCPU
+# host, min of 21, three runs), a line fitted to ints' time less numpy's, per
+# prune, crossed zero at 40.9-47.0 members at rank 9, 39.1-39.7 at rank 12,
+# 41.2-41.4 at rank 14 and 44.5-48.0 at rank 16
+_SCALAR_PRUNE = 39
 
 
 def _level_cuts(masks: np.ndarray, levels: int) -> list[int]:
@@ -193,11 +195,10 @@ def _chain_cover(masks: list[int], n: int, joined: np.ndarray, view: memoryview)
     """The entries of ``masks``, members of a chain's term, that the cover rule keeps.
 
     ``joined`` holds the term's join steps and ``view`` reads them.  At
-    most ``_SCALAR_PRUNE`` lookup pairs, len(masks) times n - 1, go to
-    :func:`_uncovered_ints`, more to :func:`_uncovered`; both keep the
-    order of ``masks``.
+    most ``_SCALAR_PRUNE`` members go to :func:`_uncovered_ints`, more to
+    :func:`_uncovered`; both keep the order of ``masks``.
     """
-    if len(masks) * (n - 1) <= _SCALAR_PRUNE:
+    if len(masks) <= _SCALAR_PRUNE:
         return _uncovered_ints(masks, view)
     return _uncovered(np.array(masks, dtype=np.int64), _in_term(joined), n).tolist()
 
@@ -319,7 +320,7 @@ def _close_ints(seed: list[int], cap: int) -> list[int]:
     return order
 
 
-def _close(masks: np.ndarray, n: int, cap: int, ambient: np.ndarray | None = None) -> np.ndarray:
+def _close(masks: np.ndarray, cap: int, ambient: np.ndarray | None = None) -> np.ndarray:
     """The closure of sorted nonzero int64 ``masks`` under products, as a sorted int64 array.
 
     With no ``ambient`` the set is closed under products of its members,
@@ -358,7 +359,7 @@ def _close(masks: np.ndarray, n: int, cap: int, ambient: np.ndarray | None = Non
             new = prod[miss]  # in C order, so entry k is the k-th miss of the block
             if inside is not None and not inside(new).all():
                 r, c = (ix[(~inside(new)).argmax()] for ix in miss.nonzero())
-                x, y, z = (RigidCommutator(int(v), n) for v in (lo[r], hi[c], prod[r, c]))
+                x, y, z = (RigidCommutator(int(v), bits) for v in (lo[r], hi[c], prod[r, c]))
                 raise ValueError(f"set is not closed under commutation: {x} with {y} gives {z}")
             new.sort()  # a repeat follows its first; np.unique imports numpy.ma (1.7 MB, 17 ms)
             masks = np.concatenate((masks, new[:1], new[1:][new[1:] != new[:-1]]))

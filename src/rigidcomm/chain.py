@@ -277,12 +277,13 @@ class _IncrementalChain:
     ``cover``, a list of ints, generates the term but is not the cover
     rule's exact output: it holds the members kept when the prune last
     ran, as it does again once the cover has doubled, and every member
-    joined since; no other array of the chain grows with 2^n.  Both
-    prunes go through :func:`~rigidcomm._kernel._chain_cover`.
-    Every candidate outside the term waits on a witness, a commutator
-    [c, m], m a member, that lay outside the term when it was recorded;
-    ``pending`` holds, as a sorted list, the candidates to scan at the
-    next step, those whose witness has joined since, and one scan,
+    joined since, appended in place; no other array of the chain grows
+    with 2^n.  Both prunes go through
+    :func:`~rigidcomm._kernel._chain_cover`.  Every candidate outside
+    the term waits on a witness, a commutator [c, m], m a member, that
+    lay outside the term when it was recorded; ``pending`` holds the
+    candidates to scan at the next step, those whose witness has joined
+    since, in no order that a rule reads, and one scan,
     :func:`~rigidcomm._kernel._chain_witnesses`, meets them all with the
     cover.  One Python pass over the scanned masks and their witnesses
     splits the joins from the failures; the joins wake the next scan.
@@ -326,7 +327,7 @@ class _IncrementalChain:
         self.pruned = len(self.cover)  # the cover's size when the prune last made it
         self.log2_order = start.log2_order
         # each member wakes the masks parked on it, as if it had just joined
-        self.pending = sorted(c for c in _kernel._parked(ints) if view[c] == _kernel._NEVER)
+        self.pending = [c for c in _kernel._parked(ints) if view[c] == _kernel._NEVER]
         self.waiters: dict[int, list[int]] = {}
         self.diagnostics = _Diagnostics()
         self.diagnostics.seconds.append(time.perf_counter() - t0)
@@ -342,10 +343,11 @@ class _IncrementalChain:
         """
         t0 = time.perf_counter()
         scanned, cover, waiters = self.pending, self.cover, self.waiters
+        met = len(cover)
         if len(scanned) <= 1:  # the one mask that can join the larger normalizer, if any
             joins, products = scanned, 0
         else:
-            joins, products = [], len(scanned) * len(cover)
+            joins, products = [], len(scanned) * met
             for c, w in zip(scanned, _kernel._chain_witnesses(scanned, cover, self.joined, self.view)):
                 (waiters.setdefault(w, []) if w else joins).append(c)
         if not joins and self.log2_order < (1 << self.n) - 1:  # a proper term's normalizer is larger
@@ -357,18 +359,16 @@ class _IncrementalChain:
         self.log2_order += len(joins)
         # the term only grows, so a covered member stays covered and the old
         # cover plus the joins still generates the term; prune once it doubles
-        grown = cover + joins
-        if len(grown) >= 2 * self.pruned:
-            grown = _kernel._chain_cover(grown, self.n, self.joined, view)
-            self.pruned = len(grown)
-        self.cover = grown
+        cover += joins
+        if len(cover) >= 2 * self.pruned:
+            self.cover = _kernel._chain_cover(cover, self.n, self.joined, view)
+            self.pruned = len(self.cover)
         pending = _kernel._parked(joins)
         for a in joins:
             pending += waiters.pop(a, ())
-        pending.sort()
         self.pending = pending
         self.diagnostics.seconds.append(time.perf_counter() - t0)
-        self.diagnostics.counts.extend((len(scanned), len(cover), products))
+        self.diagnostics.counts.extend((len(scanned), met, products))
         return joins
 
 

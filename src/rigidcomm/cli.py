@@ -3,7 +3,8 @@
 Subcommands: chain, verify, eval, euler, closure, factorize.  Output on
 stdout is byte-stable for a given invocation; diagnostics (timings,
 error messages) go to stderr.  Exit codes: 0 success, 1 verification
-mismatch, 2 usage or input error, 3 scale guard trip.
+mismatch, 2 usage or input error, 3 scale guard trip, 141 stdout closed
+by its reader (128 + SIGPIPE, as a shell reports a tool killed by it).
 """
 
 from __future__ import annotations
@@ -13,8 +14,10 @@ import contextlib
 import functools
 import itertools
 import json
+import os
 import random
 import resource
+import select
 import sys
 import time
 
@@ -315,16 +318,36 @@ _HANDLERS = {
 }
 
 
+def _stdout_closed() -> bool:
+    """Whether stdout is a pipe whose reader has closed it: poll flags its write end."""
+    try:
+        fd = sys.stdout.fileno()
+    except (OSError, ValueError):  # replaced by a stream with no descriptor, as under capture
+        return False
+    poller = select.poll()
+    poller.register(fd, select.POLLOUT)
+    return any(event & (select.POLLERR | select.POLLHUP) for _, event in poller.poll(0))
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
+        code = _HANDLERS[args.command](args)
+        sys.stdout.flush()  # a closed reader shows here, not at shutdown
+        return code
     except ScaleGuardError as exc:
         print(f"scale guard: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OSError) as exc:  # bad input, or a file that cannot be read or written
-        print(f"{args.command}: {exc}", file=sys.stderr)
+        if isinstance(exc, BrokenPipeError) and _stdout_closed():
+            # the shutdown flush of what is left writes to nowhere, not to the closed pipe
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            return 141
+        with contextlib.suppress(OSError):  # stderr may be the pipe that broke
+            print(f"{args.command}: {exc}", file=sys.stderr)
         return 2
 
 

@@ -83,7 +83,7 @@ class SaturatedSet:
 
     def __init__(self, n: int, members: Iterable = ()) -> None:
         masks = _coerce_masks(members, n)
-        _kernel._close(masks, n, (1 << CLOSURE_MAX_RANK) - 1, masks)
+        _kernel._close(masks, (1 << CLOSURE_MAX_RANK) - 1, masks)
         masks.flags.writeable = False
         self.n, self._sorted = n, masks
 
@@ -220,7 +220,7 @@ def saturate(members: Iterable[RigidCommutator], n: int | None = None) -> Satura
         if not seed or not isinstance(seed[0], RigidCommutator):
             raise ValueError("cannot infer the rank from an empty seed or an int mask: pass n")
         n = seed[0].n
-    return SaturatedSet._make(n, _kernel._close(_coerce_masks(seed, n), n, (1 << CLOSURE_MAX_RANK) - 1))
+    return SaturatedSet._make(n, _kernel._close(_coerce_masks(seed, n), (1 << CLOSURE_MAX_RANK) - 1))
 
 
 # ── normalizer machinery ─────────────────────────────────────────────────────
@@ -314,7 +314,7 @@ def normal_closure(A: SaturatedSet, B: SaturatedSet) -> SaturatedSet:
         raise ValueError("A must be a subset of B (same rank, members contained)")
     n, seed = B.n, A._sorted
     if len(B) < (1 << n) - 1:
-        return SaturatedSet._make(n, _kernel._close(seed, n, (1 << CLOSURE_MAX_RANK) - 1, B._sorted))
+        return SaturatedSet._make(n, _kernel._close(seed, (1 << CLOSURE_MAX_RANK) - 1, B._sorted))
     if not seed.size:
         return A
     cuts, a0, runs = _kernel._level_cuts(seed, n), int(seed[0]).bit_length(), []

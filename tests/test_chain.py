@@ -10,6 +10,7 @@ of them.
 import hashlib
 import json
 import math
+import random
 import time
 import tracemalloc
 
@@ -666,6 +667,37 @@ def test_chain_counters_are_frozen(n, max_steps):
     steps = run_chain(n, max_steps).steps
     sums = tuple(sum(getattr(s, name) for s in steps) for name in ("products", "rescanned", "cover"))
     assert sums == COUNTER_SUMS[n, max_steps]
+
+
+@pytest.mark.parametrize("cutoff", [None, 0, 1 << 62], ids=["mixed-scan", "block-scan", "scalar-scan"])
+@pytest.mark.parametrize("n, max_steps", [*((n, None) for n in range(3, 13)), (16, 14)])
+def test_no_rule_reads_the_order_of_the_wake_list(monkeypatch, n, max_steps, cutoff):
+    # the witness is the largest outside product, the cover tests each member
+    # alone and the wake runs per join, so a chain that shuffles the candidates
+    # it is about to scan before every step makes the same terms, covers and
+    # counters; the joins, and so the cover, follow the scan's order, which the
+    # scalar scan reads pair by pair
+    if cutoff is not None:
+        monkeypatch.setattr(_kernel, "_SCALAR_PAIRS", cutoff)
+    rng, moved = random.Random(n), []
+
+    class Shuffled(_IncrementalChain):
+        def step(self):
+            before = list(self.pending)
+            rng.shuffle(self.pending)
+            moved.append(self.pending != before)
+            return super().step()
+
+    want = run_chain(n, max_steps)
+    monkeypatch.setattr(chain, "_IncrementalChain", Shuffled)
+    got = run_chain(n, max_steps)
+    assert any(moved) or n == 3  # rank 3 never wakes two candidates at once
+    # each step's new members and (rescanned, cover, products)
+    steps = [[(new, row[1:]) for *_, new, row in report._rows()] for report in (want, got)]
+    first = next((i for i, (a, b) in enumerate(zip(*steps)) if a != b), min(map(len, steps)))
+    assert steps[0] == steps[1], f"rank {n} differs from step {first}"
+    assert np.array_equal(got.joined, want.joined)
+    assert got.to_json() == want.to_json()
 
 
 @settings(max_examples=60, deadline=None)

@@ -2,9 +2,10 @@
 
 Everything goes through main(argv) in-process; stdout is captured and
 compared against frozen renderings, including the exit-code contract
-(0 ok, 1 mismatch, 2 bad input, 3 scale guard).  The one exception is a
-step count past every chain, which runs in a child process with a memory
-limit, so a regression that pads the rows fails the child, not pytest.
+(0 ok, 1 mismatch, 2 bad input, 3 scale guard, 141 stdout closed).  Two
+kinds of case run in a child process: a step count past every chain,
+under a memory limit, so a regression that pads the rows fails the
+child, not pytest; and broken pipes, which need the child's own streams.
 """
 
 import functools
@@ -13,6 +14,7 @@ import json
 import os
 import re
 import resource
+import select
 import subprocess
 import sys
 from pathlib import Path
@@ -447,6 +449,55 @@ def test_chain_matrix_refuses_a_step_count_past_every_chain(tmp_path):
             assert done.stderr.count("\n") == 1, (fmt, out, done.stderr)
             assert done.stderr.startswith("scale guard: step count"), (fmt, out, done.stderr)
             assert not target.exists(), (fmt, out)
+
+
+def _child(argv, **streams):
+    """``python -m rigidcomm.cli`` with ``argv`` in a child process, its streams as given."""
+    return subprocess.Popen([sys.executable, "-m", "rigidcomm.cli", *argv],
+                            env=dict(os.environ, PYTHONPATH=str(SRC)), **streams)
+
+
+def _closed_pipe() -> int:
+    """The write end of a pipe whose reader is already gone."""
+    read, write = os.pipe()
+    os.close(read)
+    return write
+
+
+def test_a_closed_stdout_ends_the_command_quietly():
+    # the reader takes one byte of a multi-megabyte chain and closes its end, as
+    # `| head -c 1` does: exit 141, as a shell reports for SIGPIPE, and nothing on
+    # stderr, no "Exception ignored" line from the shutdown flush either
+    child = _child(["chain", "--n", "12", "--format", "json"], stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert child.stdout.read(1) == b"{"
+    child.stdout.close()
+    assert (child.communicate(timeout=60)[1], child.returncode) == (b"", 141)
+    # a reader gone before a one-line output is flushed
+    write = _closed_pipe()
+    child = _child(["eval", "[[6,5,4,3],[2,1]]"], stdout=write, stderr=subprocess.PIPE)
+    os.close(write)
+    assert (child.communicate(timeout=60)[1], child.returncode) == (b"", 141)
+
+
+def test_a_broken_pipe_on_out_or_stderr_exits_2(tmp_path):
+    # --out to a fifo whose reader takes one byte and goes: bad output, exit 2
+    fifo = tmp_path / "chain.fifo"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)  # so the child's open for writing does not wait
+    child = _child(["chain", "--n", "12", "--format", "json", "--out", str(fifo)],
+                   stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        assert select.select([reader], [], [], 60)[0], "the child wrote nothing to the fifo"
+        assert os.read(reader, 1) == b"{"
+    finally:
+        os.close(reader)
+    out, err = child.communicate(timeout=60)
+    assert (out, err, child.returncode) == (b"", b"chain: [Errno 32] Broken pipe\n", 2)
+    # stderr's reader gone before the first timings line: exit 2, with stdout still open
+    write = _closed_pipe()
+    child = _child(["chain", "--n", "5", "--timings"], stdout=subprocess.PIPE, stderr=write)
+    os.close(write)
+    assert (child.communicate(timeout=60)[0], child.returncode) == (b"", 2)
 
 
 # ── eval ─────────────────────────────────────────────────────────────────────

@@ -561,7 +561,7 @@ def _normalizer_in_loop(B, A):
 def _close_within(A, B):
     """The loop's closure of A within B, as a frozenset, whatever B is."""
     a, b = (np.array(sorted(S.masks), dtype=np.int64) for S in (A, B))
-    return frozenset(_kernel._close(a, B.n, (1 << saturated.CLOSURE_MAX_RANK) - 1, b).tolist())
+    return frozenset(_kernel._close(a, (1 << saturated.CLOSURE_MAX_RANK) - 1, b).tolist())
 
 
 @functools.lru_cache(maxsize=None)
