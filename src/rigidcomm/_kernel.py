@@ -21,12 +21,13 @@ rules read products against S, a saturated set with the translations:
   for each trailing one 2^j of a.
 
 Each rule with two kernels, Python ints for small inputs and numpy
-blocks for large ones, is selected by size in one entry, and the two
+blocks for large ones, is selected by size in one place, and the two
 give the same result: a numpy call costs tens of microseconds whatever
 its size, and most of a chain's scans and prunes are small.  The chain
-goes through the two entries, :func:`_chain_witnesses` and
-:func:`_chain_cover`; ``normalizing_step``, the chain's test reference,
-calls the numpy kernels directly.
+picks each step's scan kernel through :func:`_step_kernel`, which its
+``--timings`` rows read too, and runs it through :func:`_chain_witnesses`;
+it prunes through :func:`_chain_cover`.  ``normalizing_step``, the
+chain's test reference, calls the numpy kernels directly.
 """
 
 from __future__ import annotations
@@ -270,28 +271,25 @@ def _scan(cands: list[int], cover: list[int], joined: memoryview) -> list[int]:
     return found
 
 
-def _chain_witnesses(cands: list[int], cover: list[int], joined: np.ndarray, view: memoryview) -> list[int]:
-    """Each candidate's witness against ``cover``, which generates a chain's term.
+def _step_kernel(rescanned: int, cover: int) -> str:
+    """The kernel of a chain step that scans ``rescanned`` candidates against ``cover`` members:
+    "lone" for at most one candidate, which joins unscanned, else "scalar", :func:`_scan`, for at
+    most ``_SCALAR_PAIRS`` candidate-cover pairs, and "block", :func:`_witnesses`, for more."""
+    if rescanned <= 1:
+        return "lone"
+    return "scalar" if rescanned * cover <= _SCALAR_PAIRS else "block"
 
-    ``joined`` holds the term's join steps and ``view`` reads them.  A
-    block of at most ``_SCALAR_PAIRS`` candidate-cover pairs goes to
-    :func:`_scan`, a larger one to :func:`_witnesses`.
+
+def _chain_witnesses(kernel: str, cands: list[int], cover: list[int], joined: np.ndarray, view: memoryview) -> list[int]:
+    """Each candidate's witness against ``cover``, which generates a chain's term, by ``kernel``,
+    "scalar" or "block" as :func:`_step_kernel` names it.
+
+    ``joined`` holds the term's join steps and ``view`` reads them.
     """
-    if len(cands) * len(cover) <= _SCALAR_PAIRS:
+    if kernel == "scalar":
         return _scan(cands, cover, view)
     return _witnesses(np.array(cands, dtype=np.int64), np.array(cover, dtype=np.int64),
                       _in_term(joined)).tolist()
-
-
-def _step_kernel(i: int, rescanned: int, products: int) -> str:
-    """What chain step ``i`` ran, by its diagnostics: "start" for step 0, which scans nothing,
-    "lone" for at most one candidate, joined unscanned, else the kernel of :func:`_chain_witnesses`,
-    "scalar" for :func:`_scan` and "block" for :func:`_witnesses`."""
-    if i == 0:
-        return "start"
-    if rescanned <= 1:
-        return "lone"
-    return "scalar" if products <= _SCALAR_PAIRS else "block"
 
 
 def _close_ints(seed: list[int], cap: int) -> list[int]:

@@ -84,13 +84,12 @@ class ChainStep:
 
     ``level_dims`` counts members per base, levels 1..n ascending.
     ``index_log2`` is log2 of the index over the previous term; for step
-    0 it is reported against the translation span.  ``seconds``,
+    0 it is reported against the translation span.  The diagnostics,
+    which take no part in comparisons or JSON, are ``seconds``,
     ``rescanned`` (candidates re-examined in the step), ``cover`` (the
-    size of the generating set of the previous term the step scanned
-    them against) and ``products`` (mask products, rescanned times cover)
-    are diagnostics and take no part in comparisons or JSON.  A step that
-    rescans one candidate joins it with no products: it is the only mask
-    that can join, and the normalizer of a proper term is larger.
+    size of the generating set of the previous term they met) and
+    ``products`` (mask products, rescanned times cover, 0 for a step that
+    :func:`~rigidcomm._kernel._step_kernel` names lone).
     """
 
     i: int
@@ -115,8 +114,8 @@ class ChainReport:
     group was reached, or the step budget if that ran out first;
     ``reached_full`` says which.  ``diagnostics`` holds each step's
     :class:`ChainStep` diagnostics as a (seconds, rescanned, cover,
-    products) tuple, which each step of :func:`run_chain` writes into
-    flat typed arrays, and takes no part in comparisons.
+    products) tuple, read from the flat typed arrays that each step of
+    :func:`run_chain` writes, and takes no part in comparisons.
     """
 
     n: int
@@ -144,7 +143,7 @@ class ChainReport:
         Every output reads this walk; its stable sort of ``joined``, 2^n int64 while it
         runs, keeps each step's new members in mask order, their canonical order."""
         order = np.argsort(self.joined, kind="stable")
-        cuts = np.searchsorted(self.joined[order], np.arange(self.terminated_at + 2)).tolist()
+        cuts = np.searchsorted(self.joined, np.arange(self.terminated_at + 2), sorter=order).tolist()
         dims = [1] * self.n  # the translations, one per level
         for i, diagnostics in enumerate(self.diagnostics):
             new = order[cuts[i]:cuts[i + 1]].tolist()
@@ -248,13 +247,13 @@ def _elements_text(n: int, sep: str):
 class _Diagnostics(Sequence):
     """Each step's (seconds, rescanned, cover, products), kept in flat typed arrays.
 
-    The chain writes each step's row straight into ``seconds`` and
-    ``counts``, three counts a step.
+    The chain writes what each step measured into ``seconds`` and ``counts``, two 4-byte
+    counts, 16 bytes a step; products are derived through :func:`~rigidcomm._kernel._step_kernel`.
     """
 
     def __init__(self) -> None:
         self.seconds = array("d")
-        self.counts = array("q")
+        self.counts = array("i")
 
     def __len__(self) -> int:
         return len(self.seconds)
@@ -263,7 +262,9 @@ class _Diagnostics(Sequence):
         if isinstance(i, slice):
             return tuple(map(self.__getitem__, range(len(self.seconds))[i]))
         i = range(len(self.seconds))[i]
-        return (self.seconds[i], *self.counts[3 * i:3 * i + 3])
+        rescanned, cover = self.counts[2 * i:2 * i + 2]
+        products = 0 if _kernel._step_kernel(rescanned, cover) == "lone" else rescanned * cover
+        return self.seconds[i], rescanned, cover, products
 
 
 class _IncrementalChain:
@@ -309,8 +310,7 @@ class _IncrementalChain:
     normalizer is larger, so one of them joins: a lone candidate joins
     with no scan, and a step that joins nothing to a proper term raises.
 
-    ``diagnostics`` holds a row per step, each written by the step
-    itself; row 0 times ``__init__``, which scans nothing.
+    ``diagnostics`` holds a row per step, written by the step; row 0 times ``__init__``.
     """
 
     def __init__(self, start: SaturatedSet) -> None:
@@ -331,24 +331,24 @@ class _IncrementalChain:
         self.waiters: dict[int, list[int]] = {}
         self.diagnostics = _Diagnostics()
         self.diagnostics.seconds.append(time.perf_counter() - t0)
-        self.diagnostics.counts.extend((0, 0, 0))
+        self.diagnostics.counts.extend((0, 0))
 
     def step(self) -> list[int]:
         """Grow the term to its normalizer; return the masks that joined.
 
-        The step writes its row of ``diagnostics``: its seconds, the
-        candidates it rescanned, the cover it met them against and the
-        products, rescanned times cover or 0 for a lone candidate.  A
+        Runs the kernel that :func:`~rigidcomm._kernel._step_kernel` names and writes the step's
+        ``diagnostics`` row: its seconds, the candidates it rescanned and the cover they met.  A
         step that joins nothing to a proper term raises ``RuntimeError``.
         """
         t0 = time.perf_counter()
         scanned, cover, waiters = self.pending, self.cover, self.waiters
         met = len(cover)
-        if len(scanned) <= 1:  # the one mask that can join the larger normalizer, if any
-            joins, products = scanned, 0
+        kernel = _kernel._step_kernel(len(scanned), met)
+        if kernel == "lone":  # the one mask that can join the larger normalizer, if any
+            joins = scanned
         else:
-            joins, products = [], len(scanned) * met
-            for c, w in zip(scanned, _kernel._chain_witnesses(scanned, cover, self.joined, self.view)):
+            joins = []
+            for c, w in zip(scanned, _kernel._chain_witnesses(kernel, scanned, cover, self.joined, self.view)):
                 (waiters.setdefault(w, []) if w else joins).append(c)
         if not joins and self.log2_order < (1 << self.n) - 1:  # a proper term's normalizer is larger
             raise RuntimeError(f"step {self.i + 1} at rank {self.n} joined nothing to a proper term")
@@ -368,7 +368,7 @@ class _IncrementalChain:
             pending += waiters.pop(a, ())
         self.pending = pending
         self.diagnostics.seconds.append(time.perf_counter() - t0)
-        self.diagnostics.counts.extend((len(scanned), met, products))
+        self.diagnostics.counts.extend((len(scanned), met))
         return joins
 
 

@@ -113,7 +113,8 @@ def _print_timings(report, prefix: str = "") -> None:
     steps, each split by kernel, rescanned candidates and mask products, and this
     process's peak RSS.
 
-    Each row is split by the kernel that :func:`~rigidcomm._kernel._step_kernel` names.
+    Row 0 is the start; each later row is split by the kernel that the step ran, as
+    :func:`~rigidcomm._kernel._step_kernel` names it from its rescanned and cover counts.
     """
     seconds = dict.fromkeys(("start", "lone", "scalar", "block"), 0.0)
     steps = dict.fromkeys(seconds, 0)
@@ -121,7 +122,7 @@ def _print_timings(report, prefix: str = "") -> None:
     for i, row in enumerate(report.diagnostics):
         print(f"{prefix}step {i}: {row[0]:.4f}s, {row[1]} rescanned, {row[2]} cover, {row[3]} products",
               file=sys.stderr)
-        kernel = _kernel._step_kernel(i, row[1], row[3])
+        kernel = _kernel._step_kernel(row[1], row[2]) if i else "start"
         seconds[kernel] += row[0]
         steps[kernel] += 1
         rescanned, products = rescanned + row[1], products + row[3]
@@ -336,19 +337,17 @@ def main(argv=None) -> int:
         code = _HANDLERS[args.command](args)
         sys.stdout.flush()  # a closed reader shows here, not at shutdown
         return code
-    except ScaleGuardError as exc:
-        print(f"scale guard: {exc}", file=sys.stderr)
-        return 3
-    except (ValueError, OSError) as exc:  # bad input, or a file that cannot be read or written
+    except (ScaleGuardError, ValueError, OSError) as exc:  # a guard, bad input, or a file not read or written
         if isinstance(exc, BrokenPipeError) and _stdout_closed():
             # the shutdown flush of what is left writes to nowhere, not to the closed pipe
             devnull = os.open(os.devnull, os.O_WRONLY)
             os.dup2(devnull, sys.stdout.fileno())
             os.close(devnull)
             return 141
+        guard = isinstance(exc, ScaleGuardError)
         with contextlib.suppress(OSError):  # stderr may be the pipe that broke
-            print(f"{args.command}: {exc}", file=sys.stderr)
-        return 2
+            print(f"{'scale guard' if guard else args.command}: {exc}", file=sys.stderr)
+        return 3 if guard else 2
 
 
 if __name__ == "__main__":

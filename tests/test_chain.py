@@ -578,6 +578,23 @@ def test_a_lone_woken_candidate_joins_without_products():
     assert lone > 0
 
 
+@pytest.mark.parametrize("n, max_steps", [*((n, None) for n in range(3, 13)), (16, 14)])
+def test_each_row_names_the_kernel_that_ran(monkeypatch, n, max_steps):
+    # products are derived from a row's counts by _step_kernel, so only the calls
+    # themselves show that a step ran the kernel its row names: a scan per step
+    # that is not lone, none for a lone step and none for the start
+    ran = []
+    for name, kernel in (("_scan", "scalar"), ("_witnesses", "block")):
+        def spy(*args, _inner=getattr(_kernel, name), _kernel_name=kernel):
+            ran.append(_kernel_name)
+            return _inner(*args)
+        monkeypatch.setattr(_kernel, name, spy)
+    report = run_chain(n, max_steps)
+    named = [_kernel._step_kernel(rescanned, cover) for _, rescanned, cover, _ in report.diagnostics[1:]]
+    assert ran == [kernel for kernel in named if kernel != "lone"]
+    assert ran or n == 3  # rank 3's one step is lone
+
+
 def test_first_step_rescans_the_two_hole_masks():
     for n in range(3, 21):
         assert run_chain(n, 1).steps[1].rescanned == math.comb(n, 3), n

@@ -404,7 +404,7 @@ def test_chain_timings_split_the_totals_by_kernel(capsys):
     summary = SUMMARY.fullmatch(capsys.readouterr().err.splitlines()[-1])
     assert summary
     steps = chainmod.run_chain(7).steps[1:]
-    kernels = [_kernel._step_kernel(s.i, s.rescanned, s.products) for s in steps]
+    kernels = [_kernel._step_kernel(s.rescanned, s.cover) for s in steps]
     lone, scalar = kernels.count("lone"), kernels.count("scalar")
     assert [int(summary[k]) for k in ("lone", "scalar", "block")] == [lone, scalar, len(steps) - lone - scalar]
     assert int(summary["lone"]) + int(summary["scalar"]) + int(summary["block"]) == int(summary["steps"])
@@ -498,6 +498,16 @@ def test_a_broken_pipe_on_out_or_stderr_exits_2(tmp_path):
     child = _child(["chain", "--n", "5", "--timings"], stdout=subprocess.PIPE, stderr=write)
     os.close(write)
     assert (child.communicate(timeout=60)[0], child.returncode) == (b"", 2)
+
+
+@pytest.mark.parametrize("argv", [["chain", "--n", "21"], ["closure", "/dev/zero"], ["verify", "--n", "25"]],
+                         ids=["chain", "closure", "verify"])
+def test_a_scale_guard_exits_3_whatever_stderr_is(argv):
+    # the guard's line goes to a stderr whose reader is gone: still exit 3, nothing on stdout
+    write = _closed_pipe()
+    child = _child(argv, stdout=subprocess.PIPE, stderr=write)
+    os.close(write)
+    assert (child.communicate(timeout=60)[0], child.returncode) == (b"", 3)
 
 
 # ── eval ─────────────────────────────────────────────────────────────────────
