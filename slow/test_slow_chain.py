@@ -1,6 +1,6 @@
-"""Checks too slow for tier-1: full chains at ranks 15..20 and the oracle at bases 17..20.
+"""Checks too slow for tier-1: full chains at ranks 13..20 and the oracle at bases 17..20.
 
-Run with ``python -m pytest -q slow``; together they take about 40 s on a 2-vCPU host.
+Run with ``python -m pytest -q slow``; this file's checks take about 60 s on a 2-vCPU host.
 """
 
 import hashlib
@@ -9,6 +9,7 @@ import random
 import pytest
 
 from rigidcomm import permutations, run_chain
+from chain_definition import blocked_steps_faults
 from reference_chain import reference_chain
 from test_permutations import check_oracle_at_base
 
@@ -28,6 +29,12 @@ def test_full_chain_matches_the_reference_chain(n):
     report = run_chain(n)
     joined, steps = reference_chain(n)
     assert (report.joined.tolist(), report.terminated_at) == (joined, steps)
+
+
+@pytest.mark.parametrize("n", range(13, 16))
+def test_full_chain_meets_the_definition(n):
+    report = run_chain(n)
+    assert blocked_steps_faults(report.joined, report.terminated_at) == []
 
 
 @pytest.mark.parametrize("n", sorted(FULL_CHAIN_JOINED_SHA256))

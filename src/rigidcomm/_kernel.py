@@ -192,15 +192,15 @@ def _uncovered_ints(masks: list[int], joined: memoryview) -> list[int]:
     return kept
 
 
-def _chain_cover(masks: list[int], n: int, joined: np.ndarray, view: memoryview) -> list[int]:
+def _chain_cover(masks: list[int], n: int, joined: np.ndarray) -> list[int]:
     """The entries of ``masks``, members of a chain's term, that the cover rule keeps.
 
-    ``joined`` holds the term's join steps and ``view`` reads them.  At
-    most ``_SCALAR_PRUNE`` members go to :func:`_uncovered_ints`, more to
-    :func:`_uncovered`; both keep the order of ``masks``.
+    ``joined`` holds the term's join steps.  At most ``_SCALAR_PRUNE``
+    members go to :func:`_uncovered_ints`, through a ``memoryview`` of
+    ``joined``, more to :func:`_uncovered`; both keep the order of ``masks``.
     """
     if len(masks) <= _SCALAR_PRUNE:
-        return _uncovered_ints(masks, view)
+        return _uncovered_ints(masks, memoryview(joined))
     return _uncovered(np.array(masks, dtype=np.int64), _in_term(joined), n).tolist()
 
 
@@ -280,14 +280,14 @@ def _step_kernel(rescanned: int, cover: int) -> str:
     return "scalar" if rescanned * cover <= _SCALAR_PAIRS else "block"
 
 
-def _chain_witnesses(kernel: str, cands: list[int], cover: list[int], joined: np.ndarray, view: memoryview) -> list[int]:
+def _chain_witnesses(kernel: str, cands: list[int], cover: list[int], joined: np.ndarray) -> list[int]:
     """Each candidate's witness against ``cover``, which generates a chain's term, by ``kernel``,
     "scalar" or "block" as :func:`_step_kernel` names it.
 
-    ``joined`` holds the term's join steps and ``view`` reads them.
+    ``joined`` holds the term's join steps; :func:`_scan` reads them through a ``memoryview``.
     """
     if kernel == "scalar":
-        return _scan(cands, cover, view)
+        return _scan(cands, cover, memoryview(joined))
     return _witnesses(np.array(cands, dtype=np.int64), np.array(cover, dtype=np.int64),
                       _in_term(joined)).tolist()
 

@@ -141,9 +141,11 @@ class ChainReport:
         """Each step's (i, log2_order, index_log2, level_dims, new member masks, diagnostics row).
 
         Every output reads this walk; its stable sort of ``joined``, 2^n int64 while it
-        runs, keeps each step's new members in mask order, their canonical order."""
+        runs, keeps each step's new members in mask order, their canonical order, and
+        each step's cut into it stays in one int64 array, 8 bytes a step, not a list."""
         order = np.argsort(self.joined, kind="stable")
-        cuts = np.searchsorted(self.joined, np.arange(self.terminated_at + 2), sorter=order).tolist()
+        steps = np.arange(self.terminated_at + 2, dtype=self.joined.dtype)
+        cuts = memoryview(np.searchsorted(self.joined, steps, sorter=order))  # reads each cut as an int
         dims = [1] * self.n  # the translations, one per level
         for i, diagnostics in enumerate(self.diagnostics):
             new = order[cuts[i]:cuts[i + 1]].tolist()
@@ -267,111 +269,6 @@ class _Diagnostics(Sequence):
         return self.seconds[i], rescanned, cover, products
 
 
-class _IncrementalChain:
-    """Chain terms from ``start`` on, rescanning only woken candidates.
-
-    ``joined`` is the term's only copy, as :attr:`ChainReport.joined`
-    reads it, with the other members of ``start`` at step 0 and ``i``
-    the last step taken; ``log2_order`` counts its members.  The steps
-    read and write it through ``view``, a ``memoryview``, which the
-    caller releases before a report makes ``joined`` read-only.
-    ``cover``, a list of ints, generates the term but is not the cover
-    rule's exact output: it holds the members kept when the prune last
-    ran, as it does again once the cover has doubled, and every member
-    joined since, appended in place; no other array of the chain grows
-    with 2^n.  Both prunes go through
-    :func:`~rigidcomm._kernel._chain_cover`.  Every candidate outside
-    the term waits on a witness, a commutator [c, m], m a member, that
-    lay outside the term when it was recorded; ``pending`` holds the
-    candidates to scan at the next step, those whose witness has joined
-    since, in no order that a rule reads, and one scan,
-    :func:`~rigidcomm._kernel._chain_witnesses`, meets them all with the
-    cover.  One Python pass over the scanned masks and their witnesses
-    splits the joins from the failures; the joins wake the next scan.
-
-    By the wake rule, every candidate starts parked on its lowest
-    fill-in, with no stored state: the masks that join a step wake those
-    parked on them.  ``__init__`` wakes those parked on the members of
-    ``start`` outside the term, so the first scan meets the candidates
-    whose lowest fill-in is a member, as in ``normalizing_step``.  A
-    candidate that fails a scan waits in ``waiters`` under the witness
-    the scan found, until it joins.
-
-    The cache is sound only while every term is saturated, contains the
-    translations t_1..t_n, and contains the term before it.  A start
-    with the first two properties keeps all three: the normalizer of a
-    saturated set containing the translations is again saturated, and
-    contains the set itself.  A saturated set with the translations
-    holds the fill-ins of its members, so a parked candidate is never a
-    member, and a candidate that has met a scan is never parked.
-
-    So every mask that can join the next term is in ``pending``, and
-    while the term is proper, a proper subgroup of a 2-group, its
-    normalizer is larger, so one of them joins: a lone candidate joins
-    with no scan, and a step that joins nothing to a proper term raises.
-
-    ``diagnostics`` holds a row per step, written by the step; row 0 times ``__init__``.
-    """
-
-    def __init__(self, start: SaturatedSet) -> None:
-        t0 = time.perf_counter()
-        n = self.n = start.n
-        members = start._sorted
-        ints = members.tolist()
-        self.joined = np.full(1 << n, _kernel._NEVER, dtype=np.int32)
-        self.joined[members] = 0
-        self.joined[(1 << np.arange(n + 1)) - 1] = -1  # the identity and the t_i
-        self.view = view = memoryview(self.joined)
-        self.i = 0
-        self.cover = _kernel._chain_cover(ints, n, self.joined, view)
-        self.pruned = len(self.cover)  # the cover's size when the prune last made it
-        self.log2_order = start.log2_order
-        # each member wakes the masks parked on it, as if it had just joined
-        self.pending = [c for c in _kernel._parked(ints) if view[c] == _kernel._NEVER]
-        self.waiters: dict[int, list[int]] = {}
-        self.diagnostics = _Diagnostics()
-        self.diagnostics.seconds.append(time.perf_counter() - t0)
-        self.diagnostics.counts.extend((0, 0))
-
-    def step(self) -> list[int]:
-        """Grow the term to its normalizer; return the masks that joined.
-
-        Runs the kernel that :func:`~rigidcomm._kernel._step_kernel` names and writes the step's
-        ``diagnostics`` row: its seconds, the candidates it rescanned and the cover they met.  A
-        step that joins nothing to a proper term raises ``RuntimeError``.
-        """
-        t0 = time.perf_counter()
-        scanned, cover, waiters = self.pending, self.cover, self.waiters
-        met = len(cover)
-        kernel = _kernel._step_kernel(len(scanned), met)
-        if kernel == "lone":  # the one mask that can join the larger normalizer, if any
-            joins = scanned
-        else:
-            joins = []
-            for c, w in zip(scanned, _kernel._chain_witnesses(kernel, scanned, cover, self.joined, self.view)):
-                (waiters.setdefault(w, []) if w else joins).append(c)
-        if not joins and self.log2_order < (1 << self.n) - 1:  # a proper term's normalizer is larger
-            raise RuntimeError(f"step {self.i + 1} at rank {self.n} joined nothing to a proper term")
-        i = self.i = self.i + 1
-        view = self.view
-        for a in joins:
-            view[a] = i
-        self.log2_order += len(joins)
-        # the term only grows, so a covered member stays covered and the old
-        # cover plus the joins still generates the term; prune once it doubles
-        cover += joins
-        if len(cover) >= 2 * self.pruned:
-            self.cover = _kernel._chain_cover(cover, self.n, self.joined, view)
-            self.pruned = len(self.cover)
-        pending = _kernel._parked(joins)
-        for a in joins:
-            pending += waiters.pop(a, ())
-        self.pending = pending
-        self.diagnostics.seconds.append(time.perf_counter() - t0)
-        self.diagnostics.counts.extend((len(scanned), met))
-        return joins
-
-
 def check_chain_rank(n: int) -> None:
     """Refuse a rank that is not an integer >= 1 with ``ValueError``, and a chain
     whose 2^n-slot join steps would pass ``CHAIN_MAX_RANK`` with ``ScaleGuardError``.
@@ -389,25 +286,112 @@ def run_chain(n: int, max_steps: int | None = None) -> ChainReport:
     a step that adds nothing to a proper term, which in a 2-group is
     smaller than its normalizer, raises ``RuntimeError``.  Past the full
     group the chain is constant, and :meth:`ChainReport.index_sequence`
-    pads it with zero indices.
-
-    Each step rescans only the candidates whose cached witness joined the
-    chain in the step before, against the term's cover; the baseline is
-    saturated and contains the translations, which is what keeps that
-    cache sound and lets each candidate's lowest fill-in serve as its
-    first witness.  The join steps take 2^n slots, so ranks above
-    ``CHAIN_MAX_RANK`` raise
+    pads it with zero indices.  :func:`_run` takes the steps.  The join
+    steps take 2^n slots, so ranks above ``CHAIN_MAX_RANK`` raise
     :class:`~rigidcomm.permutations.ScaleGuardError` before any work.
     """
     if max_steps is not None:
         _check_int("step budget", max_steps, 0)
     check_chain_rank(n)
-    full_log2 = (1 << n) - 1
-    chain = _IncrementalChain(translation_normalizer_set(n))
-    while chain.log2_order < full_log2 and chain.i != max_steps:
-        chain.step()
-    chain.view.release()  # before the report makes joined read-only
-    return ChainReport(n, chain.joined, chain.i, chain.log2_order == full_log2, chain.diagnostics)
+    return _run(translation_normalizer_set(n), max_steps)
+
+
+def _run(start: SaturatedSet, max_steps: int | None) -> ChainReport:
+    """The chain from ``start``, its term 0, to the full group or ``max_steps`` steps.
+
+    One loop keeps the chain's state in locals, and nothing outlives it
+    but the report.  ``joined`` is the term's only copy, as
+    :attr:`ChainReport.joined` reads it, with the other members of
+    ``start`` at step 0 and ``i`` the last step taken; ``log2_order``
+    counts its members.  The loop reads and writes it through ``view``,
+    a ``memoryview`` released as the loop's ``with`` block ends, before
+    the report makes ``joined`` read-only.  ``cover``, a list of ints,
+    generates the term but is not the cover rule's exact output: it
+    holds the members kept when the prune last ran, ``pruned`` of them,
+    as it runs again once the cover has doubled, and every member joined
+    since, appended in place; no other array of the chain grows with 2^n.
+    Both prunes go through :func:`~rigidcomm._kernel._chain_cover`.
+    Every candidate outside the term waits on a witness, a commutator
+    [c, m], m a member, that lay outside the term when it was recorded;
+    ``scanned`` holds the candidates to scan at the next step, those
+    whose witness has joined since, in no order that a rule reads, and
+    one scan, :func:`~rigidcomm._kernel._chain_witnesses`, meets them
+    all with the cover.  One Python pass over the scanned masks and
+    their witnesses splits the joins from the failures; the joins wake
+    the next scan.
+
+    By the wake rule, every candidate starts parked on its lowest
+    fill-in, with no stored state: the masks that join a step wake those
+    parked on them.  The start wakes those parked on the members of
+    ``start`` outside the term, so the first scan meets the candidates
+    whose lowest fill-in is a member, as in ``normalizing_step``.  A
+    candidate that fails a scan waits in ``waiters`` under the witness
+    the scan found, until it joins.
+
+    The cache is sound only while every term is saturated, contains the
+    translations t_1..t_n, and contains the term before it.  A start
+    with the first two properties keeps all three: the normalizer of a
+    saturated set containing the translations is again saturated, and
+    contains the set itself.  The translation normalizer of
+    :func:`run_chain` is such a start.  A saturated set with the
+    translations holds the fill-ins of its members, so a parked
+    candidate is never a member, and a candidate that has met a scan is
+    never parked.
+
+    So every mask that can join the next term is in ``scanned``, and
+    while the term is proper, a proper subgroup of a 2-group, its
+    normalizer is larger, so one of them joins: a step runs the kernel
+    that :func:`~rigidcomm._kernel._step_kernel` names, a lone candidate
+    joins with no scan, and a step that joins nothing raises
+    ``RuntimeError``.  No step runs at the full group.
+
+    ``diagnostics`` holds a row per step, its seconds, the candidates it
+    rescanned and the cover they met; row 0 times the start.
+    """
+    t0 = time.perf_counter()
+    n, members = start.n, start._sorted
+    full_log2, ints = (1 << n) - 1, members.tolist()
+    joined = np.full(1 << n, _kernel._NEVER, dtype=np.int32)
+    joined[members] = 0
+    joined[(1 << np.arange(n + 1)) - 1] = -1  # the identity and the t_i
+    cover = _kernel._chain_cover(ints, n, joined)
+    pruned, log2_order, i = len(cover), start.log2_order, 0
+    waiters: dict[int, list[int]] = {}
+    diagnostics = _Diagnostics()
+    with memoryview(joined) as view:
+        # each member wakes the masks parked on it, as if it had just joined
+        scanned = [c for c in _kernel._parked(ints) if view[c] == _kernel._NEVER]
+        row = (0, 0)  # the start rescans nothing and meets no cover
+        while True:
+            diagnostics.seconds.append(time.perf_counter() - t0)
+            diagnostics.counts.extend(row)
+            if log2_order == full_log2 or i == max_steps:
+                break
+            t0 = time.perf_counter()
+            row = len(scanned), len(cover)
+            kernel = _kernel._step_kernel(*row)
+            if kernel == "lone":  # the one mask that can join the larger normalizer, if any
+                joins = scanned
+            else:
+                joins = []
+                for c, w in zip(scanned, _kernel._chain_witnesses(kernel, scanned, cover, joined)):
+                    (waiters.setdefault(w, []) if w else joins).append(c)
+            i += 1
+            if not joins:  # a proper term's normalizer is larger
+                raise RuntimeError(f"step {i} at rank {n} joined nothing to a proper term")
+            for a in joins:
+                view[a] = i
+            log2_order += len(joins)
+            # the term only grows, so a covered member stays covered and the old
+            # cover plus the joins still generates the term; prune once it doubles
+            cover += joins
+            if len(cover) >= 2 * pruned:
+                cover = _kernel._chain_cover(cover, n, joined)
+                pruned = len(cover)
+            scanned = _kernel._parked(joins)
+            for a in joins:
+                scanned += waiters.pop(a, ())
+    return ChainReport(n, joined, i, log2_order == full_log2, diagnostics)
 
 
 def verify_theoretical(report: ChainReport) -> list[tuple[int, bool]]:

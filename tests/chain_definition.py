@@ -1,0 +1,80 @@
+"""A normalizer chain checked from the definition of a normalizer, on its join table alone.
+
+It reads nothing but the table and its own copy of the product rule, and
+imports nothing from ``rigidcomm``: no cover, wake rule, witness or
+saturated-set code stands on both sides of the check.
+
+Let J be the join table: J[m] the step at which mask m joined, -1 for the
+identity and the translations, and a value above every computed step for
+a mask outside every computed term, so term s is the masks m with
+J[m] <= s.  A mask c fails to normalize term s exactly when some member m
+of term s has a product c∘m outside it, J[m] <= s < J[c∘m].  So the steps
+where c is blocked are the union of the intervals [J[m], J[c∘m]) over the
+m with c∘m != 0, and the table is a normalizer chain, each term the
+normalizer of the one before, exactly when, for every c, that union
+covers the steps below J[c] - 1 and no later step.  The second half says
+too that each term is closed: a member is never blocked.  For a mask
+outside every computed term the last step is left unchecked, as the
+normalizer of the last term was not computed.
+
+That the normalizer in this mask world is the group's normalizer is the
+paper's theorem, which the permutation oracle checks, not this module.
+"""
+
+import numpy as np
+
+_BLOCK = 1 << 18  # products per block of rows, which bounds the temporaries
+
+
+def _products(c: np.ndarray, m: np.ndarray, top: np.ndarray) -> np.ndarray:
+    """[c, m] for every pair of a column of masks ``c`` and a row of masks ``m``.
+
+    ``top`` holds each mask's top bit, 2^(b-1) for a mask based at b.  With
+    t the smaller top bit, the lower factor's, the product is the identity
+    when the higher factor holds t, equal bases included; otherwise it holds
+    t, the bits below t the two share, and the higher factor's bits above t.
+    """
+    t = np.minimum(top[c], top[m])
+    shared = c & m
+    p = (shared & (t - 1)) | t | ((c | m) & -(t << 1))
+    p[(shared & t) != 0] = 0
+    return p
+
+
+def blocked_steps_faults(joined, last: int, first: int = -1) -> list[int]:
+    """The masks whose blocked steps break the definition of a normalizer chain.
+
+    ``joined`` is a join table of 2^n entries in the convention above, and
+    ``last`` the last computed step; every value above ``last`` means
+    outside every computed term.  Steps ``first`` to ``last`` are checked,
+    ``first`` = 0 for a chain whose term 0 is a start other than the
+    normalizer of the translations.  An empty list means the table passes.
+
+    The union of c's intervals is read without listing them: c is blocked
+    at s exactly when the largest J[c∘m] over the members m of term s
+    passes s, a running maximum over the members taken in join order, read
+    where each term ends.  The identity's entry, -1, stands for the zero
+    products, which block nothing.
+    """
+    J = np.minimum(np.asarray(joined, dtype=np.int64), last + 1)  # past `last` all look alike
+    size = J.size
+    n = size.bit_length() - 1
+    top = np.zeros(size, dtype=np.int64)
+    for b in range(1, n + 1):
+        top[1 << (b - 1):1 << b] = 1 << (b - 1)
+    members = np.argsort(J[1:], kind="stable") + 1
+    members = members[J[members] <= last]  # in join order; no other mask blocks a computed step
+    steps = np.arange(first, last + 1)
+    ends = np.searchsorted(J[members], steps, side="right")  # term s is members[:ends[s - first]]
+    faults = []
+    rows = max(1, _BLOCK // max(1, members.size))
+    for lo in range(1, size, rows):
+        c = np.arange(lo, min(lo + rows, size), dtype=np.int64)
+        reach = np.full((c.size, members.size + 1), -1, dtype=np.int64)
+        reach[:, 1:] = J[_products(c[:, None], members[None, :], top)]
+        np.maximum.accumulate(reach, axis=1, out=reach)
+        blocked = reach[:, ends] > steps
+        want = steps < J[c, None] - 1
+        want[J[c] > last, -1] = blocked[J[c] > last, -1]  # the last term's normalizer is unknown
+        faults += c[(blocked != want).any(axis=1)].tolist()
+    return faults

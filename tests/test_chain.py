@@ -33,7 +33,7 @@ from rigidcomm import (
 )
 from rigidcomm import _kernel, chain, partitions
 from rigidcomm._kernel import _NEVER
-from rigidcomm.chain import CHAIN_MAX_RANK, _IncrementalChain
+from rigidcomm.chain import CHAIN_MAX_RANK, _run
 from rigidcomm.rigid import commutator_mask
 from test_saturated import _ambient, _normalizer_in_loop, _trusted, _with_translations
 
@@ -419,37 +419,65 @@ def test_full_chain_matches_naive_fold(n):
     assert run_chain(n).to_json() == _naive_chain(n).to_json()
 
 
+def _term(joined: np.ndarray) -> set[int]:
+    """The members of the term that a chain's live join table holds, the identity left out."""
+    return set(np.flatnonzero(joined != _NEVER)[1:].tolist())
+
+
+def _fresh_cover(joined: np.ndarray, n: int) -> list[int]:
+    """The cover rule's output on every member of the term that ``joined`` holds, sorted."""
+    members = np.array(sorted(_term(joined)), dtype=np.int64)
+    return _kernel._uncovered(members, _kernel._membership(members, n), n).tolist()
+
+
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(3, 10), data=st.data())
 def test_incremental_step_matches_normalizing_step(n, data):
     # the witness cache needs a saturated start containing the translations
     extra = data.draw(st.lists(st.integers(1, (1 << n) - 1), min_size=1, max_size=3))
     start = saturate([RigidCommutator(m, n) for m in (*translation_set(n).masks, *extra)], n)
-    chain = _IncrementalChain(start)
-    # the first scan meets the candidates whose lowest fill-in is a member, whatever the start
-    assert sorted(chain.pending) == sorted(
-        c for c in range(1 << n) if c not in start.masks | {0} and c | (c + 1) in start.masks
-    )
-    current = start
-    for _ in range(data.draw(st.integers(1, 6))):
-        before, pruned = list(chain.cover), chain.pruned
-        added = chain.step()
-        nxt = normalizing_step(current)
-        assert chain.log2_order == len(nxt.masks)
-        assert np.flatnonzero(chain.joined != _NEVER).tolist() == [0, *sorted(nxt.masks)]
-        assert set(added) == nxt.masks - current.masks
-        # the cover kept across steps holds the cover of the term made afresh,
-        # so it generates the term, and is that cover right after a re-prune
-        members = np.array(sorted(nxt.masks), dtype=np.int64)
-        fresh = _kernel._uncovered(members, _kernel._membership(members, n), n)
-        cover = chain.cover
-        assert set(fresh.tolist()) <= set(cover) <= nxt.masks
+    scans, pruned = [], {}  # the candidates each scan met; the last prune's cover and term
+    cover_rule, witnesses = _kernel._chain_cover, _kernel._chain_witnesses
+
+    def prune(masks, n, joined):
+        kept = cover_rule(masks, n, joined)
+        assert sorted(kept) == _fresh_cover(joined, n)  # a prune, the start's too, leaves the fresh cover
+        pruned.update(kept=list(kept), term=_term(joined))
+        return kept
+
+    def scan(kernel, cands, cover, joined):
+        # the cover carried to a scan holds the fresh cover, so it generates the term,
+        # with no repeats: the last prune's cover, then the members joined since
+        term = _term(joined)
+        assert set(_fresh_cover(joined, n)) <= set(cover) <= term
         assert len(set(cover)) == len(cover)
-        if len(before) + len(added) >= 2 * pruned:
-            assert sorted(cover) == fresh.tolist()
-        else:
-            assert cover == before + added
+        kept = pruned["kept"]
+        assert cover[:len(kept)] == kept and set(cover[len(kept):]) == term - pruned["term"]
+        scans.append(list(cands))
+        return witnesses(kernel, cands, cover, joined)
+
+    budget = data.draw(st.integers(1, 6))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_kernel, "_chain_cover", prune)
+        patch.setattr(_kernel, "_chain_witnesses", scan)
+        report = _run(start, budget)
+    assert report.terminated_at == budget or report.reached_full
+    current = start
+    for s in report.steps[1:]:
+        nxt = normalizing_step(current)
+        assert s.log2_order == len(nxt.masks)
+        assert report.member_masks_at(s.i) == nxt.masks
+        assert {m.mask for m in s.new_members} == nxt.masks - current.masks
         current = nxt
+    if report.terminated_at:
+        # the first scan meets the candidates whose lowest fill-in is a member, whatever the start
+        first = sorted(c for c in range(1 << n) if c not in start.masks | {0} and c | (c + 1) in start.masks)
+        step = report.steps[1]
+        assert step.rescanned == len(first)
+        if _kernel._step_kernel(step.rescanned, step.cover) == "lone":
+            assert [m.mask for m in step.new_members] == first
+        else:
+            assert sorted(scans[0]) == first
 
 
 # extra masks that, with the translations and saturated, start the chains below;
@@ -471,15 +499,15 @@ FIXED_STARTS = {
 ])
 def test_incremental_chain_from_fixed_starts_matches_iterated_normalizing_step(n, extra):
     start = saturate([RigidCommutator(m, n) for m in (*translation_set(n).masks, *extra)], n)
-    chain = _IncrementalChain(start)
+    report = _run(start, None)
     term = start
-    while len(term) < (1 << n) - 1:
-        added = chain.step()
+    for s in report.steps[1:]:
         nxt = normalizing_step(term)
-        assert sorted(added) == sorted(nxt.masks - term.masks), chain.i
-        assert chain.log2_order == len(nxt), chain.i
+        assert sorted(m.mask for m in s.new_members) == sorted(nxt.masks - term.masks), s.i
+        assert s.log2_order == len(nxt), s.i
         term = nxt
-    assert (chain.joined[1:] <= chain.i).all()
+    assert report.reached_full and len(term) == (1 << n) - 1
+    assert (report.joined[1:] <= report.terminated_at).all()
 
 
 def test_a_step_that_joins_nothing_to_a_proper_term_raises(monkeypatch):
@@ -499,9 +527,9 @@ def test_a_step_that_joins_nothing_to_a_proper_term_raises(monkeypatch):
         run_chain(14)
     assert time.perf_counter() - t0 < 1
     monkeypatch.undo()
-    # the full group is its own normalizer: a step there joins nothing and raises nothing
-    full = _IncrementalChain(full_rigid_set(5))
-    assert full.step() == [] and full.i == 1
+    # the full group is its own normalizer, and the loop takes no step there
+    full = _run(full_rigid_set(5), None)
+    assert (full.terminated_at, full.reached_full, len(full.diagnostics)) == (0, True, 1)
 
 
 @pytest.mark.parametrize("n", range(3, 11))
@@ -696,17 +724,16 @@ def test_no_rule_reads_the_order_of_the_wake_list(monkeypatch, n, max_steps, cut
     # scalar scan reads pair by pair
     if cutoff is not None:
         monkeypatch.setattr(_kernel, "_SCALAR_PAIRS", cutoff)
-    rng, moved = random.Random(n), []
+    rng, moved, witnesses = random.Random(n), [], _kernel._chain_witnesses
 
-    class Shuffled(_IncrementalChain):
-        def step(self):
-            before = list(self.pending)
-            rng.shuffle(self.pending)
-            moved.append(self.pending != before)
-            return super().step()
+    def shuffled(kernel, cands, cover, joined):
+        before = list(cands)
+        rng.shuffle(cands)  # in place: the step pairs this list with the witnesses
+        moved.append(cands != before)
+        return witnesses(kernel, cands, cover, joined)
 
     want = run_chain(n, max_steps)
-    monkeypatch.setattr(chain, "_IncrementalChain", Shuffled)
+    monkeypatch.setattr(_kernel, "_chain_witnesses", shuffled)
     got = run_chain(n, max_steps)
     assert any(moved) or n == 3  # rank 3 never wakes two candidates at once
     # each step's new members and (rescanned, cover, products)
@@ -794,6 +821,23 @@ def test_rank20_chain_holds_no_table_besides_its_join_steps():
         tracemalloc.stop()
     assert report.joined.nbytes == 4 << 20
     assert peak < 6 << 20, peak
+
+
+def test_report_walk_holds_its_sort_and_one_cut_array_at_rank18():
+    # the walk's stable argsort takes 2 MiB at rank 18, its 88879 step cuts 0.68 MiB as
+    # int64, and the int32 steps they are searched with 0.34 MiB while the cuts are made;
+    # a list of the cuts, 8-byte pointers to 32-byte ints, would take 3.4 MiB more
+    for _ in run_chain(4)._rows():  # numpy's first calls of some functions allocate once
+        pass
+    report = run_chain(18)
+    tracemalloc.start()
+    try:
+        for _ in report._rows():
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * (1 << 20), peak
 
 
 def test_chain_scale_guard_refuses_before_work(monkeypatch):
