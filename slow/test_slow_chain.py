@@ -1,6 +1,7 @@
 """Checks too slow for tier-1: full chains at ranks 13..20 and the oracle at bases 17..20.
 
-Run with ``python -m pytest -q slow``; this file's checks take about 60 s on a 2-vCPU host.
+Run with ``python -m pytest -q slow``; this file's checks take about 125 s on a 2-vCPU host,
+76 s of it the definition check at rank 16.
 """
 
 import hashlib
@@ -31,7 +32,7 @@ def test_full_chain_matches_the_reference_chain(n):
     assert (report.joined.tolist(), report.terminated_at) == (joined, steps)
 
 
-@pytest.mark.parametrize("n", range(13, 16))
+@pytest.mark.parametrize("n", range(13, 17))
 def test_full_chain_meets_the_definition(n):
     report = run_chain(n)
     assert blocked_steps_faults(report.joined, report.terminated_at) == []

@@ -39,7 +39,17 @@ import numpy as np
 from . import permutations as perm
 from .rigid import RigidCommutator, commutator_mask
 
-_PAIR_BLOCK = 1 << 14  # mask products per kernel call, which bounds its temporaries
+# mask products per block of _pair_products, 128 KiB an int64 array of them.  glibc's
+# malloc serves a request of 128 KiB or more by mmap, and gives a free heap top past
+# its trim threshold (128 KiB by default) back to the system, so a block whose
+# temporaries pass that faults fresh pages in at every block, about 2.4 µs a page
+# (2-vCPU host).  _witnesses holds four int64 words a product (its top bits t, and
+# _products' shared bits, products and -t) where _pair_products yields one, so it
+# takes a quarter of this, 128 KiB in all: in the benchmark's loop a chain-prefix
+# batch took 521 minor faults (median) with whole blocks there and none with
+# quarters.  _pair_products keeps whole blocks: at 4096 products the closure check
+# of predicted_chain_set(31, 29) ran 8-14 % slower in fresh processes
+_PAIR_BLOCK = 1 << 14
 # saturate closes a seed on Python ints while it has at most this many members,
 # then hands what it found to the numpy rounds; in-process medians over random
 # seeds at ranks 10, 12 and 14 (2-vCPU host), ints alone took 0.11-0.14 of the
@@ -83,7 +93,7 @@ def _products(x: np.ndarray, y: np.ndarray, t) -> tuple[np.ndarray, np.ndarray]:
     so the callers zero those pairs from the shared bits, or pass none.
     """
     shared, prod = x & y, x ^ y
-    prod &= -t  # in place: a block of products is at most _PAIR_BLOCK int64s, fresh ones cost page faults
+    prod &= -t  # in place: an array t makes -t a fourth int64 word a product, as _PAIR_BLOCK counts
     prod |= shared
     return shared, prod
 
@@ -227,25 +237,31 @@ def _witnesses(
     witness against ``members``.
 
     The candidates meet all the members in row blocks of
-    ``_PAIR_BLOCK // len(members)`` candidates, at least one, so a block
-    holds at most ``max(_PAIR_BLOCK, len(members))`` products.  One
-    :func:`_top_bits` call reads the top bits of candidates and members
-    together, and each block is one call of :func:`_products` with the
-    smaller top bit t of each pair.  One masked assignment zeroes the
-    pairs whose shared bits reach t, which make no product, and the
-    products inside the set, 0 among them, so a row's witness is its
-    largest product outside the set.  A scan of one block returns its
-    row maxima as they are.
+    ``_PAIR_BLOCK // 4 // len(members)`` candidates, at least one, so a
+    block holds at most ``max(_PAIR_BLOCK // 4, len(members))`` products
+    and, at four int64 words a product, stays inside the heap, as
+    ``_PAIR_BLOCK``'s comment explains.  One :func:`_top_bits` call reads
+    the top bits of candidates and members together, and each block is
+    one call of :func:`_products` with the smaller top bit t of each
+    pair.  The pairs whose shared bits reach t make no product; they are
+    marked, and the shared bits and t freed, before the membership
+    lookup marks the products inside the set, 0 among them.  One masked
+    assignment zeroes both, so a row's witness is its largest product
+    outside the set.  A scan of one block returns its row maxima as they
+    are.
     """
     k = len(cands)
     tops = _top_bits(np.concatenate((cands, members)))
     x, x_tops, y_tops = cands[:, None], tops[:k, None], tops[k:]
-    rows = max(1, _PAIR_BLOCK // len(members))
+    rows = max(1, _PAIR_BLOCK // 4 // len(members))
     found = [cands[:0]]
     for i in range(0, k, rows):
         t = np.minimum(x_tops[i:i + rows], y_tops)
         shared, prod = _products(x[i:i + rows], members, t)
-        prod[(shared >= t) | present(prod)] = 0
+        drop = shared >= t
+        del shared, t
+        drop |= present(prod)
+        prod[drop] = 0
         found.append(prod.max(axis=1))
     return found[1] if len(found) == 2 else np.concatenate(found)
 

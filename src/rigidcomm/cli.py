@@ -55,7 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--timings", action="store_true",
                    help="print per-step seconds, rescanned candidates, the cover they met and "
                         "mask products (0 where one candidate joins unscanned) to stderr, "
-                        "then a line of the run's totals and peak RSS, "
+                        "then a line of the run's totals, its minor page faults and peak RSS, "
                         "prefixed with the rank under --n-range")
     c.add_argument("--out", help="write to this file instead of stdout")
 
@@ -108,10 +108,17 @@ def _table(fmt: str, header: list, rows):
     yield from map(line, rows)
 
 
-def _print_timings(report, prefix: str = "") -> None:
+def _timed_chain(n: int, steps: int | None):
+    """``run_chain(n, steps)`` and the minor page faults this process took while it ran."""
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    report = chainmod.run_chain(n, max_steps=steps)
+    return report, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+
+def _print_timings(report, faults: int, prefix: str = "") -> None:
     """Each step's diagnostics on stderr, then one line for the run: its seconds and
-    steps, each split by kernel, rescanned candidates and mask products, and this
-    process's peak RSS.
+    steps, each split by kernel, rescanned candidates, mask products and the
+    ``faults`` it took, and this process's peak RSS.
 
     Row 0 is the start; each later row is split by the kernel that the step ran, as
     :func:`~rigidcomm._kernel._step_kernel` names it from its rescanned and cover counts.
@@ -131,15 +138,15 @@ def _print_timings(report, prefix: str = "") -> None:
     print(f"{prefix}total: {sum(seconds.values()):.4f}s (start {start:.4f}s, lone {lone:.4f}s, "
           f"scalar {scalar:.4f}s, block {block:.4f}s), {report.terminated_at} steps (lone {steps['lone']}, "
           f"scalar {steps['scalar']}, block {steps['block']}), {rescanned} rescanned, {products} products, "
-          f"peak RSS {peak_mib:.1f} MiB", file=sys.stderr)
+          f"{faults} minor faults, peak RSS {peak_mib:.1f} MiB", file=sys.stderr)
 
 
 def _matrix(args, ranks: range, steps: int):
     """The index matrix of ``ranks``, a row a chunk, each rank's chain run as its row is written."""
     def row(n):
-        report = chainmod.run_chain(n, max_steps=steps)
+        report, faults = _timed_chain(n, steps)
         if args.timings:
-            _print_timings(report, f"n={n} ")
+            _print_timings(report, faults, f"n={n} ")
         return [n, *report.index_sequence(steps)]
     # the first row is made before the header, so a bad rank or step count writes nothing
     rows = itertools.chain((row(ranks[0]),), map(row, ranks[1:]))
@@ -168,9 +175,9 @@ def _cmd_chain(args) -> int:
         steps = args.steps if args.steps is not None else 14
         chainmod.check_chain_rank(hi)  # refuse before computing the low rows
         return _emit(_matrix(args, range(lo, hi + 1), steps), args.out)
-    report = chainmod.run_chain(args.n, max_steps=args.steps)
+    report, faults = _timed_chain(args.n, args.steps)
     if args.timings:
-        _print_timings(report)
+        _print_timings(report, faults)
     if args.format == "json":
         chunks = itertools.chain(report._json_chunks(2), ("\n",))
     elif args.format == "md":

@@ -23,7 +23,10 @@ paper's theorem, which the permutation oracle checks, not this module.
 
 import numpy as np
 
-_BLOCK = 1 << 18  # products per block of rows, which bounds the temporaries
+# products per block, a row or a column chunk of one: each takes a few int64 words,
+# and glibc's malloc serves 128 KiB or more by mmap and gives a free heap top past
+# 128 KiB back to the system, so larger blocks fault their pages in afresh each time
+_BLOCK = 1 << 12
 
 
 def _products(c: np.ndarray, m: np.ndarray, top: np.ndarray) -> np.ndarray:
@@ -54,7 +57,9 @@ def blocked_steps_faults(joined, last: int, first: int = -1) -> list[int]:
     at s exactly when the largest J[c∘m] over the members m of term s
     passes s, a running maximum over the members taken in join order, read
     where each term ends.  The identity's entry, -1, stands for the zero
-    products, which block nothing.
+    products, which block nothing.  Rows of masks meet the members in
+    blocks of at most ``_BLOCK`` products, and a row of more members is
+    read in column chunks, each carrying the maximum of the chunks before.
     """
     J = np.minimum(np.asarray(joined, dtype=np.int64), last + 1)  # past `last` all look alike
     size = J.size
@@ -66,15 +71,28 @@ def blocked_steps_faults(joined, last: int, first: int = -1) -> list[int]:
     members = members[J[members] <= last]  # in join order; no other mask blocks a computed step
     steps = np.arange(first, last + 1)
     ends = np.searchsorted(J[members], steps, side="right")  # term s is members[:ends[s - first]]
+    cols = max(1, min(members.size, _BLOCK))  # a row of more members is read in column chunks
+    rows = max(1, _BLOCK // cols)
+    chunks = []  # each chunk of members, and the steps whose terms end in it, with their ends in it
+    for j0 in range(0, max(members.size, 1), cols):
+        # a chunk's reach[:, k] is the running maximum over members[:j0 + k], k = 0..j1 - j0,
+        # and the steps whose terms end in [j0, j1) are read there, the last chunk's end too
+        j1 = min(j0 + cols, members.size)
+        s0, s1 = ends.searchsorted([j0, j1 if j1 < members.size else j1 + 1])
+        chunks.append((members[None, j0:j1], ends[s0:s1] - j0, steps[s0:s1]))
     faults = []
-    rows = max(1, _BLOCK // max(1, members.size))
     for lo in range(1, size, rows):
         c = np.arange(lo, min(lo + rows, size), dtype=np.int64)
-        reach = np.full((c.size, members.size + 1), -1, dtype=np.int64)
-        reach[:, 1:] = J[_products(c[:, None], members[None, :], top)]
-        np.maximum.accumulate(reach, axis=1, out=reach)
-        blocked = reach[:, ends] > steps
-        want = steps < J[c, None] - 1
-        want[J[c] > last, -1] = blocked[J[c] > last, -1]  # the last term's normalizer is unknown
-        faults += c[(blocked != want).any(axis=1)].tolist()
+        unknown, below = J[c] > last, J[c, None] - 1
+        reach = np.full((c.size, 1), -1, dtype=np.int64)
+        bad = np.zeros(c.size, dtype=bool)
+        for m, at, s in chunks:
+            reach = np.concatenate((reach[:, -1:], J[_products(c[:, None], m, top)]), axis=1)
+            np.maximum.accumulate(reach, axis=1, out=reach)
+            blocked = reach[:, at] > s
+            want = s < below
+            if s.size and s[-1] == last:  # the last term's normalizer is unknown
+                want[unknown, -1] = blocked[unknown, -1]
+            bad |= (blocked != want).any(axis=1)
+        faults += c[bad].tolist()
     return faults

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from rigidcomm import RigidCommutator, run_chain, saturate, translation_set
 from rigidcomm._kernel import _NEVER
 from rigidcomm.chain import _run
+import chain_definition
 from chain_definition import blocked_steps_faults
 
 
@@ -56,3 +57,26 @@ def test_the_definition_rejects_a_moved_or_dropped_join(n):
     dropped = joined.copy()
     dropped[rng.choice(np.flatnonzero(joined > 0).tolist())] = _NEVER
     assert blocked_steps_faults(dropped, last) != []
+
+
+@pytest.mark.parametrize("block", [1, 7, 64])
+def test_the_definition_reads_the_same_in_any_block(monkeypatch, block):
+    # a row of more than _BLOCK members is read in column chunks that carry the
+    # running maximum, which only ranks past 12 need at the full block; small
+    # blocks send ranks 4..7 that way, and no verdict moves
+    tables = []
+    for n in range(4, 8):
+        report, rng = run_chain(n), random.Random(n)
+        joined, last = report.joined, report.terminated_at
+        tables.append((joined, last))
+        for shift in (1, -1):
+            moved = joined.copy()
+            c = rng.choice([m for m in range(1, 1 << n) if 0 <= joined[m] and 0 <= joined[m] + shift <= last])
+            moved[c] += shift
+            tables.append((moved, last))
+        prefix = run_chain(n, 3)
+        tables.append((prefix.joined, prefix.terminated_at))
+    want = [blocked_steps_faults(joined, last) for joined, last in tables]
+    assert [] in want and sum(map(bool, want)) == 8
+    monkeypatch.setattr(chain_definition, "_BLOCK", block)
+    assert [blocked_steps_faults(joined, last) for joined, last in tables] == want

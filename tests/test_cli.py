@@ -17,6 +17,7 @@ import resource
 import select
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -351,7 +352,7 @@ def test_chain_range_timings_print_every_step_of_every_rank(capsys):
     line = re.compile(r"n=(\d+) (?:step (\d+): \d+\.\d{4}s, \d+ rescanned, \d+ cover, \d+ products"
                       r"|(total): \d+\.\d{4}s \(start \d+\.\d{4}s, lone \d+\.\d{4}s, scalar \d+\.\d{4}s, "
                       r"block \d+\.\d{4}s\), \d+ steps \(lone \d+, scalar \d+, block \d+\), \d+ rescanned, "
-                      r"\d+ products, peak RSS \d+\.\d MiB)")
+                      r"\d+ products, \d+ minor faults, peak RSS \d+\.\d MiB)")
     want = [(n, str(i)) for n in (3, 4, 5) for i in [*range(chainmod.run_chain(n, 4).terminated_at + 1), "total"]]
     assert len(want) == 3 + 6 + 6  # rank 3 is full after one step, rank 4 after four
     for fmt in ("md", "json"):
@@ -372,7 +373,7 @@ SUMMARY = re.compile(
     r"total: (?P<seconds>\d+\.\d{4})s \(start (?P<start_s>\d+\.\d{4})s, lone (?P<lone_s>\d+\.\d{4})s, "
     r"scalar (?P<scalar_s>\d+\.\d{4})s, block (?P<block_s>\d+\.\d{4})s\), (?P<steps>\d+) steps "
     r"\(lone (?P<lone>\d+), scalar (?P<scalar>\d+), block (?P<block>\d+)\), (?P<rescanned>\d+) rescanned, "
-    r"(?P<products>\d+) products, peak RSS (?P<peak_mib>\d+\.\d) MiB"
+    r"(?P<products>\d+) products, (?P<faults>\d+) minor faults, peak RSS (?P<peak_mib>\d+\.\d) MiB"
 )
 
 
@@ -411,6 +412,28 @@ def test_chain_timings_split_the_totals_by_kernel(capsys):
     split = sum(float(summary[k]) for k in ("start_s", "lone_s", "scalar_s", "block_s"))
     assert abs(split - float(summary["seconds"])) <= 2e-4  # each figure is rounded to 0.1 ms
     assert min(lone, scalar, len(steps) - lone - scalar) > 0
+
+
+def test_chain_timings_count_each_ranks_faults(monkeypatch, capsys):
+    # ru_minflt is read just before and after each rank's run_chain, so each totals
+    # line reads the faults of its own run, whatever the ranks before it took
+    taken, run_chain, getrusage = [0], chainmod.run_chain, resource.getrusage
+
+    def faulting_run_chain(n, *args, **kwargs):
+        taken[0] += 1000 * n
+        return run_chain(n, *args, **kwargs)
+
+    def usage(who):
+        return types.SimpleNamespace(ru_minflt=taken[0], ru_maxrss=getrusage(who).ru_maxrss)
+
+    monkeypatch.setattr(chainmod, "run_chain", faulting_run_chain)
+    monkeypatch.setattr(resource, "getrusage", usage)
+    assert main(["chain", "--n-range", "3..5", "--format", "csv", "--timings"]) == 0
+    totals = [line.split(" ", 1) for line in capsys.readouterr().err.splitlines() if " total: " in line]
+    assert [(prefix, int(SUMMARY.fullmatch(line)["faults"])) for prefix, line in totals] == [
+        ("n=3", 3000), ("n=4", 4000), ("n=5", 5000)]
+    assert main(["chain", "--n", "6", "--timings"]) == 0
+    assert SUMMARY.fullmatch(capsys.readouterr().err.splitlines()[-1])["faults"] == "6000"
 
 
 def test_chain_and_verify_scale_guard(capsys):

@@ -798,9 +798,10 @@ def test_witnesses_match_reference_loop(n, term, picks):
 
 
 def test_witnesses_blocks_split_rows_and_columns(monkeypatch):
-    # a block of 1 or 7 products is shorter than most member lists, so each
-    # candidate meets all the members alone, in a row block of its own; with 64
-    # a row block holds several candidates
+    # _witnesses takes a quarter of _PAIR_BLOCK; of 1 or 7 that is shorter than
+    # most member lists, so each candidate meets all the members alone, in a row
+    # block of its own; of 64, 16 products, a row block meets a short list with
+    # several candidates
     rng = random.Random(11)
     n = 6
     cases = []
@@ -812,6 +813,30 @@ def test_witnesses_blocks_split_rows_and_columns(monkeypatch):
         monkeypatch.setattr(_kernel, "_PAIR_BLOCK", block)
         for A, B in cases:
             _check_witnesses(A, B)
+
+
+def test_witnesses_block_stays_near_128_kib():
+    # run_chain(16, 14)'s largest block step scans 225 candidates against a cover of
+    # 137; a block of a quarter of _PAIR_BLOCK products, four int64 words each, peaks
+    # at about 200 KiB in all, where whole blocks peaked at about 730 KiB
+    calls, real = [], _kernel._witnesses
+
+    def spy(cands, members, present):
+        calls.append((cands, members, present))
+        return real(cands, members, present)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_kernel, "_witnesses", spy)
+        run_chain(16, 14)
+    cands, members, present = max(calls, key=lambda call: call[0].size * call[1].size)
+    assert cands.size >= 225 and members.size >= 137
+    real(cands, members, present)  # numpy's first calls of some functions allocate once
+    tracemalloc.start()
+    try:
+        real(cands, members, present)
+        assert tracemalloc.get_traced_memory()[1] <= 256 << 10
+    finally:
+        tracemalloc.stop()
 
 
 @settings(max_examples=150, deadline=None)
