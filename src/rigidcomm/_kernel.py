@@ -43,12 +43,13 @@ from .rigid import RigidCommutator, commutator_mask
 # malloc serves a request of 128 KiB or more by mmap, and gives a free heap top past
 # its trim threshold (128 KiB by default) back to the system, so a block whose
 # temporaries pass that faults fresh pages in at every block, about 2.4 µs a page
-# (2-vCPU host).  _witnesses holds four int64 words a product (its top bits t, and
+# (2-vCPU host).  _witnesses holds four words a product (its top bits t, and
 # _products' shared bits, products and -t) where _pair_products yields one, so it
-# takes a quarter of this, 128 KiB in all: in the benchmark's loop a chain-prefix
-# batch took 521 minor faults (median) with whole blocks there and none with
-# quarters.  _pair_products keeps whole blocks: at 4096 products the closure check
-# of predicted_chain_set(31, 29) ran 8-14 % slower in fresh processes
+# takes the same 128 KiB in all: a quarter of this many products at int64, half at
+# the int32 a chain's masks take.  In the benchmark's loop a chain-prefix batch took
+# 521 minor faults (median) with whole int64 blocks there and none with quarters.
+# _pair_products keeps whole blocks: at 4096 products the closure check of
+# predicted_chain_set(31, 29) ran 8-14 % slower in fresh processes
 _PAIR_BLOCK = 1 << 14
 # saturate closes a seed on Python ints while it has at most this many members,
 # then hands what it found to the numpy rounds; in-process medians over random
@@ -93,7 +94,7 @@ def _products(x: np.ndarray, y: np.ndarray, t) -> tuple[np.ndarray, np.ndarray]:
     so the callers zero those pairs from the shared bits, or pass none.
     """
     shared, prod = x & y, x ^ y
-    prod &= -t  # in place: an array t makes -t a fourth int64 word a product, as _PAIR_BLOCK counts
+    prod &= -t  # in place: an array t makes -t a fourth word a product, as _PAIR_BLOCK counts
     prod |= shared
     return shared, prod
 
@@ -155,13 +156,18 @@ def _membership(members: np.ndarray, n: int) -> Callable[[np.ndarray], np.ndarra
 
 
 def _in_term(joined: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """A chain term's lookup, as :func:`_membership` makes a set's, read from its join steps."""
-    return lambda masks: joined[masks] != _NEVER
+    """A chain term's lookup, as :func:`_membership` makes a set's, read from its join steps.
+
+    The lookup reads ``joined`` with ``take``, which costs less than a
+    fancy index on the int32 masks of a chain's block scan, and takes
+    masks of any integer width.
+    """
+    return lambda masks: joined.take(masks) != _NEVER
 
 
 def _top_bits(masks: np.ndarray) -> np.ndarray:
-    """The top bit 2^(b-1) of each nonzero int64 mask, b its base, in any order or shape."""
-    return _TOPS.take(_POWERS.searchsorted(masks, "right"))
+    """The top bit 2^(b-1) of each nonzero mask, b its base, in any order or shape and in masks' dtype."""
+    return _TOPS.take(_POWERS.searchsorted(masks, "right")).astype(masks.dtype, copy=False)
 
 
 def _uncovered(
@@ -230,39 +236,43 @@ def _witnesses(
 ) -> np.ndarray:
     """Each candidate's witness, by the witness rule, found in row blocks of products.
 
-    ``cands`` and ``members`` are nonzero int64 arrays, in any order, the
-    latter a nonempty generating set of a saturated set, such as its
-    :func:`_uncovered` members; ``present`` is the set's lookup, as
-    :func:`_membership` makes it.  Entry k of the result is cands[k]'s
-    witness against ``members``.
+    ``cands`` and ``members`` are nonzero arrays of one integer dtype,
+    in any order, the latter a nonempty generating set of a saturated
+    set, such as its :func:`_uncovered` members; ``present`` is the set's
+    lookup, as :func:`_membership` makes it.  Entry k of the result is
+    cands[k]'s witness against ``members``.  The scan computes in the
+    dtype it is given, top bits too: int64 in ``normalizing_step``, int32
+    for a chain's masks, below 2^``CHAIN_MAX_RANK``.
 
-    The candidates meet all the members in row blocks of
-    ``_PAIR_BLOCK // 4 // len(members)`` candidates, at least one, so a
-    block holds at most ``max(_PAIR_BLOCK // 4, len(members))`` products
-    and, at four int64 words a product, stays inside the heap, as
+    The candidates meet all the members in row blocks sized by bytes:
+    four words a product in ``_PAIR_BLOCK`` int64 words, 128 KiB, that is
+    ``_PAIR_BLOCK // 4`` int64 or ``_PAIR_BLOCK // 2`` int32 products, and
+    at least one candidate a block, so a block stays inside the heap, as
     ``_PAIR_BLOCK``'s comment explains.  One :func:`_top_bits` call reads
     the top bits of candidates and members together, and each block is
     one call of :func:`_products` with the smaller top bit t of each
-    pair.  The pairs whose shared bits reach t make no product; they are
-    marked, and the shared bits and t freed, before the membership
-    lookup marks the products inside the set, 0 among them.  One masked
-    assignment zeroes both, so a row's witness is its largest product
-    outside the set.  A scan of one block returns its row maxima as they
-    are.
+    pair.  The pairs whose shared bits reach t make no product; a keep
+    mask drops them, and the shared bits and t are freed, before the
+    membership lookup drops the products inside the set, 0 among them.
+    Multiplying by the keep mask zeroes both, so a row's witness is its
+    largest product outside the set, and the block's products and mask
+    are freed before the next block's words are made.  A scan of one
+    block returns its row maxima as they are.
     """
     k = len(cands)
     tops = _top_bits(np.concatenate((cands, members)))
     x, x_tops, y_tops = cands[:, None], tops[:k, None], tops[k:]
-    rows = max(1, _PAIR_BLOCK // 4 // len(members))
+    rows = max(1, _PAIR_BLOCK * 8 // (4 * cands.itemsize) // len(members))
     found = [cands[:0]]
     for i in range(0, k, rows):
         t = np.minimum(x_tops[i:i + rows], y_tops)
         shared, prod = _products(x[i:i + rows], members, t)
-        drop = shared >= t
+        keep = shared < t
         del shared, t
-        drop |= present(prod)
-        prod[drop] = 0
+        keep &= ~present(prod)
+        prod *= keep
         found.append(prod.max(axis=1))
+        del prod, keep
     return found[1] if len(found) == 2 else np.concatenate(found)
 
 
@@ -304,7 +314,7 @@ def _chain_witnesses(kernel: str, cands: list[int], cover: list[int], joined: np
     """
     if kernel == "scalar":
         return _scan(cands, cover, memoryview(joined))
-    return _witnesses(np.array(cands, dtype=np.int64), np.array(cover, dtype=np.int64),
+    return _witnesses(np.array(cands, dtype=np.int32), np.array(cover, dtype=np.int32),
                       _in_term(joined)).tolist()
 
 

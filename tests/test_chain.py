@@ -755,7 +755,8 @@ def test_scalar_scan_matches_block_scan(n, term, picks, data):
     # the chain scans a small block in _kernel._scan and a large one in _witnesses,
     # and prunes a small cover in _uncovered_ints and a large one in
     # _uncovered; each pair reads the same term, as a join-step table and as a
-    # membership lookup
+    # membership lookup.  _witnesses gives the same witnesses at int32, as the
+    # chain hands it, and at int64, as normalizing_step does
     A = _with_translations(n, _ambient(n, term), picks)
     members = np.array(sorted(A.masks), dtype=np.int64)
     present = _kernel._membership(members, n)
@@ -766,8 +767,11 @@ def test_scalar_scan_matches_block_scan(n, term, picks, data):
     cands = [(1 << n) - 1, *data.draw(st.lists(st.integers(1, (1 << n) - 1), min_size=1, max_size=40))]
     cover = _kernel._uncovered(members, present, n)
     for gens in (cover, members[::-1]):
-        want = _kernel._witnesses(np.array(cands, dtype=np.int64), gens, present).tolist()
-        assert _kernel._scan(cands, gens.tolist(), memoryview(joined)) == want
+        want = _kernel._scan(cands, gens.tolist(), memoryview(joined))
+        for dtype in (np.int32, np.int64):
+            for lookup in (present, _kernel._in_term(joined)):
+                got = _kernel._witnesses(np.array(cands, dtype=dtype), gens.astype(dtype), lookup)
+                assert got.dtype == dtype and got.tolist() == want, (dtype, lookup)
     assert want[0] == 0
     for masks in (members, members[::-1]):  # each keeps the order it is given
         want = _kernel._uncovered(masks, present, n).tolist()
@@ -838,6 +842,30 @@ def test_report_walk_holds_its_sort_and_one_cut_array_at_rank18():
     finally:
         tracemalloc.stop()
     assert peak < 3.5 * (1 << 20), peak
+
+
+def test_chain_masks_fit_int32():
+    assert (1 << CHAIN_MAX_RANK) - 1 <= np.iinfo(np.int32).max, (
+        "the block scan holds a chain's masks in int32: a higher CHAIN_MAX_RANK needs int64 there"
+    )
+
+
+def test_block_scan_width(monkeypatch):
+    # a chain's block steps scan int32 masks, normalizing_step's int64 ones
+    widths = []
+
+    def spy(cands, members, present, _inner=_kernel._witnesses):
+        widths.append((cands.dtype, members.dtype))
+        return _inner(cands, members, present)
+
+    monkeypatch.setattr(_kernel, "_witnesses", spy)
+    report = run_chain(12)
+    kernels = [_kernel._step_kernel(rescanned, cover) for _, rescanned, cover, _ in report.diagnostics[1:]]
+    blocks = kernels.count("block")
+    assert blocks and widths == [(np.int32, np.int32)] * blocks
+    widths.clear()
+    normalizing_step(translation_normalizer_set(12))
+    assert widths == [(np.int64, np.int64)]
 
 
 def test_chain_scale_guard_refuses_before_work(monkeypatch):

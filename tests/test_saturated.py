@@ -766,9 +766,9 @@ def _scanned_pool(B, A):
     return sorted(pools[0]), got.masks
 
 
-def _check_witnesses(A, B):
-    cands = np.array(sorted(B.masks), dtype=np.int64)
-    members = np.array(sorted(A.masks), dtype=np.int64)
+def _check_witnesses(A, B, dtype=np.int64):
+    cands = np.array(sorted(B.masks), dtype=dtype)
+    members = np.array(sorted(A.masks), dtype=dtype)
     present = _kernel._membership(members, A.n)
     cover = _kernel._uncovered(members, present, A.n)
     # every member in mask order, and the cover, which generates A, in reverse order
@@ -798,10 +798,10 @@ def test_witnesses_match_reference_loop(n, term, picks):
 
 
 def test_witnesses_blocks_split_rows_and_columns(monkeypatch):
-    # _witnesses takes a quarter of _PAIR_BLOCK; of 1 or 7 that is shorter than
-    # most member lists, so each candidate meets all the members alone, in a row
-    # block of its own; of 64, 16 products, a row block meets a short list with
-    # several candidates
+    # _witnesses takes a quarter of _PAIR_BLOCK at int64 and half at int32; of 1
+    # or 7 that is shorter than most member lists, so each candidate meets all the
+    # members alone, in a row block of its own; of 64, 16 or 32 products, a row
+    # block meets a short list with several candidates
     rng = random.Random(11)
     n = 6
     cases = []
@@ -812,13 +812,15 @@ def test_witnesses_blocks_split_rows_and_columns(monkeypatch):
     for block in (1, 7, 64):
         monkeypatch.setattr(_kernel, "_PAIR_BLOCK", block)
         for A, B in cases:
-            _check_witnesses(A, B)
+            for dtype in (np.int32, np.int64):
+                _check_witnesses(A, B, dtype)
 
 
 def test_witnesses_block_stays_near_128_kib():
     # run_chain(16, 14)'s largest block step scans 225 candidates against a cover of
-    # 137; a block of a quarter of _PAIR_BLOCK products, four int64 words each, peaks
-    # at about 200 KiB in all, where whole blocks peaked at about 730 KiB
+    # 137; a block of half _PAIR_BLOCK int32 products, four words (16 bytes) each,
+    # peaks at about 160 KiB in all when it frees its products and keep mask before
+    # the next block's words are made, and at about 200 KiB when it does not
     calls, real = [], _kernel._witnesses
 
     def spy(cands, members, present):
@@ -834,7 +836,7 @@ def test_witnesses_block_stays_near_128_kib():
     tracemalloc.start()
     try:
         real(cands, members, present)
-        assert tracemalloc.get_traced_memory()[1] <= 256 << 10
+        assert tracemalloc.get_traced_memory()[1] <= 192 << 10
     finally:
         tracemalloc.stop()
 
