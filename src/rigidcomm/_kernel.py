@@ -26,8 +26,13 @@ give the same result: a numpy call costs tens of microseconds whatever
 its size, and most of a chain's scans and prunes are small.  The chain
 picks each step's scan kernel through :func:`_step_kernel`, which its
 ``--timings`` rows read too, and runs it through :func:`_chain_witnesses`;
-it prunes through :func:`_chain_cover`.  ``normalizing_step``, the
-chain's test reference, calls the numpy kernels directly.
+it prunes through :func:`_chain_cover`.  Both take the chain loop's own
+``memoryview`` of its join steps and make none: the int kernels read it,
+and the numpy kernels the array under it.  What is left of a chain
+scan's cost is per call, so a block scan converts its candidates and
+cover in one call and reads their top bits from tables of their own
+width, and the int scan rules out a pair with no product from one bit.  ``normalizing_step``,
+the chain's test reference, calls the numpy kernels directly.
 """
 
 from __future__ import annotations
@@ -43,11 +48,13 @@ from .rigid import RigidCommutator, commutator_mask
 # malloc serves a request of 128 KiB or more by mmap, and gives a free heap top past
 # its trim threshold (128 KiB by default) back to the system, so a block whose
 # temporaries pass that faults fresh pages in at every block, about 2.4 µs a page
-# (2-vCPU host).  _witnesses holds four words a product (its top bits t, and
-# _products' shared bits, products and -t) where _pair_products yields one, so it
+# (2-vCPU host).  _witnesses holds four words a product at its peak (its top bits t,
+# and _products' shared bits, products and -t) where _pair_products yields one, so it
 # takes the same 128 KiB in all: a quarter of this many products at int64, half at
-# the int32 a chain's masks take.  In the benchmark's loop a chain-prefix batch took
-# 521 minor faults (median) with whole int64 blocks there and none with quarters.
+# the int32 a chain's masks take; its lookup, made once the shared bits and t are
+# freed, holds the products, the keep mask and the looked-up steps, less than that.
+# In the benchmark's loop a chain-prefix batch took 521 minor faults (median) with
+# whole int64 blocks there and none with quarters.
 # _pair_products keeps whole blocks: at 4096 products the closure check of
 # predicted_chain_set(31, 29) ran 8-14 % slower in fresh processes
 _PAIR_BLOCK = 1 << 14
@@ -62,7 +69,10 @@ _SCALAR_MEMBERS = 64
 # above it they binary-search the sorted members
 _DENSE_MAX_RANK = 20
 _POWERS = np.left_shift(np.int64(1), np.arange(63, dtype=np.int64))  # 2^k, each bit an int64 holds
-_TOPS = np.insert(_POWERS, 0, 0)  # the top bit 2^(b-1) of a base-b mask, 0 for the identity
+# per width, the powers 2^k it holds and, at b, the top bit 2^(b-1) of a base-b mask, 0 for the
+# identity, so that _top_bits searches and reads its masks' own width and casts nothing
+_TOPS = {np.dtype(t): (_POWERS[:bits - 1].astype(t), np.insert(_POWERS[:bits - 1], 0, 0).astype(t))
+         for t, bits in ((np.int32, 32), (np.int64, 64))}
 _LOWS = _POWERS - 1  # 2^k - 1, the bits below 2^k
 _NEVER = np.iinfo(np.int32).max  # the join step of a mask outside every computed term
 # a step scans a block of at most this many candidate-cover pairs in a Python
@@ -156,18 +166,15 @@ def _membership(members: np.ndarray, n: int) -> Callable[[np.ndarray], np.ndarra
 
 
 def _in_term(joined: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """A chain term's lookup, as :func:`_membership` makes a set's, read from its join steps.
-
-    The lookup reads ``joined`` with ``take``, which costs less than a
-    fancy index on the int32 masks of a chain's block scan, and takes
-    masks of any integer width.
-    """
+    """A chain term's lookup, as :func:`_membership` makes a set's, read from its join steps with ``take``."""
     return lambda masks: joined.take(masks) != _NEVER
 
 
 def _top_bits(masks: np.ndarray) -> np.ndarray:
-    """The top bit 2^(b-1) of each nonzero mask, b its base, in any order or shape and in masks' dtype."""
-    return _TOPS.take(_POWERS.searchsorted(masks, "right")).astype(masks.dtype, copy=False)
+    """The top bit 2^(b-1) of each nonzero int32 or int64 mask, b its base, in any order or shape
+    and in masks' dtype, read from the tables of that width."""
+    powers, tops = _TOPS[masks.dtype]
+    return tops[powers.searchsorted(masks, "right")]
 
 
 def _uncovered(
@@ -208,16 +215,17 @@ def _uncovered_ints(masks: list[int], joined: memoryview) -> list[int]:
     return kept
 
 
-def _chain_cover(masks: list[int], n: int, joined: np.ndarray) -> list[int]:
+def _chain_cover(masks: list[int], n: int, view: memoryview) -> list[int]:
     """The entries of ``masks``, members of a chain's term, that the cover rule keeps.
 
-    ``joined`` holds the term's join steps.  At most ``_SCALAR_PRUNE``
-    members go to :func:`_uncovered_ints`, through a ``memoryview`` of
-    ``joined``, more to :func:`_uncovered`; both keep the order of ``masks``.
+    ``view`` is the chain loop's ``memoryview`` of the term's join steps.
+    At most ``_SCALAR_PRUNE`` members go to :func:`_uncovered_ints`,
+    which reads ``view``, more to :func:`_uncovered`, which reads the
+    array under it, ``view.obj``; both keep the order of ``masks``.
     """
     if len(masks) <= _SCALAR_PRUNE:
-        return _uncovered_ints(masks, memoryview(joined))
-    return _uncovered(np.array(masks, dtype=np.int64), _in_term(joined), n).tolist()
+        return _uncovered_ints(masks, view)
+    return _uncovered(np.array(masks, dtype=np.int64), _in_term(view.obj), n).tolist()
 
 
 def _parked(masks: Iterable[int]) -> list[int]:
@@ -232,64 +240,79 @@ def _parked(masks: Iterable[int]) -> list[int]:
 
 
 def _witnesses(
-    cands: np.ndarray, members: np.ndarray, present: Callable[[np.ndarray], np.ndarray]
-) -> np.ndarray:
-    """Each candidate's witness, by the witness rule, found in row blocks of products.
+    masks: np.ndarray, k: int, lookup: Callable[[np.ndarray], np.ndarray], outside
+) -> list[int]:
+    """The witness of each of the first ``k`` entries of ``masks``, by the witness rule, found
+    in row blocks of products.
 
-    ``cands`` and ``members`` are nonzero arrays of one integer dtype,
-    in any order, the latter a nonempty generating set of a saturated
-    set, such as its :func:`_uncovered` members; ``present`` is the set's
-    lookup, as :func:`_membership` makes it.  Entry k of the result is
-    cands[k]'s witness against ``members``.  The scan computes in the
-    dtype it is given, top bits too: int64 in ``normalizing_step``, int32
-    for a chain's masks, below 2^``CHAIN_MAX_RANK``.
+    ``masks`` is one nonzero int32 or int64 array, in any order: the
+    candidates, then the members, a nonempty generating set of a
+    saturated set, such as its :func:`_uncovered` members.  A product p
+    lies outside the set where ``lookup(p) == outside``: a chain's term
+    passes its join steps' ``take`` and ``_NEVER``, a saturated set its
+    :func:`_membership` lookup and False.  Entry j of the result, a
+    list of ints as :func:`_scan` gives, is masks[j]'s witness against
+    the members.  The scan computes in the width it is given, top bits
+    too: int64 in ``normalizing_step``, int32 for a chain's masks, below
+    2^``CHAIN_MAX_RANK``, which the chain converts from its lists in one
+    call.
 
     The candidates meet all the members in row blocks sized by bytes:
     four words a product in ``_PAIR_BLOCK`` int64 words, 128 KiB, that is
     ``_PAIR_BLOCK // 4`` int64 or ``_PAIR_BLOCK // 2`` int32 products, and
     at least one candidate a block, so a block stays inside the heap, as
     ``_PAIR_BLOCK``'s comment explains.  One :func:`_top_bits` call reads
-    the top bits of candidates and members together, and each block is
-    one call of :func:`_products` with the smaller top bit t of each
-    pair.  The pairs whose shared bits reach t make no product; a keep
-    mask drops them, and the shared bits and t are freed, before the
-    membership lookup drops the products inside the set, 0 among them.
-    Multiplying by the keep mask zeroes both, so a row's witness is its
-    largest product outside the set, and the block's products and mask
-    are freed before the next block's words are made.  A scan of one
-    block returns its row maxima as they are.
+    every top bit, and each block is one call of :func:`_products` with
+    the smaller top bit t of each pair.  The pairs whose shared bits
+    reach t make no product; a keep mask drops them, and the shared bits
+    and t are freed, before the lookup keeps the products outside the
+    set, 0 never among them.  Multiplying by the keep mask zeroes the
+    rest, so the maximum of a row is its largest product outside the
+    set, and the block's products and mask are freed before the next
+    block's words are made.  Each block slices its rows straight from
+    ``masks`` and its top bits, so a scan of one block, as most of a
+    chain's are, makes no other view.
     """
-    k = len(cands)
-    tops = _top_bits(np.concatenate((cands, members)))
-    x, x_tops, y_tops = cands[:, None], tops[:k, None], tops[k:]
-    rows = max(1, _PAIR_BLOCK * 8 // (4 * cands.itemsize) // len(members))
-    found = [cands[:0]]
+    tops = _top_bits(masks)
+    y, y_tops = masks[k:], tops[k:]
+    rows = max(1, _PAIR_BLOCK * 8 // (4 * masks.itemsize) // len(y))
+    found = []
     for i in range(0, k, rows):
-        t = np.minimum(x_tops[i:i + rows], y_tops)
-        shared, prod = _products(x[i:i + rows], members, t)
+        j = min(i + rows, k)
+        t = np.minimum(tops[i:j, None], y_tops)
+        shared, prod = _products(masks[i:j, None], y, t)
         keep = shared < t
         del shared, t
-        keep &= ~present(prod)
+        keep &= lookup(prod) == outside
         prod *= keep
-        found.append(prod.max(axis=1))
+        found += np.maximum.reduce(prod, 1).tolist()
         del prod, keep
-    return found[1] if len(found) == 2 else np.concatenate(found)
+    return found
 
 
 def _scan(cands: list[int], cover: list[int], joined: memoryview) -> list[int]:
     """:func:`_witnesses`' witnesses, by the witness rule, a pair at a time on ints.
 
     ``joined`` reads each mask's join step, ``_NEVER`` outside the term
-    that ``cover`` generates.
+    that ``cover`` generates.  A pair has no product where the larger
+    factor has the smaller one's top bit t, which the smaller has, so
+    one bit decides it before t is needed: m & tx for a member m based
+    at or above the candidate x, whose top bit tx is then t, and
+    x & t for a member based below it.
     """
     found = []
     for x in cands:
         tx = 1 << (x.bit_length() - 1)
         w = 0
         for m in cover:
-            t = tx if m >= tx else 1 << (m.bit_length() - 1)
-            if x & m & t:
-                continue
+            if m >= tx:
+                if m & tx:
+                    continue
+                t = tx
+            else:
+                t = 1 << (m.bit_length() - 1)
+                if x & t:
+                    continue
             p = (x & m) | ((x ^ m) & -t)
             if p > w and joined[p] == _NEVER:
                 w = p
@@ -306,16 +329,18 @@ def _step_kernel(rescanned: int, cover: int) -> str:
     return "scalar" if rescanned * cover <= _SCALAR_PAIRS else "block"
 
 
-def _chain_witnesses(kernel: str, cands: list[int], cover: list[int], joined: np.ndarray) -> list[int]:
+def _chain_witnesses(kernel: str, cands: list[int], cover: list[int], view: memoryview) -> list[int]:
     """Each candidate's witness against ``cover``, which generates a chain's term, by ``kernel``,
     "scalar" or "block" as :func:`_step_kernel` names it.
 
-    ``joined`` holds the term's join steps; :func:`_scan` reads them through a ``memoryview``.
+    ``view`` is the chain loop's ``memoryview`` of the term's join steps:
+    :func:`_scan` reads it, and :func:`_witnesses` the array under it,
+    ``view.obj``, with ``take``, on the candidates and the cover
+    converted to int32 in one call.
     """
     if kernel == "scalar":
-        return _scan(cands, cover, memoryview(joined))
-    return _witnesses(np.array(cands, dtype=np.int32), np.array(cover, dtype=np.int32),
-                      _in_term(joined)).tolist()
+        return _scan(cands, cover, view)
+    return _witnesses(np.array(cands + cover, dtype=np.int32), len(cands), view.obj.take, _NEVER)
 
 
 def _close_ints(seed: list[int], cap: int) -> list[int]:

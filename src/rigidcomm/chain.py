@@ -305,7 +305,8 @@ def _run(start: SaturatedSet, max_steps: int | None) -> ChainReport:
     ``start`` at step 0 and ``i`` the last step taken; ``log2_order``
     counts its members.  The loop reads and writes it through ``view``,
     a ``memoryview`` released as the loop's ``with`` block ends, before
-    the report makes ``joined`` read-only.  ``cover``, a list of ints,
+    the report makes ``joined`` read-only, and the kernels read the term
+    through the same ``view``.  ``cover``, a list of ints,
     generates the term but is not the cover rule's exact output: it
     holds the members kept when the prune last ran, ``pruned`` of them,
     as it runs again once the cover has doubled, and every member joined
@@ -354,11 +355,12 @@ def _run(start: SaturatedSet, max_steps: int | None) -> ChainReport:
     joined = np.full(1 << n, _kernel._NEVER, dtype=np.int32)
     joined[members] = 0
     joined[(1 << np.arange(n + 1)) - 1] = -1  # the identity and the t_i
-    cover = _kernel._chain_cover(ints, n, joined)
-    pruned, log2_order, i = len(cover), start.log2_order, 0
+    log2_order, i = start.log2_order, 0
     waiters: dict[int, list[int]] = {}
     diagnostics = _Diagnostics()
     with memoryview(joined) as view:
+        cover = _kernel._chain_cover(ints, n, view)
+        pruned = len(cover)
         # each member wakes the masks parked on it, as if it had just joined
         scanned = [c for c in _kernel._parked(ints) if view[c] == _kernel._NEVER]
         row = (0, 0)  # the start rescans nothing and meets no cover
@@ -374,7 +376,7 @@ def _run(start: SaturatedSet, max_steps: int | None) -> ChainReport:
                 joins = scanned
             else:
                 joins = []
-                for c, w in zip(scanned, _kernel._chain_witnesses(kernel, scanned, cover, joined)):
+                for c, w in zip(scanned, _kernel._chain_witnesses(kernel, scanned, cover, view)):
                     (waiters.setdefault(w, []) if w else joins).append(c)
             i += 1
             if not joins:  # a proper term's normalizer is larger
@@ -386,7 +388,7 @@ def _run(start: SaturatedSet, max_steps: int | None) -> ChainReport:
             # cover plus the joins still generates the term; prune once it doubles
             cover += joins
             if len(cover) >= 2 * pruned:
-                cover = _kernel._chain_cover(cover, n, joined)
+                cover = _kernel._chain_cover(cover, n, view)
                 pruned = len(cover)
             scanned = _kernel._parked(joins)
             for a in joins:

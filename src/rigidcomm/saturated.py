@@ -247,8 +247,8 @@ def normalizing_step(M: SaturatedSet) -> SaturatedSet:
     cover = _kernel._uncovered(members, present, M.n)
     cap = (1 << CLOSURE_MAX_RANK) - 1
     perm.check_cap("normalizer scan of pairs", len(pool) * len(cover), cap * cap)
-    found = _kernel._witnesses(pool, cover, present)
-    return SaturatedSet._make(M.n, np.sort(np.concatenate((members, pool[found == 0]))))
+    found = _kernel._witnesses(np.concatenate((pool, cover)), len(pool), present, False)
+    return SaturatedSet._make(M.n, np.sort(np.concatenate((members, pool[np.equal(found, 0)]))))
 
 
 def normalizer_in(B: SaturatedSet, A: SaturatedSet) -> SaturatedSet:

@@ -35,6 +35,7 @@ from rigidcomm import _kernel, chain, partitions
 from rigidcomm._kernel import _NEVER
 from rigidcomm.chain import CHAIN_MAX_RANK, _run
 from rigidcomm.rigid import commutator_mask
+from reference_chain import product
 from test_saturated import _ambient, _normalizer_in_loop, _trusted, _with_translations
 
 # rank 6: 21 growth steps then the fixpoint, log2 sizes and index jumps
@@ -439,22 +440,24 @@ def test_incremental_step_matches_normalizing_step(n, data):
     scans, pruned = [], {}  # the candidates each scan met; the last prune's cover and term
     cover_rule, witnesses = _kernel._chain_cover, _kernel._chain_witnesses
 
-    def prune(masks, n, joined):
-        kept = cover_rule(masks, n, joined)
+    def prune(masks, n, view):
+        joined = np.asarray(view)
+        kept = cover_rule(masks, n, view)
         assert sorted(kept) == _fresh_cover(joined, n)  # a prune, the start's too, leaves the fresh cover
         pruned.update(kept=list(kept), term=_term(joined))
         return kept
 
-    def scan(kernel, cands, cover, joined):
+    def scan(kernel, cands, cover, view):
         # the cover carried to a scan holds the fresh cover, so it generates the term,
         # with no repeats: the last prune's cover, then the members joined since
+        joined = np.asarray(view)
         term = _term(joined)
         assert set(_fresh_cover(joined, n)) <= set(cover) <= term
         assert len(set(cover)) == len(cover)
         kept = pruned["kept"]
         assert cover[:len(kept)] == kept and set(cover[len(kept):]) == term - pruned["term"]
         scans.append(list(cands))
-        return witnesses(kernel, cands, cover, joined)
+        return witnesses(kernel, cands, cover, view)
 
     budget = data.draw(st.integers(1, 6))
     with pytest.MonkeyPatch.context() as patch:
@@ -726,11 +729,11 @@ def test_no_rule_reads_the_order_of_the_wake_list(monkeypatch, n, max_steps, cut
         monkeypatch.setattr(_kernel, "_SCALAR_PAIRS", cutoff)
     rng, moved, witnesses = random.Random(n), [], _kernel._chain_witnesses
 
-    def shuffled(kernel, cands, cover, joined):
+    def shuffled(kernel, cands, cover, view):
         before = list(cands)
         rng.shuffle(cands)  # in place: the step pairs this list with the witnesses
         moved.append(cands != before)
-        return witnesses(kernel, cands, cover, joined)
+        return witnesses(kernel, cands, cover, view)
 
     want = run_chain(n, max_steps)
     monkeypatch.setattr(_kernel, "_chain_witnesses", shuffled)
@@ -755,8 +758,10 @@ def test_scalar_scan_matches_block_scan(n, term, picks, data):
     # the chain scans a small block in _kernel._scan and a large one in _witnesses,
     # and prunes a small cover in _uncovered_ints and a large one in
     # _uncovered; each pair reads the same term, as a join-step table and as a
-    # membership lookup.  _witnesses gives the same witnesses at int32, as the
-    # chain hands it, and at int64, as normalizing_step does
+    # membership lookup.  _scan gives each candidate's largest product outside the
+    # term, by the product rule of reference_chain, which shares no engine code;
+    # _witnesses gives the same at int32, as the chain hands it, and at int64, as
+    # normalizing_step does
     A = _with_translations(n, _ambient(n, term), picks)
     members = np.array(sorted(A.masks), dtype=np.int64)
     present = _kernel._membership(members, n)
@@ -767,11 +772,13 @@ def test_scalar_scan_matches_block_scan(n, term, picks, data):
     cands = [(1 << n) - 1, *data.draw(st.lists(st.integers(1, (1 << n) - 1), min_size=1, max_size=40))]
     cover = _kernel._uncovered(members, present, n)
     for gens in (cover, members[::-1]):
-        want = _kernel._scan(cands, gens.tolist(), memoryview(joined))
+        outside = [[p for m in gens.tolist() if (p := product(c, m)) and p not in A.masks] for c in cands]
+        want = [max(ps, default=0) for ps in outside]
+        assert _kernel._scan(cands, gens.tolist(), memoryview(joined)) == want
         for dtype in (np.int32, np.int64):
-            for lookup in (present, _kernel._in_term(joined)):
-                got = _kernel._witnesses(np.array(cands, dtype=dtype), gens.astype(dtype), lookup)
-                assert got.dtype == dtype and got.tolist() == want, (dtype, lookup)
+            masks = np.array([*cands, *gens.tolist()], dtype=dtype)
+            for lookup, out in ((present, False), (joined.take, _NEVER)):
+                assert _kernel._witnesses(masks, len(cands), lookup, out) == want, (dtype, lookup)
     assert want[0] == 0
     for masks in (members, members[::-1]):  # each keeps the order it is given
         want = _kernel._uncovered(masks, present, n).tolist()
@@ -844,6 +851,28 @@ def test_report_walk_holds_its_sort_and_one_cut_array_at_rank18():
     assert peak < 3.5 * (1 << 20), peak
 
 
+def test_chain_kernels_read_the_view_they_are_given():
+    # the chain loop hands each kernel its own memoryview of the join steps, and
+    # the kernels make none, so once that view is released no kernel can read it
+    n = 5
+    joined = np.full(1 << n, _NEVER, dtype=np.int32)
+    members = sorted(translation_normalizer_set(n).masks)
+    joined[members] = 0
+    joined[0] = -1
+    cands = [c for c in range(1, 1 << n) if joined[c] == _NEVER]
+    assert len(members) <= _kernel._SCALAR_PRUNE
+    with memoryview(joined) as view:
+        cover = _kernel._chain_cover(members, n, view)
+        want = [_kernel._chain_witnesses(kernel, cands, cover, view) for kernel in ("scalar", "block")]
+    assert want[0] == want[1] and any(want[0])  # some candidate has a product outside the term
+    for kernel in ("scalar", "block"):
+        with pytest.raises(ValueError, match="released"):
+            _kernel._chain_witnesses(kernel, cands, cover, view)
+    for masks in (members, members * 8):  # the int prune, and the numpy prune past _SCALAR_PRUNE
+        with pytest.raises(ValueError, match="released"):
+            _kernel._chain_cover(masks, n, view)
+
+
 def test_chain_masks_fit_int32():
     assert (1 << CHAIN_MAX_RANK) - 1 <= np.iinfo(np.int32).max, (
         "the block scan holds a chain's masks in int32: a higher CHAIN_MAX_RANK needs int64 there"
@@ -854,9 +883,9 @@ def test_block_scan_width(monkeypatch):
     # a chain's block steps scan int32 masks, normalizing_step's int64 ones
     widths = []
 
-    def spy(cands, members, present, _inner=_kernel._witnesses):
-        widths.append((cands.dtype, members.dtype))
-        return _inner(cands, members, present)
+    def spy(masks, k, lookup, outside, _inner=_kernel._witnesses):
+        widths.append((masks[:k].dtype, masks[k:].dtype))
+        return _inner(masks, k, lookup, outside)
 
     monkeypatch.setattr(_kernel, "_witnesses", spy)
     report = run_chain(12)

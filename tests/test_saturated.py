@@ -755,9 +755,9 @@ def _scanned_pool(B, A):
     pools = []
     real = _kernel._witnesses
 
-    def spy(cands, members, present):
-        pools.append(cands.tolist())
-        return real(cands, members, present)
+    def spy(masks, k, lookup, outside):
+        pools.append(masks[:k].tolist())
+        return real(masks, k, lookup, outside)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(_kernel, "_witnesses", spy)
@@ -773,8 +773,8 @@ def _check_witnesses(A, B, dtype=np.int64):
     cover = _kernel._uncovered(members, present, A.n)
     # every member in mask order, and the cover, which generates A, in reverse order
     for gens in (members, cover[::-1]):
-        found = _kernel._witnesses(cands, gens, present)
-        for c, w in zip(cands.tolist(), found.tolist()):
+        found = _kernel._witnesses(np.concatenate((cands, gens)), len(cands), present, False)
+        for c, w in zip(cands.tolist(), found):
             assert (w == 0) == (_witness_loop(c, A.masks) == 0), c
             if w:
                 assert w not in A.masks
@@ -823,19 +823,19 @@ def test_witnesses_block_stays_near_128_kib():
     # the next block's words are made, and at about 200 KiB when it does not
     calls, real = [], _kernel._witnesses
 
-    def spy(cands, members, present):
-        calls.append((cands, members, present))
-        return real(cands, members, present)
+    def spy(masks, k, lookup, outside):
+        calls.append((masks, k, lookup, outside))
+        return real(masks, k, lookup, outside)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(_kernel, "_witnesses", spy)
         run_chain(16, 14)
-    cands, members, present = max(calls, key=lambda call: call[0].size * call[1].size)
-    assert cands.size >= 225 and members.size >= 137
-    real(cands, members, present)  # numpy's first calls of some functions allocate once
+    masks, k, lookup, outside = max(calls, key=lambda call: call[1] * (call[0].size - call[1]))
+    assert k >= 225 and masks.size - k >= 137
+    real(masks, k, lookup, outside)  # numpy's first calls of some functions allocate once
     tracemalloc.start()
     try:
-        real(cands, members, present)
+        real(masks, k, lookup, outside)
         assert tracemalloc.get_traced_memory()[1] <= 192 << 10
     finally:
         tracemalloc.stop()
