@@ -187,7 +187,7 @@ def _uncovered(
     """
     x = masks[:, None]
     z = x & _LOWS[1:n]  # b = 1..n-1
-    y = x - z + _LOWS[:n - 1]  # x - z keeps x's bits from b up
+    y = (x - z) | _LOWS[:n - 1]  # x - z keeps x's bits from b up
     # z has bit b - 1 when z >= 2^(b-1), and b is below x's base when z != x
     covered = (z >= _POWERS[:n - 1]) & (z != x) & present(z) & present(y)
     return masks[~covered.any(axis=1)]

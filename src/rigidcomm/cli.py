@@ -303,6 +303,7 @@ def _cmd_closure(args) -> int:
 
 def _cmd_factorize(args) -> int:
     g = perm.perm_from_json(_read(args.perm))
+    perm.check_cap("factorize at rank", g.n, saturated.FACTORIZE_MAX_RANK)  # before the set is read
     within = None
     if args.set_path:
         set_n, members = saturated.members_from_json(_read(args.set_path))

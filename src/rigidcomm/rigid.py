@@ -127,20 +127,19 @@ def commutator_mask(x: int, y: int) -> int:
     bases agree, or when the smaller base already occurs in the
     larger-based set.  Otherwise the result keeps the smaller base,
     everything the two sets share, and the part of the larger-based set
-    above the smaller base.
+    above the smaller base.  In the closed form that the kernels of
+    :mod:`rigidcomm._kernel` apply, with x <= y and t the top bit of x,
+    0 for the identity, the product is (x & y) | ((x ^ y) & -t), or 0
+    where x & y >= t: the identity, equal bases, or the smaller base in
+    the larger set.
     """
-    if x == 0 or y == 0:
-        return 0
-    a = x.bit_length()
-    b = y.bit_length()
-    if a == b:
-        return 0
-    if a < b:
+    if x > y:
         x, y = y, x
-        b = a
-    if (x >> (b - 1)) & 1:
+    t = (1 << x.bit_length()) >> 1
+    shared = x & y
+    if shared >= t:
         return 0
-    return (1 << (b - 1)) | (x & y) | (x & ~((1 << b) - 1))
+    return shared | ((x ^ y) & -t)
 
 
 def commutator(x: RigidCommutator, y: RigidCommutator) -> RigidCommutator:

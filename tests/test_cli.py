@@ -811,6 +811,20 @@ def test_factorize_set_rank_checked_before_closure(tmp_path, capsys, monkeypatch
     assert captured.err == "factorize: rank mismatch: permutation has rank 3, set has 20\n"
 
 
+def test_factorize_rank_checked_before_the_set(tmp_path, capsys, monkeypatch):
+    # a permutation past the cap is refused before its set is read, so an unclosed
+    # set of its rank exits 3 with the guard's message, not 2 with the set's
+    monkeypatch.setattr(_kernel, "_close", lambda *args: pytest.fail("closure checked"))
+    path = tmp_path / "id.json"
+    path.write_text(json.dumps({"n": 13, "images": list(range(1, (1 << 13) + 1))}))
+    sett = tmp_path / "set.json"
+    sett.write_text(json.dumps({"n": 13, "members": [hex(1 << 12 | 1), hex(1 << 11)]}))  # [13,1], [12]
+    assert main(["factorize", str(path), "--set", str(sett)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "scale guard: factorize at rank 13 exceeds the cap 12\n"
+
+
 def test_factorize_identity(tmp_path, capsys):
     path = tmp_path / "id.json"
     path.write_text('{"n": 2, "images": [1, 2, 3, 4]}')

@@ -4,6 +4,8 @@ A module that re-binds a kernel name, as ``from ._kernel import
 _PAIR_BLOCK`` would, takes a monkeypatch of that name with no effect on
 the kernels, so the tests that shrink ``_PAIR_BLOCK`` or move a size
 cutoff would stop reaching the paths they patch it for, and still pass.
+No module imports ``multiprocessing`` or ``concurrent``: every kernel
+runs in the caller's process and thread.
 """
 
 import ast
@@ -43,3 +45,15 @@ def test_chain_and_cli_reach_no_private_name_of_saturated():
                 if node.value.id == "saturated" and node.attr.startswith("_"):
                     private.append(node.attr)
         assert private == [], module
+
+
+def test_src_imports_no_process_or_thread_pool():
+    src = Path(rigidcomm.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        imported = []
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported += [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.append(node.module)
+        assert not [name for name in imported if name.split(".")[0] in ("multiprocessing", "concurrent")], path.name
