@@ -190,10 +190,18 @@ def compose(p: TreePermutation, q: TreePermutation) -> TreePermutation:
     return TreePermutation._from0(q._img.take(p._img), p.n)
 
 
+@functools.lru_cache(maxsize=None)
+def _points(size: int) -> np.ndarray:
+    """The points 0..size-1, a read-only intp array built once per size (2^n, one a rank) and shared."""
+    pts = np.arange(size, dtype=np.intp)
+    pts.flags.writeable = False
+    return pts
+
+
 def _inverted(img: np.ndarray) -> np.ndarray:
-    """The inverse of a 0-based image array, by one scatter."""
+    """The inverse of a 0-based image array, by one scatter of the cached :func:`_points`."""
     inv = np.empty_like(img)
-    inv[img] = np.arange(img.size, dtype=img.dtype)
+    inv[img] = _points(img.size)
     return inv
 
 
@@ -204,14 +212,14 @@ def inverse(p: TreePermutation) -> TreePermutation:
 def perm_commutator(p: TreePermutation, q: TreePermutation) -> TreePermutation:
     """Group commutator p^-1 q^-1 p q on explicit images.
 
-    The gathers and scatters of ``compose(compose(inverse(p),
-    inverse(q)), compose(p, q))``, on the image arrays, with one
-    permutation built for the result.
+    Computed as (qp)^-1 (pq), which is the same product since
+    p^-1 q^-1 = (qp)^-1: three gathers build pq, qp and the result, and
+    one scatter inverts qp, with one permutation built for the result.
     """
     if p.n != q.n:
         raise ValueError(f"rank mismatch: {p.n} != {q.n}")
-    pq, inv = q._img.take(p._img), _inverted(q._img).take(_inverted(p._img))
-    return TreePermutation._from0(pq.take(inv), p.n)
+    pq, qp = q._img.take(p._img), p._img.take(q._img)
+    return TreePermutation._from0(pq.take(_inverted(qp)), p.n)
 
 
 def expand(c: RigidCommutator) -> TreePermutation:

@@ -15,8 +15,10 @@ All values are immutable and every function is pure.
 
 from __future__ import annotations
 
+import itertools
+import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 MAX_RANK = 63  # element k occupies bit k-1 of a machine-word-sized int
 
@@ -247,73 +249,72 @@ def format_punctured(c: RigidCommutator) -> str:
 # Whitespace may stand between any two tokens.  A bare index is a
 # generator, a bracket list folds left-normed, [a, b, c] = [[a, b], c],
 # and b^{h, ...} is the set {1..b} minus the holes h, each below b.
+# The text is split once into tokens, each a run of ASCII digits or one
+# other non-space character, and read by index into that list; "" ends
+# it.  An error's position, the start of its token, is found only when
+# the error is raised.
 
-class _Scanner:
-    def __init__(self, text: str) -> None:
-        self.text = text
-        self.pos = 0
+_TOKEN = re.compile(r"[0-9]+|\S")
+_INDICES = {str(k): k for k in range(1, MAX_RANK + 1)}
 
-    def peek(self) -> str:
-        """The next token's first character after whitespace, or "" at the end."""
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-        return self.text[self.pos : self.pos + 1]
 
-    def skip(self, ch: str) -> bool:
-        """Take ``ch`` if it comes next."""
-        if self.peek() != ch:
-            return False
-        self.pos += 1
-        return True
+def _position(text: str, i: int) -> int:
+    """Where token ``i`` of ``text`` starts, or ``len(text)`` for the end."""
+    token = next(itertools.islice(_TOKEN.finditer(text), i, None), None)
+    return len(text) if token is None else token.start()
 
-    def take(self, ch: str) -> None:
-        if not self.skip(ch):
-            raise ValueError(f"expected {ch!r} at position {self.pos} in {self.text!r}")
 
-    def items(self, close: str) -> Iterator[None]:
-        """Yield once per item of a comma list, possibly empty, then take ``close``."""
-        if not self.skip(close):
-            yield
-            while not self.skip(close):
-                self.take(",")
-                yield
+def _index(text: str, tokens: list[str], i: int) -> int:
+    """Token ``i`` as an index, refused unless it is ASCII digits naming 1..MAX_RANK.
 
-    def index(self) -> int:
-        """Read an index in ASCII digits, refusing it once it leaves 1..MAX_RANK."""
-        self.peek()
-        start, value = self.pos, 0
-        while self.pos < len(self.text) and "0" <= self.text[self.pos] <= "9":
-            value = 10 * value + ord(self.text[self.pos]) - ord("0")
-            self.pos += 1
-            if value > MAX_RANK:
+    The digits are looked up, leading zeros stripped, so no int is built
+    for a run of any length.
+    """
+    tok = tokens[i]
+    value = _INDICES.get(tok)
+    if value is None:
+        if not "0" <= tok < ":":  # a digit run starts with 0..9, and every other token is one character
+            raise ValueError(f"expected an index at position {_position(text, i)} in {text!r}")
+        value = _INDICES.get(tok.lstrip("0"))
+        if value is None:
+            raise ValueError(f"index at position {_position(text, i)} outside 1..{MAX_RANK} in {text!r}")
+    return value
+
+
+def _read(text: str, tokens: list[str], i: int) -> tuple[int, int, int]:
+    """Read the expression at token ``i``, folding as it goes: its mask, largest index and next token."""
+    if tokens[i] == "[":
+        i += 1
+        if tokens[i] == "]":
+            return 0, 0, i + 1
+        mask, top, i = _read(text, tokens, i)
+        while tokens[i] != "]":
+            if tokens[i] != ",":
+                raise ValueError(f"expected ',' at position {_position(text, i)} in {text!r}")
+            item, k, i = _read(text, tokens, i + 1)
+            mask = commutator_mask(mask, item)
+            if k > top:
+                top = k
+        return mask, top, i + 1
+    base = _index(text, tokens, i)
+    if tokens[i + 1] != "^":
+        return 1 << (base - 1), base, i + 1
+    if tokens[i + 2] != "{":
+        raise ValueError(f"expected '{{' at position {_position(text, i + 2)} in {text!r}")
+    mask, i = (1 << base) - 1, i + 3
+    if tokens[i] != "}":
+        while True:
+            hole = _index(text, tokens, i)
+            if hole >= base:
+                raise ValueError(f"hole {hole} is not below the base {base} in {text!r}")
+            mask &= ~(1 << (hole - 1))
+            i += 1
+            if tokens[i] == "}":
                 break
-        if self.pos == start:
-            raise ValueError(f"expected an index at position {start} in {self.text!r}")
-        if not 1 <= value <= MAX_RANK:
-            raise ValueError(f"index at position {start} outside 1..{MAX_RANK} in {self.text!r}")
-        return value
-
-
-def _read(sc: _Scanner) -> tuple[int, int]:
-    """Read one expression, folding as it goes: its mask and its largest index."""
-    if sc.skip("["):
-        mask, top = None, 0
-        for _ in sc.items("]"):
-            item, k = _read(sc)
-            mask = item if mask is None else commutator_mask(mask, item)
-            top = max(top, k)
-        return mask or 0, top
-    base = sc.index()
-    if not sc.skip("^"):
-        return 1 << (base - 1), base
-    sc.take("{")
-    mask = (1 << base) - 1
-    for _ in sc.items("}"):
-        hole = sc.index()
-        if hole >= base:
-            raise ValueError(f"hole {hole} is not below the base {base} in {sc.text!r}")
-        mask &= ~(1 << (hole - 1))
-    return mask, base
+            if tokens[i] != ",":
+                raise ValueError(f"expected ',' at position {_position(text, i)} in {text!r}")
+            i += 1
+    return mask, base, i + 1
 
 
 def evaluate_expression(text: str, n: int | None = None) -> RigidCommutator:
@@ -324,13 +325,14 @@ def evaluate_expression(text: str, n: int | None = None) -> RigidCommutator:
     defaults to the largest index in the expression.  An expression
     nested past the interpreter's recursion limit is a ``ValueError``.
     """
-    sc = _Scanner(text)
+    tokens = _TOKEN.findall(text)
+    tokens.append("")
     try:
-        mask, top = _read(sc)
+        mask, top, i = _read(text, tokens, 0)
     except RecursionError:
         raise ValueError("expression is nested too deeply") from None
-    if sc.peek():
-        raise ValueError(f"trailing input at position {sc.pos} in {text!r}")
+    if tokens[i]:
+        raise ValueError(f"trailing input at position {_position(text, i)} in {text!r}")
     if n is None:
         n = max(1, top)
     _check_rank(n)

@@ -185,6 +185,24 @@ def test_inverse_and_commutator():
         assert not any(g._img.flags.writeable for g in (e, *made))
 
 
+def test_commutator_inverts_once_from_the_cached_points(monkeypatch):
+    # one scatter a commutator, from a read-only point array shared by every inverse of its size
+    rng = random.Random(7)
+    n = 6
+    p, q = (functools.reduce(compose, (generator(rng.randint(1, n), n) for _ in range(4 * n)))
+            for _ in range(2))
+    expected = compose(compose(inverse(p), inverse(q)), compose(p, q))
+    assert expected != compose(compose(inverse(q), inverse(p)), compose(q, p))  # the factors' order shows
+    calls = []
+    real = permutations._inverted
+    monkeypatch.setattr(permutations, "_inverted", lambda img: calls.append(img) or real(img))
+    assert perm_commutator(p, q) == expected
+    assert len(calls) == 1
+    points = permutations._points(1 << n)
+    assert points is permutations._points(1 << n) and not points.flags.writeable
+    assert np.array_equal(points, np.arange(1 << n))
+
+
 def test_json_round_trip():
     p = expand(C([3, 2], 3))
     assert perm_from_json(perm_to_json(p)) == p

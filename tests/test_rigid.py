@@ -4,10 +4,12 @@ Expected values were frozen after computing them on the permutation
 oracle; the oracle comparison itself lives in test_permutations.py.
 """
 
+import ast
 import tracemalloc
+from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from rigidcomm import (
     RigidCommutator,
@@ -25,6 +27,7 @@ from rigidcomm import (
     to_punctured,
 )
 from rigidcomm.rigid import MAX_RANK
+import reference_reader
 
 C = RigidCommutator.from_elements
 
@@ -335,6 +338,57 @@ def test_text_round_trip(n, data):
 
 
 # ── expression evaluator ─────────────────────────────────────────────────────
+
+# what the token reader and the reference scanner must agree on: brackets, braces and
+# separators, digit runs with leading zeros or past MAX_RANK, spaces, a tab and other
+# characters str.isspace takes (\x1c, U+2028), non-ASCII digits, a sign, "_" and letters
+_PIECES = ["[", "]", "{", "}", ",", "^", "0", "00", "1", "3", "6", "07", "63", "64", "0063", "100",
+           "9" * 40, "0" * 40 + "5", " ", "  ", "\t", "\x1c", "\u2028", "\u0663", "\uff13", "+", "_", "a", "Z"]
+_INDEX_TEXT = st.one_of(st.integers(0, 70).map(str), st.integers(1, 63).map(lambda k: f"00{k}"),
+                        st.builds("{}{}".format, st.integers(0, 9), st.sampled_from("\u0663\uff13")))
+_PUNCTURED_TEXT = st.integers(1, 12).flatmap(lambda b: st.builds(
+    lambda holes: f"{b}^{{{','.join(map(str, holes))}}}", st.lists(st.integers(0, b + 1), max_size=3)))
+_WORDS = st.recursive(
+    _INDEX_TEXT | _PUNCTURED_TEXT,
+    lambda items: st.builds(lambda xs, comma: "[" + comma.join(xs) + "]",
+                            st.lists(items, max_size=4), st.sampled_from([",", " , ", ",\t", "\u2028,"])),
+    max_leaves=12)
+
+
+@st.composite
+def _edited_words(draw) -> str:
+    """A nested word with a piece put in, or cut short, or both."""
+    text = draw(_WORDS)
+    at = draw(st.integers(0, len(text)))
+    text = text[:at] + draw(st.sampled_from(_PIECES)) + text[at:]
+    return text[:draw(st.integers(0, len(text)))] if draw(st.booleans()) else text
+
+
+_TEXTS = st.lists(st.sampled_from(_PIECES), max_size=12).map("".join) | _WORDS | _edited_words()
+
+
+def _outcome(read):
+    try:
+        return read()
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_reference_reader_imports_only_the_product_rule():
+    # the reader cannot sit on both sides of the comparison; the fold's product rule must
+    tree = ast.parse(Path(__file__).with_name("reference_reader.py").read_text())
+    found = [(getattr(node, "module", None), [a.name for a in node.names]) for node in ast.walk(tree)
+             if isinstance(node, (ast.Import, ast.ImportFrom)) and "rigidcomm" in ast.dump(node)]
+    assert found == [("rigidcomm.rigid", ["commutator_mask"])]
+
+
+@settings(max_examples=500)
+@given(_TEXTS, st.none() | st.integers(1, MAX_RANK))
+def test_reader_matches_the_reference_scanner(text, n):
+    # the same commutator, or the same message word for word, its position included
+    expected = _outcome(lambda: RigidCommutator(*reference_reader.evaluate(text, n)))
+    assert _outcome(lambda: evaluate_expression(text, n)) == expected
+
 
 def test_evaluate_nested():
     assert evaluate_expression("[[6,5,4,3],[2,1]]") == C([6, 5, 4, 3, 2], 6)
